@@ -20,11 +20,11 @@ from ssbchoice import (
     format_percent,
     majority_margins,
     maximal_lottery,
-    maximal_set,
     mix,
     parse_ballots,
     parse_proposals,
     render_matrix,
+    unique_optimum,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -53,7 +53,7 @@ def main():
           f"{compare(margins, half_ac, b).value}")
 
     cert = maximal_lottery(margins)
-    vertices, unique = maximal_set(margins)
+    unique = unique_optimum(margins, cert)
     print("\nThe maximal mixture (beats or ties everything feasible):")
     for name, prob in zip(universe.names, cert.lottery.probs):
         print(f"  {name}: {format_fraction(prob)} ({format_percent(prob)}%)")

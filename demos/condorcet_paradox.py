@@ -12,9 +12,10 @@ from ssbchoice import (
     evaluate,
     format_fraction,
     majority_margins,
-    maximal_set,
+    maximal_lottery,
     pc_extension,
     render_matrix,
+    unique_optimum,
     weak_order,
 )
 
@@ -39,9 +40,9 @@ def main():
     print(render_matrix(margins))
     print("a beats b, b beats c, c beats a: no pure alternative is stable.")
 
-    vertices, unique = maximal_set(margins)
-    best = vertices[0]
-    print(f"\nUnique maximal mixture: "
+    cert = maximal_lottery(margins)
+    best = cert.lottery
+    print(f"\nMaximal mixture (unique: {unique_optimum(margins, cert)}): "
           + ", ".join(f"{n}: {format_fraction(p)}"
                       for n, p in zip(universe.names, best.probs)))
     print("It ties every pure alternative exactly:")

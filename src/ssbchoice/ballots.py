@@ -35,6 +35,7 @@ from .model import (
     UtilityVector,
     weak_order,
 )
+from .solver import SolverDefect
 from .ssb import SSBMatrix
 
 _NAME_RE = re.compile(r"^[^\s>={},:#]+$")
@@ -331,7 +332,8 @@ def budget_allocation(proposals: ProposalMatrix, lottery: Lottery) -> tuple[Frac
         sum((share * prob for share, prob in zip(row, lottery.probs)), Fraction(0))
         for row in proposals.shares
     )
-    assert sum(allocation) == 1
+    if sum(allocation) != 1:
+        raise SolverDefect(f"allocation sums to {sum(allocation)}, not 1")
     return allocation
 
 

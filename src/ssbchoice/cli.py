@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit status: 0 on success (or every requested check passing), 1 when a
-check or audit reports FAIL, 2 on malformed input.
+check or audit reports FAIL, 2 on malformed input, 3 when an exact
+internal check fails (a defect in the program, never in the input).
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from .ballots import (
     render_matrix,
 )
 from .model import Universe
-from .solver import maximal_lottery, maximal_set
+from .solver import SolverDefect, maximal_lottery, maximal_set, unique_optimum
 from .ssb import cycle_witness, evaluate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_DEFECT = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,11 +45,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="parallel workers for long enumerations")
+                        help="parallel workers for the exhaustive IIA sweep")
     common.add_argument("--seed", type=int, default=0, metavar="S",
                         help="seed for sampled checks (recorded in reports)")
-    common.add_argument("--max-enum", type=int, default=8, metavar="M",
-                        help="alternative-count bound for maximal-set enumeration")
+    common.add_argument("--max-enum", type=int, default=0, metavar="M",
+                        help="also list the maximal set's vertices when there are "
+                        "at most M alternatives (exponential; default 0: never)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("aggregate", parents=[common],
@@ -126,10 +129,13 @@ def _cmd_aggregate(args) -> int:
 def _solve(args, profile):
     matrix = utilitarian(profile)
     certificate = maximal_lottery(matrix)
-    unique = None
+    unique = unique_optimum(matrix, certificate)
     face = None
     if len(matrix.universe) <= args.max_enum:
-        face, unique = maximal_set(matrix, max_enum=args.max_enum)
+        face, enumerated = maximal_set(matrix, max_enum=args.max_enum)
+        if enumerated != unique:
+            raise SolverDefect(f"uniqueness test says {unique}, "
+                               f"the enumerated maximal set says {enumerated}")
     return matrix, certificate, face, unique
 
 
@@ -149,10 +155,10 @@ def _report_solution(args, profile, matrix, certificate, face, unique):
     print("Slacks against pure outcomes (all exact, all >= 0):")
     for name, slack in zip(arena, certificate.slack):
         print(f"  vs {name}: {format_fraction(slack)}")
-    if unique is None:
-        print(f"Uniqueness not determined (more than {args.max_enum} alternatives).")
-    elif unique:
+    if unique:
         print("This is the unique maximal lottery.")
+    elif face is None:
+        print("Not unique: reported lottery is the solver's deterministic pick.")
     else:
         print(f"Not unique: the maximal set has {len(face)} vertices; "
               "reported lottery is the solver's deterministic pick.")
@@ -422,6 +428,9 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except SolverDefect as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_DEFECT
 
 
 if __name__ == "__main__":

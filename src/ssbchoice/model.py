@@ -56,10 +56,6 @@ class Universe:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -74,9 +70,6 @@ class Universe:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown alternative {name!r}") from None
-
-    def indices(self, names: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.index(n) for n in names)
 
     def pure(self, name: str) -> "Lottery":
         """The one-point lottery on `name`."""
@@ -300,14 +293,13 @@ class UtilityVector:
         return sum((u * w for u, w in zip(self.values, p.probs)), Fraction(0))
 
 
-#: Anything that can stand for one agent's preferences in a profile:
-#: a BaseRelation (PC agent), a UtilityVector (vNM agent), or an SSBMatrix.
-Agent = object
-
-
 @dataclass(frozen=True)
 class Profile:
-    """An ordered list of agents' preferences over a shared universe."""
+    """An ordered list of agents' preferences over a shared universe.
+
+    Each agent is a BaseRelation (PC agent), a UtilityVector (vNM agent)
+    or an SSBMatrix.
+    """
 
     universe: Universe
     agents: tuple

@@ -50,7 +50,11 @@ class MaximalityCertificate:
 
 
 class SolverDefect(RuntimeError):
-    """Internal contradiction: the game LP must always be solvable."""
+    """Internal contradiction in an exact result the program guarantees.
+
+    Raised, for example, when the game LP has no optimum or a budget
+    allocation does not sum to exactly 1; never caused by the input.
+    """
 
 
 def _simplex_max(
@@ -138,7 +142,8 @@ def maximal_lottery(
 
     Ties among several maximal lotteries resolve to the simplex's first
     optimal basic solution under a fixed pivot order, so the output is
-    deterministic; use `maximal_set` to see the whole optimal face.
+    deterministic; `unique_optimum` says whether it is the only one, and
+    `maximal_set` lists the vertices of the whole optimal face.
     """
     universe = phi.universe
     arena = universe.subset(names)
@@ -197,6 +202,52 @@ def _solve_unique(
     for row, col in pivots:
         solution[col] = rows[row][-1]
     return solution
+
+
+def unique_optimum(
+    phi: SSBMatrix,
+    certificate: MaximalityCertificate,
+    names: Iterable[str] | None = None,
+) -> bool:
+    """Whether the certificate's lottery is the only maximal lottery on the arena.
+
+    Exact, polynomial, and in agreement with `maximal_set`'s flag.  By
+    Tucker's theorem on skew-symmetric systems, some maximal lottery p* is
+    strictly complementary: p*_a + (p*' phi)_a > 0 for every a.  Two facts
+    follow, with p the certificate's lottery:
+
+    - If p is the only maximal lottery, it is p*.  So an alternative with
+      p_a = 0 and zero slack (a degenerate one) proves another maximal
+      lottery exists.
+    - If no alternative is degenerate, p is strictly complementary.  Two
+      maximal lotteries p, q satisfy p' phi q = 0, so every maximal q is 0
+      where p's slack is positive and has zero slack on p's support S:
+      every maximal lottery solves  q_a = 0 off S,  (q' phi)_b = 0 on S,
+      sum q = 1.  Near p, whose inequalities are all strict, that system
+      describes the maximal set, so the set is one point iff the system
+      has rank |S|.
+
+    One linear system over the support, and no enumeration of the face.
+    """
+    same_universe(phi, certificate.lottery)
+    universe = phi.universe
+    arena = universe.subset(names)
+    k = len(arena)
+    idx = [universe.index(n) for n in arena]
+    sub = [[phi.entries[a][b] for b in idx] for a in idx]
+    p = [certificate.lottery.probs[i] for i in idx]
+    slack = tuple(sum((p[a] * sub[a][b] for a in range(k)), Fraction(0)) for b in range(k))
+    if sum(p) != 1 or slack != certificate.slack:
+        raise ValueError(f"certificate does not belong to phi on arena {arena}")
+    if any(x == 0 and s == 0 for x, s in zip(p, slack)):
+        return False
+    support = [a for a in range(k) if p[a]]
+    equations = [(tuple(sub[a][b] for a in support), Fraction(0)) for b in support]
+    equations.append((tuple(Fraction(1) for _ in support), Fraction(1)))
+    point = _solve_unique(equations, len(support))
+    if point is not None and point != [p[a] for a in support]:
+        raise SolverDefect("the face system's only solution is not the certificate")
+    return point is not None
 
 
 def maximal_set(

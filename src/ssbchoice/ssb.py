@@ -36,13 +36,6 @@ class Comparison(enum.Enum):
     INDIFFERENT = "indifferent"
     DISPREFERRED = "dispreferred"
 
-    def flipped(self) -> "Comparison":
-        if self is Comparison.PREFERRED:
-            return Comparison.DISPREFERRED
-        if self is Comparison.DISPREFERRED:
-            return Comparison.PREFERRED
-        return Comparison.INDIFFERENT
-
 
 @dataclass(frozen=True)
 class SSBMatrix:

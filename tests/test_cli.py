@@ -1,5 +1,8 @@
 import json
+from fractions import Fraction
+from types import SimpleNamespace
 
+from ssbchoice import SolverDefect, cli
 from ssbchoice.cli import main
 
 from conftest import FIXTURES
@@ -49,6 +52,35 @@ class TestMaximalLottery:
         assert code == 0
         assert "unique maximal lottery" in out
         assert "C: 2/3" in out
+
+    def test_tie_is_not_unique_without_enumeration(self, capsys):
+        path = FIXTURES / "empty-indifference.ballots"
+        code, out, _ = run(capsys, "maximal-lottery", path)
+        assert code == 0
+        assert any(line.startswith("Not unique:") for line in out.splitlines())
+        code, out, _ = run(capsys, "maximal-lottery", path, "--json")
+        payload = json.loads(out)
+        assert payload["unique"] is False
+        assert "maximal_set" not in payload
+
+    def test_max_enum_lists_the_maximal_set(self, capsys):
+        for name, vertices in (("empty-indifference", 3), ("condorcet", 1)):
+            code, out, _ = run(capsys, "maximal-lottery", FIXTURES / f"{name}.ballots",
+                               "--json", "--max-enum", 8)
+            payload = json.loads(out)
+            assert len(payload["maximal_set"]) == vertices
+            assert payload["unique"] is (vertices == 1)
+
+    def test_nine_alternatives_decide_uniqueness(self, capsys, tmp_path):
+        names = [f"x{i}" for i in range(9)]
+        path = tmp_path / "nine.ballots"
+        path.write_text("universe: " + ", ".join(names) + "\n"
+                        + "".join(f"1: {' > '.join(names[i:] + names[:i])}\n"
+                                  for i in range(3)),
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "maximal-lottery", path, "--json")
+        assert code == 0
+        assert isinstance(json.loads(out)["unique"], bool)
 
 
 class TestBudget:
@@ -201,3 +233,24 @@ class TestErrorHandling:
             capsys, "budget", FIXTURES / "table1.ballots", path
         )
         assert code == 2
+
+    def test_solver_defect_exits_3(self, capsys, monkeypatch):
+        def broken(matrix):
+            raise SolverDefect("game LP unbounded")
+
+        monkeypatch.setattr(cli, "maximal_lottery", broken)
+        code, out, err = run(capsys, "maximal-lottery", FIXTURES / "table1.ballots")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: game LP unbounded\n"
+
+    def test_allocation_not_summing_to_one_exits_3(self, capsys, monkeypatch):
+        # columns that do not sum to 1 cannot come from parse_proposals
+        third = Fraction(1, 3)
+        proposals = SimpleNamespace(departments=("X",), alternatives=("A", "B", "C", "D"),
+                                    shares=((third,) * 4,))
+        monkeypatch.setattr(cli, "parse_proposals", lambda text: proposals)
+        code, _, err = run(capsys, "budget", FIXTURES / "table1.ballots",
+                           FIXTURES / "table1.proposals")
+        assert code == 3
+        assert err.startswith("internal error: allocation sums to 1/3")

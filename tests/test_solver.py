@@ -7,6 +7,7 @@ import pytest
 from ssbchoice import (
     FeasiblePolytope,
     Lottery,
+    MaximalityCertificate,
     SSBMatrix,
     Universe,
     choose,
@@ -15,6 +16,7 @@ from ssbchoice import (
     maximal_lottery,
     maximal_set,
     mix,
+    unique_optimum,
 )
 from ssbchoice.axioms import random_lottery, random_ssb_matrix
 
@@ -210,6 +212,57 @@ class TestMaximalSet:
             cert = maximal_lottery(phi)
             vertices, _ = maximal_set(phi)
             assert in_convex_hull(cert.lottery.probs, [v.probs for v in vertices])
+
+
+class TestUniqueOptimum:
+    """The polynomial test must agree with the enumerated maximal set."""
+
+    @staticmethod
+    def agrees(phi, names=None):
+        cert = maximal_lottery(phi, names)
+        _, enumerated = maximal_set(phi, names)
+        assert unique_optimum(phi, cert, names) == enumerated
+        return enumerated
+
+    def test_fixtures(self, table1_margins, condorcet_matrix):
+        tied_block = SSBMatrix.from_rows(Universe(("a", "b", "c", "d")), [
+            [0, 0, 1, -1],
+            [0, 0, -1, 1],
+            [-1, 1, 0, 0],
+            [1, -1, 0, 0],
+        ])
+        assert not self.agrees(SSBMatrix.zero(ABC), ["a", "b"])
+        assert not self.agrees(tied_block)
+        assert self.agrees(SSBMatrix.zero(Universe(("solo",))))
+        assert self.agrees(table1_margins)
+        assert self.agrees(condorcet_matrix)
+
+    def test_random_integer_matrices(self):
+        # extra zero entries (ties) make about 60% of these maximal sets
+        # faces rather than points
+        rng = random.Random(73)
+        sizes = [rng.randint(2, 5) for _ in range(60)] + [6, 6, 6]
+        unique_count = 0
+        for m in sizes:
+            u = Universe(tuple("abcdef"[:m]))
+            rows = [[0] * m for _ in range(m)]
+            for i, j in itertools.combinations(range(m), 2):
+                rows[i][j] = 0 if rng.random() < 0.2 else rng.randint(-3, 3)
+                rows[j][i] = -rows[i][j]
+            unique_count += self.agrees(SSBMatrix.from_rows(u, rows))
+        assert 0 < unique_count < len(sizes)
+
+    def test_interior_point_of_a_face(self):
+        # no degenerate alternative, so only the rank test can say "not unique"
+        zero = SSBMatrix.zero(ABC)
+        half = Lottery(ABC, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+        cert = MaximalityCertificate(half, (Fraction(0), Fraction(0)))
+        assert not unique_optimum(zero, cert, ["a", "b"])
+
+    def test_certificate_of_another_arena_rejected(self, table1_margins):
+        cert = maximal_lottery(table1_margins, ["A", "B"])
+        with pytest.raises(ValueError):
+            unique_optimum(table1_margins, cert)
 
 
 class TestAgainstBruteForce:
