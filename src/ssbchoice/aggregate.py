@@ -44,11 +44,6 @@ class WeightVector:
     def unit(cls, n: int) -> "WeightVector":
         return cls(tuple(Fraction(1) for _ in range(n)))
 
-    @property
-    def all_positive(self) -> bool:
-        """Required for full Pareto optimality of the weighted rule."""
-        return all(w > 0 for w in self.weights)
-
     def __len__(self) -> int:
         return len(self.weights)
 

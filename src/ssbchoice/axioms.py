@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -297,37 +296,21 @@ def _signature_tables(f, profiles, subsets):
     return hyp, con
 
 
-def _iia_rows(args):
-    hyp, con, lo, hi, n_subsets, cap = args
-    checked = vacuous = 0
-    violations = []
-    n = len(hyp)
-    for i in range(lo, hi):
-        hyp_i, con_i = hyp[i], con[i]
-        for j in range(n):
-            hyp_j, con_j = hyp[j], con[j]
-            for x in range(n_subsets):
-                checked += 1
-                if hyp_i[x] != hyp_j[x]:
-                    vacuous += 1
-                elif con_i[x] != con_j[x] and len(violations) < cap:
-                    violations.append((i, j, x))
-    return checked, vacuous, violations
-
-
 def exhaustive_iia(
     f: SWFHandle,
     profiles: Sequence[Profile],
     subsets: Sequence[tuple[str, ...]] | None = None,
-    jobs: int = 1,
     max_violations: int = 5,
 ) -> IIASuiteReport:
     """check_iia over every ordered pair of profiles and every restriction set.
 
-    Precomputes per-profile restriction signatures once, making the pair
-    sweep a pure tuple-comparison loop; with jobs > 1 the outer rows are
-    chunked across processes and merged in order, so reports stay
-    deterministic.
+    Precomputes per-profile restriction signatures once, then, for each
+    restriction set x, groups the profiles by their hypothesis signature
+    on x.  A pair in different groups is vacuous; a pair in one group
+    violates IIA iff its conclusion signatures on x differ, so only groups
+    whose conclusions differ are searched.  The first `max_violations`
+    violations are reported in (i, j, subset) order, the order of the
+    pairwise loop over profile i, then profile j, then restriction set.
     """
     universe = profiles[0].universe
     if subsets is None:
@@ -335,22 +318,30 @@ def exhaustive_iia(
     subsets = tuple(tuple(x) for x in subsets)
     hyp, con = _signature_tables(f, profiles, subsets)
     n = len(profiles)
-    if jobs <= 1 or n < 2 * jobs:
-        chunks = [(hyp, con, 0, n, len(subsets), max_violations)]
-        results = [_iia_rows(chunks[0])]
-    else:
-        bounds = [round(i * n / jobs) for i in range(jobs + 1)]
-        chunks = [
-            (hyp, con, bounds[i], bounds[i + 1], len(subsets), max_violations)
-            for i in range(jobs)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_iia_rows, chunks))
-    checked = sum(r[0] for r in results)
-    vacuous = sum(r[1] for r in results)
-    violations = [v for r in results for v in r[2]][:max_violations]
+    vacuous = 0
+    suspects: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    for x in range(len(subsets)):
+        groups: dict = {}
+        for i in range(n):
+            groups.setdefault(hyp[i][x], []).append(i)
+        vacuous += n * n - sum(len(g) ** 2 for g in groups.values())
+        for g in groups.values():
+            if len({con[i][x] for i in g}) > 1:
+                for i in g:
+                    suspects[i].append((x, g))
+    violations: list[tuple[int, int, tuple[str, ...]]] = []
+    for i in range(n):
+        if len(violations) >= max_violations:
+            break
+        hits = sorted(
+            (j, x)
+            for x, g in suspects[i]
+            for j in g
+            if con[j][x] != con[i][x]
+        )
+        violations += ((i, j, subsets[x]) for j, x in hits)
     return IIASuiteReport(
-        checked, vacuous, tuple((i, j, subsets[x]) for i, j, x in violations)
+        n * n * len(subsets), vacuous, tuple(violations[:max_violations])
     )
 
 

@@ -26,7 +26,7 @@ from .ballots import (
     parse_proposals,
     render_matrix,
 )
-from .model import Universe
+from .model import Profile, Universe
 from .solver import SolverDefect, maximal_lottery, maximal_set, unique_optimum
 from .ssb import cycle_witness, evaluate
 
@@ -44,29 +44,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="parallel workers for the exhaustive IIA sweep")
-    common.add_argument("--seed", type=int, default=0, metavar="S",
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, metavar="S",
                         help="seed for sampled checks (recorded in reports)")
-    common.add_argument("--max-enum", type=int, default=0, metavar="M",
-                        help="also list the maximal set's vertices when there are "
-                        "at most M alternatives (exponential; default 0: never)")
+    solving = argparse.ArgumentParser(add_help=False, parents=[common])
+    solving.add_argument("--max-enum", type=int, default=0, metavar="M",
+                         help="also list the maximal set's vertices when there are "
+                         "at most M alternatives (exponential; 0..10, default 0: "
+                         "never)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("aggregate", parents=[common],
                        help="print the collective matrix of a ballot file")
     p.add_argument("ballots")
 
-    p = sub.add_parser("maximal-lottery", parents=[common],
+    p = sub.add_parser("maximal-lottery", parents=[solving],
                        help="solve for a collectively maximal lottery")
     p.add_argument("ballots")
 
-    p = sub.add_parser("budget", parents=[common],
+    p = sub.add_parser("budget", parents=[solving],
                        help="maximal lottery mapped through a proposal matrix")
     p.add_argument("ballots")
     p.add_argument("proposals")
 
-    p = sub.add_parser("check-axioms", parents=[common],
+    p = sub.add_parser("check-axioms", parents=[seeded],
                        help="run axiom checks against an aggregation rule")
     p.add_argument("--swf", default="pairwise-utilitarian",
                    choices=["pairwise-utilitarian", "approval",
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", type=int, default=2, metavar="N")
     p.add_argument("--samples", type=int, default=200, metavar="K")
 
-    p = sub.add_parser("audit-domain", parents=[common],
+    p = sub.add_parser("audit-domain", parents=[seeded],
                        help="audit richness conditions of a preference domain")
     p.add_argument("--domain", default="pc",
                    choices=["pc", "pc-transitive", "dichotomous"])
@@ -92,6 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-denominator", type=int, default=5)
 
     return parser
+
+
+def _check_range(flag: str, value: int, lo: int, hi: int | None = None) -> None:
+    """Reject a size flag outside [lo, hi] before anything is enumerated."""
+    if value < lo or (hi is not None and value > hi):
+        bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+        raise ValueError(f"{flag} must be {bound}, got {value}")
 
 
 def _load_profile(path: str):
@@ -166,6 +174,7 @@ def _report_solution(args, profile, matrix, certificate, face, unique):
 
 
 def _cmd_maximal_lottery(args) -> int:
+    _check_range("--max-enum", args.max_enum, 0, 10)
     profile = _load_profile(args.ballots)
     matrix, certificate, face, unique = _solve(args, profile)
     payload = _report_solution(args, profile, matrix, certificate, face, unique)
@@ -175,6 +184,7 @@ def _cmd_maximal_lottery(args) -> int:
 
 
 def _cmd_budget(args) -> int:
+    _check_range("--max-enum", args.max_enum, 0, 10)
     profile = _load_profile(args.ballots)
     proposals = parse_proposals(Path(args.proposals).read_text(encoding="utf-8"))
     matrix, certificate, face, unique = _solve(args, profile)
@@ -196,22 +206,22 @@ def _cmd_budget(args) -> int:
     return EXIT_OK
 
 
-def _profile_pool(universe: Universe, n: int, rng: random.Random, seed: int,
-                  limit: int = 400):
-    """All n-agent weak-order profiles when few enough, else a seeded sample."""
-    orders = axioms.weak_orders(universe)
-    if len(orders) ** n <= limit:
-        return axioms.profiles_over(orders, n, universe), "exhaustive"
-    from .model import Profile
-
+def _profile_pool(relations, universe: Universe, n: int, rng: random.Random,
+                  seed: int, limit: int = 400):
+    """All n-agent profiles over `relations` when few enough, else a seeded sample."""
+    if len(relations) ** n <= limit:
+        return axioms.profiles_over(relations, n, universe), "exhaustive"
     profiles = [
-        Profile(universe, tuple(rng.choice(orders) for _ in range(n)))
+        Profile(universe, tuple(rng.choice(relations) for _ in range(n)))
         for _ in range(limit)
     ]
     return profiles, f"sampled({limit}, seed={seed})"
 
 
 def _cmd_check_axioms(args) -> int:
+    _check_range("--alternatives", args.alternatives, 2, 6)
+    _check_range("--agents", args.agents, 1)
+    _check_range("--samples", args.samples, 1)
     universe = Universe(tuple(chr(ord("a") + i) for i in range(args.alternatives)))
     rng = random.Random(args.seed)
     checks = []  # (label, passed, detail)
@@ -229,10 +239,10 @@ def _cmd_check_axioms(args) -> int:
     elif args.swf == "approval":
         handle = axioms.approval_swf()
         relations = axioms.dichotomous_relations(universe)
-        profiles = axioms.profiles_over(relations, args.agents, universe)
-        report = axioms.exhaustive_iia(handle, profiles, jobs=args.jobs)
+        profiles, mode = _profile_pool(relations, universe, args.agents, rng, args.seed)
+        report = axioms.exhaustive_iia(handle, profiles)
         checks.append((
-            f"IIA exhaustive over {len(profiles)}^2 dichotomous profile pairs",
+            f"IIA {mode} over {len(profiles)}^2 dichotomous profile pairs",
             report.passed,
             f"{report.checked} checks, {report.vacuous} vacuous, "
             f"{len(report.violations)} violations",
@@ -251,8 +261,9 @@ def _cmd_check_axioms(args) -> int:
             handle = axioms.dictatorial_swf()
         else:
             handle = axioms.constant_swf()
-        profiles, mode = _profile_pool(universe, args.agents, rng, args.seed)
-        report = axioms.exhaustive_iia(handle, profiles, jobs=args.jobs)
+        orders = axioms.weak_orders(universe)
+        profiles, mode = _profile_pool(orders, universe, args.agents, rng, args.seed)
+        report = axioms.exhaustive_iia(handle, profiles)
         detail = (f"{report.checked} checks, {report.vacuous} vacuous, "
                   f"{len(report.violations)} violations")
         if report.violations:
@@ -310,6 +321,7 @@ def _cmd_check_axioms(args) -> int:
 
 
 def _cmd_audit_domain(args) -> int:
+    _check_range("--member-limit", args.member_limit, 1)
     if args.file:
         members = parse_matrices(Path(args.file).read_text(encoding="utf-8"))
         if not members:
@@ -318,6 +330,7 @@ def _cmd_audit_domain(args) -> int:
             members[0].universe, members, name=args.file
         )
     else:
+        _check_range("--alternatives", args.alternatives, 1, 5)
         universe = Universe(tuple(chr(ord("a") + i) for i in range(args.alternatives)))
         builder = {
             "pc": axioms.pc_domain,

@@ -69,19 +69,6 @@ class SSBMatrix:
     ) -> "SSBMatrix":
         return cls(universe, tuple(tuple(frac(x) for x in row) for row in rows))
 
-    @classmethod
-    def from_upper(
-        cls, universe: Universe, upper: dict[tuple[str, str], Rational]
-    ) -> "SSBMatrix":
-        """Build from values for ordered pairs; the mirror image is implied."""
-        m = len(universe)
-        grid = [[Fraction(0)] * m for _ in range(m)]
-        for (a, b), value in upper.items():
-            i, j = universe.index(a), universe.index(b)
-            grid[i][j] = frac(value)
-            grid[j][i] = -frac(value)
-        return cls(universe, tuple(tuple(row) for row in grid))
-
     def __getitem__(self, key: tuple[str | int, str | int]) -> Fraction:
         a, b = key
         if isinstance(a, str):

@@ -101,10 +101,6 @@ class TestAffineUtilitarian:
             profile = random_pc_profile(rng, u, rng.randint(1, 4), transitive=False)
             assert utilitarian(profile).entries == majority_margins(profile).entries
 
-    def test_positivity_flag(self):
-        assert WeightVector.unit(3).all_positive
-        assert not WeightVector((1, 0, 2)).all_positive
-
 
 class TestRelativeUtilitarian:
     def test_prefers_first_alternative(self):

@@ -129,20 +129,50 @@ class TestExhaustiveIIA:
         assert not report.passed
         assert any(x == ("a", "b") for _, _, x in report.violations)
 
-    def test_jobs_parallelism_is_deterministic(self):
-        orders = weak_orders(ABC)[:5]
-        profiles = profiles_over(orders, 2, ABC)
-        serial = exhaustive_iia(pairwise_utilitarian_swf(), profiles, jobs=1)
-        parallel = exhaustive_iia(pairwise_utilitarian_swf(), profiles, jobs=2)
-        assert serial == parallel
-
-    def test_jobs_merge_violations_deterministically(self):
-        before, after, _ = intensity_flip_fixture()
-        profiles = [before, after, before, after, before, after]
-        serial = exhaustive_iia(relative_utilitarian_swf(), profiles, jobs=1)
-        parallel = exhaustive_iia(relative_utilitarian_swf(), profiles, jobs=3)
-        assert not serial.passed
-        assert serial == parallel
+    @pytest.mark.parametrize("pool, make_swf", [
+        ("weak-orders", pairwise_utilitarian_swf),
+        ("weak-orders", dictatorial_swf),
+        ("weak-orders", constant_swf),
+        ("intensity-flip", relative_utilitarian_swf),
+        ("random-utilities", relative_utilitarian_swf),
+        ("dichotomous", approval_swf),
+    ])
+    def test_matches_pairwise_check_iia_oracle(self, pool, make_swf):
+        if pool == "weak-orders":
+            profiles = profiles_over(weak_orders(ABC)[:6], 2, ABC)
+        elif pool == "intensity-flip":
+            before, after, _ = intensity_flip_fixture()
+            profiles = [before, after, before, after, before, after]
+        elif pool == "random-utilities":
+            # profile 4 violates with profile 2 on (b, c) before profile 3
+            # on (a, b): the report is ordered by profile, then subset
+            rng = random.Random(7)
+            profiles = [
+                Profile(ABC, tuple(
+                    UtilityVector(ABC, tuple(Fraction(rng.randint(0, 3)) for _ in ABC))
+                    for _ in range(2)
+                ))
+                for _ in range(8)
+            ]
+        else:
+            profiles = profiles_over(dichotomous_relations(ABC), 2, ABC)
+        f = make_swf()
+        checked = vacuous = 0
+        violations = []
+        for i, r1 in enumerate(profiles):
+            for j, r2 in enumerate(profiles):
+                for x in restriction_sets(ABC):
+                    verdict = check_iia(f, r1, r2, x)
+                    checked += 1
+                    vacuous += verdict.vacuous
+                    if not verdict.passed:
+                        violations.append((i, j, x))
+        assert bool(violations) == (make_swf is relative_utilitarian_swf)
+        for cap in (5, len(violations) + 1):
+            report = exhaustive_iia(f, profiles, max_violations=cap)
+            assert report.checked == checked
+            assert report.vacuous == vacuous
+            assert report.violations == tuple(violations[:cap])
 
     def test_sampled_four_alternative_profiles_clean(self):
         # 75^2 two-agent weak-order profiles is too many to sweep in CI;

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
+
 from ssbchoice import SolverDefect, cli
 from ssbchoice.cli import main
 
@@ -138,6 +140,16 @@ class TestCheckAxioms:
         )
         assert code == 0
 
+    def test_approval_pool_is_sampled_above_the_limit(self, capsys):
+        # 7 dichotomous relations on 3 alternatives give 7^4 = 2401 profiles
+        code, out, _ = run(
+            capsys, "check-axioms", "--swf", "approval", "--agents", 4,
+            "--samples", 5, "--seed", 3,
+        )
+        assert code == 0
+        assert ("PASS IIA sampled(400, seed=3) over 400^2 dichotomous profile "
+                "pairs: 1120000 checks") in out
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "check-axioms", "--alternatives", 3, "--samples", 10, "--json"
@@ -233,6 +245,37 @@ class TestErrorHandling:
             capsys, "budget", FIXTURES / "table1.ballots", path
         )
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["aggregate", FIXTURES / "table1.ballots", "--seed", 1],
+        ["cycle-witness", FIXTURES / "chain3.ballots", "--max-enum", 3],
+        ["check-axioms", "--max-enum", 3],
+        ["maximal-lottery", FIXTURES / "table1.ballots", "--seed", 1],
+        ["maximal-lottery", FIXTURES / "table1.ballots", "--jobs", 2],
+    ])
+    def test_flags_only_on_commands_that_read_them(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check-axioms", "--alternatives", 1], "--alternatives must be between 2 and 6, got 1"),
+        (["check-axioms", "--alternatives", 9], "--alternatives must be between 2 and 6, got 9"),
+        (["check-axioms", "--agents", 0], "--agents must be at least 1, got 0"),
+        (["check-axioms", "--samples", 0], "--samples must be at least 1, got 0"),
+        (["audit-domain", "--alternatives", 6], "--alternatives must be between 1 and 5, got 6"),
+        (["audit-domain", "--member-limit", 0], "--member-limit must be at least 1, got 0"),
+        (["maximal-lottery", FIXTURES / "table1.ballots", "--max-enum", 11],
+         "--max-enum must be between 0 and 10, got 11"),
+        (["budget", FIXTURES / "table1.ballots", FIXTURES / "table1.proposals",
+          "--max-enum", 11], "--max-enum must be between 0 and 10, got 11"),
+    ])
+    def test_size_limits_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_solver_defect_exits_3(self, capsys, monkeypatch):
         def broken(matrix):

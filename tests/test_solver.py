@@ -128,7 +128,9 @@ class TestMaximalLottery:
         phi = random_ssb_matrix(rng, u, max_abs=9)
         cert = maximal_lottery(phi)
         assert min(cert.slack) == 0 and all(s >= 0 for s in cert.slack)
-        lopsided = SSBMatrix.from_upper(u, {("x0", "x1"): 1})
+        rows = [[0] * 12 for _ in range(12)]
+        rows[0][1], rows[1][0] = 1, -1
+        lopsided = SSBMatrix.from_rows(u, rows)
         assert maximal_lottery(lopsided).lottery.support() == ("x0",)
 
 
