@@ -48,24 +48,46 @@ class WeightVector:
         return len(self.weights)
 
 
+def _weighted_sum(universe, weighted_agents) -> SSBMatrix:
+    """The sum of w * normalize(to_matrix(agent)) over (agent, w) pairs.
+
+    A skew-symmetric matrix is its positive part P minus P's transpose,
+    so only the weighted positive parts are summed, into a grid of plain
+    ints and Fractions, and one SSBMatrix is built at the end.  A base
+    relation's normalized matrix is its PC matrix (zero, or largest entry
+    exactly 1), so its positive part is 1 on `strict` and the relation
+    adds w straight from its pairs.
+    """
+    m = len(universe)
+    grid = [[0] * m for _ in range(m)]
+    for agent, w in weighted_agents:
+        if isinstance(agent, BaseRelation):
+            for a, b in agent.strict:
+                grid[a][b] += w
+            continue
+        for target, row in zip(grid, normalize(to_matrix(agent)).entries):
+            for b, x in enumerate(row):
+                if x > 0:
+                    target[b] += w * x
+    return SSBMatrix(
+        universe,
+        tuple(tuple(grid[a][b] - grid[b][a] for b in range(m)) for a in range(m)),
+    )
+
+
 def majority_margins(profile: Profile) -> SSBMatrix:
     """Entry (a, b) is the number of agents with a above b minus the reverse.
 
     Agents must be given as base relations; the result equals the sum of
     their pairwise-comparison matrices.
     """
-    m = len(profile.universe)
-    grid = [[Fraction(0)] * m for _ in range(m)]
-    for agent in profile.agents:
+    for agent, _ in profile.runs:
         if not isinstance(agent, BaseRelation):
             raise TypeError(
                 "majority margins need BaseRelation agents, got "
                 f"{type(agent).__name__}"
             )
-        for a, b in agent.strict:
-            grid[a][b] += 1
-            grid[b][a] -= 1
-    return SSBMatrix(profile.universe, tuple(tuple(row) for row in grid))
+    return _weighted_sum(profile.universe, profile.runs)
 
 
 def affine_utilitarian(profile: Profile, weights: WeightVector) -> SSBMatrix:
@@ -76,22 +98,15 @@ def affine_utilitarian(profile: Profile, weights: WeightVector) -> SSBMatrix:
     """
     if len(weights) != profile.n:
         raise ValueError(f"{len(weights)} weights for {profile.n} agents")
-    m = len(profile.universe)
-    grid = [[Fraction(0)] * m for _ in range(m)]
-    for agent, w in zip(profile.agents, weights.weights):
-        phi = normalize(to_matrix(agent))
-        for a in range(m):
-            row = phi.entries[a]
-            target = grid[a]
-            for b in range(m):
-                if row[b]:
-                    target[b] += w * row[b]
-    return SSBMatrix(profile.universe, tuple(tuple(row) for row in grid))
+    return _weighted_sum(profile.universe, zip(profile.agents, weights.weights))
 
 
 def utilitarian(profile: Profile) -> SSBMatrix:
-    """Affine utilitarianism with unit weights (the anonymous rule)."""
-    return affine_utilitarian(profile, WeightVector.unit(profile.n))
+    """Affine utilitarianism with unit weights (the anonymous rule).
+
+    Each run of equal agents is aggregated once, weighted by its length.
+    """
+    return _weighted_sum(profile.universe, profile.runs)
 
 
 def relative_utilitarian_vnm(profile: Profile) -> SSBMatrix:
@@ -102,7 +117,7 @@ def relative_utilitarian_vnm(profile: Profile) -> SSBMatrix:
     demonstrates.  Constant (fully indifferent) agents contribute zero.
     """
     total = [Fraction(0)] * len(profile.universe)
-    for agent in profile.agents:
+    for agent, count in profile.runs:
         if not isinstance(agent, UtilityVector):
             raise TypeError(
                 f"vNM rule needs UtilityVector agents, got {type(agent).__name__}"
@@ -112,7 +127,7 @@ def relative_utilitarian_vnm(profile: Profile) -> SSBMatrix:
         lo, hi = min(agent.values), max(agent.values)
         span = hi - lo
         for i, v in enumerate(agent.values):
-            total[i] += (v - lo) / span
+            total[i] += count * (v - lo) / span
     return separable(UtilityVector(profile.universe, tuple(total)))
 
 
@@ -125,11 +140,11 @@ def approval_aggregate(profile: Profile) -> tuple[UtilityVector, SSBMatrix]:
     the agents' vNM representations.
     """
     scores = [Fraction(0)] * len(profile.universe)
-    for agent in profile.agents:
+    for agent, count in profile.runs:
         if not isinstance(agent, BaseRelation) or not is_dichotomous(agent):
             raise ValueError("approval aggregation needs dichotomous agents")
         for name in approved_set(agent):
-            scores[profile.universe.index(name)] += 1
+            scores[profile.universe.index(name)] += count
     u = UtilityVector(profile.universe, tuple(scores))
     return u, separable(u)
 
@@ -149,7 +164,7 @@ def pareto_relation(profile: Profile, p: Lottery, q: Lottery) -> ParetoDominance
     """
     same_universe(profile, p, q)
     some_strict = False
-    for agent in profile.agents:
+    for agent, _ in profile.runs:
         value = evaluate(to_matrix(agent), p, q)
         if value < 0:
             return ParetoDominance.NONE

@@ -80,7 +80,7 @@ def _relative_utilitarian_fn(profile: Profile) -> SSBMatrix:
 
 
 def _dictator_fn(profile: Profile) -> SSBMatrix:
-    return normalize(to_matrix(profile.agents[0]))
+    return normalize(to_matrix(profile.runs[0][0]))
 
 
 def _constant_fn(profile: Profile) -> SSBMatrix:

@@ -9,7 +9,8 @@ Ballot files declare a universe and then one line per ballot group:
     1: util a=1, b=1/3, c=0    # vNM utilities (rationals, never floats)
     1: edges a>b, c>a          # arbitrary strict pairs, cycles allowed
 
-Counts are positive integers and expand to that many identical agents.
+Counts are positive integers.  A line is stored once, as one run of
+that many identical agents, so a count costs the same at any size.
 Alternatives a weak order leaves out drop to a shared bottom tier; `util`
 values omitted default to 0.  `#` starts a comment anywhere.
 
@@ -20,6 +21,10 @@ Proposal files map each alternative to a column of exact shares:
 
 Columns must each sum to exactly 1 (shares may be given as `40%`,
 `2/5`, or `0.4`; all parse exactly).
+
+Every rational literal, in ballots, proposals and matrix files, may carry
+a decimal exponent (`1e3`) of at most `MAX_EXPONENT` in magnitude: an
+exponent sets the size of the exact integer it builds.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ from .ssb import SSBMatrix
 
 _NAME_RE = re.compile(r"^[^\s>={},:#]+$")
 _DECLARATION_KEYWORDS = ("universe", "alternatives")
+MAX_EXPONENT = 1000
+_EXPONENT_RE = re.compile(r"[eE][-+]?[0_]*(\d[\d_]*)?")
 
 
 class ParseError(ValueError):
@@ -99,6 +106,13 @@ def _check_name(universe: Universe, token: str, lineno: int, column: int) -> str
 
 
 def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
+    exponent = _EXPONENT_RE.search(token)
+    if exponent:
+        digits = (exponent.group(1) or "").replace("_", "")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ParseError(
+                f"decimal exponent exceeds {MAX_EXPONENT} in magnitude", lineno, column
+            )
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -180,9 +194,9 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
 
 
 def parse_ballots(text: str) -> Profile:
-    """Parse ballot text into a profile, expanding counts in file order."""
+    """Parse ballot text into a profile: one run per ballot line, in file order."""
     universe: Universe | None = None
-    agents: list = []
+    runs: list = []
     for lineno, line in _significant_lines(text):
         if universe is None:
             universe = _parse_declaration(line, lineno)
@@ -199,12 +213,12 @@ def parse_ballots(text: str) -> Profile:
         if count <= 0:
             raise ParseError(f"ballot count must be positive, got {count}", lineno)
         agent = _parse_ballot_body(universe, body, len(count_text) + 1, lineno)
-        agents.extend([agent] * count)
+        runs.append((agent, count))
     if universe is None:
         raise ParseError("no universe declaration found", 1)
-    if not agents:
+    if not runs:
         raise ParseError("no ballots found", 1)
-    return Profile(universe, tuple(agents))
+    return Profile.from_runs(universe, runs)
 
 
 def format_fraction(value: Fraction) -> str:
@@ -248,12 +262,7 @@ def _render_agent(agent) -> str:
 def render_profile(profile: Profile) -> str:
     """Canonical ballot text: re-parsing reproduces the profile exactly."""
     lines = ["universe: " + ", ".join(profile.universe.names)]
-    run_start = 0
-    agents = profile.agents
-    for i in range(1, len(agents) + 1):
-        if i == len(agents) or agents[i] != agents[run_start]:
-            lines.append(f"{i - run_start}: {_render_agent(agents[run_start])}")
-            run_start = i
+    lines += [f"{count}: {_render_agent(agent)}" for agent, count in profile.runs]
     return "\n".join(lines) + "\n"
 
 

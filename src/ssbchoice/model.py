@@ -298,31 +298,64 @@ class Profile:
     """An ordered list of agents' preferences over a shared universe.
 
     Each agent is a BaseRelation (PC agent), a UtilityVector (vNM agent)
-    or an SSBMatrix.
+    or an SSBMatrix.  The list is stored once, as `runs`: ordered
+    `(agent, multiplicity)` pairs in which adjacent equal agents are
+    merged, so a profile of n identical voters costs one run, not n
+    slots.  `agents` expands the runs back into the ordered list, and
+    equality and hashing come from `(universe, runs)`, which is
+    canonical for that list.
     """
 
     universe: Universe
-    agents: tuple
+    runs: tuple[tuple[object, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "agents", tuple(self.agents))
-        if not self.agents:
-            raise ValueError("profile needs at least one agent")
-        for agent in self.agents:
-            if getattr(agent, "universe", None) != self.universe:
+    def __init__(self, universe: Universe, agents: Iterable):
+        self._set_runs(universe, ((agent, 1) for agent in agents))
+
+    @classmethod
+    def from_runs(
+        cls, universe: Universe, runs: Iterable[tuple[object, int]]
+    ) -> "Profile":
+        """The profile whose agents are each `agent` repeated `multiplicity` times."""
+        profile = cls.__new__(cls)
+        profile._set_runs(universe, runs)
+        return profile
+
+    def _set_runs(self, universe: Universe, runs: Iterable[tuple[object, int]]) -> None:
+        merged: list[list] = []
+        for agent, count in runs:
+            if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
+                raise ValueError(
+                    f"agent multiplicity must be a positive integer, got {count!r}"
+                )
+            if merged and merged[-1][0] == agent:
+                merged[-1][1] += count
+                continue
+            if getattr(agent, "universe", None) != universe:
                 raise UniverseMismatchError(
                     "agent universe differs from profile universe"
                 )
+            merged.append([agent, count])
+        if not merged:
+            raise ValueError("profile needs at least one agent")
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "runs", tuple((agent, count) for agent, count in merged))
+
+    @property
+    def agents(self) -> tuple:
+        """Every agent in order, each run expanded to its multiplicity."""
+        return tuple(agent for agent, count in self.runs for _ in range(count))
 
     @property
     def n(self) -> int:
-        return len(self.agents)
+        return sum(count for _, count in self.runs)
 
     def permuted(self, permutation: Sequence[int]) -> "Profile":
         """The profile with agents renamed by the permutation (R composed with pi)."""
         if sorted(permutation) != list(range(self.n)):
             raise ValueError("not a permutation of the agent set")
-        return Profile(self.universe, tuple(self.agents[i] for i in permutation))
+        agents = self.agents
+        return Profile(self.universe, tuple(agents[i] for i in permutation))
 
 
 @dataclass(frozen=True)

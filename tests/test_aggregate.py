@@ -26,7 +26,13 @@ from ssbchoice import (
     utilitarian,
     weak_order,
 )
-from ssbchoice.axioms import random_pc_profile, random_relation
+from ssbchoice.axioms import (
+    random_fraction,
+    random_pc_profile,
+    random_relation,
+    random_ssb_matrix,
+    random_weak_order,
+)
 
 ABC = Universe(("a", "b", "c"))
 
@@ -65,6 +71,62 @@ class TestMajorityMargins:
             for agent in agents:
                 total = total + pc_extension(agent)
             assert majority_margins(profile).entries == total.entries
+
+
+def _mixed_agent(rng, universe):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return random_weak_order(rng, universe)
+    if kind == 1:
+        return random_relation(rng, universe)
+    if kind == 2:
+        return UtilityVector(universe, tuple(random_fraction(rng) for _ in universe))
+    if kind == 3:
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        return random_ssb_matrix(rng, universe).scaled(scale)
+    return weak_order(universe, [universe.names])
+
+
+def _mixed_profiles(seed, count=60):
+    rng = random.Random(seed)
+    for _ in range(count):
+        u = Universe(tuple("abcde"[: rng.randint(2, 5)]))
+        runs = [
+            (_mixed_agent(rng, u), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))
+        ]
+        yield rng, Profile.from_runs(u, runs)
+
+
+def _brute_force_sum(profile, weights):
+    total = SSBMatrix.zero(profile.universe)
+    for agent, w in zip(profile.agents, weights):
+        total = total + normalize(to_matrix(agent)).scaled(w)
+    return total
+
+
+class TestAggregationKernel:
+    """Both public rules against an agent-by-agent sum of SSBMatrix objects."""
+
+    def test_utilitarian_matches_brute_force(self):
+        for _, profile in _mixed_profiles(41):
+            expect = _brute_force_sum(profile, [1] * profile.n)
+            assert utilitarian(profile).entries == expect.entries
+
+    def test_affine_utilitarian_matches_brute_force(self):
+        for rng, profile in _mixed_profiles(42):
+            weights = [random_fraction(rng, 5, 7) for _ in range(profile.n)]
+            weights[rng.randrange(profile.n)] = Fraction(0)
+            expect = _brute_force_sum(profile, weights)
+            out = affine_utilitarian(profile, WeightVector(tuple(weights)))
+            assert out.entries == expect.entries
+
+    def test_majority_margins_is_utilitarian_on_relations(self):
+        rng = random.Random(43)
+        u = Universe(("a", "b", "c", "d"))
+        for _ in range(40):
+            runs = [(random_relation(rng, u), rng.randint(1, 5)) for _ in range(4)]
+            profile = Profile.from_runs(u, runs)
+            assert majority_margins(profile).entries == utilitarian(profile).entries
 
 
 class TestAffineUtilitarian:

@@ -20,6 +20,7 @@ from ssbchoice import (
     render_matrix,
     render_profile,
 )
+from ssbchoice.ballots import MAX_EXPONENT
 
 
 class TestParseBallots:
@@ -108,6 +109,25 @@ class TestParseErrors:
     def test_duplicate_universe_name(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_ballots("universe: a, a\n1: a > a\n")
+
+    def test_rational_exponent_is_bounded(self):
+        big = "1e" + str(MAX_EXPONENT + 1)
+        with pytest.raises(ParseError, match="exponent") as err:
+            parse_ballots(f"universe: a, b\n1: util a={big}\n")
+        assert (err.value.line, err.value.column) == (2, 11)
+        with pytest.raises(ParseError, match="exponent"):
+            parse_proposals(f"alternatives: X\nrow: {big}%\n")
+        with pytest.raises(ParseError, match="exponent"):
+            parse_matrices(f"alternatives: X\n-{big}\n")
+        huge = ("1e1000000", "1e-1000000", "1E+0_100_000", "1e99999999999999999999")
+        for literal in huge:
+            with pytest.raises(ParseError, match="exponent"):
+                parse_ballots(f"universe: a, b\n1: util a={literal}\n")
+        edge = parse_ballots(
+            f"universe: a, b\n1: util a=1e-{MAX_EXPONENT}, b=2e000{MAX_EXPONENT}\n"
+        )
+        top = 10**MAX_EXPONENT
+        assert edge.agents[0].values == (Fraction(1, top), 2 * top)
 
 
 class TestRoundTrip:

@@ -1,10 +1,11 @@
 import json
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from ssbchoice import SolverDefect, cli
+from ssbchoice import Profile, SolverDefect, cli
 from ssbchoice.cli import main
 
 from conftest import FIXTURES
@@ -37,6 +38,23 @@ class TestAggregate:
         assert code == 0
         payload = json.loads(out)
         assert all(cell == ["0", "1"] for row in payload["matrix"] for cell in row)
+
+    def test_huge_count_is_aggregated_once(self, capsys, tmp_path, monkeypatch):
+        # expanding 10**10 agents would exhaust memory: fail fast instead
+        monkeypatch.setattr(Profile, "agents", property(lambda _: pytest.fail("expanded")))
+        path = tmp_path / "huge.ballots"
+        path.write_text("universe: a, b\n10000000000: a > b\n1: b > a\n",
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "aggregate", path, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["agents"] == 10000000001
+        assert payload["matrix"][0][1] == ["9999999999", "1"]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "maximal-lottery", path, "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["lottery"] == {"a": ["1", "1"], "b": ["0", "1"]}
 
 
 class TestMaximalLottery:
@@ -236,6 +254,18 @@ class TestErrorHandling:
         code, _, err = run(capsys, "aggregate", path)
         assert code == 2
         assert "unknown alternative" in err
+
+    def test_huge_exponent_is_rejected_fast(self, capsys, tmp_path):
+        path = tmp_path / "huge.ballots"
+        path.write_text("universe: a, b\n1: util a=1e1000000, b=0\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "aggregate", path)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: line 2, column 11: decimal exponent exceeds 1000 in magnitude"
+        ]
 
     def test_mismatched_proposals(self, capsys, tmp_path):
         path = tmp_path / "bad.proposals"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from ssbchoice import (
     UniverseMismatchError,
     UtilityVector,
     mix,
+    parse_ballots,
+    utilitarian,
     weak_order,
 )
 
@@ -174,6 +177,67 @@ class TestProfile:
     def test_needs_agents(self):
         with pytest.raises(ValueError):
             Profile(ABC, ())
+
+
+class TestProfileRuns:
+    R1 = weak_order(ABC, ["a", "b", "c"])
+    R2 = weak_order(ABC, ["c", "b", "a"])
+
+    def test_agents_form_equals_runs_form(self):
+        r1, r2 = self.R1, self.R2
+        expanded = Profile(ABC, (r1, r1, r2, r1))
+        compressed = Profile.from_runs(ABC, [(r1, 2), (r2, 1), (r1, 1)])
+        assert expanded == compressed
+        assert hash(expanded) == hash(compressed)
+        assert expanded.runs == ((r1, 2), (r2, 1), (r1, 1))
+        assert compressed.agents == (r1, r1, r2, r1)
+
+    def test_adjacent_equal_runs_merge(self):
+        r1, r2 = self.R1, self.R2
+        copy = weak_order(ABC, ["a", "b", "c"])
+        assert copy is not r1
+        profile = Profile.from_runs(ABC, [(r1, 2), (copy, 3), (r2, 1), (r1, 4)])
+        assert profile.runs == ((r1, 5), (r2, 1), (r1, 4))
+        assert profile != Profile.from_runs(ABC, [(r1, 9), (r2, 1)])
+
+    @pytest.mark.parametrize("count", [0, -2, True, 1.0, Fraction(1)])
+    def test_multiplicity_must_be_a_positive_int(self, count):
+        with pytest.raises(ValueError, match="multiplicity"):
+            Profile.from_runs(ABC, [(self.R1, count)])
+
+    def test_runs_checked_against_the_universe(self):
+        other = Universe(("a", "b", "x"))
+        with pytest.raises(UniverseMismatchError):
+            Profile.from_runs(ABC, [(self.R1, 1), (weak_order(other, ["a"]), 2)])
+        with pytest.raises(ValueError):
+            Profile.from_runs(ABC, [])
+
+    def test_n_and_permuted(self):
+        r1, r2 = self.R1, self.R2
+        profile = Profile.from_runs(ABC, [(r1, 2), (r2, 1)])
+        assert profile.n == 3
+        moved = profile.permuted([2, 0, 1])
+        assert moved.agents == (r2, r1, r1)
+        assert moved.runs == ((r2, 1), (r1, 2))
+        assert profile.permuted([1, 0, 2]) == profile
+        with pytest.raises(ValueError):
+            profile.permuted([0, 1])
+
+    def test_huge_count_is_one_run(self, monkeypatch):
+        # expanding 10**10 agents would exhaust memory: fail fast instead
+        monkeypatch.setattr(Profile, "agents", property(lambda _: pytest.fail("expanded")))
+        text = "universe: a, b\n10000000000: a > b\n1: b > a\n"
+        tracemalloc.start()
+        try:
+            profile = parse_ballots(text)
+            margins = utilitarian(profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.n == 10**10 + 1
+        assert len(profile.runs) == 2
+        assert margins["a", "b"] == 10**10 - 1
+        assert peak < 2**20
 
 
 class TestFeasiblePolytope:
