@@ -24,7 +24,9 @@ Columns must each sum to exactly 1 (shares may be given as `40%`,
 
 Every rational literal, in ballots, proposals and matrix files, may carry
 a decimal exponent (`1e3`) of at most `MAX_EXPONENT` in magnitude: an
-exponent sets the size of the exact integer it builds.
+exponent sets the size of the exact integer it builds.  A declaration
+names at most `MAX_ALTERNATIVES` alternatives, since every collective
+matrix holds one entry per ordered pair of them.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .ssb import SSBMatrix
 _NAME_RE = re.compile(r"^[^\s>={},:#]+$")
 _DECLARATION_KEYWORDS = ("universe", "alternatives")
 MAX_EXPONENT = 1000
+MAX_ALTERNATIVES = 256
 _EXPONENT_RE = re.compile(r"[eE][-+]?[0_]*(\d[\d_]*)?")
 
 
@@ -65,15 +68,12 @@ def _significant_lines(text: str):
             yield lineno, body
 
 
-def _parts(text: str, sep: str, base: int) -> list[tuple[str, int]]:
-    """Split on a single-character separator, tracking 1-based columns."""
-    out = []
+def _parts(text: str, sep: str, base: int):
+    """Split on a single-character separator, yielding (piece, 1-based column)."""
     offset = 0
     for piece in text.split(sep):
-        column = base + offset + (len(piece) - len(piece.lstrip())) + 1
-        out.append((piece.strip(), column))
+        yield piece.strip(), base + offset + (len(piece) - len(piece.lstrip())) + 1
         offset += len(piece) + 1
-    return out
 
 
 def _parse_declaration(line: str, lineno: int) -> Universe:
@@ -83,14 +83,22 @@ def _parse_declaration(line: str, lineno: int) -> Universe:
             "expected a declaration line like 'universe: a, b, c'", lineno
         )
     base = len(line) - len(rest)
-    names = []
+    names: list[str] = []
+    seen: set[str] = set()
     for token, column in _parts(rest.replace(",", " "), " ", base):
         if not token:
             continue
         if not _NAME_RE.match(token):
             raise ParseError(f"invalid alternative name {token!r}", lineno, column)
-        if token in names:
+        if token in seen:
             raise ParseError(f"duplicate alternative {token!r}", lineno, column)
+        if len(names) == MAX_ALTERNATIVES:
+            raise ParseError(
+                f"declaration names more than {MAX_ALTERNATIVES} alternatives",
+                lineno,
+                column,
+            )
+        seen.add(token)
         names.append(token)
     if not names:
         raise ParseError("declaration names no alternatives", lineno)
@@ -142,7 +150,7 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
         for item, item_col in _parts(inner, ",", inner_base):
             if not item:
                 raise ParseError("empty utility assignment", lineno, item_col)
-            pieces = _parts(item, "=", item_col - 1)
+            pieces = list(_parts(item, "=", item_col - 1))
             if len(pieces) != 2:
                 raise ParseError(
                     f"expected 'name=value', got {item!r}", lineno, item_col
@@ -160,7 +168,7 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
         for item, item_col in _parts(inner, ",", inner_base):
             if not item:
                 continue
-            pieces = _parts(item, ">", item_col - 1)
+            pieces = list(_parts(item, ">", item_col - 1))
             if len(pieces) != 2:
                 raise ParseError(f"expected 'a>b', got {item!r}", lineno, item_col)
             (a, a_col), (b, b_col) = pieces

@@ -1,8 +1,10 @@
 """Exact-rational domain types: alternatives, lotteries, relations, profiles.
 
-Every probability and utility in this package is a `fractions.Fraction`;
-no value ever passes through a float.  All types are immutable after
-construction and safe to share between threads.
+Every number in this package is an exact rational: an SSB matrix entry
+is an `int` when its value is integral (see `ssb.SSBMatrix`), and every
+other value, each probability and utility included, is a
+`fractions.Fraction`.  No value ever passes through a float.  All types
+are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -127,9 +129,6 @@ class Lottery:
 
     def support(self) -> tuple[str, ...]:
         return tuple(n for n, p in zip(self.universe.names, self.probs) if p > 0)
-
-    def support_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.probs) if p > 0)
 
 
 def mix(p: Lottery, q: Lottery, lam: Rational) -> Lottery:

@@ -185,7 +185,7 @@ def _solve_unique(
             continue
         rows[rank_row], rows[pivot_at] = rows[pivot_at], rows[rank_row]
         pivot_row = rows[rank_row]
-        inv = 1 / pivot_row[col]
+        inv = Fraction(1) / pivot_row[col]
         rows[rank_row] = pivot_row = [v * inv for v in pivot_row]
         for r in range(len(rows)):
             if r != rank_row and rows[r][col]:

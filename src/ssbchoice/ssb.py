@@ -1,16 +1,18 @@
 """Skew-symmetric bilinear utility matrices and the pairwise-comparison extension.
 
 An SSBMatrix holds one exact rational value per ordered pair of
-alternatives; a lottery p is strictly preferred to q exactly when the
-bilinear form p' M q is positive.  Preferences over pure outcomes extend
-to lotteries through `pc_extension`: the resulting matrix has entries in
-{-1, 0, 1} and prefers the lottery that is more likely to return the
-better alternative in an independent draw.
+alternatives, an `int` when the value is integral and a lowest-terms
+`Fraction` otherwise; a lottery p is strictly preferred to q exactly
+when the bilinear form p' M q is positive.  Preferences over pure
+outcomes extend to lotteries through `pc_extension`: the resulting
+matrix has entries in {-1, 0, 1} and prefers the lottery that is more
+likely to return the better alternative in an independent draw.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -26,9 +28,12 @@ from .model import (
 )
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+def _entry(value: Rational) -> int | Fraction:
+    """An exact rational in canonical form: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = frac(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class Comparison(enum.Enum):
@@ -39,20 +44,34 @@ class Comparison(enum.Enum):
 
 @dataclass(frozen=True)
 class SSBMatrix:
-    """A skew-symmetric exact-rational matrix indexed by a universe."""
+    """A skew-symmetric exact-rational matrix indexed by a universe.
+
+    Every entry is stored in one canonical form: a Python `int` when its
+    value is integral and a lowest-terms `Fraction` otherwise, so the
+    {-1, 0, 1} matrices and integer margins that pairwise-comparison data
+    produce never pay for Fraction arithmetic.  Equal values hash equal
+    across the two types (`hash(3) == hash(Fraction(3))`), so equality,
+    hashing and ordering are those of the exact values.  Inputs may be
+    ints, Fractions or strings like "2/5"; bools and floats are rejected.
+    """
 
     universe: Universe
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
         m = len(self.universe)
-        rows = tuple(tuple(frac(x) for x in row) for row in self.entries)
+        rows = tuple(
+            tuple([x if type(x) is int else _entry(x) for x in row])
+            for row in self.entries
+        )
         object.__setattr__(self, "entries", rows)
         if len(rows) != m or any(len(r) != m for r in rows):
             raise ValueError(f"matrix shape is not {m}x{m}")
-        for i in range(m):
+        for i, row in enumerate(rows):
             for j in range(i, m):
-                a, b = rows[i][j], rows[j][i]
+                a, b = row[j], rows[j][i]
+                # canonical entries are equal iff these parts are (an int's
+                # denominator is 1)
                 if a.numerator != -b.numerator or a.denominator != b.denominator:
                     raise ValueError(
                         f"not skew-symmetric at ({i},{j}): {a} vs {b}"
@@ -60,16 +79,16 @@ class SSBMatrix:
 
     @classmethod
     def zero(cls, universe: Universe) -> "SSBMatrix":
-        z = tuple(tuple(Fraction(0) for _ in universe) for _ in universe)
-        return cls(universe, z)
+        m = len(universe)
+        return cls(universe, ((0,) * m,) * m)
 
     @classmethod
     def from_rows(
         cls, universe: Universe, rows: Iterable[Iterable[Rational]]
     ) -> "SSBMatrix":
-        return cls(universe, tuple(tuple(frac(x) for x in row) for row in rows))
+        return cls(universe, tuple(tuple(row) for row in rows))
 
-    def __getitem__(self, key: tuple[str | int, str | int]) -> Fraction:
+    def __getitem__(self, key: tuple[str | int, str | int]) -> int | Fraction:
         a, b = key
         if isinstance(a, str):
             a = self.universe.index(a)
@@ -78,13 +97,13 @@ class SSBMatrix:
         return self.entries[a][b]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
-    def max_entry(self) -> Fraction:
-        return max(x for row in self.entries for x in row)
+    def max_entry(self) -> int | Fraction:
+        return max(map(max, self.entries))
 
     def scaled(self, factor: Rational) -> "SSBMatrix":
-        f = frac(factor)
+        f = _entry(factor)
         return SSBMatrix(
             self.universe, tuple(tuple(f * x for x in row) for row in self.entries)
         )
@@ -110,23 +129,45 @@ class SSBMatrix:
         m = len(self.universe)
         if sorted(perm) != list(range(m)) or sorted(perm.values()) != list(range(m)):
             raise ValueError("mapping is not a permutation of the universe")
-        grid = [[Fraction(0)] * m for _ in range(m)]
-        for a in range(m):
-            for b in range(m):
-                grid[perm[a]][perm[b]] = self.entries[a][b]
-        return SSBMatrix(self.universe, tuple(tuple(row) for row in grid))
+        source = [0] * m  # source[perm[a]] = a
+        for a, image in perm.items():
+            source[image] = a
+        rows = (self.entries[a] for a in source)
+        return SSBMatrix(
+            self.universe, tuple(tuple(row[b] for b in source) for row in rows)
+        )
+
+
+def _over_common_denominator(lottery: Lottery) -> tuple[int, list[int]]:
+    """(d, nums) with probs == nums / d, d the least common denominator."""
+    d = math.lcm(*(x.denominator for x in lottery.probs))
+    return d, [x.numerator * (d // x.denominator) for x in lottery.probs]
 
 
 def evaluate(phi: SSBMatrix, p: Lottery, q: Lottery) -> Fraction:
-    """The exact bilinear form p' phi q; positive sign means p beats q."""
+    """The exact bilinear form p' phi q; positive sign means p beats q.
+
+    p and q are scaled to integer vectors over their least common
+    denominators, so an integer matrix is summed in ints and divided
+    once at the end.  Each row is summed over q's nonzero probabilities,
+    skipping zero entries, and multiplied by p_a once; rows where p_a is
+    0 are skipped.
+    """
     same_universe(phi, p, q)
-    total = Fraction(0)
-    for a in p.support_indices():
-        row = phi.entries[a]
-        pa = p.probs[a]
-        for b in q.support_indices():
-            total += pa * q.probs[b] * row[b]
-    return total
+    p_den, p_nums = _over_common_denominator(p)
+    q_den, q_nums = _over_common_denominator(q)
+    q_support = [(b, qb) for b, qb in enumerate(q_nums) if qb]
+    total = 0
+    for row, pa in zip(phi.entries, p_nums):
+        if not pa:
+            continue
+        row_value = 0
+        for b, qb in q_support:
+            x = row[b]
+            if x:
+                row_value += qb * x
+        total += pa * row_value
+    return Fraction(total, p_den * q_den)
 
 
 def compare(phi: SSBMatrix, p: Lottery, q: Lottery) -> Comparison:
@@ -141,10 +182,10 @@ def compare(phi: SSBMatrix, p: Lottery, q: Lottery) -> Comparison:
 def pc_extension(relation: BaseRelation) -> SSBMatrix:
     """The pairwise-comparison matrix: +1 where a beats b, -1 mirrored, 0 on ties."""
     m = len(relation.universe)
-    grid = [[_ZERO] * m for _ in range(m)]
+    grid = [[0] * m for _ in range(m)]
     for a, b in relation.strict:
-        grid[a][b] = _ONE
-        grid[b][a] = _MINUS_ONE
+        grid[a][b] = 1
+        grid[b][a] = -1
     return SSBMatrix(relation.universe, tuple(tuple(row) for row in grid))
 
 
@@ -179,7 +220,7 @@ def normalize(phi: SSBMatrix) -> SSBMatrix:
     top = phi.max_entry()
     if top == 1:
         return phi
-    return phi.scaled(1 / top)
+    return phi.scaled(Fraction(1) / top)
 
 
 def same_relation(a: SSBMatrix, b: SSBMatrix) -> bool:
@@ -205,8 +246,7 @@ def restrict(phi: SSBMatrix, names: Iterable[str]) -> SSBMatrix:
 
 def is_pc(phi: SSBMatrix) -> bool:
     """Whether every entry lies in {-1, 0, 1}."""
-    ok = (Fraction(-1), Fraction(0), Fraction(1))
-    return all(x in ok for row in phi.entries for x in row)
+    return all(x in (-1, 0, 1) for row in phi.entries for x in row)
 
 
 def is_dichotomous(relation: BaseRelation) -> bool:

@@ -20,7 +20,7 @@ from ssbchoice import (
     render_matrix,
     render_profile,
 )
-from ssbchoice.ballots import MAX_EXPONENT
+from ssbchoice.ballots import MAX_ALTERNATIVES, MAX_EXPONENT
 
 
 class TestParseBallots:
@@ -128,6 +128,24 @@ class TestParseErrors:
         )
         top = 10**MAX_EXPONENT
         assert edge.agents[0].values == (Fraction(1, top), 2 * top)
+
+    def test_alternatives_are_capped(self):
+        names = [f"x{i}" for i in range(MAX_ALTERNATIVES + 1)]
+        at_cap = parse_ballots(
+            "universe: " + ", ".join(names[:-1]) + "\n1: x0 > x1\n"
+        )
+        assert len(at_cap.universe) == MAX_ALTERNATIVES
+        over = ", ".join(names)
+        with pytest.raises(ParseError, match=f"more than {MAX_ALTERNATIVES}") as err:
+            parse_ballots(f"universe: {over}\n1: x0 > x1\n")
+        assert (err.value.line, err.value.column) == (1, over.index(names[-1]) + 11)
+        with pytest.raises(ParseError, match="alternatives"):
+            parse_proposals(f"alternatives: {over}\nrow: 1\n")
+        with pytest.raises(ParseError, match="alternatives"):
+            parse_matrices(f"alternatives: {over}\n0\n")
+        # a duplicate within the cap is still reported as a duplicate
+        with pytest.raises(ParseError, match="duplicate alternative 'x3'"):
+            parse_ballots("universe: " + ", ".join(names[:5] + ["x3"]) + "\n1: x0\n")
 
 
 class TestRoundTrip:

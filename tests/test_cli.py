@@ -267,6 +267,19 @@ class TestErrorHandling:
             "error: line 2, column 11: decimal exponent exceeds 1000 in magnitude"
         ]
 
+    def test_huge_declaration_is_rejected_fast(self, capsys, tmp_path):
+        path = tmp_path / "wide.ballots"
+        names = ", ".join(f"n{i}" for i in range(100_000))
+        path.write_text(f"universe: {names}\n1: n0 > n1\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "aggregate", path)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: line 1, column ")
+        assert err.rstrip().endswith("declaration names more than 256 alternatives")
+
     def test_mismatched_proposals(self, capsys, tmp_path):
         path = tmp_path / "bad.proposals"
         path.write_text("alternatives: X, Y\nrow: 50% 50%\nrow2: 50% 50%\n",

@@ -1,0 +1,117 @@
+"""Full stdout and exit code of a few cheap CLI commands, pinned verbatim.
+
+Any change to the number representation, the solver's pick or the
+formatters that alters a single byte of these outputs fails here.
+"""
+
+import pytest
+
+from ssbchoice.cli import main
+
+from conftest import FIXTURES
+
+TABLE1 = FIXTURES / "table1.ballots"
+PROPOSALS = FIXTURES / "table1.proposals"
+
+AGGREGATE_TABLE1 = """\
+Collective matrix (100 agents, sum of normalized agent matrices):
+alternatives: A, B, C, D
+  0  40 -10  80
+-40   0  10 -10
+ 10 -10   0  80
+-80  10 -80   0
+"""
+
+MAXIMAL_LOTTERY_CONDORCET_JSON = (
+    '{"lottery": {"a": ["1", "3"], "b": ["1", "3"], "c": ["1", "3"]}, '
+    '"slacks": {"a": ["0", "1"], "b": ["0", "1"], "c": ["0", "1"]}, '
+    '"unique": true}\n'
+)
+
+BUDGET_TABLE1 = """\
+Maximal lottery:
+  A: 1/6 (16.7%)
+  B: 1/6 (16.7%)
+  C: 2/3 (66.7%)
+  D: 0 (0.0%)
+Slacks against pure outcomes (all exact, all >= 0):
+  vs A: 0
+  vs B: 0
+  vs C: 0
+  vs D: 65
+This is the unique maximal lottery.
+Budget allocation:
+  Education: 1/4 (25.0%)
+  Transportation: 4/15 (26.7%)
+  Health: 3/10 (30.0%)
+  Military: 11/60 (18.3%)
+"""
+
+BUDGET_TABLE1_JSON = (
+    '{"lottery": {"A": ["1", "6"], "B": ["1", "6"], "C": ["2", "3"], '
+    '"D": ["0", "1"]}, '
+    '"slacks": {"A": ["0", "1"], "B": ["0", "1"], "C": ["0", "1"], '
+    '"D": ["65", "1"]}, '
+    '"unique": true, '
+    '"allocation": {"Education": ["1", "4"], "Transportation": ["4", "15"], '
+    '"Health": ["3", "10"], "Military": ["11", "60"]}, '
+    '"allocation_percent": {"Education": "25.0", "Transportation": "26.7", '
+    '"Health": "30.0", "Military": "18.3"}}\n'
+)
+
+CYCLE_WITNESS_CHAIN4_JSON = (
+    '{"found": true, "cycle": ['
+    '{"a": ["0", "1"], "b": ["1", "1"], "c": ["0", "1"], "d": ["0", "1"]}, '
+    '{"a": ["2", "5"], "b": ["0", "1"], "c": ["3", "5"], "d": ["0", "1"]}, '
+    '{"a": ["3", "5"], "b": ["0", "1"], "c": ["0", "1"], "d": ["2", "5"]}], '
+    '"values": [["1", "5"], ["1", "25"], ["1", "5"]]}\n'
+)
+
+CHECK_AXIOMS_PAIRWISE = """\
+Axiom checks for pairwise-utilitarian (seed 0):
+  PASS IIA over 169^2 weak-order profile pairs (exhaustive): 199927 checks, \
+103632 vacuous, 0 violations
+  PASS anonymity over 200 sampled profiles (seed 0): no violation
+  PASS Pareto optimality over 200 unanimity cases (seed 0): no violation
+"""
+
+AUDIT_PC_TRANSITIVE_3 = """\
+Richness audit of domain 'pc-transitive' (13 members):
+  PASS R1 (neutrality) [exhaustive]
+  PASS R2 (full_indifference) [exhaustive]
+  PASS R3 (inversion) [exhaustive]
+  PASS R4 (bottom_extension) [exhaustive]
+  PASS pairwise-comparison inclusion: domain lies inside the \
+pairwise-comparison class
+"""
+
+GOLDEN = {
+    "aggregate-table1": (("aggregate", TABLE1), AGGREGATE_TABLE1),
+    "maximal-lottery-json-condorcet": (
+        ("maximal-lottery", "--json", FIXTURES / "condorcet.ballots"),
+        MAXIMAL_LOTTERY_CONDORCET_JSON,
+    ),
+    "budget-table1": (("budget", TABLE1, PROPOSALS), BUDGET_TABLE1),
+    "budget-json-table1": (("budget", "--json", TABLE1, PROPOSALS), BUDGET_TABLE1_JSON),
+    "cycle-witness-json-chain4": (
+        ("cycle-witness", "--json", FIXTURES / "chain4.ballots"),
+        CYCLE_WITNESS_CHAIN4_JSON,
+    ),
+    "check-axioms-pairwise-utilitarian": (
+        ("check-axioms", "--swf", "pairwise-utilitarian", "--seed", "0"),
+        CHECK_AXIOMS_PAIRWISE,
+    ),
+    "audit-domain-pc-transitive-3": (
+        ("audit-domain", "--domain", "pc-transitive", "--alternatives", "3"),
+        AUDIT_PC_TRANSITIVE_3,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN.values(), ids=GOLDEN.keys())
+def test_stdout_and_exit_code_are_pinned(capsys, argv, expected):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == expected
+    assert captured.err == ""

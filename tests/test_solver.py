@@ -267,6 +267,34 @@ class TestUniqueOptimum:
             unique_optimum(table1_margins, cert)
 
 
+def assert_exact(values):
+    for x in values:
+        assert type(x) in (int, Fraction), (x, type(x))
+
+
+class TestNoFloat:
+    """Integer entries must never turn a solver division into a float."""
+
+    def test_integer_margins_give_exact_results(self):
+        rng = random.Random(79)
+        for m in [2, 3, 4, 5] * 6 + [6, 6]:
+            u = Universe(tuple("abcdef"[:m]))
+            rows = [[0] * m for _ in range(m)]
+            for i, j in itertools.combinations(range(m), 2):
+                rows[i][j] = 0 if rng.random() < 0.2 else rng.randint(-9, 9)
+                rows[j][i] = -rows[i][j]
+            phi = SSBMatrix.from_rows(u, rows)
+            cert = maximal_lottery(phi)
+            assert_exact(cert.lottery.probs)
+            assert_exact(cert.slack)
+            vertices, _ = maximal_set(phi)
+            for v in vertices:
+                assert_exact(v.probs)
+            verts = tuple(random_lottery(rng, u) for _ in range(rng.randint(1, 4)))
+            chosen = choose(phi, FeasiblePolytope(u, verts + (u.pure("a"),)))
+            assert_exact(chosen.probs)
+
+
 class TestAgainstBruteForce:
     def test_small_matrices_match_grid_oracle(self):
         rng = random.Random(61)

@@ -31,6 +31,80 @@ ABC = Universe(("a", "b", "c"))
 ABCD = Universe(("a", "b", "c", "d"))
 
 
+def assert_canonical(phi):
+    """Every entry is an int when integral and a Fraction otherwise."""
+    for row in phi.entries:
+        for x in row:
+            integral = Fraction(x).denominator == 1
+            assert type(x) is (int if integral else Fraction), (x, type(x))
+
+
+class TestEntryRepresentation:
+    def test_from_rows_coerces_each_literal(self):
+        phi = SSBMatrix.from_rows(ABC, [
+            [0, Fraction(4, 2), "1/2"],
+            [-2, 0, "3"],
+            ["-0.5", -3, 0],
+        ])
+        assert_canonical(phi)
+        assert phi.entries == (
+            (0, 2, Fraction(1, 2)), (-2, 0, 3), (Fraction(-1, 2), -3, 0)
+        )
+        assert type(phi["a", "b"]) is int and type(phi["b", "c"]) is int
+        assert type(phi["a", "c"]) is Fraction
+        decimal = SSBMatrix.from_rows(Universe(("x", "y")), [[0, "0.5"], ["-1/2", 0]])
+        assert decimal.entries == ((0, Fraction(1, 2)), (Fraction(-1, 2), 0))
+        assert_canonical(decimal)
+
+    def test_equal_values_hash_equal_across_types(self):
+        ints = SSBMatrix.from_rows(ABC, [[0, 1, 2], [-1, 0, 0], [-2, 0, 0]])
+        fracs = SSBMatrix.from_rows(ABC, [
+            [Fraction(0), Fraction(1), Fraction(2)],
+            [Fraction(-1), Fraction(0), Fraction(0)],
+            [Fraction(-2), Fraction(0), Fraction(0)],
+        ])
+        assert ints == fracs and hash(ints) == hash(fracs)
+        assert fracs in frozenset([ints])
+        assert_canonical(fracs)
+
+    def test_bool_and_float_rejected(self):
+        for bad in (True, 0.5, 1.0):
+            with pytest.raises(TypeError):
+                SSBMatrix.from_rows(Universe(("x", "y")), [[0, bad], [0, 0]])
+
+    def test_constructors_build_ints(self, chain4_matrix):
+        assert_canonical(chain4_matrix)
+        assert all(type(x) is int for row in chain4_matrix.entries for x in row)
+        zero = SSBMatrix.zero(ABCD)
+        assert zero.entries == ((0,) * 4,) * 4
+        assert all(type(x) is int for row in zero.entries for x in row)
+        relabeled = chain4_matrix.relabel({"a": "d", "b": "c", "c": "b", "d": "a"})
+        assert relabeled.entries == (-chain4_matrix).entries
+        for phi in (relabeled, -chain4_matrix, restrict(chain4_matrix, ["b", "d"])):
+            assert all(type(x) is int for row in phi.entries for x in row)
+
+    def test_normalize_margins_with_maximum_two(self):
+        margins = SSBMatrix.from_rows(ABC, [[0, 2, 1], [-2, 0, -1], [-1, 1, 0]])
+        n = normalize(margins)
+        assert n.max_entry() == 1 and type(n.max_entry()) is int
+        assert n["a", "c"] == Fraction(1, 2) and type(n["a", "c"]) is Fraction
+        assert_canonical(n)
+
+    def test_scaling_collapses_integral_results(self):
+        phi = SSBMatrix.from_rows(ABC, [[0, 2, 1], [-2, 0, -1], [-1, 1, 0]])
+        half = phi.scaled(Fraction(1, 2))
+        assert_canonical(half)
+        assert half["a", "b"] == 1 and type(half["a", "b"]) is int
+        assert type(half["a", "c"]) is Fraction
+        back = half.scaled(2)
+        assert back == phi
+        assert all(type(x) is int for row in back.entries for x in row)
+        assert_canonical(phi.scaled(Fraction(4, 2)))
+        assert_canonical(-half)
+        assert_canonical(restrict(half, ["a", "c"]))
+        assert_canonical(half.relabel({"a": "b", "b": "c", "c": "a"}))
+
+
 def test_skew_symmetry_enforced():
     with pytest.raises(ValueError):
         SSBMatrix.from_rows(ABC, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
@@ -58,6 +132,36 @@ class TestEvaluate:
             phi = random_ssb_matrix(rng, ABCD)
             p = random_lottery(rng, ABCD)
             assert evaluate(phi, p, p) == 0
+
+
+    def test_matches_double_sum_on_general_matrices(self):
+        # non-PC rational matrices and separable ones, with zero rows and
+        # columns and pure lotteries, against the plain sum over all (a, b)
+        rng = random.Random(41)
+        for trial in range(300):
+            if trial % 2:
+                phi = random_ssb_matrix(rng, ABCD)
+            else:
+                phi = separable(UtilityVector(ABCD, tuple(
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)
+                )))
+            if trial % 3 == 0:
+                dead = rng.randrange(4)
+                phi = SSBMatrix.from_rows(ABCD, [
+                    [0 if dead in (a, b) else phi.entries[a][b] for b in range(4)]
+                    for a in range(4)
+                ])
+            pick = lambda: (ABCD.pure(rng.choice(ABCD.names)) if rng.random() < 0.3
+                            else random_lottery(rng, ABCD))
+            p, q = pick(), pick()
+            direct = sum(
+                (p.probs[a] * phi.entries[a][b] * q.probs[b]
+                 for a in range(4) for b in range(4)),
+                Fraction(0),
+            )
+            value = evaluate(phi, p, q)
+            assert value == direct
+            assert type(value) is Fraction
 
 
 class TestCompare:
