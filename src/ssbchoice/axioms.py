@@ -16,7 +16,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .aggregate import (
@@ -113,20 +112,31 @@ def constant_swf() -> SWFHandle:
 # restriction signatures: relation equality on a sub-simplex
 
 
-@lru_cache(maxsize=None)
-def relation_signature(matrix: SSBMatrix, names: tuple[str, ...]):
+def relation_signature(matrix: SSBMatrix, names: Iterable[str]):
     """Canonical form of the preferences induced on the sub-simplex over `names`.
 
     Two matrices induce identical preferences there iff their restricted
     matrices agree up to a positive scale factor, i.e. iff these
-    signatures are equal.
+    signatures are equal.  Equals `normalize(restrict(matrix, names)).entries`.
     """
-    return normalize(restrict(matrix, names)).entries
+    return _signature(matrix, _positions(matrix.universe, names))
 
 
-@lru_cache(maxsize=None)
-def _agent_matrix(agent) -> SSBMatrix:
-    return to_matrix(agent)
+def _positions(universe: Universe, names: Iterable[str]) -> list[int]:
+    return [universe.index(n) for n in universe.subset(names)]
+
+
+def _signature(matrix: SSBMatrix, idx: list[int]):
+    """`relation_signature` on the alternatives at ascending positions idx; a
+    scaled matrix is built only when the restricted maximum is neither 0 nor
+    1, so never for pairwise-comparison data."""
+    entries = matrix.entries
+    rows = tuple([tuple([entries[a][b] for b in idx]) for a in idx])
+    top = max(map(max, rows))
+    if top == 0 or top == 1:
+        return rows
+    sub = Universe(matrix.universe.names[i] for i in idx)
+    return normalize(SSBMatrix(sub, rows)).entries
 
 
 def signs_match_on(
@@ -175,9 +185,7 @@ def check_iia(
         raise ValueError("profiles must share universe and agent count")
     x = r1.universe.subset(names)
     for a1, a2 in zip(r1.agents, r2.agents):
-        if relation_signature(_agent_matrix(a1), x) != relation_signature(
-            _agent_matrix(a2), x
-        ):
+        if relation_signature(to_matrix(a1), x) != relation_signature(to_matrix(a2), x):
             return IIAVerdict(passed=True, vacuous=True, restriction=x)
     hold = relation_signature(f(r1), x) == relation_signature(f(r2), x)
     return IIAVerdict(passed=hold, vacuous=False, restriction=x)
@@ -281,18 +289,21 @@ class IIASuiteReport:
 
 
 def _signature_tables(f, profiles, subsets):
+    positions = [_positions(profiles[0].universe, x) for x in subsets]
+    known: dict = {}  # agent or output matrix -> its signature on each subset
+
+    def signatures(agent):
+        sig = known.get(agent)
+        if sig is None:
+            matrix = to_matrix(agent)
+            sig = known[agent] = tuple(_signature(matrix, idx) for idx in positions)
+        return sig
+
     hyp = []
     con = []
     for profile in profiles:
-        agent_matrices = [_agent_matrix(a) for a in profile.agents]
-        hyp.append(
-            tuple(
-                tuple(relation_signature(m, x) for m in agent_matrices)
-                for x in subsets
-            )
-        )
-        out = f(profile)
-        con.append(tuple(relation_signature(out, x) for x in subsets))
+        hyp.append(tuple(zip(*(signatures(a) for a in profile.agents))))
+        con.append(signatures(f(profile)))
     return hyp, con
 
 
@@ -500,46 +511,77 @@ class RichnessReport:
         return all(r.passed for r in self.results)
 
 
-def _permutations_of(universe: Universe):
-    for perm in itertools.permutations(universe.names):
-        yield dict(zip(universe.names, perm))
+def _neutrality_witness(domain: DomainDescription, members) -> str | None:
+    """R1 through the transposition (a0 a1) and the cycle (a0 ... a_{m-1}),
+    which together generate every relabeling of the universe."""
+    names = domain.universe.names
+    generators = (
+        ("transposition", dict(zip(names, names[1:2] + names[:1] + names[2:]))),
+        ("cycle", dict(zip(names, names[1:] + names[:1]))),
+    )
+    for member in members:
+        for label, mapping in generators:
+            # relabeling keeps the largest entry: the image of a normalized
+            # member is normalized
+            if member.relabel(mapping) not in domain.matrices:
+                return (f"relabeling {mapping} (the {label} generator) of a "
+                        "member leaves the domain")
+    return None
 
 
-def _column_positive(matrix: SSBMatrix, xs: tuple[str, ...], a: str) -> bool:
-    return all(matrix[x, a] > 0 for x in xs)
-
-
-def _find_bottom_extension(
-    domain: DomainDescription, member: SSBMatrix, xs: tuple[str, ...]
-) -> SSBMatrix | None:
-    """A member agreeing with `member` on xs and placing xs above a fresh
-    alternative, or None.
-
-    Probes the cheap candidate first: `member` itself with the fresh
-    column overwritten by the domain's strongest entry.  That candidate is
-    a member whenever the domain is closed under this surgery (true for
-    the pairwise-comparison domains used in practice); otherwise fall back
-    to scanning the domain.
-    """
-    target = relation_signature(member, xs)
-    outside = [a for a in domain.universe.names if a not in xs]
-    scale = member.max_entry() if not member.is_zero() else Fraction(1)
-    for a in outside:
-        grid = [list(row) for row in member.entries]
-        ia = domain.universe.index(a)
-        for x in xs:
-            ix = domain.universe.index(x)
-            grid[ix][ia] = scale
-            grid[ia][ix] = -scale
-        candidate = normalize(SSBMatrix(domain.universe, tuple(map(tuple, grid))))
-        if candidate in domain and relation_signature(candidate, xs) == target:
-            return candidate
-    for candidate in domain.sorted_members():
-        if relation_signature(candidate, xs) != target:
-            continue
+def _extendable_signatures(domain: DomainDescription, idx: list[int]) -> set:
+    """Signatures on the alternatives at positions idx of the members that
+    rank each of them strictly above one common alternative outside."""
+    outside = [a for a in range(len(domain.universe)) if a not in idx]
+    found = set()
+    for member in domain.matrices:
+        entries = member.entries
         for a in outside:
-            if _column_positive(candidate, xs, a):
-                return candidate
+            for x in idx:
+                if entries[x][a] <= 0:
+                    break
+            else:
+                found.add(_signature(member, idx))
+                break
+    return found
+
+
+def _bottom_extension_witness(domain: DomainDescription, scope) -> str | None:
+    """R4: every scoped member's signature on each xs of up to min(4, m - 1)
+    alternatives must be an extendable one; the first failing (member, xs)."""
+    names = domain.universe.names
+    subsets = [
+        xs
+        for size in range(1, min(4, len(names) - 1) + 1)
+        for xs in itertools.combinations(names, size)
+    ]
+    positions = [_positions(domain.universe, xs) for xs in subsets]
+    extendable: list[set | None] = [None] * len(subsets)  # built on first use
+    for member in scope:
+        for k, xs in enumerate(subsets):
+            if extendable[k] is None:
+                extendable[k] = _extendable_signatures(domain, positions[k])
+            if _signature(member, positions[k]) not in extendable[k]:
+                return (f"no member matches a member on {xs} while ranking "
+                        f"{xs} above a fresh alternative")
+    return None
+
+
+def _dichotomous_patterns_witness(domain: DomainDescription) -> str | None:
+    """R5: every two-tier pattern on every set of up to four alternatives must
+    be the restriction of some member."""
+    names = domain.universe.names
+    for size in range(1, min(4, len(names)) + 1):
+        for xs in itertools.combinations(names, size):
+            idx = _positions(domain.universe, xs)
+            realized = {_signature(member, idx) for member in domain.matrices}
+            for r in range(size + 1):
+                for approved in itertools.combinations(xs, r):
+                    values = tuple(int(n in approved) for n in xs)
+                    wanted = separable(UtilityVector(Universe(xs), values))
+                    if normalize(wanted).entries not in realized:
+                        return (f"pattern approving {approved or '(nothing)'} on "
+                                f"{xs} is not any member's restriction")
     return None
 
 
@@ -551,93 +593,47 @@ def audit_richness(
 ) -> RichnessReport:
     """Check closure conditions of a closed-world domain, with witnesses.
 
-    Universally quantified conditions run exhaustively when the domain has
-    at most `member_limit` members and otherwise over a seeded sample of
-    members (the report records which).  PASS under sampling means "no
-    violation found among the sampled members".
+    Every check is linear in the domain (times the restriction sets for R4
+    and R5).  R1 looks up each member's images under two generators of
+    every relabeling, and its FAIL witness names the generator.  R4
+    collects, per restriction set xs, the signatures of the members that
+    rank xs above some outside alternative; every member's signature on xs
+    must be among them, and the witness is the first failing (member, xs).
+    R1, R2 and R5 always run over the whole domain.  R3 and R4 run over a
+    seeded sample of `member_limit` members when the domain is larger; each
+    result records its mode, and PASS under sampling means "no violation
+    found among the sampled members".
     """
     members = domain.sorted_members()
     if len(members) > member_limit:
         rng = random.Random(seed)
         scope = rng.sample(members, member_limit)
-        mode = f"sampled({member_limit} of {len(members)}, seed={seed})"
+        scope_mode = f"sampled({member_limit} of {len(members)}, seed={seed})"
     else:
         scope = members
-        mode = "exhaustive"
+        scope_mode = "exhaustive"
 
-    m = len(domain.universe)
     results = []
     for condition in conditions:
-        witness: str | None = None
-        passed = True
-
+        mode = "exhaustive"
         if condition is RichnessCondition.NEUTRALITY:
-            for member in scope:
-                for mapping in _permutations_of(domain.universe):
-                    if member.relabel(mapping) not in domain:
-                        passed, witness = False, (
-                            f"relabeling {mapping} of a member leaves the domain"
-                        )
-                        break
-                if not passed:
-                    break
-
+            witness = _neutrality_witness(domain, members)
         elif condition is RichnessCondition.FULL_INDIFFERENCE:
-            if SSBMatrix.zero(domain.universe) not in domain:
-                passed, witness = False, "zero matrix (complete indifference) missing"
-
+            witness = (None if SSBMatrix.zero(domain.universe) in domain
+                       else "zero matrix (complete indifference) missing")
         elif condition is RichnessCondition.INVERSION:
-            for member in scope:
-                if -member not in domain:
-                    passed, witness = False, "inverse of a member is missing"
-                    break
-
+            mode = scope_mode
+            witness = next(
+                ("inverse of a member is missing" for m in scope if -m not in domain),
+                None,
+            )
         elif condition is RichnessCondition.BOTTOM_EXTENSION:
-            top = min(4, m - 1)
-            subsets = [
-                xs
-                for size in range(1, top + 1)
-                for xs in itertools.combinations(domain.universe.names, size)
-            ]
-            for member in scope:
-                for xs in subsets:
-                    if _find_bottom_extension(domain, member, xs) is None:
-                        passed, witness = False, (
-                            f"no member matches a member on {xs} while ranking "
-                            f"{xs} above a fresh alternative"
-                        )
-                        break
-                if not passed:
-                    break
-
-        elif condition is RichnessCondition.DICHOTOMOUS_PATTERNS:
-            passed, witness = _audit_dichotomous_patterns(domain)
-
-        results.append(ConditionResult(condition, passed, witness, mode))
+            mode = scope_mode
+            witness = _bottom_extension_witness(domain, scope)
+        else:
+            witness = _dichotomous_patterns_witness(domain)
+        results.append(ConditionResult(condition, witness is None, witness, mode))
     return RichnessReport(domain.name, tuple(results))
-
-
-def _audit_dichotomous_patterns(domain: DomainDescription):
-    """Every two-tier pattern on every set of up to four alternatives must be
-    the restriction of some member."""
-    names = domain.universe.names
-    for size in range(1, min(4, len(names)) + 1):
-        for xs in itertools.combinations(names, size):
-            realized = {relation_signature(member, xs) for member in domain.matrices}
-            for r in range(size + 1):
-                for approved in itertools.combinations(xs, r):
-                    values = tuple(
-                        Fraction(1 if n in approved else 0) for n in xs
-                    )
-                    wanted = normalize(
-                        separable(UtilityVector(Universe(xs), values))
-                    ).entries
-                    if wanted not in realized:
-                        return False, (
-                            f"pattern approving {approved or '(nothing)'} on {xs} "
-                            "is not any member's restriction"
-                        )
-    return True, None
 
 
 @dataclass(frozen=True)

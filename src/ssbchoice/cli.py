@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -34,6 +35,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_DEFECT = 3
+
+# audit-domain's largest job: members times restriction sets of size
+# 1..min(4, m).  The largest generated domain, pc at m=5, needs
+# 59 049 x 30 = 1 771 470.
+AUDIT_WORK_LIMIT = 2_000_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -338,11 +344,21 @@ def _cmd_audit_domain(args) -> int:
             "dichotomous": axioms.dichotomous_domain,
         }[args.domain]
         domain = builder(universe)
-    if args.conditions:
+    m = len(domain.universe)
+    work = len(domain.matrices) * sum(math.comb(m, k) for k in range(1, min(4, m) + 1))
+    if work > AUDIT_WORK_LIMIT:
+        raise ValueError(
+            f"the audit would check {work} (member, restriction set) pairs "
+            f"({len(domain.matrices)} members, {m} alternatives), more than "
+            f"the limit of {AUDIT_WORK_LIMIT}"
+        )
+    if args.conditions is not None:
         conditions = tuple(
             axioms.RichnessCondition.parse(tok)
             for tok in args.conditions.split(",") if tok.strip()
         )
+        if not conditions:
+            raise ValueError(f"--conditions names no condition: {args.conditions!r}")
     elif args.domain == "dichotomous" and not args.file:
         # two-tier relations cannot put a strict pair above a fresh
         # alternative, so the bottom-extension condition is replaced by

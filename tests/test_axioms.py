@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from ssbchoice import (
     UtilityVector,
     WeightVector,
     affine_utilitarian,
+    normalize,
     pc_extension,
+    restrict,
     separable,
     weak_order,
 )
@@ -36,6 +39,7 @@ from ssbchoice.axioms import (
     pc_transitive_domain,
     profiles_over,
     random_pc_profile,
+    random_ssb_matrix,
     relation_signature,
     relative_utilitarian_swf,
     restriction_sets,
@@ -306,7 +310,10 @@ class TestRichness:
         domain = pc_domain(ABCD)
         report = audit_richness(domain, member_limit=100, seed=3)
         assert report.passed
-        assert all(r.mode.startswith("sampled(100") for r in report.results)
+        modes = {r.condition.value: r.mode for r in report.results}
+        assert modes["R1"] == modes["R2"] == "exhaustive"
+        assert modes["R3"].startswith("sampled(100")
+        assert modes["R4"].startswith("sampled(100")
 
     def test_five_alternative_pc_domain_is_rich(self):
         domain = pc_domain(Universe(("a", "b", "c", "d", "e")))
@@ -318,6 +325,177 @@ class TestRichness:
         assert RichnessCondition.parse("r3") is RichnessCondition.INVERSION
         with pytest.raises(ValueError):
             RichnessCondition.parse("R9")
+
+
+def r1_oracle(domain):
+    """Every one of the m! relabelings of every member is in the domain."""
+    names = domain.universe.names
+    return all(
+        member.relabel(dict(zip(names, perm))) in domain
+        for member in domain.matrices
+        for perm in itertools.permutations(names)
+    )
+
+
+def r4_oracle(domain):
+    """(passed, sorted index of the first failing member, its failing xs): some
+    member must have the same restriction on xs and a positive column at an
+    outside alternative."""
+    names = domain.universe.names
+    subsets = [
+        xs
+        for size in range(1, min(4, len(names) - 1) + 1)
+        for xs in itertools.combinations(names, size)
+    ]
+    by_restriction = {}  # (xs, normalized restriction) -> members
+    for candidate in domain.matrices:
+        for xs in subsets:
+            key = (xs, normalize(restrict(candidate, xs)).entries)
+            by_restriction.setdefault(key, []).append(candidate)
+    for index, member in enumerate(domain.sorted_members()):
+        for xs in subsets:
+            outside = [a for a in names if a not in xs]
+            candidates = by_restriction[xs, normalize(restrict(member, xs)).entries]
+            if not any(
+                all(c[x, a] > 0 for x in xs) for c in candidates for a in outside
+            ):
+                return False, index, xs
+    return True, None, None
+
+
+def r4_witness(xs):
+    return (f"no member matches a member on {xs} while ranking {xs} above a "
+            "fresh alternative")
+
+
+def generator_mappings(universe):
+    names = universe.names
+    return {
+        "transposition": dict(zip(names, names[1:2] + names[:1] + names[2:])),
+        "cycle": dict(zip(names, names[1:] + names[:1])),
+    }
+
+
+def assert_matches_oracles(domain):
+    report = audit_richness(
+        domain,
+        [RichnessCondition.NEUTRALITY, RichnessCondition.BOTTOM_EXTENSION],
+    )
+    r1, r4 = report.results
+    assert r1.passed == r1_oracle(domain)
+    if not r1.passed:  # the witness names a generator that leaves the domain
+        assert r1.witness in [
+            f"relabeling {mapping} (the {label} generator) of a member leaves "
+            "the domain"
+            for label, mapping in generator_mappings(domain.universe).items()
+            if any(m.relabel(mapping) not in domain for m in domain.matrices)
+        ]
+    passed, index, xs = r4_oracle(domain)
+    assert r4.passed == passed
+    assert r4.witness == (None if passed else r4_witness(xs))
+    return r1, r4, index, xs
+
+
+def random_subdomain(seed):
+    rng = random.Random(seed)
+    members = pc_matrices(ABC)
+    return DomainDescription.of(ABC, rng.sample(members, rng.randint(1, len(members))))
+
+
+def chain_orbit(universe):
+    return {
+        pc_extension(weak_order(universe, list(order)))
+        for order in itertools.permutations(universe.names)
+    }
+
+
+class TestRichnessAgainstOracles:
+    @pytest.mark.parametrize("build", [pc_domain, pc_transitive_domain,
+                                       dichotomous_domain])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_generated_domains(self, build, m):
+        universe = Universe("abcd"[:m])
+        r1, r4, *_ = assert_matches_oracles(build(universe))
+        assert r1.passed
+        assert r4.passed == (build is not dichotomous_domain or m <= 2)
+
+    def test_member_removed(self):
+        chain = pc_extension(weak_order(ABC, ["a", "b", "c"]))
+        members = [m for m in pc_matrices(ABC) if m != chain]
+        r1, *_ = assert_matches_oracles(DomainDescription.of(ABC, members))
+        assert not r1.passed
+
+    def test_orbit_removed(self):
+        orbit = chain_orbit(ABC)
+        members = [m for m in pc_matrices(ABC) if m not in orbit]
+        r1, r4, *_ = assert_matches_oracles(DomainDescription.of(ABC, members))
+        assert r1.passed and not r4.passed
+
+    @pytest.mark.parametrize("orders, failing", [
+        # closed under the transposition (a b), not under the cycle
+        ((["a", "b", "c"], ["b", "a", "c"]), "cycle"),
+        # closed under the cycle (a b c), not under the transposition
+        ((["a", "b", "c"], ["b", "c", "a"], ["c", "a", "b"]), "transposition"),
+    ])
+    def test_one_generator_orbit_removed(self, orders, failing):
+        removed = {pc_extension(weak_order(ABC, order)) for order in orders}
+        members = [m for m in pc_matrices(ABC) if m not in removed]
+        r1, *_ = assert_matches_oracles(DomainDescription.of(ABC, members))
+        assert not r1.passed and f"the {failing} generator" in r1.witness
+
+    def test_inverse_removed(self):
+        chain = pc_extension(weak_order(ABCD, ["a", "b", "c", "d"]))
+        members = [m for m in pc_matrices(ABCD) if m != -chain]
+        r1, *_ = assert_matches_oracles(DomainDescription.of(ABCD, members))
+        assert not r1.passed
+
+    def test_non_pc_member_added(self):
+        graded = separable(UtilityVector.of(ABC, {"a": 2, "b": 1, "c": 0}))
+        domain = DomainDescription.of(ABC, [*pc_matrices(ABC), graded])
+        r1, r4, *_ = assert_matches_oracles(domain)
+        assert not r1.passed and r4.passed
+
+    def test_r4_fails_at_a_later_restriction_set(self):
+        # nothing ranks both a and b above c, so the first member passes
+        # every singleton and fails on (a, b)
+        members = [
+            m for m in pc_matrices(ABC) if not (m["a", "c"] > 0 and m["b", "c"] > 0)
+        ]
+        _, r4, index, xs = assert_matches_oracles(DomainDescription.of(ABC, members))
+        assert not r4.passed and (index, xs) == (0, ("a", "b"))
+
+    def test_r4_fails_at_a_later_member(self):
+        # the third sorted member is the first to fail, on (b, c); a scan by
+        # restriction set first would stop on (a, b) at a later member
+        _, r4, index, xs = assert_matches_oracles(random_subdomain(0))
+        assert not r4.passed and (index, xs) == (2, ("b", "c"))
+
+    @pytest.mark.parametrize("seed", range(1, 12))
+    def test_random_subdomains(self, seed):
+        assert_matches_oracles(random_subdomain(seed))
+
+
+class TestRelationSignature:
+    @pytest.mark.parametrize("kind", ["random", "separable", "scaled", "pc"])
+    def test_equals_normalized_restriction(self, kind):
+        rng = random.Random(17)
+        for _ in range(25):
+            if kind == "random":
+                matrix = random_ssb_matrix(rng, ABCD)
+            elif kind == "separable":
+                matrix = separable(UtilityVector(ABCD, tuple(
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in ABCD
+                )))
+            elif kind == "scaled":
+                matrix = random_ssb_matrix(rng, ABCD).scaled(
+                    Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                )
+            else:
+                matrix = pc_extension(random_pc_profile(
+                    rng, ABCD, 1, transitive=False).agents[0]).scaled(rng.randint(1, 3))
+            for x in restriction_sets(ABCD):
+                assert relation_signature(matrix, x) \
+                    == normalize(restrict(matrix, x)).entries
 
 
 class TestPCInclusion:

@@ -210,6 +210,54 @@ class TestAuditDomain:
         assert code == 1
         assert "FAIL R2" in out
 
+    @pytest.mark.parametrize("conditions", [",", " , ", ""])
+    def test_conditions_naming_nothing_exit_2(self, capsys, conditions):
+        code, out, err = run(capsys, "audit-domain", "--alternatives", 3,
+                             "--conditions", conditions)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --conditions names no condition: {conditions!r}\n"
+
+    @staticmethod
+    def zero_matrix_file(tmp_path, m):
+        names = [f"x{i}" for i in range(m)]
+        path = tmp_path / f"zero{m}.matrices"
+        path.write_text(f"alternatives: {', '.join(names)}\n"
+                        + (" ".join("0" * m) + "\n") * m, encoding="utf-8")
+        return path
+
+    def test_nine_alternative_zero_matrix_is_fast(self, capsys, tmp_path):
+        path = self.zero_matrix_file(tmp_path, 9)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "audit-domain", "--file", path)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert err == ""
+        assert out == (
+            f"Richness audit of domain '{path}' (1 members):\n"
+            "  PASS R1 (neutrality) [exhaustive]\n"
+            "  PASS R2 (full_indifference) [exhaustive]\n"
+            "  PASS R3 (inversion) [exhaustive]\n"
+            "  FAIL R4 (bottom_extension) [exhaustive]: no member matches a member "
+            "on ('x0',) while ranking ('x0',) above a fresh alternative\n"
+            "  PASS pairwise-comparison inclusion: domain lies inside the "
+            "pairwise-comparison class\n"
+        )
+
+    def test_work_bound_exits_2_before_auditing(self, capsys, tmp_path):
+        # one member, but C(100,1) + ... + C(100,4) ~ 4.1 million restriction sets
+        path = self.zero_matrix_file(tmp_path, 100)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "audit-domain", "--file", path)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: the audit would check 4087975 (member, restriction set) pairs "
+            f"(1 members, 100 alternatives), more than the limit of "
+            f"{cli.AUDIT_WORK_LIMIT}\n"
+        )
+
     def test_json_records_seed_and_modes(self, capsys):
         code, out, _ = run(
             capsys, "audit-domain", "--alternatives", 4,
@@ -218,7 +266,10 @@ class TestAuditDomain:
         payload = json.loads(out)
         assert code == 0
         assert payload["seed"] == 9
-        assert all("sampled(100" in c["mode"] for c in payload["conditions"])
+        modes = {c["condition"]: c["mode"] for c in payload["conditions"]}
+        assert modes["R1"] == modes["R2"] == "exhaustive"
+        assert modes["R3"].startswith("sampled(100")
+        assert modes["R4"].startswith("sampled(100")
         assert payload["pc_inclusion"]["all_pc"] is True
 
 

@@ -85,6 +85,38 @@ Richness audit of domain 'pc-transitive' (13 members):
 pairwise-comparison class
 """
 
+AUDIT_PC_4 = """\
+Richness audit of domain 'pc' (729 members):
+  PASS R1 (neutrality) [exhaustive]
+  PASS R2 (full_indifference) [exhaustive]
+  PASS R3 (inversion) [exhaustive]
+  PASS R4 (bottom_extension) [exhaustive]
+  PASS pairwise-comparison inclusion: domain lies inside the \
+pairwise-comparison class
+"""
+
+AUDIT_DICHOTOMOUS_4 = """\
+Richness audit of domain 'dichotomous' (15 members):
+  PASS R1 (neutrality) [exhaustive]
+  PASS R2 (full_indifference) [exhaustive]
+  PASS R3 (inversion) [exhaustive]
+  PASS R5 (dichotomous_patterns) [exhaustive]
+  PASS pairwise-comparison inclusion: domain lies inside the \
+pairwise-comparison class
+"""
+
+# {path} is the matrix file's path, which names the domain
+AUDIT_ZERO_FILE_4 = """\
+Richness audit of domain '{path}' (1 members):
+  PASS R1 (neutrality) [exhaustive]
+  PASS R2 (full_indifference) [exhaustive]
+  PASS R3 (inversion) [exhaustive]
+  FAIL R4 (bottom_extension) [exhaustive]: no member matches a member on \
+('a',) while ranking ('a',) above a fresh alternative
+  PASS pairwise-comparison inclusion: domain lies inside the \
+pairwise-comparison class
+"""
+
 GOLDEN = {
     "aggregate-table1": (("aggregate", TABLE1), AGGREGATE_TABLE1),
     "maximal-lottery-json-condorcet": (
@@ -105,6 +137,14 @@ GOLDEN = {
         ("audit-domain", "--domain", "pc-transitive", "--alternatives", "3"),
         AUDIT_PC_TRANSITIVE_3,
     ),
+    "audit-domain-pc-4": (
+        ("audit-domain", "--domain", "pc", "--alternatives", "4"),
+        AUDIT_PC_4,
+    ),
+    "audit-domain-dichotomous-4": (
+        ("audit-domain", "--domain", "dichotomous", "--alternatives", "4"),
+        AUDIT_DICHOTOMOUS_4,
+    ),
 }
 
 
@@ -114,4 +154,14 @@ def test_stdout_and_exit_code_are_pinned(capsys, argv, expected):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == expected
+    assert captured.err == ""
+
+
+def test_audit_of_a_zero_matrix_file_is_pinned(capsys, tmp_path):
+    path = tmp_path / "zero4.matrices"
+    path.write_text("alternatives: a, b, c, d\n" + "0 0 0 0\n" * 4, encoding="utf-8")
+    code = main(["audit-domain", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == AUDIT_ZERO_FILE_4.format(path=path)
     assert captured.err == ""
