@@ -515,15 +515,19 @@ def _neutrality_witness(domain: DomainDescription, members) -> str | None:
     """R1 through the transposition (a0 a1) and the cycle (a0 ... a_{m-1}),
     which together generate every relabeling of the universe."""
     names = domain.universe.names
-    generators = (
-        ("transposition", dict(zip(names, names[1:2] + names[:1] + names[2:]))),
-        ("cycle", dict(zip(names, names[1:] + names[:1]))),
-    )
+    generators = []
+    for label, images in (("transposition", names[1:2] + names[:1] + names[2:]),
+                          ("cycle", names[1:] + names[:1])):
+        # source[pi(a)] = a: entry (pi(a), pi(b)) of an image is entry (a, b)
+        source = sorted(range(len(names)), key=lambda a: domain.universe.index(images[a]))
+        generators.append((label, dict(zip(names, images)), source))
+    present = {m.entries for m in domain.matrices}
     for member in members:
-        for label, mapping in generators:
+        for label, mapping, source in generators:
             # relabeling keeps the largest entry: the image of a normalized
             # member is normalized
-            if member.relabel(mapping) not in domain.matrices:
+            image = tuple(tuple(member.entries[a][b] for b in source) for a in source)
+            if image not in present:
                 return (f"relabeling {mapping} (the {label} generator) of a "
                         "member leaves the domain")
     return None

@@ -41,6 +41,11 @@ EXIT_DEFECT = 3
 # 59 049 x 30 = 1 771 470.
 AUDIT_WORK_LIMIT = 2_000_000
 
+# 5 utility and 6 edge ballots took up to 7.5 s to solve at 48, 17 s at 64
+MAX_SOLVE_ALTERNATIVES = 48
+# cycle-witness compares all pairs of m + C(m, 2) * sum_{d=2..D} phi(d) lotteries
+MAX_GRID_LOTTERIES = 1500
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -112,6 +117,16 @@ def _load_profile(path: str):
     return parse_ballots(Path(path).read_text(encoding="utf-8"))
 
 
+def _grid_size(m: int, max_denominator: int, limit: int) -> int:
+    """len(lottery_grid) on m alternatives, or a count above limit."""
+    size = m
+    for d in range(2, max_denominator + 1):
+        if size > limit or m < 2:
+            break
+        size += math.comb(m, 2) * sum(math.gcd(k, d) == 1 for k in range(1, d))
+    return size
+
+
 def _lottery_json(lottery):
     return {
         name: fraction_pair(prob)
@@ -141,6 +156,9 @@ def _cmd_aggregate(args) -> int:
 
 
 def _solve(args, profile):
+    if len(profile.universe) > MAX_SOLVE_ALTERNATIVES:
+        raise ValueError(f"{args.ballots} has {len(profile.universe)} alternatives; "
+                         f"solving commands accept at most {MAX_SOLVE_ALTERNATIVES}")
     matrix = utilitarian(profile)
     certificate = maximal_lottery(matrix)
     unique = unique_optimum(matrix, certificate)
@@ -407,7 +425,13 @@ def _cmd_audit_domain(args) -> int:
 
 
 def _cmd_cycle_witness(args) -> int:
+    _check_range("--max-denominator", args.max_denominator, 1)
     profile = _load_profile(args.ballots)
+    m = len(profile.universe)
+    if _grid_size(m, args.max_denominator, MAX_GRID_LOTTERIES) > MAX_GRID_LOTTERIES:
+        raise ValueError(f"the grid of {m} alternatives at --max-denominator "
+                         f"{args.max_denominator} holds more than "
+                         f"{MAX_GRID_LOTTERIES} lotteries")
     matrix = utilitarian(profile)
     witness = cycle_witness(matrix, max_denominator=args.max_denominator)
     if args.json:
@@ -456,6 +480,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ParseError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: input too large to process ({type(exc).__name__})", file=sys.stderr)
         return EXIT_INPUT
     except SolverDefect as exc:
         print(f"internal error: {exc}", file=sys.stderr)

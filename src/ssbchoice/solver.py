@@ -19,6 +19,14 @@ anti-cycling rule terminates; the optimum has sum(y) = 1/K, and
 p = K y satisfies (phi p)_a <= 0 for every row a (substitute sum(y) into
 (phi + K) y <= 1), hence p' phi >= 0 componentwise by skew-symmetry:
 one solve yields the maximal lottery and its certificate.
+
+All elimination, in the simplex and in the linear systems of
+`unique_optimum` and `maximal_set`, is one fraction-free integer pivot
+(Bareiss, Math. Comp. 22, 1968), so only final solutions become
+Fractions.  The simplex scales each row of [(phi + K) | I | 1] to
+integers by its own least common denominator: a positive row factor
+changes no ratio and the sign of no reduced cost, so Bland's rule makes
+the same pivots, and picks the same lottery, as on the rational tableau.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .model import FeasiblePolytope, Lottery, same_universe
-from .ssb import SSBMatrix, evaluate, restrict
+from .ssb import SSBMatrix, _over_common_denominator, evaluate
 
 
 @dataclass(frozen=True)
@@ -57,82 +65,73 @@ class SolverDefect(RuntimeError):
     """
 
 
-def _simplex_max(
-    a_rows: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
-) -> tuple[Fraction, list[Fraction]]:
-    """Maximize c.x subject to A x <= b, x >= 0, for b >= 0, exactly.
+def _pivot(rows: list, r: int, c: int, d: int) -> int:
+    """One Bareiss step on p = rows[r][c] under divisor d; returns p, the next d.
 
-    Primal tableau simplex from the all-slack basis with Bland's rule
-    (entering: lowest-index variable with positive reduced profit;
-    leaving: lowest-index basic variable among minimum ratios), which
-    guarantees termination.  Returns (optimal value, x).
+    Each row stands for its rational row times a factor.  Every other row
+    becomes (v*p - f*pv) // d, an exact division (its entries are minors of
+    the starting matrix); the pivot row stays.  Rows are replaced, never
+    changed in place, so systems may share starting rows.
     """
-    m, n = len(a_rows), len(c)
-    if any(bi < 0 for bi in b):
-        raise SolverDefect("standard-form simplex needs b >= 0")
-    # columns: n structural variables then m slacks; last entry is the RHS
-    tableau = [
-        [Fraction(x) for x in a_rows[i]]
-        + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-        + [b[i]]
-        for i in range(m)
-    ]
-    # objective row holds z_j - c_j; slack costs are zero
-    obj = [-cj for cj in c] + [Fraction(0)] * (m + 1)
-    basis = list(range(n, n + m))
-
-    while True:
-        entering = next((j for j in range(n + m) if obj[j] < 0), None)
-        if entering is None:
-            break
-        best: tuple[Fraction, int] | None = None
-        pivot_row = -1
-        for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
-                    pivot_row = i
-        if pivot_row < 0:
-            raise SolverDefect("unbounded game LP; payoff shift must be wrong")
-        _pivot(tableau, obj, basis, pivot_row, entering)
-
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[i][-1]
-    return obj[-1], x
+    pivot_row = rows[r]
+    p = pivot_row[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(v * p - f * pv) // d for v, pv in zip(row, pivot_row)]
+    return p
 
 
-def _pivot(tableau, obj, basis, row: int, col: int) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
-    pivot_values = tableau[row]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col]:
-            factor = tableau[i][col]
-            tableau[i] = [v - factor * pv for v, pv in zip(tableau[i], pivot_values)]
-    if obj[col]:
-        factor = obj[col]
-        for j in range(len(obj)):
-            obj[j] -= factor * pivot_values[j]
-    basis[row] = col
+def _optimal_strategy(payoff: Sequence[Sequence[int | Fraction]]) -> list[Fraction]:
+    """An optimal strategy of the symmetric game with skew-symmetric payoff.
 
-
-def _optimal_strategy(payoff: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """An optimal strategy of the symmetric game with skew-symmetric payoff."""
+    Primal simplex from the all-slack basis with Bland's rule: the lowest
+    column with negative reduced cost enters.
+    """
     k = len(payoff)
     shift = 1 + max(abs(x) for row in payoff for x in row)
-    a_rows = [[x + shift for x in row] for row in payoff]
-    ones = [Fraction(1)] * k
-    value, y = _simplex_max(a_rows, ones, ones)
+    rows = []
+    for i, row in enumerate(payoff):
+        scale, nums = _over_common_denominator([x + shift for x in row])
+        rows.append(nums + [scale * (j == i) for j in range(k)] + [scale])
+    rows.append([-1] * k + [0] * (k + 1))  # objective: reduced costs, value
+    basis = list(range(k, 2 * k))
+    d = 1
+    while True:
+        entering = next((j for j in range(2 * k) if rows[-1][j] < 0), None)
+        if entering is None:
+            break
+        # the minimum ratio rhs/coeff over positive coefficients leaves, by
+        # cross-multiplying (row factors stay positive), ties to the lower
+        # basic index
+        leaving = -1
+        for i, row in enumerate(rows[:k]):
+            coeff = row[entering]
+            if coeff > 0 and (leaving < 0 or (row[-1] * rows[leaving][entering], basis[i])
+                              < (rows[leaving][-1] * coeff, basis[leaving])):
+                leaving = i
+        if leaving < 0:
+            raise SolverDefect("unbounded game LP; payoff shift must be wrong")
+        d = _pivot(rows, leaving, entering, d)
+        basis[leaving] = entering
+
+    value = Fraction(rows[-1][-1], d)
     if value != Fraction(1, shift):
         raise SolverDefect(
             f"shifted game value {value} != 1/{shift}; zero-sum symmetry broken"
         )
-    return [shift * yj for yj in y]
+    weights = [Fraction(0)] * k
+    for i, var in enumerate(basis):
+        if var < k:  # a pivoted row holds d in its basic column
+            weights[var] = shift * Fraction(rows[i][-1], d)
+    return weights
+
+
+def _arena(phi: SSBMatrix, names: Iterable[str] | None):
+    """The arena's names, their universe indices, and phi's entries among them."""
+    arena = phi.universe.subset(names)
+    idx = [phi.universe.index(n) for n in arena]
+    return arena, idx, [[phi.entries[a][b] for b in idx] for a in idx]
 
 
 def maximal_lottery(
@@ -146,12 +145,11 @@ def maximal_lottery(
     `maximal_set` lists the vertices of the whole optimal face.
     """
     universe = phi.universe
-    arena = universe.subset(names)
-    sub = restrict(phi, arena)
-    weights = _optimal_strategy(sub.entries)
+    arena, idx, sub = _arena(phi, names)
+    weights = _optimal_strategy(sub)
     probs = [Fraction(0)] * len(universe)
-    for name, w in zip(arena, weights):
-        probs[universe.index(name)] = w
+    for i, w in zip(idx, weights):
+        probs[i] = w
     lottery = Lottery(universe, tuple(probs))
     slack = tuple(evaluate(phi, lottery, universe.pure(b)) for b in arena)
     return MaximalityCertificate(lottery, slack)
@@ -170,38 +168,20 @@ def is_maximal(phi: SSBMatrix, p: Lottery, names: Iterable[str] | None = None) -
     return all(evaluate(phi, p, phi.universe.pure(b)) >= 0 for b in arena)
 
 
-def _solve_unique(
-    equations: list[tuple[tuple[Fraction, ...], Fraction]], n: int
-) -> list[Fraction] | None:
-    """Unique solution of a linear system, or None if inconsistent/underdetermined."""
-    rows = [list(coeffs) + [rhs] for coeffs, rhs in equations]
-    pivots: list[tuple[int, int]] = []
-    rank_row = 0
+def _solve_unique(rows: list, n: int) -> list[Fraction] | None:
+    """The unique solution of integer rows [coefficients..., rhs] in n
+    unknowns, or None; Gauss-Jordan by `_pivot`, after which every pivot
+    row holds the last divisor d in its pivot column."""
+    rows, d = list(rows), 1
     for col in range(n):
-        pivot_at = next(
-            (r for r in range(rank_row, len(rows)) if rows[r][col] != 0), None
-        )
+        pivot_at = next((r for r in range(col, len(rows)) if rows[r][col]), None)
         if pivot_at is None:
-            continue
-        rows[rank_row], rows[pivot_at] = rows[pivot_at], rows[rank_row]
-        pivot_row = rows[rank_row]
-        inv = Fraction(1) / pivot_row[col]
-        rows[rank_row] = pivot_row = [v * inv for v in pivot_row]
-        for r in range(len(rows)):
-            if r != rank_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [v - factor * pv for v, pv in zip(rows[r], pivot_row)]
-        pivots.append((rank_row, col))
-        rank_row += 1
-    for r in range(rank_row, len(rows)):
-        if rows[r][-1] != 0:
-            return None  # inconsistent
-    if rank_row < n:
-        return None  # underdetermined
-    solution = [Fraction(0)] * n
-    for row, col in pivots:
-        solution[col] = rows[row][-1]
-    return solution
+            return None  # underdetermined: column col has no pivot
+        rows[col], rows[pivot_at] = rows[pivot_at], rows[col]
+        d = _pivot(rows, col, col, d)
+    if any(row[-1] for row in rows[n:]):
+        return None  # inconsistent
+    return [Fraction(row[-1], d) for row in rows[:n]]
 
 
 def unique_optimum(
@@ -230,11 +210,8 @@ def unique_optimum(
     One linear system over the support, and no enumeration of the face.
     """
     same_universe(phi, certificate.lottery)
-    universe = phi.universe
-    arena = universe.subset(names)
+    arena, idx, sub = _arena(phi, names)
     k = len(arena)
-    idx = [universe.index(n) for n in arena]
-    sub = [[phi.entries[a][b] for b in idx] for a in idx]
     p = [certificate.lottery.probs[i] for i in idx]
     slack = tuple(sum((p[a] * sub[a][b] for a in range(k)), Fraction(0)) for b in range(k))
     if sum(p) != 1 or slack != certificate.slack:
@@ -242,9 +219,9 @@ def unique_optimum(
     if any(x == 0 and s == 0 for x, s in zip(p, slack)):
         return False
     support = [a for a in range(k) if p[a]]
-    equations = [(tuple(sub[a][b] for a in support), Fraction(0)) for b in support]
-    equations.append((tuple(Fraction(1) for _ in support), Fraction(1)))
-    point = _solve_unique(equations, len(support))
+    rows = [_over_common_denominator([sub[a][b] for a in support])[1] + [0] for b in support]
+    rows.append([1] * (len(support) + 1))
+    point = _solve_unique(rows, len(support))
     if point is not None and point != [p[a] for a in support]:
         raise SolverDefect("the face system's only solution is not the certificate")
     return point is not None
@@ -267,42 +244,33 @@ def maximal_set(
     Exponential in |X|, hence the enumeration bound (default 8).
     """
     universe = phi.universe
-    arena = universe.subset(names)
+    arena, idx, sub = _arena(phi, names)
     k = len(arena)
     if k > max_enum:
         raise ValueError(f"|X| = {k} exceeds enumeration bound {max_enum}")
-    idx = [universe.index(n) for n in arena]
-    sub = [[phi.entries[a][b] for b in idx] for a in idx]
+    # integer rows [coefficients..., rhs], built once for all 3^k patterns
+    zero_rows = [[int(j == a) for j in range(k)] + [0] for a in range(k)]
+    tight_rows = [_over_common_denominator([r[b] for r in sub])[1] + [0] for b in range(k)]
+    sum_row = [1] * (k + 1)
 
-    zero_rows = [
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(k))
-        for i in range(k)
-    ]
-    tight_rows = [tuple(sub[a][b] for a in range(k)) for b in range(k)]
-    sum_row = (tuple(Fraction(1) for _ in range(k)), Fraction(1))
-
-    found: dict[tuple[Fraction, ...], Lottery] = {}
+    found: set[tuple[Fraction, ...]] = set()
     for pattern in itertools.product((0, 1, 2), repeat=k):
-        equations = [sum_row]
+        rows = [sum_row]
         for a, choice in enumerate(pattern):
             if choice != 1:  # 0 = coordinate zero, 2 = both
-                equations.append((zero_rows[a], Fraction(0)))
+                rows.append(zero_rows[a])
             if choice != 0:  # 1 = tight column, 2 = both
-                equations.append((tight_rows[a], Fraction(0)))
-        point = _solve_unique(equations, k)
+                rows.append(tight_rows[a])
+        point = _solve_unique(rows, k)
         if point is None or any(x < 0 for x in point):
             continue
-        if any(
-            sum(point[a] * sub[a][b] for a in range(k)) < 0 for b in range(k)
-        ):
+        if any(sum(x * row[b] for x, row in zip(point, sub)) < 0 for b in range(k)):
             continue
         probs = [Fraction(0)] * len(universe)
-        for name, x in zip(arena, point):
-            probs[universe.index(name)] = x
-        key = tuple(probs)
-        if key not in found:
-            found[key] = Lottery(universe, key)
-    vertices = [found[key] for key in sorted(found)]
+        for i, x in zip(idx, point):
+            probs[i] = x
+        found.add(tuple(probs))
+    vertices = [Lottery(universe, key) for key in sorted(found)]
     if not vertices:
         raise SolverDefect("empty maximal set; existence guarantee violated")
     return vertices, len(vertices) == 1

@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .model import (
     BaseRelation,
@@ -138,10 +138,10 @@ class SSBMatrix:
         )
 
 
-def _over_common_denominator(lottery: Lottery) -> tuple[int, list[int]]:
-    """(d, nums) with probs == nums / d, d the least common denominator."""
-    d = math.lcm(*(x.denominator for x in lottery.probs))
-    return d, [x.numerator * (d // x.denominator) for x in lottery.probs]
+def _over_common_denominator(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
+    """(d, nums) with values == nums / d, d the least common denominator."""
+    d = math.lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
 
 
 def evaluate(phi: SSBMatrix, p: Lottery, q: Lottery) -> Fraction:
@@ -154,8 +154,8 @@ def evaluate(phi: SSBMatrix, p: Lottery, q: Lottery) -> Fraction:
     0 are skipped.
     """
     same_universe(phi, p, q)
-    p_den, p_nums = _over_common_denominator(p)
-    q_den, q_nums = _over_common_denominator(q)
+    p_den, p_nums = _over_common_denominator(p.probs)
+    q_den, q_nums = _over_common_denominator(q.probs)
     q_support = [(b, qb) for b, qb in enumerate(q_nums) if qb]
     total = 0
     for row, pa in zip(phi.entries, p_nums):

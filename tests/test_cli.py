@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from ssbchoice import Profile, SolverDefect, cli
+from ssbchoice import Profile, SolverDefect, Universe, cli
 from ssbchoice.cli import main
+from ssbchoice.ssb import lottery_grid
 
 from conftest import FIXTURES
 
@@ -364,12 +365,73 @@ class TestErrorHandling:
          "--max-enum must be between 0 and 10, got 11"),
         (["budget", FIXTURES / "table1.ballots", FIXTURES / "table1.proposals",
           "--max-enum", 11], "--max-enum must be between 0 and 10, got 11"),
+        (["cycle-witness", FIXTURES / "chain3.ballots", "--max-denominator", 0],
+         "--max-denominator must be at least 1, got 0"),
     ])
     def test_size_limits_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @staticmethod
+    def linear_order_file(tmp_path, m):
+        path = tmp_path / f"order{m}.ballots"
+        names = [f"n{i}" for i in range(m)]
+        path.write_text(f"universe: {', '.join(names)}\n1: {' > '.join(names)}\n",
+                        encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["maximal-lottery", "budget"])
+    def test_solving_commands_cap_alternatives(self, capsys, tmp_path, command):
+        cap = cli.MAX_SOLVE_ALTERNATIVES
+        proposals = [FIXTURES / "table1.proposals"] if command == "budget" else []
+        path = self.linear_order_file(tmp_path, cap + 1)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, path, *proposals)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {path} has {cap + 1} alternatives; solving "
+                       f"commands accept at most {cap}\n")
+
+    def test_solve_at_the_cap(self, capsys, tmp_path):
+        path = self.linear_order_file(tmp_path, cli.MAX_SOLVE_ALTERNATIVES)
+        code, out, _ = run(capsys, "maximal-lottery", path, "--json")
+        assert code == 0
+        assert json.loads(out)["lottery"]["n0"] == ["1", "1"]
+
+    @pytest.mark.parametrize("m, flags", [(3, ["--max-denominator", 150]), (60, [])])
+    def test_cycle_witness_grid_is_bounded(self, capsys, tmp_path, m, flags):
+        path = self.linear_order_file(tmp_path, m)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cycle-witness", path, *flags)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        denominator = flags[1] if flags else 5
+        assert err == (f"error: the grid of {m} alternatives at --max-denominator "
+                       f"{denominator} holds more than 1500 lotteries\n")
+
+    def test_grid_size_counts_the_grid(self):
+        for m in range(1, 5):
+            universe = Universe(tuple("abcd"[:m]))
+            for denominator in range(1, 9):
+                assert cli._grid_size(m, denominator, 10**6) == len(
+                    lottery_grid(universe, denominator))
+        assert cli._grid_size(3, 40, cli.MAX_GRID_LOTTERIES) == 1470
+        assert cli._grid_size(3, 41, cli.MAX_GRID_LOTTERIES) > cli.MAX_GRID_LOTTERIES
+
+    @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+    def test_resource_errors_exit_2(self, capsys, monkeypatch, exc):
+        def exhausted(args):
+            raise exc()
+
+        monkeypatch.setitem(cli._COMMANDS, "aggregate", exhausted)
+        code, out, err = run(capsys, "aggregate", FIXTURES / "table1.ballots")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: input too large to process ({exc.__name__})\n"
 
     def test_solver_defect_exits_3(self, capsys, monkeypatch):
         def broken(matrix):

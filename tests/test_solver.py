@@ -8,15 +8,18 @@ from ssbchoice import (
     FeasiblePolytope,
     Lottery,
     MaximalityCertificate,
+    Profile,
     SSBMatrix,
     Universe,
     choose,
     evaluate,
     is_maximal,
+    majority_margins,
     maximal_lottery,
     maximal_set,
     mix,
     unique_optimum,
+    weak_order,
 )
 from ssbchoice.axioms import random_lottery, random_ssb_matrix
 
@@ -132,6 +135,114 @@ class TestMaximalLottery:
         rows[0][1], rows[1][0] = 1, -1
         lopsided = SSBMatrix.from_rows(u, rows)
         assert maximal_lottery(lopsided).lottery.support() == ("x0",)
+
+
+def integer_matrix(rng, m, zero_rate, values):
+    rows = [[0] * m for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        rows[i][j] = 0 if rng.random() < zero_rate else rng.choice(values)
+        rows[j][i] = -rows[i][j]
+    return SSBMatrix.from_rows(Universe(tuple(f"x{i}" for i in range(m))), rows)
+
+
+class TestDeterministicPick:
+    """Where many lotteries are maximal, the simplex's pick is pinned.
+
+    The picks below are those of the Fraction-tableau simplex that the
+    fraction-free one replaced; Bland's rule makes the same pivots on
+    rows scaled by positive factors, so they must not move.
+    """
+
+    @pytest.mark.parametrize("rows, pick", [
+        ([["0"] * 3] * 3, ["1", "0", "0"]),
+        ([["0"] * 5] * 5, ["1", "0", "0", "0", "0"]),
+        ([["0", "0", "1", "-1"], ["0", "0", "-1", "1"],
+          ["-1", "1", "0", "0"], ["1", "-1", "0", "0"]],
+         ["1/2", "1/2", "0", "0"]),
+        ([["0", "1", "0", "0", "-3/2"], ["-1", "0", "0", "0", "0"],
+          ["0", "0", "0", "-3/2", "-1"], ["0", "0", "3/2", "0", "-1"],
+          ["3/2", "0", "1", "1", "0"]],
+         ["0", "3/5", "0", "0", "2/5"]),
+        ([["0", "1/2", "-2", "-1", "0", "0"], ["-1/2", "0", "1", "0", "0", "0"],
+          ["2", "-1", "0", "1/2", "0", "2"], ["1", "0", "-1/2", "0", "2", "0"],
+          ["0", "0", "0", "-2", "0", "0"], ["0", "0", "-2", "0", "0", "0"]],
+         ["0", "1/3", "0", "2/3", "0", "0"]),
+        ([["0", "0", "-3/2", "0", "0", "0"], ["0", "0", "0", "0", "-1", "0"],
+          ["3/2", "0", "0", "-2", "-3/2", "-3/2"], ["0", "0", "2", "0", "-3/2", "0"],
+          ["0", "1", "3/2", "3/2", "0", "0"], ["0", "0", "3/2", "0", "0", "0"]],
+         ["1/2", "0", "0", "0", "1/2", "0"]),
+        ([["0", "1/2", "-2", "0"], ["-1/2", "0", "0", "0"],
+          ["2", "0", "0", "1/2"], ["0", "0", "-1/2", "0"]],
+         ["0", "4/5", "1/5", "0"]),
+        # on the next two, a tie in the ratio test broken towards the
+        # higher basic index picks another lottery
+        ([["0", "0", "0", "-1", "-1", "0"], ["0", "0", "-1", "0", "0", "0"],
+          ["0", "1", "0", "0", "1", "0"], ["1", "0", "0", "0", "1", "-1"],
+          ["1", "0", "-1", "-1", "0", "0"], ["0", "0", "0", "1", "0", "0"]],
+         ["0", "0", "1", "0", "0", "0"]),
+        ([["0", "-3", "1", "-2", "-3", "-2"], ["3", "0", "3", "-2", "3", "-4"],
+          ["-1", "-3", "0", "-1", "4", "0"], ["2", "2", "1", "0", "2", "0"],
+          ["3", "-3", "-4", "-2", "0", "2"], ["2", "4", "0", "0", "-2", "0"]],
+         ["0", "0", "0", "1", "0", "0"]),
+    ])
+    def test_pick_on_non_unique_instances(self, rows, pick):
+        u = Universe(tuple("abcdef"[: len(rows)]))
+        phi = SSBMatrix.from_rows(u, rows)
+        cert = maximal_lottery(phi)
+        assert cert.lottery.probs == tuple(Fraction(x) for x in pick)
+        assert not unique_optimum(phi, cert)
+
+
+class TestAgainstHighs:
+    """The exact solve against SciPy's HiGHS on the same shifted game LP."""
+
+    @pytest.mark.parametrize("m, seed", [(5, 1), (12, 2), (25, 3), (40, 4), (60, 5)])
+    def test_value_and_support(self, m, seed):
+        np = pytest.importorskip("numpy")
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = random.Random(seed)
+        instances = [
+            integer_matrix(rng, m, 0.3, range(-4, 5)),
+            integer_matrix(rng, m, 0.0, (-5, -3, -1, 1, 3, 5)),
+        ]
+        compared = 0
+        for phi in instances:
+            cert = maximal_lottery(phi)
+            shift = 1 + max(abs(x) for row in phi.entries for x in row)
+            a = np.array(phi.entries, dtype=float) + shift
+            res = linprog(-np.ones(m), A_ub=a, b_ub=np.ones(m), method="highs")
+            assert res.status == 0
+            assert -res.fun == pytest.approx(1 / shift, rel=1e-9)
+            if unique_optimum(phi, cert):
+                p = shift * res.x
+                assert {a for a in range(m) if p[a] > 1e-9} == {
+                    a for a in range(m) if cert.lottery.probs[a]
+                }
+                assert max(abs(p - [float(x) for x in cert.lottery.probs])) < 1e-9
+                compared += 1
+        # the odd tournament is unique by the theorem tested below
+        assert compared >= 1
+
+
+class TestOddLinearOrders:
+    """Laffond, Laslier and Le Breton (J. Econ. Theory 72, 1997): the
+    margins of an odd number of linear orders are odd, and a symmetric
+    game with odd off-diagonal payoffs has a unique optimal strategy."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 21, 30])
+    def test_unique(self, m):
+        rng = random.Random(m)
+        u = Universe(tuple(f"x{i}" for i in range(m)))
+        for n in (1, 3, 7, 11):
+            orders = []
+            for _ in range(n):
+                names = list(u.names)
+                rng.shuffle(names)
+                orders.append(weak_order(u, names))
+            phi = majority_margins(Profile(u, tuple(orders)))
+            assert all(x % 2 for i, row in enumerate(phi.entries)
+                       for j, x in enumerate(row) if i != j)
+            assert unique_optimum(phi, maximal_lottery(phi))
 
 
 class TestIsMaximal:
