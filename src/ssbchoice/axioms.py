@@ -36,6 +36,7 @@ from .model import (
 from .ssb import (
     Comparison,
     SSBMatrix,
+    _entry,
     compare,
     normalize,
     pc_extension,
@@ -127,16 +128,15 @@ def _positions(universe: Universe, names: Iterable[str]) -> list[int]:
 
 
 def _signature(matrix: SSBMatrix, idx: list[int]):
-    """`relation_signature` on the alternatives at ascending positions idx; a
-    scaled matrix is built only when the restricted maximum is neither 0 nor
-    1, so never for pairwise-comparison data."""
+    """`relation_signature` on the alternatives at ascending positions idx:
+    the restricted rows, divided by their largest entry unless that is 0 or
+    1 (so never for pairwise-comparison data), in canonical entry form."""
     entries = matrix.entries
     rows = tuple([tuple([entries[a][b] for b in idx]) for a in idx])
     top = max(map(max, rows))
     if top == 0 or top == 1:
         return rows
-    sub = Universe(matrix.universe.names[i] for i in idx)
-    return normalize(SSBMatrix(sub, rows)).entries
+    return tuple(tuple(_entry(Fraction(x, top)) for x in row) for row in rows)
 
 
 def signs_match_on(
@@ -713,13 +713,19 @@ def random_lottery(rng: random.Random, universe: Universe, max_weight: int = 8) 
     return Lottery(universe, tuple(Fraction(w, total) for w in weights))
 
 
+def _ranked(universe: Universe, rank: Sequence[int]) -> BaseRelation:
+    """The weak order in which a beats b iff rank[a] < rank[b]."""
+    m = len(rank)
+    return BaseRelation(
+        universe,
+        frozenset((a, b) for a in range(m) for b in range(m) if rank[a] < rank[b]),
+    )
+
+
 def random_weak_order(rng: random.Random, universe: Universe) -> BaseRelation:
-    labels = {n: rng.randrange(len(universe)) for n in universe.names}
-    tiers = [
-        [n for n in universe.names if labels[n] == level]
-        for level in sorted(set(labels.values()))
-    ]
-    return weak_order(universe, tiers)
+    """Each alternative draws a level in range(m); lower levels rank higher."""
+    m = len(universe)
+    return _ranked(universe, [rng.randrange(m) for _ in range(m)])
 
 
 def random_relation(rng: random.Random, universe: Universe) -> BaseRelation:
@@ -765,35 +771,41 @@ def unanimity_case(
     on {x, y} only, which makes that agent strictly better off under the
     shift and everyone else indifferent.
     """
-    names = list(universe.names)
-    x, y = rng.sample(names, 2)
-    others = [n for n in names if n not in (x, y)]
+    m = len(universe)
+    x, y = rng.sample(range(m), 2)
+    others = [a for a in range(m) if a not in (x, y)]
 
-    def tying_order() -> BaseRelation:
-        rest = random_weak_order(rng, Universe(tuple(others))) if others else None
-        tiers: list[list[str]] = (
-            [list(t) for t in rest.tiers()] if rest is not None else []
-        )
-        slot = rng.randint(0, len(tiers))
-        tiers.insert(slot, [x, y])
-        return weak_order(universe, tiers)
+    def tying_ranks() -> list[int]:
+        # the others draw levels as in random_weak_order over their own
+        # universe; x and y form one tier inserted at a random slot among
+        # the distinct levels, i.e. just above the slot-th of them.
+        # Levels are tripled so that the tier fits below that level and
+        # the strict variant can still move x just above it.
+        levels = [rng.randrange(len(others)) for _ in others]
+        distinct = sorted(set(levels))
+        slot = rng.randint(0, len(distinct))
+        pivot = distinct[slot] if slot < len(distinct) else len(others)
+        rank = [0] * m
+        for a, level in zip(others, levels):
+            rank[a] = 3 * level
+        rank[x] = rank[y] = 3 * pivot - 1
+        return rank
 
-    agents: list[BaseRelation] = [tying_order() for _ in range(n)]
+    ranks = [tying_ranks() for _ in range(n)]
     if strict:
         winner = rng.randrange(n)
-        tiers = [list(t) for t in agents[winner].tiers()]
-        joint = next(i for i, t in enumerate(tiers) if x in t)
-        tiers[joint] = [a for a in tiers[joint] if a != x]
-        tiers.insert(joint, [x])
-        agents[winner] = weak_order(universe, tiers)
+        ranks[winner][x] -= 1
         share = Fraction(rng.randint(1, 3), 4)
-        p = Lottery.of(universe, {x: share, y: 1 - share})
-        q = Lottery.of(universe, {x: share - Fraction(1, 4), y: 1 - share + Fraction(1, 4)})
+        probs = [Fraction(0)] * m
+        probs[x], probs[y] = share, 1 - share
+        p = Lottery(universe, tuple(probs))
+        probs[x], probs[y] = share - Fraction(1, 4), 1 - share + Fraction(1, 4)
+        q = Lottery(universe, tuple(probs))
     else:
         p = random_lottery(rng, universe)
-        delta = min(p[x], p[y], Fraction(1, 5))
-        moved = dict(zip(universe.names, p.probs))
-        moved[x] = p[x] + delta
-        moved[y] = p[y] - delta
-        q = Lottery.of(universe, moved)
-    return Profile(universe, tuple(agents)), p, q
+        delta = min(p.probs[x], p.probs[y], Fraction(1, 5))
+        probs = list(p.probs)
+        probs[x] += delta
+        probs[y] -= delta
+        q = Lottery(universe, tuple(probs))
+    return Profile(universe, tuple(_ranked(universe, rank) for rank in ranks)), p, q

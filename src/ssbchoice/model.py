@@ -3,12 +3,20 @@
 Every number in this package is an exact rational: an SSB matrix entry
 is an `int` when its value is integral (see `ssb.SSBMatrix`), and every
 other value, each probability and utility included, is a
-`fractions.Fraction`.  No value ever passes through a float.  All types
-are immutable after construction and safe to share between threads.
+`fractions.Fraction`.  No value ever passes through a float.
+
+Values are immutable after construction and safe to share between
+threads.  Two fields are derived from a value and written once, on the
+object itself: a lottery's integer form (`Lottery.scaled`, computed at
+construction) and a base relation's pairwise-comparison matrix (filled
+by the first `ssb.pc_extension` call).  Neither takes part in equality,
+hashing or repr, and a race between threads only computes the same
+value twice.  There is no global cache.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -31,10 +39,16 @@ class UniverseMismatchError(ValueError):
     """Two values that must share a universe of alternatives do not."""
 
 
+def _over_common_denominator(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
+    """(d, nums) with values == nums / d, d the least common denominator."""
+    d = math.lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
 def same_universe(*objects) -> None:
     first = objects[0].universe
     for other in objects[1:]:
-        if other.universe != first:
+        if other.universe is not first and other.universe != first:
             raise UniverseMismatchError(
                 f"universe mismatch: {first.names} vs {other.universe.names}"
             )
@@ -96,10 +110,18 @@ class Universe:
 
 @dataclass(frozen=True)
 class Lottery:
-    """An exact probability vector over a universe of alternatives."""
+    """An exact probability vector over a universe of alternatives.
+
+    `scaled` is the integer form `(d, nums)` with probs == nums / d and d
+    the least common denominator; it is computed once, at construction,
+    and the checks run on it in ints.
+    """
 
     universe: Universe
     probs: tuple[Fraction, ...]
+    scaled: tuple[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         probs = tuple(frac(p) for p in self.probs)
@@ -108,10 +130,13 @@ class Lottery:
             raise ValueError(
                 f"lottery has {len(probs)} entries for {len(self.universe)} alternatives"
             )
-        if any(p < 0 for p in probs):
+        d, nums = _over_common_denominator(probs)
+        if any(x < 0 for x in nums):
             raise ValueError(f"negative probability in {probs}")
-        if sum(probs) != 1:
-            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
+        total = sum(nums)
+        if total != d:
+            raise ValueError(f"probabilities sum to {Fraction(total, d)}, not 1")
+        object.__setattr__(self, "scaled", (d, tuple(nums)))
 
     @classmethod
     def of(cls, universe: Universe, assignment: dict[str, Rational]) -> "Lottery":
@@ -148,10 +173,13 @@ class BaseRelation:
     `strict` holds ordered index pairs (a, b) meaning "a is strictly
     preferred to b".  Indifference is the absence of both orientations.
     Transitivity is not required; arbitrary tournaments with ties are legal.
+    `_pc_matrix` holds the relation's pairwise-comparison matrix once
+    `ssb.pc_extension` has built it.
     """
 
     universe: Universe
     strict: frozenset[tuple[int, int]]
+    _pc_matrix: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "strict", frozenset(self.strict))
@@ -327,10 +355,11 @@ class Profile:
                 raise ValueError(
                     f"agent multiplicity must be a positive integer, got {count!r}"
                 )
-            if merged and merged[-1][0] == agent:
+            if merged and (merged[-1][0] is agent or merged[-1][0] == agent):
                 merged[-1][1] += count
                 continue
-            if getattr(agent, "universe", None) != universe:
+            agent_universe = getattr(agent, "universe", None)
+            if agent_universe is not universe and agent_universe != universe:
                 raise UniverseMismatchError(
                     "agent universe differs from profile universe"
                 )

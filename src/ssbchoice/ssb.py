@@ -12,10 +12,10 @@ likely to return the better alternative in an independent draw.
 from __future__ import annotations
 
 import enum
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import (
     BaseRelation,
@@ -23,6 +23,7 @@ from .model import (
     Rational,
     Universe,
     UtilityVector,
+    _over_common_denominator,
     frac,
     same_universe,
 )
@@ -138,24 +139,18 @@ class SSBMatrix:
         )
 
 
-def _over_common_denominator(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
-    """(d, nums) with values == nums / d, d the least common denominator."""
-    d = math.lcm(*(x.denominator for x in values))
-    return d, [x.numerator * (d // x.denominator) for x in values]
-
-
 def evaluate(phi: SSBMatrix, p: Lottery, q: Lottery) -> Fraction:
     """The exact bilinear form p' phi q; positive sign means p beats q.
 
-    p and q are scaled to integer vectors over their least common
-    denominators, so an integer matrix is summed in ints and divided
-    once at the end.  Each row is summed over q's nonzero probabilities,
-    skipping zero entries, and multiplied by p_a once; rows where p_a is
-    0 are skipped.
+    p and q enter through their integer forms (`Lottery.scaled`, over
+    their least common denominators), so an integer matrix is summed in
+    ints and divided once at the end.  Each row is summed over q's
+    nonzero probabilities, skipping zero entries, and multiplied by p_a
+    once; rows where p_a is 0 are skipped.
     """
     same_universe(phi, p, q)
-    p_den, p_nums = _over_common_denominator(p.probs)
-    q_den, q_nums = _over_common_denominator(q.probs)
+    p_den, p_nums = p.scaled
+    q_den, q_nums = q.scaled
     q_support = [(b, qb) for b, qb in enumerate(q_nums) if qb]
     total = 0
     for row, pa in zip(phi.entries, p_nums):
@@ -180,13 +175,21 @@ def compare(phi: SSBMatrix, p: Lottery, q: Lottery) -> Comparison:
 
 
 def pc_extension(relation: BaseRelation) -> SSBMatrix:
-    """The pairwise-comparison matrix: +1 where a beats b, -1 mirrored, 0 on ties."""
-    m = len(relation.universe)
-    grid = [[0] * m for _ in range(m)]
-    for a, b in relation.strict:
-        grid[a][b] = 1
-        grid[b][a] = -1
-    return SSBMatrix(relation.universe, tuple(tuple(row) for row in grid))
+    """The pairwise-comparison matrix: +1 where a beats b, -1 mirrored, 0 on ties.
+
+    Built on the first call and kept on the relation, so later calls
+    return the same matrix object.
+    """
+    matrix = relation._pc_matrix
+    if matrix is None:
+        m = len(relation.universe)
+        grid = [[0] * m for _ in range(m)]
+        for a, b in relation.strict:
+            grid[a][b] = 1
+            grid[b][a] = -1
+        matrix = SSBMatrix(relation.universe, tuple(tuple(row) for row in grid))
+        object.__setattr__(relation, "_pc_matrix", matrix)
+    return matrix
 
 
 def separable(u: UtilityVector) -> SSBMatrix:
@@ -313,26 +316,48 @@ def cycle_witness(
 
     Searches ordered triples over `lottery_grid` (pure outcomes plus
     two-support lotteries with denominators up to `max_denominator`) and
-    returns the first cycle in enumeration order.  A returned witness
-    always verifies exactly; None means no cycle exists on this grid.
+    returns the first cycle (i, j, l) in lexicographic order of grid
+    positions.  A returned witness always verifies exactly; None means no
+    cycle exists on this grid.
+
+    phi is scaled to integers by its least common denominator, a positive
+    factor, so the sign of p' phi q is the sign of the integer form of p
+    dotted with phi times the integer form of q; each product phi q is
+    formed once.  `beats` is kept as one int bitset per lottery (`out[i]`:
+    the lotteries i beats) plus its transpose (`into[i]`: those beating
+    i), and the first l closing a cycle through i beats j is the lowest
+    set bit of `out[j] & into[i]`.
     """
     grid = lottery_grid(phi.universe, max_denominator)
     k = len(grid)
-    beats = [[False] * k for _ in range(k)]
+    m = len(phi.universe)
+    _, flat = _over_common_denominator([x for row in phi.entries for x in row])
+    rows = [flat[a * m : (a + 1) * m] for a in range(m)]
+    forms = [lottery.scaled[1] for lottery in grid]
+    images = [
+        [sum(map(operator.mul, row, nums)) for row in rows] for nums in forms
+    ]
+    bit = [1 << i for i in range(k)]
+    out = [0] * k
+    into = [0] * k
     for i in range(k):
+        p = forms[i]
         for j in range(i + 1, k):
-            value = evaluate(phi, grid[i], grid[j])
+            value = sum(map(operator.mul, p, images[j]))
             if value > 0:
-                beats[i][j] = True
+                out[i] |= bit[j]
+                into[j] |= bit[i]
             elif value < 0:
-                beats[j][i] = True
+                out[j] |= bit[i]
+                into[i] |= bit[j]
     for i in range(k):
-        row_i = beats[i]
-        for j in range(k):
-            if not row_i[j]:
-                continue
-            row_j = beats[j]
-            for l in range(k):
-                if row_j[l] and beats[l][i]:
-                    return grid[i], grid[j], grid[l]
+        row = out[i]
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            common = out[j] & into[i]
+            if common:
+                l = (common & -common).bit_length() - 1
+                return grid[i], grid[j], grid[l]
+            row ^= low
     return None

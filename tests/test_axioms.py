@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ssbchoice import (
+    Lottery,
     Profile,
     SSBMatrix,
     Universe,
@@ -38,8 +40,10 @@ from ssbchoice.axioms import (
     pc_matrices,
     pc_transitive_domain,
     profiles_over,
+    random_lottery,
     random_pc_profile,
     random_ssb_matrix,
+    random_weak_order,
     relation_signature,
     relative_utilitarian_swf,
     restriction_sets,
@@ -497,6 +501,25 @@ class TestRelationSignature:
                 assert relation_signature(matrix, x) \
                     == normalize(restrict(matrix, x)).entries
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_normalized_restriction_with_entry_types(self, data):
+        m = data.draw(st.integers(min_value=1, max_value=5))
+        universe = Universe(tuple(chr(ord("a") + i) for i in range(m)))
+        values = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+        grid = [[0] * m for _ in range(m)]
+        for a in range(m):
+            for b in range(a + 1, m):
+                x = data.draw(values)
+                grid[a][b], grid[b][a] = x, -x
+        matrix = SSBMatrix(universe, tuple(map(tuple, grid)))
+        names = data.draw(st.sets(st.sampled_from(universe.names), min_size=1))
+        got = relation_signature(matrix, names)
+        want = normalize(restrict(matrix, names)).entries
+        assert got == want
+        assert [[type(x) for x in row] for row in got] \
+            == [[type(x) for x in row] for row in want]
+
 
 class TestPCInclusion:
     def test_full_pc_domain_inside(self):
@@ -543,3 +566,78 @@ class TestSWFHandleCache:
         ))
         assert approval_swf()(profile).entries \
             == approval_aggregate(profile)[1].entries
+
+
+# The name-level generators that `random_weak_order` and `unanimity_case`
+# replaced, kept as the reference that pins every seeded instance.
+
+
+def _reference_random_weak_order(rng, universe):
+    labels = {n: rng.randrange(len(universe)) for n in universe.names}
+    tiers = [
+        [n for n in universe.names if labels[n] == level]
+        for level in sorted(set(labels.values()))
+    ]
+    return weak_order(universe, tiers)
+
+
+def _reference_unanimity_case(rng, universe, n, strict):
+    names = list(universe.names)
+    x, y = rng.sample(names, 2)
+    others = [a for a in names if a not in (x, y)]
+
+    def tying_order():
+        rest = (_reference_random_weak_order(rng, Universe(tuple(others)))
+                if others else None)
+        tiers = [list(t) for t in rest.tiers()] if rest is not None else []
+        slot = rng.randint(0, len(tiers))
+        tiers.insert(slot, [x, y])
+        return weak_order(universe, tiers)
+
+    agents = [tying_order() for _ in range(n)]
+    if strict:
+        winner = rng.randrange(n)
+        tiers = [list(t) for t in agents[winner].tiers()]
+        joint = next(i for i, t in enumerate(tiers) if x in t)
+        tiers[joint] = [a for a in tiers[joint] if a != x]
+        tiers.insert(joint, [x])
+        agents[winner] = weak_order(universe, tiers)
+        share = Fraction(rng.randint(1, 3), 4)
+        p = Lottery.of(universe, {x: share, y: 1 - share})
+        q = Lottery.of(universe, {x: share - Fraction(1, 4),
+                                  y: 1 - share + Fraction(1, 4)})
+    else:
+        p = random_lottery(rng, universe)
+        delta = min(p[x], p[y], Fraction(1, 5))
+        moved = dict(zip(universe.names, p.probs))
+        moved[x] = p[x] + delta
+        moved[y] = p[y] - delta
+        q = Lottery.of(universe, moved)
+    return Profile(universe, tuple(agents)), p, q
+
+
+class TestSeededInstancesPinned:
+    UNIVERSES = [Universe(tuple(chr(ord("a") + i) for i in range(m)))
+                 for m in range(2, 7)]
+
+    def test_random_weak_order(self):
+        for universe in self.UNIVERSES:
+            for seed in range(60):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    assert random_weak_order(rng, universe) \
+                        == _reference_random_weak_order(ref, universe)
+                assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_unanimity_case(self, strict):
+        for universe in self.UNIVERSES:
+            for n in (1, 2, 3, 5):
+                for seed in range(60):
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    profile, p, q = unanimity_case(rng, universe, n, strict)
+                    want_profile, want_p, want_q = _reference_unanimity_case(
+                        ref, universe, n, strict)
+                    assert profile.agents == want_profile.agents
+                    assert (p, q) == (want_p, want_q)
+                    assert rng.random() == ref.random()

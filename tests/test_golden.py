@@ -75,6 +75,39 @@ Axiom checks for pairwise-utilitarian (seed 0):
   PASS Pareto optimality over 200 unanimity cases (seed 0): no violation
 """
 
+CHECK_AXIOMS_APPROVAL = """\
+Axiom checks for approval (seed 3):
+  PASS IIA exhaustive over 49^2 dichotomous profile pairs: 16807 checks, \
+8688 vacuous, 0 violations
+  PASS Pareto optimality (sampled profiles): no violation
+"""
+
+CHECK_AXIOMS_DICTATORIAL = """\
+Axiom checks for dictatorial (seed 5):
+  PASS IIA over 169^2 weak-order profile pairs (exhaustive): 199927 checks, \
+103632 vacuous, 0 violations
+  FAIL anonymity over 200 sampled profiles (seed 5): witness permutation (1, 0)
+  FAIL Pareto optimality over 200 unanimity cases (seed 5): counterexample found
+"""
+
+CHECK_AXIOMS_PAIRWISE_3 = """\
+Axiom checks for pairwise-utilitarian (seed 7):
+  PASS IIA over 400^2 weak-order profile pairs (sampled(400, seed=7)): \
+1120000 checks, 616756 vacuous, 0 violations
+  PASS anonymity over 200 sampled profiles (seed 7): no violation
+  PASS Pareto optimality over 200 unanimity cases (seed 7): no violation
+"""
+
+CHECK_AXIOMS_PAIRWISE_JSON = (
+    '{"swf": "pairwise-utilitarian", "seed": 11, "checks": ['
+    '{"name": "IIA over 169^2 weak-order profile pairs (exhaustive)", '
+    '"passed": true, "detail": "199927 checks, 103632 vacuous, 0 violations"}, '
+    '{"name": "anonymity over 200 sampled profiles (seed 11)", '
+    '"passed": true, "detail": "no violation"}, '
+    '{"name": "Pareto optimality over 200 unanimity cases (seed 11)", '
+    '"passed": true, "detail": "no violation"}]}\n'
+)
+
 AUDIT_PC_TRANSITIVE_3 = """\
 Richness audit of domain 'pc-transitive' (13 members):
   PASS R1 (neutrality) [exhaustive]
@@ -133,6 +166,24 @@ GOLDEN = {
         ("check-axioms", "--swf", "pairwise-utilitarian", "--seed", "0"),
         CHECK_AXIOMS_PAIRWISE,
     ),
+    "check-axioms-approval": (
+        ("check-axioms", "--swf", "approval", "--seed", "3"),
+        CHECK_AXIOMS_APPROVAL,
+    ),
+    "check-axioms-dictatorial": (
+        ("check-axioms", "--swf", "dictatorial", "--seed", "5"),
+        CHECK_AXIOMS_DICTATORIAL,
+        1,
+    ),
+    "check-axioms-pairwise-utilitarian-3-agents": (
+        ("check-axioms", "--swf", "pairwise-utilitarian", "--agents", "3",
+         "--seed", "7"),
+        CHECK_AXIOMS_PAIRWISE_3,
+    ),
+    "check-axioms-pairwise-utilitarian-json": (
+        ("check-axioms", "--json", "--swf", "pairwise-utilitarian", "--seed", "11"),
+        CHECK_AXIOMS_PAIRWISE_JSON,
+    ),
     "audit-domain-pc-transitive-3": (
         ("audit-domain", "--domain", "pc-transitive", "--alternatives", "3"),
         AUDIT_PC_TRANSITIVE_3,
@@ -148,11 +199,13 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("argv, expected", GOLDEN.values(), ids=GOLDEN.keys())
-def test_stdout_and_exit_code_are_pinned(capsys, argv, expected):
+# each case is (argv, stdout) with exit code 0, or (argv, stdout, exit code)
+@pytest.mark.parametrize("case", GOLDEN.values(), ids=GOLDEN.keys())
+def test_stdout_and_exit_code_are_pinned(capsys, case):
+    argv, expected, *exit_code = case
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
-    assert code == 0
+    assert code == (exit_code[0] if exit_code else 0)
     assert captured.out == expected
     assert captured.err == ""
 

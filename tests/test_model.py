@@ -17,6 +17,7 @@ from ssbchoice import (
     utilitarian,
     weak_order,
 )
+from ssbchoice.ssb import _over_common_denominator
 
 ABC = Universe(("a", "b", "c"))
 
@@ -52,6 +53,37 @@ class TestLottery:
             Lottery(ABC, (Fraction(3, 2), Fraction(-1, 2), Fraction(0)))
         with pytest.raises(ValueError):
             Lottery(ABC, (Fraction(1),))
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError) as info:
+            Lottery(ABC, (Fraction(3, 2), Fraction(-1, 2), Fraction(0)))
+        assert str(info.value) == (
+            "negative probability in "
+            "(Fraction(3, 2), Fraction(-1, 2), Fraction(0, 1))"
+        )
+        with pytest.raises(ValueError) as info:
+            Lottery(ABC, (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
+        assert str(info.value) == "probabilities sum to 3/2, not 1"
+        with pytest.raises(ValueError) as info:
+            Lottery(ABC, (Fraction(1, 2), Fraction(1, 4), 0))
+        assert str(info.value) == "probabilities sum to 3/4, not 1"
+
+    def test_integer_form(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            weights = [rng.randint(0, 6) for _ in range(3)]
+            weights[rng.randrange(3)] += 1
+            probs = tuple(Fraction(w, sum(weights)) for w in weights)
+            p = Lottery(ABC, probs)
+            d, nums = _over_common_denominator(probs)
+            assert p.scaled == (d, tuple(nums))
+            assert all(Fraction(x, d) == y for x, y in zip(nums, probs))
+
+    def test_integer_form_is_not_part_of_the_value(self):
+        p = Lottery.of(ABC, {"a": Fraction(1, 3), "c": Fraction(2, 3)})
+        q = Lottery(ABC, (Fraction(1, 3), 0, "2/3"))
+        assert p == q and hash(p) == hash(q)
+        assert "scaled" not in repr(p)
 
     def test_support(self):
         p = Lottery.of(ABC, {"a": Fraction(1, 3), "c": Fraction(2, 3)})

@@ -195,6 +195,25 @@ class TestPCExtension:
                 expected = 0 if i == j else (1 if i < j else -1)
                 assert chain4_matrix.entries[i][j] == expected
 
+    def test_built_once_per_relation(self):
+        relation = weak_order(ABCD, [["b"], ["a", "d"]])
+        first = pc_extension(relation)
+        assert pc_extension(relation) is first
+        fresh = weak_order(ABCD, [["b"], ["a", "d"]])
+        assert fresh._pc_matrix is None
+        assert pc_extension(fresh) == first
+        assert fresh is not relation and pc_extension(fresh) is not first
+
+    def test_stored_matrix_is_not_part_of_the_value(self):
+        built = weak_order(ABC, ["a", ["b", "c"]])
+        pc_extension(built)
+        bare = weak_order(ABC, ["a", ["b", "c"]])
+        assert built._pc_matrix is not None and bare._pc_matrix is None
+        assert built == bare
+        assert hash(built) == hash(bare)
+        assert repr(built) == repr(bare)
+        assert "_pc_matrix" not in repr(built)
+
     def test_matches_direct_double_sum(self):
         rng = random.Random(23)
         for _ in range(200):
@@ -327,6 +346,34 @@ class TestCycleWitness:
 
     def test_zero_has_none(self):
         assert cycle_witness(SSBMatrix.zero(ABCD)) is None
+
+    @staticmethod
+    def _first_cycle_by_triple_loop(phi, max_denominator):
+        """The first (i, j, l) in lexicographic order with i > j > l > i."""
+        grid = lottery_grid(phi.universe, max_denominator)
+        k = len(grid)
+        beats = [[evaluate(phi, grid[i], grid[j]) > 0 for j in range(k)]
+                 for i in range(k)]
+        for i in range(k):
+            for j in range(k):
+                if beats[i][j]:
+                    for l in range(k):
+                        if beats[j][l] and beats[l][i]:
+                            return grid[i], grid[j], grid[l]
+        return None
+
+    def test_matches_triple_loop_oracle(self, chain3_matrix, chain4_matrix):
+        rng = random.Random(41)
+        cases = [(chain3_matrix, 5), (chain4_matrix, 4)]
+        cases += [(random_ssb_matrix(rng, ABC), 4) for _ in range(8)]
+        cases += [(random_ssb_matrix(rng, ABCD), 3) for _ in range(8)]
+        cases += [(pc_extension(random_relation(rng, ABCD)), 3) for _ in range(8)]
+        found = 0
+        for phi, d in cases:
+            witness = cycle_witness(phi, max_denominator=d)
+            assert witness == self._first_cycle_by_triple_loop(phi, d)
+            found += witness is not None
+        assert 0 < found < len(cases)
 
 
 class TestSymmetrySpotCheck:
