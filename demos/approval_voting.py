@@ -16,7 +16,7 @@ from ssbchoice import (
     weak_order,
 )
 from ssbchoice.axioms import (
-    RichnessCondition,
+    DICHOTOMOUS_CONDITIONS,
     approval_swf,
     audit_richness,
     dichotomous_domain,
@@ -53,13 +53,7 @@ def main():
 
     print("\nClosed-world audit of the two-tier domain:")
     domain = dichotomous_domain(universe)
-    conditions = (
-        RichnessCondition.NEUTRALITY,
-        RichnessCondition.FULL_INDIFFERENCE,
-        RichnessCondition.INVERSION,
-        RichnessCondition.DICHOTOMOUS_PATTERNS,
-    )
-    for result in audit_richness(domain, conditions).results:
+    for result in audit_richness(domain, DICHOTOMOUS_CONDITIONS).results:
         print(f"  {result.condition.value} ({result.condition.name.lower()}): "
               f"{'PASS' if result.passed else 'FAIL'}")
     print("  " + pc_inclusion_check(domain).message)

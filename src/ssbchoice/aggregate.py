@@ -161,11 +161,20 @@ def pareto_relation(profile: Profile, p: Lottery, q: Lottery) -> ParetoDominance
     STRICT_DOMINANCE: every agent weakly prefers p, at least one strictly.
     WEAK_ONLY: every agent is exactly indifferent.
     NONE: some agent strictly prefers q.
+
+    A base relation's p' PC q is the sum of p_a q_b - p_b q_a over its
+    strict pairs (a, b), signed here in the lotteries' integer forms.
     """
     same_universe(profile, p, q)
+    p_nums, q_nums = p.scaled[1], q.scaled[1]
     some_strict = False
     for agent, _ in profile.runs:
-        value = evaluate(to_matrix(agent), p, q)
+        if isinstance(agent, BaseRelation):
+            value = sum(
+                p_nums[a] * q_nums[b] - p_nums[b] * q_nums[a] for a, b in agent.strict
+            )
+        else:
+            value = evaluate(to_matrix(agent), p, q)
         if value < 0:
             return ParetoDominance.NONE
         if value > 0:

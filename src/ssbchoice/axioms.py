@@ -42,7 +42,6 @@ from .ssb import (
     pc_extension,
     restrict,
     is_pc,
-    separable,
     to_matrix,
 )
 
@@ -67,16 +66,8 @@ class SWFHandle:
         return result
 
 
-def _pairwise_utilitarian_fn(profile: Profile) -> SSBMatrix:
-    return utilitarian(profile)
-
-
 def _approval_fn(profile: Profile) -> SSBMatrix:
     return approval_aggregate(profile)[1]
-
-
-def _relative_utilitarian_fn(profile: Profile) -> SSBMatrix:
-    return relative_utilitarian_vnm(profile)
 
 
 def _dictator_fn(profile: Profile) -> SSBMatrix:
@@ -88,7 +79,7 @@ def _constant_fn(profile: Profile) -> SSBMatrix:
 
 
 def pairwise_utilitarian_swf() -> SWFHandle:
-    return SWFHandle("pairwise-utilitarian", _pairwise_utilitarian_fn)
+    return SWFHandle("pairwise-utilitarian", utilitarian)
 
 
 def approval_swf() -> SWFHandle:
@@ -96,7 +87,7 @@ def approval_swf() -> SWFHandle:
 
 
 def relative_utilitarian_swf() -> SWFHandle:
-    return SWFHandle("relative-utilitarian", _relative_utilitarian_fn)
+    return SWFHandle("relative-utilitarian", relative_utilitarian_vnm)
 
 
 def dictatorial_swf() -> SWFHandle:
@@ -402,16 +393,14 @@ def dichotomous_relations(universe: Universe) -> list[BaseRelation]:
 
 def pc_matrices(universe: Universe) -> list[SSBMatrix]:
     """Every pairwise-comparison matrix (all sign patterns on ordered pairs)."""
-    names = universe.names
-    pairs = list(itertools.combinations(range(len(names)), 2))
+    m = len(universe)
+    pairs = list(itertools.combinations(range(m), 2))
     out = []
     for signs in itertools.product((-1, 0, 1), repeat=len(pairs)):
-        strict = frozenset(
-            (a, b) if s > 0 else (b, a)
-            for (a, b), s in zip(pairs, signs)
-            if s != 0
-        )
-        out.append(pc_extension(BaseRelation(universe, strict)))
+        grid = [[0] * m for _ in range(m)]
+        for (a, b), s in zip(pairs, signs):
+            grid[a][b], grid[b][a] = s, -s
+        out.append(SSBMatrix(universe, tuple(map(tuple, grid))))
     return out
 
 
@@ -447,6 +436,15 @@ DEFAULT_CONDITIONS = (
     RichnessCondition.FULL_INDIFFERENCE,
     RichnessCondition.INVERSION,
     RichnessCondition.BOTTOM_EXTENSION,
+)
+
+# two-tier relations cannot put a strict pair above a fresh alternative, so
+# in the dichotomous setting all-two-tier-patterns replaces bottom extension
+DICHOTOMOUS_CONDITIONS = (
+    RichnessCondition.NEUTRALITY,
+    RichnessCondition.FULL_INDIFFERENCE,
+    RichnessCondition.INVERSION,
+    RichnessCondition.DICHOTOMOUS_PATTERNS,
 )
 
 
@@ -511,17 +509,16 @@ class RichnessReport:
         return all(r.passed for r in self.results)
 
 
-def _neutrality_witness(domain: DomainDescription, members) -> str | None:
+def _neutrality_witness(universe: Universe, members, present: set) -> str | None:
     """R1 through the transposition (a0 a1) and the cycle (a0 ... a_{m-1}),
     which together generate every relabeling of the universe."""
-    names = domain.universe.names
+    names = universe.names
     generators = []
     for label, images in (("transposition", names[1:2] + names[:1] + names[2:]),
                           ("cycle", names[1:] + names[:1])):
         # source[pi(a)] = a: entry (pi(a), pi(b)) of an image is entry (a, b)
-        source = sorted(range(len(names)), key=lambda a: domain.universe.index(images[a]))
+        source = sorted(range(len(names)), key=lambda a: universe.index(images[a]))
         generators.append((label, dict(zip(names, images)), source))
-    present = {m.entries for m in domain.matrices}
     for member in members:
         for label, mapping, source in generators:
             # relabeling keeps the largest entry: the image of a normalized
@@ -533,57 +530,54 @@ def _neutrality_witness(domain: DomainDescription, members) -> str | None:
     return None
 
 
-def _extendable_signatures(domain: DomainDescription, idx: list[int]) -> set:
-    """Signatures on the alternatives at positions idx of the members that
-    rank each of them strictly above one common alternative outside."""
-    outside = [a for a in range(len(domain.universe)) if a not in idx]
-    found = set()
-    for member in domain.matrices:
-        entries = member.entries
-        for a in outside:
-            for x in idx:
-                if entries[x][a] <= 0:
-                    break
-            else:
-                found.add(_signature(member, idx))
-                break
-    return found
-
-
-def _bottom_extension_witness(domain: DomainDescription, scope) -> str | None:
+def _bottom_extension_witness(universe: Universe, members, scope) -> str | None:
     """R4: every scoped member's signature on each xs of up to min(4, m - 1)
-    alternatives must be an extendable one; the first failing (member, xs)."""
-    names = domain.universe.names
+    alternatives must be that of a member ranking all of xs above one common
+    outside alternative; the first failing (member, xs)."""
+    names = universe.names
     subsets = [
         xs
         for size in range(1, min(4, len(names) - 1) + 1)
         for xs in itertools.combinations(names, size)
     ]
-    positions = [_positions(domain.universe, xs) for xs in subsets]
-    extendable: list[set | None] = [None] * len(subsets)  # built on first use
+    missing = []  # per xs: its positions and the scoped signatures left unmet
+    for xs in subsets:
+        idx = _positions(universe, xs)
+        outside = [a for a in range(len(names)) if a not in idx]
+        wanted = {_signature(member, idx) for member in scope}
+        for member in members:
+            if not wanted:
+                break
+            entries = member.entries
+            for a in outside:
+                for x in idx:
+                    if entries[x][a] <= 0:
+                        break
+                else:
+                    wanted.discard(_signature(member, idx))
+                    break
+        missing.append((idx, wanted))
     for member in scope:
-        for k, xs in enumerate(subsets):
-            if extendable[k] is None:
-                extendable[k] = _extendable_signatures(domain, positions[k])
-            if _signature(member, positions[k]) not in extendable[k]:
+        for xs, (idx, wanted) in zip(subsets, missing):
+            if wanted and _signature(member, idx) in wanted:
                 return (f"no member matches a member on {xs} while ranking "
                         f"{xs} above a fresh alternative")
     return None
 
 
-def _dichotomous_patterns_witness(domain: DomainDescription) -> str | None:
+def _dichotomous_patterns_witness(universe: Universe, members) -> str | None:
     """R5: every two-tier pattern on every set of up to four alternatives must
-    be the restriction of some member."""
-    names = domain.universe.names
+    be the restriction of some member.  A pattern's rows u_a - u_b, u its 0/1
+    approval vector, are already its signature."""
+    names = universe.names
     for size in range(1, min(4, len(names)) + 1):
         for xs in itertools.combinations(names, size):
-            idx = _positions(domain.universe, xs)
-            realized = {_signature(member, idx) for member in domain.matrices}
+            idx = _positions(universe, xs)
+            realized = {_signature(member, idx) for member in members}
             for r in range(size + 1):
                 for approved in itertools.combinations(xs, r):
-                    values = tuple(int(n in approved) for n in xs)
-                    wanted = separable(UtilityVector(Universe(xs), values))
-                    if normalize(wanted).entries not in realized:
+                    u = [int(n in approved) for n in xs]
+                    if tuple(tuple(ua - ub for ub in u) for ua in u) not in realized:
                         return (f"pattern approving {approved or '(nothing)'} on "
                                 f"{xs} is not any member's restriction")
     return None
@@ -597,18 +591,20 @@ def audit_richness(
 ) -> RichnessReport:
     """Check closure conditions of a closed-world domain, with witnesses.
 
-    Every check is linear in the domain (times the restriction sets for R4
-    and R5).  R1 looks up each member's images under two generators of
-    every relabeling, and its FAIL witness names the generator.  R4
-    collects, per restriction set xs, the signatures of the members that
-    rank xs above some outside alternative; every member's signature on xs
-    must be among them, and the witness is the first failing (member, xs).
-    R1, R2 and R5 always run over the whole domain.  R3 and R4 run over a
-    seeded sample of `member_limit` members when the domain is larger; each
-    result records its mode, and PASS under sampling means "no violation
-    found among the sampled members".
+    Members are stored normalized, so membership is a lookup of entry
+    tuples in one set.  R1 looks up each member's images under two
+    generators of every relabeling, and its FAIL witness names the
+    generator; R2 the zero matrix; R3 each member's negation, as normalized
+    as the member.  R4 collects, per restriction set xs, the checked
+    members' signatures on xs and discards those of members ranking xs
+    above one outside alternative; its witness is the first failing
+    (member, xs).  R1, R2, R3 and R5 run over the whole domain.  R4 checks
+    a seeded sample of `member_limit` members when the domain is larger,
+    records its mode, and PASS under sampling means "no violation found
+    among the sampled members".
     """
     members = domain.sorted_members()
+    present = {m.entries for m in members}
     if len(members) > member_limit:
         rng = random.Random(seed)
         scope = rng.sample(members, member_limit)
@@ -621,21 +617,21 @@ def audit_richness(
     for condition in conditions:
         mode = "exhaustive"
         if condition is RichnessCondition.NEUTRALITY:
-            witness = _neutrality_witness(domain, members)
+            witness = _neutrality_witness(domain.universe, members, present)
         elif condition is RichnessCondition.FULL_INDIFFERENCE:
-            witness = (None if SSBMatrix.zero(domain.universe) in domain
+            witness = (None if SSBMatrix.zero(domain.universe).entries in present
                        else "zero matrix (complete indifference) missing")
         elif condition is RichnessCondition.INVERSION:
-            mode = scope_mode
             witness = next(
-                ("inverse of a member is missing" for m in scope if -m not in domain),
+                ("inverse of a member is missing" for m in members
+                 if tuple(tuple(-x for x in row) for row in m.entries) not in present),
                 None,
             )
         elif condition is RichnessCondition.BOTTOM_EXTENSION:
             mode = scope_mode
-            witness = _bottom_extension_witness(domain, scope)
+            witness = _bottom_extension_witness(domain.universe, members, scope)
         else:
-            witness = _dichotomous_patterns_witness(domain)
+            witness = _dichotomous_patterns_witness(domain.universe, members)
         results.append(ConditionResult(condition, witness is None, witness, mode))
     return RichnessReport(domain.name, tuple(results))
 

@@ -378,15 +378,7 @@ def _cmd_audit_domain(args) -> int:
         if not conditions:
             raise ValueError(f"--conditions names no condition: {args.conditions!r}")
     elif args.domain == "dichotomous" and not args.file:
-        # two-tier relations cannot put a strict pair above a fresh
-        # alternative, so the bottom-extension condition is replaced by
-        # the all-two-tier-patterns condition in the dichotomous setting
-        conditions = (
-            axioms.RichnessCondition.NEUTRALITY,
-            axioms.RichnessCondition.FULL_INDIFFERENCE,
-            axioms.RichnessCondition.INVERSION,
-            axioms.RichnessCondition.DICHOTOMOUS_PATTERNS,
-        )
+        conditions = axioms.DICHOTOMOUS_CONDITIONS
     else:
         conditions = axioms.DEFAULT_CONDITIONS
     report = axioms.audit_richness(

@@ -6,12 +6,10 @@ other value, each probability and utility included, is a
 `fractions.Fraction`.  No value ever passes through a float.
 
 Values are immutable after construction and safe to share between
-threads.  Two fields are derived from a value and written once, on the
-object itself: a lottery's integer form (`Lottery.scaled`, computed at
-construction) and a base relation's pairwise-comparison matrix (filled
-by the first `ssb.pc_extension` call).  Neither takes part in equality,
-hashing or repr, and a race between threads only computes the same
-value twice.  There is no global cache.
+threads: every field is set by the constructor and none is written
+later.  A lottery's integer form (`Lottery.scaled`) is derived from its
+probabilities at construction and takes no part in equality, hashing or
+repr.  There is no global cache.
 """
 
 from __future__ import annotations
@@ -173,13 +171,12 @@ class BaseRelation:
     `strict` holds ordered index pairs (a, b) meaning "a is strictly
     preferred to b".  Indifference is the absence of both orientations.
     Transitivity is not required; arbitrary tournaments with ties are legal.
-    `_pc_matrix` holds the relation's pairwise-comparison matrix once
-    `ssb.pc_extension` has built it.
+    The pairs are the whole value: `ssb.pc_extension` builds the relation's
+    pairwise-comparison matrix from them afresh on each call.
     """
 
     universe: Universe
     strict: frozenset[tuple[int, int]]
-    _pc_matrix: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "strict", frozenset(self.strict))

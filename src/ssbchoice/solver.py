@@ -134,6 +134,13 @@ def _arena(phi: SSBMatrix, names: Iterable[str] | None):
     return arena, idx, [[phi.entries[a][b] for b in idx] for a in idx]
 
 
+def _slacks(sub, p: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """(p' phi)_b for each b of the arena, p and phi (`sub`) given on it."""
+    support = [(x, row) for x, row in zip(p, sub) if x]
+    return tuple(sum((x * row[b] for x, row in support), Fraction(0))
+                 for b in range(len(sub)))
+
+
 def maximal_lottery(
     phi: SSBMatrix, names: Iterable[str] | None = None
 ) -> MaximalityCertificate:
@@ -144,15 +151,12 @@ def maximal_lottery(
     deterministic; `unique_optimum` says whether it is the only one, and
     `maximal_set` lists the vertices of the whole optimal face.
     """
-    universe = phi.universe
-    arena, idx, sub = _arena(phi, names)
+    _, idx, sub = _arena(phi, names)
     weights = _optimal_strategy(sub)
-    probs = [Fraction(0)] * len(universe)
+    probs = [Fraction(0)] * len(phi.universe)
     for i, w in zip(idx, weights):
         probs[i] = w
-    lottery = Lottery(universe, tuple(probs))
-    slack = tuple(evaluate(phi, lottery, universe.pure(b)) for b in arena)
-    return MaximalityCertificate(lottery, slack)
+    return MaximalityCertificate(Lottery(phi.universe, tuple(probs)), _slacks(sub, weights))
 
 
 def is_maximal(phi: SSBMatrix, p: Lottery, names: Iterable[str] | None = None) -> bool:
@@ -162,10 +166,10 @@ def is_maximal(phi: SSBMatrix, p: Lottery, names: Iterable[str] | None = None) -
     on the arena, so it is a complete maximality test.
     """
     same_universe(phi, p)
-    arena = phi.universe.subset(names)
+    arena, idx, sub = _arena(phi, names)
     if not set(p.support()) <= set(arena):
         raise ValueError(f"support {p.support()} outside arena {arena}")
-    return all(evaluate(phi, p, phi.universe.pure(b)) >= 0 for b in arena)
+    return all(s >= 0 for s in _slacks(sub, [p.probs[i] for i in idx]))
 
 
 def _solve_unique(rows: list, n: int) -> list[Fraction] | None:
@@ -213,7 +217,7 @@ def unique_optimum(
     arena, idx, sub = _arena(phi, names)
     k = len(arena)
     p = [certificate.lottery.probs[i] for i in idx]
-    slack = tuple(sum((p[a] * sub[a][b] for a in range(k)), Fraction(0)) for b in range(k))
+    slack = _slacks(sub, p)
     if sum(p) != 1 or slack != certificate.slack:
         raise ValueError(f"certificate does not belong to phi on arena {arena}")
     if any(x == 0 and s == 0 for x, s in zip(p, slack)):
@@ -264,7 +268,7 @@ def maximal_set(
         point = _solve_unique(rows, k)
         if point is None or any(x < 0 for x in point):
             continue
-        if any(sum(x * row[b] for x, row in zip(point, sub)) < 0 for b in range(k)):
+        if any(s < 0 for s in _slacks(sub, point)):
             continue
         probs = [Fraction(0)] * len(universe)
         for i, x in zip(idx, point):

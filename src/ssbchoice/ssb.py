@@ -177,19 +177,15 @@ def compare(phi: SSBMatrix, p: Lottery, q: Lottery) -> Comparison:
 def pc_extension(relation: BaseRelation) -> SSBMatrix:
     """The pairwise-comparison matrix: +1 where a beats b, -1 mirrored, 0 on ties.
 
-    Built on the first call and kept on the relation, so later calls
-    return the same matrix object.
+    A pure function of the relation: each call builds a fresh matrix and
+    writes nothing on the relation.
     """
-    matrix = relation._pc_matrix
-    if matrix is None:
-        m = len(relation.universe)
-        grid = [[0] * m for _ in range(m)]
-        for a, b in relation.strict:
-            grid[a][b] = 1
-            grid[b][a] = -1
-        matrix = SSBMatrix(relation.universe, tuple(tuple(row) for row in grid))
-        object.__setattr__(relation, "_pc_matrix", matrix)
-    return matrix
+    m = len(relation.universe)
+    grid = [[0] * m for _ in range(m)]
+    for a, b in relation.strict:
+        grid[a][b] = 1
+        grid[b][a] = -1
+    return SSBMatrix(relation.universe, tuple(tuple(row) for row in grid))
 
 
 def separable(u: UtilityVector) -> SSBMatrix:

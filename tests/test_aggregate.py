@@ -264,6 +264,32 @@ class TestParetoRelation:
             condorcet_profile, ABC.pure("a"), ABC.pure("b")
         ) is ParetoDominance.NONE
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_base_relations_match_their_pc_matrices(self, m):
+        # reference: the sign of p' PC q through each relation's PC matrix
+        from ssbchoice.axioms import random_lottery
+
+        rng = random.Random(50 + m)
+        u = Universe("abcde"[:m])
+        pure = [u.pure(n) for n in u.names]
+        seen = set()
+        for _ in range(200):
+            agents = [random_relation(rng, u) for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.3:
+                agents.insert(rng.randint(0, len(agents)), weak_order(u, [u.names]))
+            p, q = (rng.choice(pure) if rng.random() < 0.4 else random_lottery(rng, u)
+                    for _ in range(2))
+            values = [evaluate(pc_extension(r), p, q) for r in agents]
+            if any(v < 0 for v in values):
+                expected = ParetoDominance.NONE
+            elif any(v > 0 for v in values):
+                expected = ParetoDominance.STRICT_DOMINANCE
+            else:
+                expected = ParetoDominance.WEAK_ONLY
+            assert pareto_relation(Profile(u, agents), p, q) is expected
+            seen.add(expected)
+        assert seen == set(ParetoDominance)
+
     def test_partition_of_agents(self):
         rng = random.Random(37)
         u = Universe(("a", "b", "c", "d"))

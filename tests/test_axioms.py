@@ -316,8 +316,19 @@ class TestRichness:
         assert report.passed
         modes = {r.condition.value: r.mode for r in report.results}
         assert modes["R1"] == modes["R2"] == "exhaustive"
-        assert modes["R3"].startswith("sampled(100")
+        assert modes["R3"] == "exhaustive"
         assert modes["R4"].startswith("sampled(100")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_missing_inverse_found_whatever_the_sample(self, seed):
+        chain = pc_extension(weak_order(ABC, ["a", "b", "c"]))
+        members = [m for m in pc_matrices(ABC) if m != -chain]
+        report = audit_richness(
+            DomainDescription.of(ABC, members), [RichnessCondition.INVERSION],
+            member_limit=3, seed=seed,
+        )
+        (r3,) = report.results
+        assert not r3.passed and r3.mode == "exhaustive"
 
     def test_five_alternative_pc_domain_is_rich(self):
         domain = pc_domain(Universe(("a", "b", "c", "d", "e")))
@@ -372,6 +383,29 @@ def r4_witness(xs):
             "fresh alternative")
 
 
+def two_pass_r4(domain, scope):
+    """R4 in two passes, the reference for sampled scopes: per restriction set
+    xs, first the signatures on xs of every member that ranks xs above one
+    common outside alternative, then the scoped member's signature looked
+    up among them; the witness of the first failing (member, xs) or None."""
+    names = domain.universe.names
+    subsets = [
+        xs
+        for size in range(1, min(4, len(names) - 1) + 1)
+        for xs in itertools.combinations(names, size)
+    ]
+    for member in scope:
+        for xs in subsets:
+            outside = [a for a in names if a not in xs]
+            extendable = {
+                relation_signature(c, xs) for c in domain.matrices
+                if any(all(c[x, a] > 0 for x in xs) for a in outside)
+            }
+            if relation_signature(member, xs) not in extendable:
+                return r4_witness(xs)
+    return None
+
+
 def generator_mappings(universe):
     names = universe.names
     return {
@@ -398,6 +432,21 @@ def assert_matches_oracles(domain):
     assert r4.passed == passed
     assert r4.witness == (None if passed else r4_witness(xs))
     return r1, r4, index, xs
+
+
+def assert_sampled_r4_matches(domain, seed):
+    """R4 on seeded samples of 1, half and all but one of the members agrees
+    with the two-pass reference on the same sample."""
+    members = domain.sorted_members()
+    n = len(members)
+    for limit in sorted({k for k in (1, n // 2, n - 1) if 0 < k < n}):
+        (r4,) = audit_richness(
+            domain, [RichnessCondition.BOTTOM_EXTENSION],
+            member_limit=limit, seed=seed,
+        ).results
+        scope = random.Random(seed).sample(members, limit)
+        assert r4.mode == f"sampled({limit} of {n}, seed={seed})"
+        assert r4.witness == two_pass_r4(domain, scope)
 
 
 def random_subdomain(seed):
@@ -477,6 +526,15 @@ class TestRichnessAgainstOracles:
     @pytest.mark.parametrize("seed", range(1, 12))
     def test_random_subdomains(self, seed):
         assert_matches_oracles(random_subdomain(seed))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sampled_scopes(self, seed):
+        assert_sampled_r4_matches(random_subdomain(seed), seed)
+
+    @pytest.mark.parametrize("build", [pc_transitive_domain, dichotomous_domain])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sampled_scopes_of_generated_domains(self, build, seed):
+        assert_sampled_r4_matches(build(ABCD), seed)
 
 
 class TestRelationSignature:

@@ -138,6 +138,15 @@ Richness audit of domain 'dichotomous' (15 members):
 pairwise-comparison class
 """
 
+AUDIT_PC_4_SAMPLED_R4 = """\
+Richness audit of domain 'pc' (729 members):
+  PASS R1 (neutrality) [exhaustive]
+  PASS R2 (full_indifference) [exhaustive]
+  PASS R4 (bottom_extension) [sampled(50 of 729, seed=2)]
+  PASS pairwise-comparison inclusion: domain lies inside the \
+pairwise-comparison class
+"""
+
 # {path} is the matrix file's path, which names the domain
 AUDIT_ZERO_FILE_4 = """\
 Richness audit of domain '{path}' (1 members):
@@ -191,6 +200,11 @@ GOLDEN = {
     "audit-domain-pc-4": (
         ("audit-domain", "--domain", "pc", "--alternatives", "4"),
         AUDIT_PC_4,
+    ),
+    "audit-domain-pc-4-sampled-r4": (
+        ("audit-domain", "--domain", "pc", "--alternatives", "4",
+         "--member-limit", "50", "--seed", "2", "--conditions", "R1,R2,R4"),
+        AUDIT_PC_4_SAMPLED_R4,
     ),
     "audit-domain-dichotomous-4": (
         ("audit-domain", "--domain", "dichotomous", "--alternatives", "4"),

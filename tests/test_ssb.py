@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -195,24 +196,14 @@ class TestPCExtension:
                 expected = 0 if i == j else (1 if i < j else -1)
                 assert chain4_matrix.entries[i][j] == expected
 
-    def test_built_once_per_relation(self):
+    def test_is_pure(self):
         relation = weak_order(ABCD, [["b"], ["a", "d"]])
         first = pc_extension(relation)
-        assert pc_extension(relation) is first
-        fresh = weak_order(ABCD, [["b"], ["a", "d"]])
-        assert fresh._pc_matrix is None
-        assert pc_extension(fresh) == first
-        assert fresh is not relation and pc_extension(fresh) is not first
-
-    def test_stored_matrix_is_not_part_of_the_value(self):
-        built = weak_order(ABC, ["a", ["b", "c"]])
-        pc_extension(built)
-        bare = weak_order(ABC, ["a", ["b", "c"]])
-        assert built._pc_matrix is not None and bare._pc_matrix is None
-        assert built == bare
-        assert hash(built) == hash(bare)
-        assert repr(built) == repr(bare)
-        assert "_pc_matrix" not in repr(built)
+        assert pc_extension(relation) == first
+        assert pc_extension(weak_order(ABCD, [["b"], ["a", "d"]])) == first
+        assert set(vars(relation)) == {"universe", "strict"}
+        assert [f.name for f in dataclasses.fields(BaseRelation)] \
+            == ["universe", "strict"]
 
     def test_matches_direct_double_sum(self):
         rng = random.Random(23)
