@@ -196,12 +196,27 @@ class TestPCExtension:
                 expected = 0 if i == j else (1 if i < j else -1)
                 assert chain4_matrix.entries[i][j] == expected
 
-    def test_is_pure(self):
+    def test_built_once_per_relation(self):
+        # each call builds the matrix afresh; equal relations give equal
+        # matrices and the relation keeps nothing of the build
         relation = weak_order(ABCD, [["b"], ["a", "d"]])
         first = pc_extension(relation)
         assert pc_extension(relation) == first
-        assert pc_extension(weak_order(ABCD, [["b"], ["a", "d"]])) == first
+        assert pc_extension(relation) is not first
+        fresh = weak_order(ABCD, [["b"], ["a", "d"]])
+        assert pc_extension(fresh) == first
         assert set(vars(relation)) == {"universe", "strict"}
+
+    def test_stored_matrix_is_not_part_of_the_value(self):
+        # a relation's value is its universe and strict pairs only, so
+        # building its matrix changes neither equality, hash nor repr
+        built = weak_order(ABC, ["a", ["b", "c"]])
+        pc_extension(built)
+        bare = weak_order(ABC, ["a", ["b", "c"]])
+        assert built == bare
+        assert hash(built) == hash(bare)
+        assert repr(built) == repr(bare)
+        assert "_pc_matrix" not in repr(built)
         assert [f.name for f in dataclasses.fields(BaseRelation)] \
             == ["universe", "strict"]
 
