@@ -36,7 +36,7 @@ from .model import (
 from .ssb import (
     Comparison,
     SSBMatrix,
-    _entry,
+    _ray,
     compare,
     normalize,
     pc_extension,
@@ -120,14 +120,9 @@ def _positions(universe: Universe, names: Iterable[str]) -> list[int]:
 
 def _signature(matrix: SSBMatrix, idx: list[int]):
     """`relation_signature` on the alternatives at ascending positions idx:
-    the restricted rows, divided by their largest entry unless that is 0 or
-    1 (so never for pairwise-comparison data), in canonical entry form."""
+    the ray of the restricted rows (unscaled for pairwise-comparison data)."""
     entries = matrix.entries
-    rows = tuple([tuple([entries[a][b] for b in idx]) for a in idx])
-    top = max(map(max, rows))
-    if top == 0 or top == 1:
-        return rows
-    return tuple(tuple(_entry(Fraction(x, top)) for x in row) for row in rows)
+    return _ray(tuple([tuple([entries[a][b] for b in idx]) for a in idx]))
 
 
 def signs_match_on(
@@ -530,35 +525,51 @@ def _neutrality_witness(universe: Universe, members, present: set) -> str | None
     return None
 
 
+_AUDIT_SET_SIZE = 4  # R4 and R5 audit the sets of up to this many alternatives
+
+
+def _audit_sets(universe: Universe, largest: int) -> list:
+    """(xs, positions) for the sets of 1..min(_AUDIT_SET_SIZE, largest) alternatives."""
+    sizes = range(1, min(_AUDIT_SET_SIZE, largest) + 1)
+    return [(xs, _positions(universe, xs))
+            for size in sizes for xs in itertools.combinations(universe.names, size)]
+
+
+def _unmet(members: Iterable[SSBMatrix], idx: list[int], wanted: set) -> set:
+    """`wanted` less the members' signatures on idx, scanned in order until none is left."""
+    for member in members:
+        wanted.discard(_signature(member, idx))
+        if not wanted:
+            break
+    return wanted
+
+
+def _ranked_above(members, idx: list[int], m: int):
+    """Lazily, the members ranking all of idx above one common position outside it."""
+    outside = [a for a in range(m) if a not in idx]
+    for member in members:
+        entries = member.entries
+        for a in outside:
+            for x in idx:
+                if entries[x][a] <= 0:
+                    break
+            else:
+                yield member
+                break
+
+
 def _bottom_extension_witness(universe: Universe, members, scope) -> str | None:
-    """R4: every scoped member's signature on each xs of up to min(4, m - 1)
+    """R4: every scoped member's signature on each audited xs of up to m - 1
     alternatives must be that of a member ranking all of xs above one common
     outside alternative; the first failing (member, xs)."""
-    names = universe.names
-    subsets = [
-        xs
-        for size in range(1, min(4, len(names) - 1) + 1)
-        for xs in itertools.combinations(names, size)
-    ]
-    missing = []  # per xs: its positions and the scoped signatures left unmet
-    for xs in subsets:
-        idx = _positions(universe, xs)
-        outside = [a for a in range(len(names)) if a not in idx]
+    m = len(universe)
+    subsets = _audit_sets(universe, m - 1)
+    missing = []  # per xs: the scoped signatures left unmet
+    for xs, idx in subsets:
         wanted = {_signature(member, idx) for member in scope}
-        for member in members:
-            if not wanted:
-                break
-            entries = member.entries
-            for a in outside:
-                for x in idx:
-                    if entries[x][a] <= 0:
-                        break
-                else:
-                    wanted.discard(_signature(member, idx))
-                    break
-        missing.append((idx, wanted))
+        missing.append(_unmet(_ranked_above(members, idx, m), idx, wanted))
     for member in scope:
-        for xs, (idx, wanted) in zip(subsets, missing):
+        for (xs, idx), wanted in zip(subsets, missing):
             if wanted and _signature(member, idx) in wanted:
                 return (f"no member matches a member on {xs} while ranking "
                         f"{xs} above a fresh alternative")
@@ -566,20 +577,18 @@ def _bottom_extension_witness(universe: Universe, members, scope) -> str | None:
 
 
 def _dichotomous_patterns_witness(universe: Universe, members) -> str | None:
-    """R5: every two-tier pattern on every set of up to four alternatives must
-    be the restriction of some member.  A pattern's rows u_a - u_b, u its 0/1
-    approval vector, are already its signature."""
-    names = universe.names
-    for size in range(1, min(4, len(names)) + 1):
-        for xs in itertools.combinations(names, size):
-            idx = _positions(universe, xs)
-            realized = {_signature(member, idx) for member in members}
-            for r in range(size + 1):
-                for approved in itertools.combinations(xs, r):
-                    u = [int(n in approved) for n in xs]
-                    if tuple(tuple(ua - ub for ub in u) for ua in u) not in realized:
-                        return (f"pattern approving {approved or '(nothing)'} on "
-                                f"{xs} is not any member's restriction")
+    """R5: every two-tier pattern on every audited xs must be some member's
+    restriction; the first unmet (xs, approved set).  A pattern's entry
+    (a, b) is u_a - u_b, u the 0/1 approval vector: its own signature."""
+    for xs, idx in _audit_sets(universe, len(universe)):
+        approvals = [ok for r in range(len(xs) + 1) for ok in itertools.combinations(xs, r)]
+        patterns = [tuple(tuple((a in ok) - (b in ok) for b in xs) for a in xs)
+                    for ok in approvals]
+        unmet = _unmet(members, idx, set(patterns))
+        for approved, pattern in zip(approvals, patterns):
+            if pattern in unmet:
+                return (f"pattern approving {approved or '(nothing)'} on "
+                        f"{xs} is not any member's restriction")
     return None
 
 
@@ -595,11 +604,12 @@ def audit_richness(
     tuples in one set.  R1 looks up each member's images under two
     generators of every relabeling, and its FAIL witness names the
     generator; R2 the zero matrix; R3 each member's negation, as normalized
-    as the member.  R4 collects, per restriction set xs, the checked
-    members' signatures on xs and discards those of members ranking xs
-    above one outside alternative; its witness is the first failing
-    (member, xs).  R1, R2, R3 and R5 run over the whole domain.  R4 checks
-    a seeded sample of `member_limit` members when the domain is larger,
+    as the member.  R4 and R5 share one scan per restriction set xs, which
+    discards members' signatures on xs from a set of wanted ones and stops
+    when none is left: R4 wants the checked members' signatures and scans
+    the members ranking xs above one outside alternative, R5 wants every
+    two-tier pattern and scans all members.  Only R4 samples: it checks a
+    seeded sample of `member_limit` members when the domain is larger,
     records its mode, and PASS under sampling means "no violation found
     among the sampled members".
     """

@@ -214,12 +214,17 @@ def normalize(phi: SSBMatrix) -> SSBMatrix:
     positive multiples of one another, so this is a canonical form:
     `normalize(a) == normalize(b)` decides relation equality.
     """
-    if phi.is_zero():
-        return phi
-    top = phi.max_entry()
-    if top == 1:
-        return phi
-    return phi.scaled(Fraction(1) / top)
+    rows = _ray(phi.entries)
+    return phi if rows is phi.entries else SSBMatrix(phi.universe, rows)
+
+
+def _ray(rows):
+    """Skew-symmetric rows divided by their largest entry, in canonical
+    entry form; `rows` itself when that entry is 0 (all zero) or 1."""
+    top = max(map(max, rows))
+    if top == 0 or top == 1:
+        return rows
+    return tuple(tuple(_entry(Fraction(x, top)) for x in row) for row in rows)
 
 
 def same_relation(a: SSBMatrix, b: SSBMatrix) -> bool:

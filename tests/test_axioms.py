@@ -383,6 +383,23 @@ def r4_witness(xs):
             "fresh alternative")
 
 
+def r5_oracle(domain):
+    """(passed, witness): the first two-tier pattern, in (size, xs, r,
+    approved) order, that is no member's normalized restriction to xs."""
+    names = domain.universe.names
+    for size in range(1, min(4, len(names)) + 1):
+        for xs in itertools.combinations(names, size):
+            realized = {normalize(restrict(m, xs)).entries for m in domain.matrices}
+            sub = Universe(xs)
+            for r in range(size + 1):
+                for approved in itertools.combinations(xs, r):
+                    pattern = pc_extension(weak_order(sub, [approved or xs]))
+                    if pattern.entries not in realized:
+                        return False, (f"pattern approving {approved or '(nothing)'} "
+                                       f"on {xs} is not any member's restriction")
+    return True, None
+
+
 def two_pass_r4(domain, scope):
     """R4 in two passes, the reference for sampled scopes: per restriction set
     xs, first the signatures on xs of every member that ranks xs above one
@@ -535,6 +552,24 @@ class TestRichnessAgainstOracles:
     @pytest.mark.parametrize("seed", range(3))
     def test_sampled_scopes_of_generated_domains(self, build, seed):
         assert_sampled_r4_matches(build(ABCD), seed)
+
+    @pytest.mark.parametrize("build, universe, seeds", [
+        (pc_domain, ABC, range(40)),
+        (pc_domain, ABCD, range(8)),
+        (dichotomous_domain, ABCD, range(40)),
+    ], ids=["pc-3", "pc-4", "dichotomous-4"])
+    def test_r5_matches_oracle_on_subdomains(self, build, universe, seeds):
+        full = build(universe).sorted_members()
+        outcomes = set()
+        for seed in seeds:
+            rng = random.Random(seed)
+            members = rng.sample(full, rng.randint(1, len(full)))
+            domain = DomainDescription.of(universe, members)
+            (r5,) = audit_richness(
+                domain, [RichnessCondition.DICHOTOMOUS_PATTERNS]).results
+            assert (r5.passed, r5.witness) == r5_oracle(domain)
+            outcomes.add(r5.passed)
+        assert False in outcomes
 
 
 class TestRelationSignature:

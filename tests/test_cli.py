@@ -1,11 +1,12 @@
 import json
+import re
 import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from ssbchoice import Profile, SolverDefect, Universe, cli
+from ssbchoice import Profile, SolverDefect, Universe, ballots, cli
 from ssbchoice.cli import main
 from ssbchoice.ssb import lottery_grid
 
@@ -211,6 +212,17 @@ class TestAuditDomain:
         assert code == 1
         assert "FAIL R2" in out
 
+    @pytest.mark.parametrize("conditions, tags", [
+        ("R2, R3", ["R2", "R3"]),
+        (" r1 ,R4", ["R1", "R4"]),
+    ])
+    def test_conditions_with_spaces(self, capsys, conditions, tags):
+        code, out, err = run(capsys, "audit-domain", "--alternatives", 3,
+                             "--conditions", conditions)
+        assert code == 0
+        assert err == ""
+        assert [line.split()[1] for line in out.splitlines()[1:-1]] == tags
+
     @pytest.mark.parametrize("conditions", [",", " , ", ""])
     def test_conditions_naming_nothing_exit_2(self, capsys, conditions):
         code, out, err = run(capsys, "audit-domain", "--alternatives", 3,
@@ -357,8 +369,8 @@ class TestErrorHandling:
     @pytest.mark.parametrize("argv, message", [
         (["check-axioms", "--alternatives", 1], "--alternatives must be between 2 and 6, got 1"),
         (["check-axioms", "--alternatives", 9], "--alternatives must be between 2 and 6, got 9"),
-        (["check-axioms", "--agents", 0], "--agents must be at least 1, got 0"),
-        (["check-axioms", "--samples", 0], "--samples must be at least 1, got 0"),
+        (["check-axioms", "--agents", 0], "--agents must be between 1 and 50, got 0"),
+        (["check-axioms", "--samples", 0], "--samples must be between 1 and 500, got 0"),
         (["audit-domain", "--alternatives", 6], "--alternatives must be between 1 and 5, got 6"),
         (["audit-domain", "--member-limit", 0], "--member-limit must be at least 1, got 0"),
         (["maximal-lottery", FIXTURES / "table1.ballots", "--max-enum", 11],
@@ -367,12 +379,37 @@ class TestErrorHandling:
           "--max-enum", 11], "--max-enum must be between 0 and 10, got 11"),
         (["cycle-witness", FIXTURES / "chain3.ballots", "--max-denominator", 0],
          "--max-denominator must be at least 1, got 0"),
+        (["check-axioms", "--agents", 10**10],
+         "--agents must be between 1 and 50, got 10000000000"),
+        (["check-axioms", "--swf", "approval", "--samples", 10**10],
+         "--samples must be between 1 and 500, got 10000000000"),
     ])
     def test_size_limits_exit_2(self, capsys, argv, message):
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("module, name", [
+        (cli, "AUDIT_WORK_LIMIT"),
+        (cli, "MAX_SOLVE_ALTERNATIVES"),
+        (cli, "MAX_GRID_LOTTERIES"),
+        (cli, "MAX_AXIOM_AGENTS"),
+        (cli, "MAX_AXIOM_SAMPLES"),
+        (ballots, "MAX_ALTERNATIVES"),
+        (ballots, "MAX_EXPONENT"),
+    ])
+    def test_readme_lists_every_bound(self, module, name):
+        readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+        limits = readme[readme.index("Size limits"):readme.index("Exit codes:")]
+        # the value, digit groups optionally spaced, then the qualified name
+        digits = str(getattr(module, name))
+        groups = [digits[max(0, k - 3):k] for k in range(len(digits), 0, -3)][::-1]
+        qualified = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+        pattern = r"(?<!\d)" + " ?".join(groups) + rf"\s+\(`{re.escape(qualified)}`"
+        assert re.search(pattern, limits)
 
     @staticmethod
     def linear_order_file(tmp_path, m):
