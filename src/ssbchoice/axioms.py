@@ -11,6 +11,7 @@ to reject something.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import random
@@ -36,12 +37,12 @@ from .model import (
 from .ssb import (
     Comparison,
     SSBMatrix,
+    _pc_rows,
     _ray,
     compare,
     normalize,
     pc_extension,
     restrict,
-    is_pc,
     to_matrix,
 )
 
@@ -61,8 +62,7 @@ class SWFHandle:
     def __call__(self, profile: Profile) -> SSBMatrix:
         result = self._cache.get(profile)
         if result is None:
-            result = self.fn(profile)
-            self._cache[profile] = result
+            result = self._cache[profile] = self.fn(profile)
         return result
 
 
@@ -111,17 +111,16 @@ def relation_signature(matrix: SSBMatrix, names: Iterable[str]):
     matrices agree up to a positive scale factor, i.e. iff these
     signatures are equal.  Equals `normalize(restrict(matrix, names)).entries`.
     """
-    return _signature(matrix, _positions(matrix.universe, names))
+    return _signature(matrix.entries, _positions(matrix.universe, names))
 
 
 def _positions(universe: Universe, names: Iterable[str]) -> list[int]:
     return [universe.index(n) for n in universe.subset(names)]
 
 
-def _signature(matrix: SSBMatrix, idx: list[int]):
-    """`relation_signature` on the alternatives at ascending positions idx:
-    the ray of the restricted rows (unscaled for pairwise-comparison data)."""
-    entries = matrix.entries
+def _signature(entries, idx: list[int]):
+    """`relation_signature` of entry rows on the alternatives at ascending
+    positions idx: the ray of the restricted rows (unscaled for PC data)."""
     return _ray(tuple([tuple([entries[a][b] for b in idx]) for a in idx]))
 
 
@@ -202,7 +201,9 @@ def check_anonymity(
         perms = [tuple(rng.sample(pool, profile.n)) for _ in range(samples)]
         mode = f"sampled({samples}, seed={seed})"
     for pi in perms:
-        if f(profile.permuted(pi)).entries != base.entries:
+        # the memo is read, not filled: no relabeling is asked for again
+        relabeled = profile.permuted(pi)
+        if (f._cache.get(relabeled) or f.fn(relabeled)).entries != base.entries:
             return AnonymityVerdict(passed=False, witness=pi, mode=mode)
     return AnonymityVerdict(passed=True, witness=None, mode=mode)
 
@@ -245,17 +246,13 @@ def check_pareto(
         dominance = pareto_relation(profile, p, q)
         if dominance is ParetoDominance.NONE:
             continue
+        strict = dominance is ParetoDominance.STRICT_DOMINANCE
+        strict_cases += strict
+        weak_cases += not strict
         outcome = compare(collective, p, q)
-        if dominance is ParetoDominance.STRICT_DOMINANCE:
-            strict_cases += 1
-            if outcome is not Comparison.PREFERRED:
-                return ParetoVerdict(False, (p, q, dominance, outcome), checked,
-                                     strict_cases, weak_cases)
-        else:
-            weak_cases += 1
-            if outcome is not Comparison.INDIFFERENT:
-                return ParetoVerdict(False, (p, q, dominance, outcome), checked,
-                                     strict_cases, weak_cases)
+        if outcome is not (Comparison.PREFERRED if strict else Comparison.INDIFFERENT):
+            return ParetoVerdict(False, (p, q, dominance, outcome), checked,
+                                 strict_cases, weak_cases)
     return ParetoVerdict(True, None, checked, strict_cases, weak_cases)
 
 
@@ -281,8 +278,8 @@ def _signature_tables(f, profiles, subsets):
     def signatures(agent):
         sig = known.get(agent)
         if sig is None:
-            matrix = to_matrix(agent)
-            sig = known[agent] = tuple(_signature(matrix, idx) for idx in positions)
+            entries = to_matrix(agent).entries
+            sig = known[agent] = tuple(_signature(entries, idx) for idx in positions)
         return sig
 
     hyp = []
@@ -375,28 +372,26 @@ def _ordered_partitions(items: tuple[str, ...]):
 
 def dichotomous_relations(universe: Universe) -> list[BaseRelation]:
     """Every dichotomous relation, one per approved set (full set = empty set)."""
-    out = []
     names = universe.names
-    for r in range(len(names)):  # r == len(names) duplicates the empty relation
-        for approved in itertools.combinations(names, r):
-            if approved:
-                out.append(weak_order(universe, [approved]))
-            else:
-                out.append(weak_order(universe, [names]))
-    return out
+    # r == len(names) would duplicate the empty relation
+    return [weak_order(universe, [approved or names])
+            for r in range(len(names)) for approved in itertools.combinations(names, r)]
 
 
 def pc_matrices(universe: Universe) -> list[SSBMatrix]:
-    """Every pairwise-comparison matrix (all sign patterns on ordered pairs)."""
-    m = len(universe)
-    pairs = list(itertools.combinations(range(m), 2))
-    out = []
-    for signs in itertools.product((-1, 0, 1), repeat=len(pairs)):
-        grid = [[0] * m for _ in range(m)]
-        for (a, b), s in zip(pairs, signs):
-            grid[a][b], grid[b][a] = s, -s
-        out.append(SSBMatrix(universe, tuple(map(tuple, grid))))
-    return out
+    """Every pairwise-comparison matrix (all sign patterns), in entry order."""
+    return [SSBMatrix(universe, rows) for rows in _sign_patterns(len(universe))]
+
+
+def _sign_patterns(m: int) -> list[tuple]:
+    """The entry rows of every sign pattern on m alternatives, in entry order:
+    row a is fixed by the rows above it up to its diagonal, free after it."""
+    grids = [()]
+    for a in range(m):
+        tails = list(itertools.product((-1, 0, 1), repeat=m - a - 1))
+        heads = [tuple([-row[a] for row in rows]) + (0,) for rows in grids]
+        grids = [rows + (head + tail,) for rows, head in zip(grids, heads) for tail in tails]
+    return grids
 
 
 def profiles_over(relations: Sequence, n: int, universe: Universe) -> list[Profile]:
@@ -447,29 +442,37 @@ DICHOTOMOUS_CONDITIONS = (
 class DomainDescription:
     """A finite, closed-world stand-in for a preference domain.
 
-    Membership means "this preference relation is available to agents";
-    matrices are stored normalized so membership is scale-free.
+    Membership means "this preference relation is available to agents".
+    Members are stored once, as the sorted, distinct entry rows of their
+    normalized matrices, so membership is scale-free.  `of` builds them
+    from matrices; `matrices` builds the members back.
     """
 
     universe: Universe
-    matrices: frozenset[SSBMatrix]
+    _rows: tuple  # sorted, distinct and normalized: `of` or `pc_domain` makes it
     name: str = ""
 
     @classmethod
     def of(
         cls, universe: Universe, members: Iterable[SSBMatrix], name: str = ""
     ) -> "DomainDescription":
-        return cls(universe, frozenset(normalize(m) for m in members), name)
+        return cls(universe, tuple(sorted({_ray(m.entries) for m in members})), name)
+
+    @property
+    def matrices(self) -> list[SSBMatrix]:
+        return [SSBMatrix(self.universe, rows) for rows in self._rows]
 
     def __contains__(self, matrix: SSBMatrix) -> bool:
-        return normalize(matrix) in self.matrices
+        rows = _ray(matrix.entries)
+        i = bisect.bisect_left(self._rows, rows)
+        return matrix.universe == self.universe and self._rows[i:i + 1] == (rows,)
 
-    def sorted_members(self) -> list[SSBMatrix]:
-        return sorted(self.matrices, key=lambda m: m.entries)
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 def pc_domain(universe: Universe) -> DomainDescription:
-    return DomainDescription.of(universe, pc_matrices(universe), "pc")
+    return DomainDescription(universe, tuple(_sign_patterns(len(universe))), "pc")
 
 
 def pc_transitive_domain(universe: Universe) -> DomainDescription:
@@ -518,7 +521,7 @@ def _neutrality_witness(universe: Universe, members, present: set) -> str | None
         for label, mapping, source in generators:
             # relabeling keeps the largest entry: the image of a normalized
             # member is normalized
-            image = tuple(tuple(member.entries[a][b] for b in source) for a in source)
+            image = tuple(tuple(member[a][b] for b in source) for a in source)
             if image not in present:
                 return (f"relabeling {mapping} (the {label} generator) of a "
                         "member leaves the domain")
@@ -535,7 +538,7 @@ def _audit_sets(universe: Universe, largest: int) -> list:
             for size in sizes for xs in itertools.combinations(universe.names, size)]
 
 
-def _unmet(members: Iterable[SSBMatrix], idx: list[int], wanted: set) -> set:
+def _unmet(members: Iterable[tuple], idx: list[int], wanted: set) -> set:
     """`wanted` less the members' signatures on idx, scanned in order until none is left."""
     for member in members:
         wanted.discard(_signature(member, idx))
@@ -548,10 +551,9 @@ def _ranked_above(members, idx: list[int], m: int):
     """Lazily, the members ranking all of idx above one common position outside it."""
     outside = [a for a in range(m) if a not in idx]
     for member in members:
-        entries = member.entries
         for a in outside:
             for x in idx:
-                if entries[x][a] <= 0:
+                if member[x][a] <= 0:
                     break
             else:
                 yield member
@@ -600,21 +602,21 @@ def audit_richness(
 ) -> RichnessReport:
     """Check closure conditions of a closed-world domain, with witnesses.
 
-    Members are stored normalized, so membership is a lookup of entry
-    tuples in one set.  R1 looks up each member's images under two
-    generators of every relabeling, and its FAIL witness names the
-    generator; R2 the zero matrix; R3 each member's negation, as normalized
-    as the member.  R4 and R5 share one scan per restriction set xs, which
-    discards members' signatures on xs from a set of wanted ones and stops
-    when none is left: R4 wants the checked members' signatures and scans
-    the members ranking xs above one outside alternative, R5 wants every
-    two-tier pattern and scans all members.  Only R4 samples: it checks a
-    seeded sample of `member_limit` members when the domain is larger,
-    records its mode, and PASS under sampling means "no violation found
-    among the sampled members".
+    Every condition reads the domain's stored entry rows as they are,
+    sorted and normalized; R1, R2 and R3 are lookups in one set of them.
+    R1 looks up each member's images under two generators of every
+    relabeling, and its FAIL witness names the generator; R2 the zero
+    matrix; R3 each member's negation.  R4 and R5 share one scan per
+    restriction set xs, which discards members' signatures on xs from a
+    set of wanted ones and stops when none is left: R4 wants the checked
+    members' signatures and scans the members ranking xs above one outside
+    alternative, R5 wants every two-tier pattern and scans all members.
+    Only R4 samples: it checks a seeded sample of `member_limit` members
+    when the domain is larger, records its mode, and PASS under sampling
+    means "no violation found among the sampled members".
     """
-    members = domain.sorted_members()
-    present = {m.entries for m in members}
+    members = domain._rows
+    present = set(members)
     if len(members) > member_limit:
         rng = random.Random(seed)
         scope = rng.sample(members, member_limit)
@@ -634,7 +636,7 @@ def audit_richness(
         elif condition is RichnessCondition.INVERSION:
             witness = next(
                 ("inverse of a member is missing" for m in members
-                 if tuple(tuple(-x for x in row) for row in m.entries) not in present),
+                 if tuple(tuple(-x for x in row) for row in m) not in present),
                 None,
             )
         elif condition is RichnessCondition.BOTTOM_EXTENSION:
@@ -663,18 +665,13 @@ def pc_inclusion_check(domain: DomainDescription) -> PCInclusionReport:
     rich domain with a non-PC member admits no such rule.  This checks the
     set inclusion only; it does not (and cannot) verify nonexistence.
     """
-    for member in domain.sorted_members():
-        if not is_pc(member):
-            return PCInclusionReport(
-                False,
-                member,
+    for member in domain._rows:
+        if not _pc_rows(member):
+            return PCInclusionReport(False, SSBMatrix(domain.universe, member), (
                 "domain leaves the pairwise-comparison class; if it is rich, "
                 "no anonymous aggregation rule satisfies Pareto optimality "
-                "and independence of irrelevant alternatives on it",
-            )
-    return PCInclusionReport(
-        True, None, "domain lies inside the pairwise-comparison class"
-    )
+                "and independence of irrelevant alternatives on it"))
+    return PCInclusionReport(True, None, "domain lies inside the pairwise-comparison class")
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ MAX_SOLVE_ALTERNATIVES = 48
 # cycle-witness compares all pairs of m + C(m, 2) * sum_{d=2..D} phi(d) lotteries
 MAX_GRID_LOTTERIES = 1500
 # check-axioms work and memory grow linearly in --agents and --samples; at
-# m=6, 50 agents and 500 samples took 9.2 s and 165 MiB, 6 agents (relabeled
-# all 720 ways) and 500 samples 30 s and 520 MiB; 2000 agents at m=3 took 60 s
+# m=6, 50 agents and 500 samples took 9.9 s and 134 MiB, 6 agents (relabeled
+# all 720 ways) and 500 samples 27 s and 72 MiB; 2000 agents at m=3 took 60 s
 MAX_AXIOM_AGENTS = 50
 MAX_AXIOM_SAMPLES = 500
 
@@ -284,12 +284,9 @@ def _cmd_check_axioms(args) -> int:
         else:
             checks.append(("Pareto optimality (sampled profiles)", True, "no violation"))
     else:
-        if args.swf == "pairwise-utilitarian":
-            handle = axioms.pairwise_utilitarian_swf()
-        elif args.swf == "dictatorial":
-            handle = axioms.dictatorial_swf()
-        else:
-            handle = axioms.constant_swf()
+        handle = {"pairwise-utilitarian": axioms.pairwise_utilitarian_swf,
+                  "dictatorial": axioms.dictatorial_swf,
+                  "constant": axioms.constant_swf}[args.swf]()
         orders = axioms.weak_orders(universe)
         profiles, mode = _profile_pool(orders, universe, args.agents, rng, args.seed)
         report = axioms.exhaustive_iia(handle, profiles)
@@ -369,11 +366,11 @@ def _cmd_audit_domain(args) -> int:
         domain = builder(universe)
     m = len(domain.universe)
     largest = min(axioms._AUDIT_SET_SIZE, m)
-    work = len(domain.matrices) * sum(math.comb(m, k) for k in range(1, largest + 1))
+    work = len(domain) * sum(math.comb(m, k) for k in range(1, largest + 1))
     if work > AUDIT_WORK_LIMIT:
         raise ValueError(
             f"the audit would check {work} (member, restriction set) pairs "
-            f"({len(domain.matrices)} members, {m} alternatives), more than "
+            f"({len(domain)} members, {m} alternatives), more than "
             f"the limit of {AUDIT_WORK_LIMIT}"
         )
     if args.conditions is not None:
@@ -394,7 +391,7 @@ def _cmd_audit_domain(args) -> int:
     if args.json:
         print(json.dumps({
             "domain": domain.name,
-            "members": len(domain.matrices),
+            "members": len(domain),
             "seed": args.seed,
             "conditions": [
                 {
@@ -410,7 +407,7 @@ def _cmd_audit_domain(args) -> int:
         }))
     else:
         print(f"Richness audit of domain '{domain.name}' "
-              f"({len(domain.matrices)} members):")
+              f"({len(domain)} members):")
         for r in report.results:
             line = (f"  {'PASS' if r.passed else 'FAIL'} {r.condition.value} "
                     f"({r.condition.name.lower()}) [{r.mode}]")

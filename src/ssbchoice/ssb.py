@@ -250,7 +250,11 @@ def restrict(phi: SSBMatrix, names: Iterable[str]) -> SSBMatrix:
 
 def is_pc(phi: SSBMatrix) -> bool:
     """Whether every entry lies in {-1, 0, 1}."""
-    return all(x in (-1, 0, 1) for row in phi.entries for x in row)
+    return _pc_rows(phi.entries)
+
+
+def _pc_rows(rows) -> bool:
+    return set().union(*rows) <= {-1, 0, 1}
 
 
 def is_dichotomous(relation: BaseRelation) -> bool:

@@ -74,6 +74,13 @@ class TestEnumerations:
         assert len(pc_matrices(ABC)) == 27
         assert len(pc_matrices(ABCD)) == 729
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_pc_domain_holds_the_pc_matrices_in_entry_order(self, m):
+        universe = Universe("abcde"[:m])
+        members = pc_matrices(universe)
+        assert members == sorted(members, key=lambda matrix: matrix.entries)
+        assert pc_domain(universe) == DomainDescription.of(universe, members, "pc")
+
     def test_profiles_over(self):
         orders = weak_orders(ABC)
         profiles = profiles_over(orders, 2, ABC)
@@ -226,6 +233,15 @@ class TestCheckAnonymity:
         verdict = check_anonymity(f, profile, permutation_limit=6, samples=10)
         assert verdict.passed and verdict.mode.startswith("sampled")
 
+    def test_relabeled_profiles_are_not_memoized(self):
+        f = pairwise_utilitarian_swf()
+        profile = Profile(ABCD, tuple(
+            weak_order(ABCD, list(order))
+            for order in ("abcd", "bcda", "cdab", "dabc")
+        ))
+        assert check_anonymity(f, profile).passed
+        assert list(f._cache) == [profile]
+
 
 class TestCheckPareto:
     def test_delegate_pair(self, table1_profile):
@@ -336,6 +352,19 @@ class TestRichness:
         report = audit_richness(domain, member_limit=150, seed=5)
         assert report.passed
 
+    def test_members_are_counted_and_looked_up_up_to_scale(self):
+        chain = pc_extension(weak_order(ABC, ["a", "b", "c"]))
+        graded = separable(UtilityVector.of(ABC, {"a": 2, "b": 1, "c": 0}))
+        domain = DomainDescription.of(
+            ABC, [chain, chain.scaled(3), graded, graded.scaled(Fraction(1, 2))]
+        )
+        assert len(domain.matrices) == 2
+        assert chain.scaled(Fraction(2, 7)) in domain
+        assert graded.scaled(5) in domain
+        assert normalize(graded) in domain
+        assert -chain not in domain
+        assert SSBMatrix.zero(ABC) not in domain
+
     def test_condition_parse(self):
         assert RichnessCondition.parse("r3") is RichnessCondition.INVERSION
         with pytest.raises(ValueError):
@@ -367,7 +396,7 @@ def r4_oracle(domain):
         for xs in subsets:
             key = (xs, normalize(restrict(candidate, xs)).entries)
             by_restriction.setdefault(key, []).append(candidate)
-    for index, member in enumerate(domain.sorted_members()):
+    for index, member in enumerate(domain.matrices):
         for xs in subsets:
             outside = [a for a in names if a not in xs]
             candidates = by_restriction[xs, normalize(restrict(member, xs)).entries]
@@ -454,7 +483,7 @@ def assert_matches_oracles(domain):
 def assert_sampled_r4_matches(domain, seed):
     """R4 on seeded samples of 1, half and all but one of the members agrees
     with the two-pass reference on the same sample."""
-    members = domain.sorted_members()
+    members = domain.matrices
     n = len(members)
     for limit in sorted({k for k in (1, n // 2, n - 1) if 0 < k < n}):
         (r4,) = audit_richness(
@@ -559,7 +588,7 @@ class TestRichnessAgainstOracles:
         (dichotomous_domain, ABCD, range(40)),
     ], ids=["pc-3", "pc-4", "dichotomous-4"])
     def test_r5_matches_oracle_on_subdomains(self, build, universe, seeds):
-        full = build(universe).sorted_members()
+        full = build(universe).matrices
         outcomes = set()
         for seed in seeds:
             rng = random.Random(seed)
@@ -625,6 +654,15 @@ class TestPCInclusion:
         report = pc_inclusion_check(domain)
         assert not report.all_pc
         assert report.witness is not None
+
+    def test_witness_is_the_smallest_non_pc_member(self):
+        up = separable(UtilityVector.of(ABC, {"a": 2, "b": 1, "c": 0}))
+        down = separable(UtilityVector.of(ABC, {"a": 0, "b": 1, "c": 2}))
+        domain = DomainDescription.of(ABC, [up, *pc_matrices(ABC), down])
+        report = pc_inclusion_check(domain)
+        assert not report.all_pc
+        assert report.witness == normalize(down)
+        assert report.witness.entries[0] == (0, Fraction(-1, 2), -1)
 
     def test_chain_orbit_inside(self, chain3_matrix):
         mappings = [

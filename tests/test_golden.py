@@ -159,6 +159,57 @@ Richness audit of domain '{path}' (1 members):
 pairwise-comparison class
 """
 
+# a chain, the same chain doubled, and a non-PC (graded) member
+SCALED_AND_GRADED = """\
+alternatives: a, b, c
+0 1 1
+-1 0 1
+-1 -1 0
+
+0 2 2
+-2 0 2
+-2 -2 0
+
+0 1 2
+-1 0 1
+-2 -1 0
+"""
+
+# "<path>" stands for the file's path
+AUDIT_SCALED_AND_GRADED = """\
+Richness audit of domain '<path>' (2 members):
+  FAIL R1 (neutrality) [exhaustive]: relabeling {'a': 'b', 'b': 'a', 'c': 'c'} \
+(the transposition generator) of a member leaves the domain
+  FAIL R2 (full_indifference) [exhaustive]: zero matrix (complete indifference) \
+missing
+  FAIL R3 (inversion) [exhaustive]: inverse of a member is missing
+  FAIL R4 (bottom_extension) [exhaustive]: no member matches a member on \
+('c',) while ranking ('c',) above a fresh alternative
+  NOTE pairwise-comparison inclusion: domain leaves the pairwise-comparison \
+class; if it is rich, no anonymous aggregation rule satisfies Pareto \
+optimality and independence of irrelevant alternatives on it
+"""
+
+AUDIT_SCALED_AND_GRADED_JSON = (
+    '{"domain": "<path>", "members": 2, "seed": 0, "conditions": ['
+    '{"condition": "R1", "name": "neutrality", "passed": false, '
+    '"mode": "exhaustive", "witness": "relabeling {\'a\': \'b\', \'b\': \'a\', '
+    '\'c\': \'c\'} (the transposition generator) of a member leaves the '
+    'domain"}, '
+    '{"condition": "R2", "name": "full_indifference", "passed": false, '
+    '"mode": "exhaustive", "witness": "zero matrix (complete indifference) '
+    'missing"}, '
+    '{"condition": "R3", "name": "inversion", "passed": false, '
+    '"mode": "exhaustive", "witness": "inverse of a member is missing"}, '
+    '{"condition": "R4", "name": "bottom_extension", "passed": false, '
+    '"mode": "exhaustive", "witness": "no member matches a member on '
+    '(\'c\',) while ranking (\'c\',) above a fresh alternative"}], '
+    '"pc_inclusion": {"all_pc": false, "message": "domain leaves the '
+    'pairwise-comparison class; if it is rich, no anonymous aggregation rule '
+    'satisfies Pareto optimality and independence of irrelevant alternatives '
+    'on it"}}\n'
+)
+
 GOLDEN = {
     "aggregate-table1": (("aggregate", TABLE1), AGGREGATE_TABLE1),
     "maximal-lottery-json-condorcet": (
@@ -231,4 +282,20 @@ def test_audit_of_a_zero_matrix_file_is_pinned(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == AUDIT_ZERO_FILE_4.format(path=path)
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ((), AUDIT_SCALED_AND_GRADED),
+    (("--json",), AUDIT_SCALED_AND_GRADED_JSON),
+], ids=["text", "json"])
+def test_audit_of_a_scaled_duplicate_and_a_non_pc_member_is_pinned(
+    capsys, tmp_path, flags, expected
+):
+    path = tmp_path / "scaled.matrices"
+    path.write_text(SCALED_AND_GRADED, encoding="utf-8")
+    code = main(["audit-domain", "--file", str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == expected.replace("<path>", str(path))
     assert captured.err == ""
