@@ -12,7 +12,8 @@ Ballot files declare a universe and then one line per ballot group:
 Counts are positive integers.  A line is stored once, as one run of
 that many identical agents, so a count costs the same at any size.
 Alternatives a weak order leaves out drop to a shared bottom tier; `util`
-values omitted default to 0.  `#` starts a comment anywhere.
+values omitted default to 0.  A keyword counts only as a whole token, so
+`utility > b` is a weak order.  `#` starts a comment anywhere.
 
 Proposal files map each alternative to a column of exact shares:
 
@@ -20,7 +21,8 @@ Proposal files map each alternative to a column of exact shares:
     Education: 40% 30% 20% 10%
 
 Columns must each sum to exactly 1 (shares may be given as `40%`,
-`2/5`, or `0.4`; all parse exactly).
+`2/5`, or `0.4`; all parse exactly), and department names must be
+non-empty and distinct.
 
 Every rational literal, in ballots, proposals and matrix files, may carry
 a decimal exponent (`1e3`) of at most `MAX_EXPONENT` in magnitude: an
@@ -47,6 +49,8 @@ from .ssb import SSBMatrix
 
 _NAME_RE = re.compile(r"^[^\s>={},:#]+$")
 _DECLARATION_KEYWORDS = ("universe", "alternatives")
+# a ballot keyword only as a whole token: `utility > b` is a weak order
+_BALLOT_KEYWORD_RE = re.compile(r"approve(?=[\s{]|$)|(?:util|edges)(?=\s|$)")
 MAX_EXPONENT = 1000
 MAX_ALTERNATIVES = 256
 _EXPONENT_RE = re.compile(r"[eE][-+]?[0_]*(\d[\d_]*)?")
@@ -130,7 +134,9 @@ def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
 def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
     stripped = body.strip()
     pad = base + (len(body) - len(body.lstrip()))
-    if stripped.startswith("approve"):
+    match = _BALLOT_KEYWORD_RE.match(stripped)
+    keyword = match.group() if match else None
+    if keyword == "approve":
         match = re.match(r"approve\s*\{(.*)\}\s*$", stripped)
         if not match:
             raise ParseError("expected 'approve { names }'", lineno, pad + 1)
@@ -143,7 +149,7 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
             raise ParseError("duplicate alternative in approval set", lineno, pad + 1)
         tiers = [approved] if approved else [universe.names]
         return weak_order(universe, tiers)
-    if stripped.startswith("util"):
+    if keyword == "util":
         values: dict[str, Fraction] = {}
         inner = body[body.index("util") + 4 :]
         inner_base = base + body.index("util") + 4
@@ -161,7 +167,7 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
                 raise ParseError(f"duplicate utility for {name!r}", lineno, name_col)
             values[name] = _parse_rational(value, lineno, value_col)
         return UtilityVector.of(universe, values)
-    if stripped.startswith("edges"):
+    if keyword == "edges":
         inner = body[body.index("edges") + 5 :]
         inner_base = base + body.index("edges") + 5
         strict: set[tuple[int, int]] = set()
@@ -308,6 +314,7 @@ def _parse_share(token: str, lineno: int, column: int) -> Fraction:
 def parse_proposals(text: str) -> ProposalMatrix:
     universe: Universe | None = None
     departments: list[str] = []
+    seen: set[str] = set()
     rows: list[tuple[Fraction, ...]] = []
     first_line = 1
     for lineno, line in _significant_lines(text):
@@ -328,7 +335,13 @@ def parse_proposals(text: str) -> ProposalMatrix:
             raise ParseError(
                 f"{len(values)} shares for {len(universe)} alternatives", lineno
             )
-        departments.append(name.strip())
+        department, column = name.strip(), len(name) - len(name.lstrip()) + 1
+        if not department:
+            raise ParseError("empty department name", lineno, column)
+        if department in seen:
+            raise ParseError(f"duplicate department {department!r}", lineno, column)
+        seen.add(department)
+        departments.append(department)
         rows.append(tuple(v for v, _ in values))
     if universe is None:
         raise ParseError("no alternatives declaration found", 1)

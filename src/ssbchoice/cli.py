@@ -45,68 +45,74 @@ AUDIT_WORK_LIMIT = 2_000_000
 MAX_SOLVE_ALTERNATIVES = 48
 # cycle-witness compares all pairs of m + C(m, 2) * sum_{d=2..D} phi(d) lotteries
 MAX_GRID_LOTTERIES = 1500
-# check-axioms work and memory grow linearly in --agents and --samples; at
-# m=6, 50 agents and 500 samples took 9.9 s and 134 MiB, 6 agents (relabeled
-# all 720 ways) and 500 samples 27 s and 72 MiB; 2000 agents at m=3 took 60 s
+# check-axioms work grows linearly in --samples, and in --agents only above 6:
+# up to 6 agents the anonymity check relabels each profile all n! ways, so 6 is
+# the slowest count within the limit.  At m=6 and 500 samples, 6 agents took
+# 27 s and 72 MiB, 50 agents 9.9 s and 134 MiB; 2000 agents at m=3 took 60 s
 MAX_AXIOM_AGENTS = 50
 MAX_AXIOM_SAMPLES = 500
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The CLI parser; only the subcommands named in argv get their arguments.
+
+    argparse takes a subcommand only as one exact token, so any other one stays
+    a bare name and help line: usage and error texts still list all six.
+    """
     parser = argparse.ArgumentParser(
         prog="ssbchoice",
         description="Exact social choice: pairwise aggregation, maximal "
         "lotteries, budget mapping, and axiom audits.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int, default=0, metavar="S",
-                        help="seed for sampled checks (recorded in reports)")
-    solving = argparse.ArgumentParser(add_help=False, parents=[common])
-    solving.add_argument("--max-enum", type=int, default=0, metavar="M",
-                         help="also list the maximal set's vertices when there are "
-                         "at most M alternatives (exponential; 0..10, default 0: "
-                         "never)")
     sub = parser.add_subparsers(dest="command", required=True)
+    named = set(argv)
 
-    p = sub.add_parser("aggregate", parents=[common],
-                       help="print the collective matrix of a ballot file")
-    p.add_argument("ballots")
+    def command(name: str, help: str, *shared: str):
+        """The subparser with --json and the shared flags; None if argv lacks it."""
+        p = sub.add_parser(name, help=help, add_help=name in named)
+        if not p.add_help:
+            return None
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if "--seed" in shared:
+            p.add_argument("--seed", type=int, default=0, metavar="S",
+                           help="seed for sampled checks (recorded in reports)")
+        if "--max-enum" in shared:
+            p.add_argument("--max-enum", type=int, default=0, metavar="M", help=(
+                "also list the maximal set's vertices when there are at most M "
+                "alternatives (exponential; 0..10, default 0: never)"))
+        return p
 
-    p = sub.add_parser("maximal-lottery", parents=[solving],
-                       help="solve for a collectively maximal lottery")
-    p.add_argument("ballots")
-
-    p = sub.add_parser("budget", parents=[solving],
-                       help="maximal lottery mapped through a proposal matrix")
-    p.add_argument("ballots")
-    p.add_argument("proposals")
-
-    p = sub.add_parser("check-axioms", parents=[seeded],
-                       help="run axiom checks against an aggregation rule")
-    p.add_argument("--swf", default="pairwise-utilitarian",
-                   choices=["pairwise-utilitarian", "approval",
-                            "relative-utilitarian", "dictatorial", "constant"])
-    p.add_argument("--alternatives", type=int, default=3, metavar="M")
-    p.add_argument("--agents", type=int, default=2, metavar="N")
-    p.add_argument("--samples", type=int, default=200, metavar="K")
-
-    p = sub.add_parser("audit-domain", parents=[seeded],
-                       help="audit richness conditions of a preference domain")
-    p.add_argument("--domain", default="pc",
-                   choices=["pc", "pc-transitive", "dichotomous"])
-    p.add_argument("--alternatives", type=int, default=4, metavar="M")
-    p.add_argument("--file", help="matrix file defining the domain members")
-    p.add_argument("--conditions",
-                   help="comma-separated subset of R1,R2,R3,R4,R5")
-    p.add_argument("--member-limit", type=int, default=2000,
-                   help="exhaustive below this domain size, sampled above")
-
-    p = sub.add_parser("cycle-witness", parents=[common],
-                       help="search grid lotteries for a collective preference cycle")
-    p.add_argument("ballots")
-    p.add_argument("--max-denominator", type=int, default=5)
+    if p := command("aggregate", "print the collective matrix of a ballot file"):
+        p.add_argument("ballots")
+    if p := command("maximal-lottery", "solve for a collectively maximal lottery",
+                    "--max-enum"):
+        p.add_argument("ballots")
+    if p := command("budget", "maximal lottery mapped through a proposal matrix",
+                    "--max-enum"):
+        p.add_argument("ballots")
+        p.add_argument("proposals")
+    if p := command("check-axioms", "run axiom checks against an aggregation rule",
+                    "--seed"):
+        p.add_argument("--swf", default="pairwise-utilitarian",
+                       choices=["pairwise-utilitarian", "approval",
+                                "relative-utilitarian", "dictatorial", "constant"])
+        p.add_argument("--alternatives", type=int, default=3, metavar="M")
+        p.add_argument("--agents", type=int, default=2, metavar="N")
+        p.add_argument("--samples", type=int, default=200, metavar="K")
+    if p := command("audit-domain", "audit richness conditions of a preference domain",
+                    "--seed"):
+        p.add_argument("--domain", default="pc",
+                       choices=["pc", "pc-transitive", "dichotomous"])
+        p.add_argument("--alternatives", type=int, default=4, metavar="M")
+        p.add_argument("--file", help="matrix file defining the domain members")
+        p.add_argument("--conditions",
+                       help="comma-separated subset of R1,R2,R3,R4,R5")
+        p.add_argument("--member-limit", type=int, default=2000,
+                       help="exhaustive below this domain size, sampled above")
+    if p := command("cycle-witness",
+                    "search grid lotteries for a collective preference cycle"):
+        p.add_argument("ballots")
+        p.add_argument("--max-denominator", type=int, default=5)
 
     return parser
 
@@ -470,7 +476,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, ValueError, KeyError, OSError) as exc:

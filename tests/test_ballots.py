@@ -73,6 +73,34 @@ class TestParseBallots:
         text = "# heading\n\nuniverse: a, b  # trailing\n1: a > b\n"
         assert parse_ballots(text).n == 1
 
+    @pytest.mark.parametrize("text, tiers", [
+        ("universe: utility, b, c\n3: utility > b > c\n",
+         (("utility",), ("b",), ("c",))),
+        ("universe: approver, b, edgeworth\n2: approver > b = edgeworth\n",
+         (("approver",), ("b", "edgeworth"))),
+        ("universe: edges2, util_a\n1: edges2 = util_a\n", (("edges2", "util_a"),)),
+        ("universe: approved, b\n1: approved\n", (("approved",), ("b",))),
+    ])
+    def test_keyword_prefixed_names_are_weak_orders(self, text, tiers):
+        agent = parse_ballots(text).agents[0]
+        assert isinstance(agent, BaseRelation)
+        assert agent.tiers() == tiers
+
+    def test_keywords_are_whole_tokens(self):
+        profile = parse_ballots(
+            "universe: a, b\n1: approve{a}\n1: util\ta=1\n1: edges b>a\n1: edges\n"
+        )
+        approve, util, edges, empty = profile.agents
+        assert approve.tiers() == (("a",), ("b",))
+        assert util.values == (1, 0)
+        assert edges.prefers("b", "a")
+        assert empty.strict == frozenset()
+
+    def test_a_name_equal_to_a_keyword_reads_as_the_keyword(self):
+        # documented ambiguity: `util > b` starts a utility ballot
+        with pytest.raises(ParseError, match="name=value"):
+            parse_ballots("universe: util, b\n1: util > b\n")
+
 
 class TestParseErrors:
     def test_unknown_alternative_with_location(self):
@@ -207,6 +235,16 @@ class TestProposals:
         bad = "alternatives: A, B\nx: 50% 50%\ny: 40% 50%\n"
         with pytest.raises(ParseError, match="sums to"):
             parse_proposals(bad)
+
+    @pytest.mark.parametrize("text, message, column", [
+        ("alternatives: A, B\nroads: 50% 50%\n  roads: 50% 50%\n",
+         "duplicate department 'roads'", 3),
+        ("alternatives: A, B\nroads: 50% 50%\n : 50% 50%\n", "empty department name", 2),
+    ])
+    def test_department_names_are_distinct_and_nonempty(self, text, message, column):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_proposals(text)
+        assert (err.value.line, err.value.column) == (3, column)
 
     def test_share_formats(self):
         text = "alternatives: A, B\nrow1: 2/5 0.5\nrow2: 60% 1/2\n"

@@ -353,6 +353,15 @@ class TestErrorHandling:
         )
         assert code == 2
 
+    def test_duplicate_departments_exit_2(self, capsys, tmp_path):
+        # a JSON allocation keyed by department would keep only one of them
+        path = tmp_path / "twice.proposals"
+        path.write_text("alternatives: A, B, C, D\nroads: 50% 50% 50% 50%\n"
+                        "roads: 50% 50% 50% 50%\n", encoding="utf-8")
+        code, out, err = run(capsys, "budget", FIXTURES / "table1.ballots", path, "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: line 3, column 1: duplicate department 'roads'\n"
+
     @pytest.mark.parametrize("argv", [
         ["aggregate", FIXTURES / "table1.ballots", "--seed", 1],
         ["cycle-witness", FIXTURES / "chain3.ballots", "--max-enum", 3],
