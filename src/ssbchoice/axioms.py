@@ -31,6 +31,7 @@ from .model import (
     Lottery,
     Profile,
     Universe,
+    UniverseMismatchError,
     UtilityVector,
     weak_order,
 )
@@ -193,7 +194,9 @@ def check_anonymity(
     """Whether renaming agents ever changes the output matrix (entrywise)."""
     base = f(profile)
     if profile.n <= permutation_limit:
-        perms: Iterable[tuple[int, ...]] = itertools.permutations(range(profile.n))
+        # the identity, always first, relabels nothing: it is skipped
+        perms: Iterable[tuple[int, ...]] = itertools.islice(
+            itertools.permutations(range(profile.n)), 1, None)
         mode = "exhaustive"
     else:
         rng = random.Random(seed)
@@ -217,6 +220,22 @@ class ParetoVerdict:
     weak_cases: int
 
 
+def pareto_pairs(
+    universe: Universe, samples: int = 200, seed: int = 0
+) -> list[tuple[Lottery, Lottery]]:
+    """All ordered pure pairs, then `samples` pairs of random lotteries drawn
+    with `seed`: the pairs `check_pareto` checks by default.  A caller that
+    checks many profiles over one universe builds them once."""
+    rng = random.Random(seed)
+    pure = [universe.pure(n) for n in universe.names]
+    pairs = [(p, q) for p in pure for q in pure]
+    pairs += [
+        (random_lottery(rng, universe), random_lottery(rng, universe))
+        for _ in range(samples)
+    ]
+    return pairs
+
+
 def check_pareto(
     f: SWFHandle,
     profile: Profile,
@@ -227,18 +246,12 @@ def check_pareto(
     """Unanimity must be respected: strict dominance forces strict collective
     preference, unanimous indifference forces collective indifference.
 
-    Checks the supplied lottery pairs, or by default all pure pairs plus
-    seeded random pairs.  Reports the first counterexample.
+    Checks the supplied lottery pairs, or by default
+    `pareto_pairs(profile.universe, samples, seed)`.  Reports the first
+    counterexample.
     """
     if pairs is None:
-        rng = random.Random(seed)
-        universe = profile.universe
-        pure = [universe.pure(n) for n in universe.names]
-        pairs = [(p, q) for p in pure for q in pure]
-        pairs += [
-            (random_lottery(rng, universe), random_lottery(rng, universe))
-            for _ in range(samples)
-        ]
+        pairs = pareto_pairs(profile.universe, samples, seed)
     collective = f(profile)
     checked = strict_cases = weak_cases = 0
     for p, q in pairs:
@@ -302,19 +315,25 @@ def exhaustive_iia(
     restriction set x, groups the profiles by their hypothesis signature
     on x.  A pair in different groups is vacuous; a pair in one group
     violates IIA iff its conclusion signatures on x differ, so only groups
-    whose conclusions differ are searched.  The first `max_violations`
-    violations are reported in (i, j, subset) order, the order of the
-    pairwise loop over profile i, then profile j, then restriction set.
+    whose conclusions differ are searched.  A one-alternative set is
+    skipped: every matrix restricts to [[0]] there, so with one agent
+    count throughout, each of its pairs holds its hypothesis and its
+    conclusion.  The first `max_violations` violations are reported in
+    (i, j, subset) order, the order of the pairwise loop over profile i,
+    then profile j, then restriction set.
     """
     universe = profiles[0].universe
+    if len({profile.n for profile in profiles}) > 1:
+        raise ValueError("profiles must share their agent count")
     if subsets is None:
         subsets = restriction_sets(universe)
     subsets = tuple(tuple(x) for x in subsets)
-    hyp, con = _signature_tables(f, profiles, subsets)
+    live = [x for x, names in enumerate(subsets) if len(names) > 1]
+    hyp, con = _signature_tables(f, profiles, [subsets[x] for x in live])
     n = len(profiles)
     vacuous = 0
     suspects: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
-    for x in range(len(subsets)):
+    for x in range(len(live)):
         groups: dict = {}
         for i in range(n):
             groups.setdefault(hyp[i][x], []).append(i)
@@ -333,7 +352,7 @@ def exhaustive_iia(
             for j in g
             if con[j][x] != con[i][x]
         )
-        violations += ((i, j, subsets[x]) for j, x in hits)
+        violations += ((i, j, subsets[live[x]]) for j, x in hits)
     return IIASuiteReport(
         n * n * len(subsets), vacuous, tuple(violations[:max_violations])
     )
@@ -716,19 +735,40 @@ def random_lottery(rng: random.Random, universe: Universe, max_weight: int = 8) 
     return Lottery(universe, tuple(Fraction(w, total) for w in weights))
 
 
-def _ranked(universe: Universe, rank: Sequence[int]) -> BaseRelation:
-    """The weak order in which a beats b iff rank[a] < rank[b]."""
-    m = len(rank)
-    return BaseRelation(
-        universe,
-        frozenset((a, b) for a in range(m) for b in range(m) if rank[a] < rank[b]),
-    )
+def _ranked(universe: Universe, rank: Sequence[int], table: dict) -> BaseRelation:
+    """The weak order in which a beats b iff rank[a] < rank[b], from `table`.
+
+    `table` maps the rank pattern (each level renumbered by its place
+    among the distinct levels) to its weak order over `universe`; a miss
+    builds the order and stores it, so rank vectors that yield the same
+    weak order yield one object.  One table serves one universe.
+    """
+    levels = sorted(set(rank))
+    pattern = tuple([levels.index(r) for r in rank])
+    order = table.get(pattern)
+    if order is None:
+        m = len(rank)
+        order = table[pattern] = BaseRelation(
+            universe,
+            frozenset((a, b) for a in range(m) for b in range(m) if rank[a] < rank[b]),
+        )
+    elif order.universe is not universe and order.universe != universe:
+        raise UniverseMismatchError("weak-order table was filled over another universe")
+    return order
 
 
-def random_weak_order(rng: random.Random, universe: Universe) -> BaseRelation:
-    """Each alternative draws a level in range(m); lower levels rank higher."""
+def random_weak_order(
+    rng: random.Random, universe: Universe, table: dict | None = None
+) -> BaseRelation:
+    """Each alternative draws a level in range(m); lower levels rank higher.
+
+    The order comes from `table` (see `_ranked`), which the caller owns
+    and keeps for as long as it wants equal orders to be one object; by
+    default a fresh table, which lives for this call only.
+    """
     m = len(universe)
-    return _ranked(universe, [rng.randrange(m) for _ in range(m)])
+    return _ranked(universe, [rng.randrange(m) for _ in range(m)],
+                   {} if table is None else table)
 
 
 def random_relation(rng: random.Random, universe: Universe) -> BaseRelation:
@@ -757,14 +797,27 @@ def random_ssb_matrix(rng: random.Random, universe: Universe, max_abs: int = 4) 
 
 
 def random_pc_profile(
-    rng: random.Random, universe: Universe, n: int, transitive: bool = True
+    rng: random.Random,
+    universe: Universe,
+    n: int,
+    transitive: bool = True,
+    table: dict | None = None,
 ) -> Profile:
-    maker = random_weak_order if transitive else random_relation
-    return Profile(universe, tuple(maker(rng, universe) for _ in range(n)))
+    """n agents drawn by `random_weak_order` from `table` (a fresh one,
+    living for this call, by default), or by `random_relation`."""
+    if not transitive:
+        return Profile(universe, tuple(random_relation(rng, universe) for _ in range(n)))
+    table = {} if table is None else table
+    return Profile(universe, tuple(random_weak_order(rng, universe, table)
+                                   for _ in range(n)))
 
 
 def unanimity_case(
-    rng: random.Random, universe: Universe, n: int, strict: bool
+    rng: random.Random,
+    universe: Universe,
+    n: int,
+    strict: bool,
+    table: dict | None = None,
 ) -> tuple[Profile, Lottery, Lottery]:
     """A profile plus a lottery pair with unanimity built in.
 
@@ -772,7 +825,9 @@ def unanimity_case(
     between them leaves everyone exactly indifferent); in the strict
     variant one agent instead ranks x above y, and the pair is supported
     on {x, y} only, which makes that agent strictly better off under the
-    shift and everyone else indifferent.
+    shift and everyone else indifferent.  The agents' weak orders come
+    from `table` as in `random_weak_order`: the caller's, shared across
+    calls over one universe, or by default a fresh one for this call.
     """
     m = len(universe)
     x, y = rng.sample(range(m), 2)
@@ -798,11 +853,11 @@ def unanimity_case(
     if strict:
         winner = rng.randrange(n)
         ranks[winner][x] -= 1
-        share = Fraction(rng.randint(1, 3), 4)
+        k = rng.randint(1, 3)
         probs = [Fraction(0)] * m
-        probs[x], probs[y] = share, 1 - share
+        probs[x], probs[y] = Fraction(k, 4), Fraction(4 - k, 4)
         p = Lottery(universe, tuple(probs))
-        probs[x], probs[y] = share - Fraction(1, 4), 1 - share + Fraction(1, 4)
+        probs[x], probs[y] = Fraction(k - 1, 4), Fraction(5 - k, 4)
         q = Lottery(universe, tuple(probs))
     else:
         p = random_lottery(rng, universe)
@@ -811,4 +866,5 @@ def unanimity_case(
         probs[x] += delta
         probs[y] -= delta
         q = Lottery(universe, tuple(probs))
-    return Profile(universe, tuple(_ranked(universe, rank) for rank in ranks)), p, q
+    table = {} if table is None else table
+    return Profile(universe, tuple(_ranked(universe, rank, table) for rank in ranks)), p, q

@@ -282,8 +282,9 @@ def _cmd_check_axioms(args) -> int:
             f"{report.checked} checks, {report.vacuous} vacuous, "
             f"{len(report.violations)} violations",
         ))
+        pairs = axioms.pareto_pairs(universe, samples=20, seed=args.seed)
         for profile in profiles[: args.samples]:
-            pareto = axioms.check_pareto(handle, profile, samples=20, seed=args.seed)
+            pareto = axioms.check_pareto(handle, profile, pairs=pairs)
             if not pareto.passed:
                 checks.append(("Pareto optimality", False, "counterexample found"))
                 break
@@ -306,9 +307,12 @@ def _cmd_check_axioms(args) -> int:
             report.passed,
             detail,
         ))
+        table: dict = {}  # one object per weak order the samples draw
         anon_fail = None
         for _ in range(args.samples):
-            profile = axioms.random_pc_profile(rng, universe, max(2, args.agents))
+            profile = axioms.random_pc_profile(
+                rng, universe, max(2, args.agents), table=table
+            )
             verdict = axioms.check_anonymity(handle, profile)
             if not verdict.passed:
                 anon_fail = verdict
@@ -323,7 +327,7 @@ def _cmd_check_axioms(args) -> int:
         for _ in range(args.samples):
             strict = rng.random() < 0.5
             profile, p, q = axioms.unanimity_case(
-                rng, universe, max(2, args.agents), strict
+                rng, universe, max(2, args.agents), strict, table
             )
             verdict = axioms.check_pareto(handle, profile, pairs=[(p, q)])
             if not verdict.passed:

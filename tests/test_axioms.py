@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssbchoice import (
+    BaseRelation,
     Lottery,
     Profile,
     SSBMatrix,
     Universe,
+    UniverseMismatchError,
     UtilityVector,
     WeightVector,
     affine_utilitarian,
@@ -17,10 +19,12 @@ from ssbchoice import (
     pc_extension,
     restrict,
     separable,
+    utilitarian,
     weak_order,
 )
 from ssbchoice.axioms import (
     DomainDescription,
+    _ranked,
     RichnessCondition,
     SWFHandle,
     approval_swf,
@@ -35,6 +39,7 @@ from ssbchoice.axioms import (
     exhaustive_iia,
     intensity_flip_fixture,
     pairwise_utilitarian_swf,
+    pareto_pairs,
     pc_domain,
     pc_inclusion_check,
     pc_matrices,
@@ -189,6 +194,42 @@ class TestExhaustiveIIA:
             assert report.vacuous == vacuous
             assert report.violations == tuple(violations[:cap])
 
+    def test_skipped_one_alternative_sets_match_the_full_sweep(self):
+        # Borda scores violate IIA: the full check_iia sweep, one-alternative
+        # sets included, must match the report pair by pair
+        def borda(profile):
+            m = len(profile.universe)
+            score = [0] * m
+            for agent in profile.agents:
+                for a, _ in agent.strict:
+                    score[a] += 1
+            return SSBMatrix(profile.universe, tuple(
+                tuple(score[a] - score[b] for b in range(m)) for a in range(m)))
+
+        for seed in range(3):
+            rng = random.Random(seed)
+            profiles = [random_pc_profile(rng, ABCD, 2) for _ in range(14)]
+            f = SWFHandle("borda", borda)
+            checked = vacuous = 0
+            violations = []
+            for i, r1 in enumerate(profiles):
+                for j, r2 in enumerate(profiles):
+                    for x in restriction_sets(ABCD):
+                        verdict = check_iia(f, r1, r2, x)
+                        checked += 1
+                        vacuous += verdict.vacuous
+                        if not verdict.passed:
+                            violations.append((i, j, x))
+            assert violations
+            report = exhaustive_iia(f, profiles, max_violations=len(violations))
+            assert (report.checked, report.vacuous) == (checked, vacuous)
+            assert report.violations == tuple(violations)
+
+    def test_profiles_must_share_agent_count(self):
+        one = Profile(ABC, (weak_order(ABC, ["a"]),))
+        with pytest.raises(ValueError):
+            exhaustive_iia(pairwise_utilitarian_swf(), [one, Profile(ABC, one.agents * 2)])
+
     def test_sampled_four_alternative_profiles_clean(self):
         # 75^2 two-agent weak-order profiles is too many to sweep in CI;
         # a seeded sample of profiles is swept exhaustively instead
@@ -225,6 +266,21 @@ class TestCheckAnonymity:
         f = dictatorial_swf()
         profile = Profile(ABC, (weak_order(ABC, ["a", "b", "c"]),))
         assert check_anonymity(f, profile).passed
+
+    @pytest.mark.parametrize("n, relabelings", [(1, 0), (2, 1), (3, 5), (4, 23)])
+    def test_identity_is_not_relabeled(self, n, relabelings):
+        class CountingMemo(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
+        f = SWFHandle("pairwise-utilitarian", utilitarian, CountingMemo())
+        profile = Profile(ABC, tuple(weak_orders(ABC)[:n]))
+        assert check_anonymity(f, profile).passed
+        # one lookup for the profile itself, one per relabeled profile
+        assert f._cache.lookups == 1 + relabelings
 
     def test_large_profiles_sampled(self):
         rng = random.Random(9)
@@ -271,6 +327,20 @@ class TestCheckPareto:
         profile = Profile(ABC, (weak_order(ABC, [ABC.names]),) * 3)
         verdict = check_pareto(constant_swf(), profile, samples=50)
         assert verdict.passed and verdict.strict_cases == 0
+
+    def test_default_pairs_are_pareto_pairs(self):
+        pairs = pareto_pairs(ABC, samples=30, seed=4)
+        assert len(pairs) == 9 + 30
+        assert pairs == pareto_pairs(ABC, samples=30, seed=4)
+        muted = SWFHandle(
+            "zero-weight-on-1",
+            lambda r: affine_utilitarian(r, WeightVector((0, 1))),
+        )
+        profile = Profile(ABC, (weak_order(ABC, ["a", "b", "c"]),
+                                weak_order(ABC, [ABC.names])))
+        for f in (muted, pairwise_utilitarian_swf()):
+            assert check_pareto(f, profile, samples=30, seed=4) \
+                == check_pareto(f, profile, pairs=pairs)
 
     def test_unanimity_cases_have_expected_structure(self):
         from ssbchoice import ParetoDominance, pareto_relation
@@ -772,3 +842,67 @@ class TestSeededInstancesPinned:
                     assert profile.agents == want_profile.agents
                     assert (p, q) == (want_p, want_q)
                     assert rng.random() == ref.random()
+
+
+def _fresh_ranked(universe, rank):
+    """The weak order of a rank vector, built as a new object."""
+    m = len(rank)
+    return BaseRelation(universe, frozenset(
+        (a, b) for a in range(m) for b in range(m) if rank[a] < rank[b]))
+
+
+class TestWeakOrderTable:
+    def test_equal_rank_patterns_share_one_object(self):
+        table = {}
+        first = _ranked(ABCD, [0, 0, 2, 1], table)
+        assert _ranked(ABCD, [3, 3, 9, 5], table) is first
+        assert _ranked(ABCD, [1, 1, 3, 2], table) is first
+        assert _ranked(ABCD, [0, 1, 2, 1], table) is not first
+        assert len(table) == 2
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_every_rank_vector_yields_its_weak_order(self, m):
+        universe = Universe(tuple(chr(ord("a") + i) for i in range(m)))
+        table = {}
+        for rank in itertools.product(range(m), repeat=m):
+            want = _fresh_ranked(universe, rank)
+            assert _ranked(universe, rank, {}) == want
+            assert _ranked(universe, rank, table) == want
+        # one entry per weak order: the rank vectors cover them all
+        assert len(table) == len(weak_orders(universe))
+
+    def test_one_entry_per_distinct_drawn_order(self):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            table = {}
+            drawn = [random_weak_order(rng, ABCD, table) for _ in range(30)]
+            ranks = {tuple(ref.randrange(4) for _ in range(4)) for _ in range(30)}
+            assert len(table) == len(set(drawn)) <= len(ranks)
+            for a in drawn:
+                for b in drawn:
+                    assert (a is b) == (a == b)
+
+    def test_shared_table_changes_no_draw(self):
+        for seed in range(30):
+            rng, ref = random.Random(seed), random.Random(seed)
+            table = {}
+            for _ in range(4):
+                n = rng.randint(1, 4)
+                assert n == ref.randint(1, 4)
+                profile = random_pc_profile(rng, ABCD, n, table=table)
+                assert profile == random_pc_profile(ref, ABCD, n)
+                strict = rng.random() < 0.5
+                assert strict == (ref.random() < 0.5)
+                case = unanimity_case(rng, ABCD, n, strict, table)
+                assert case == unanimity_case(ref, ABCD, n, strict)
+                # every agent drawn is the table's object for its order
+                entries = {id(order) for order in table.values()}
+                assert all(id(agent) in entries
+                           for agent, _ in profile.runs + case[0].runs)
+            assert rng.random() == ref.random()
+
+    def test_table_serves_one_universe(self):
+        table = {}
+        _ranked(ABC, [0, 1, 2], table)
+        with pytest.raises(UniverseMismatchError):
+            _ranked(Universe(("x", "y", "z")), [0, 1, 2], table)

@@ -210,6 +210,85 @@ AUDIT_SCALED_AND_GRADED_JSON = (
     'on it"}}\n'
 )
 
+# The eight argv forms the benchmark's axiom-lab workload runs, copied
+# from its command table, each at --seed 424242.  The three audit-domain
+# outputs do not depend on the seed: pc and dichotomous are pinned above.
+AXIOM_LAB_UTILITARIAN_2 = """\
+Axiom checks for pairwise-utilitarian (seed 424242):
+  PASS IIA over 169^2 weak-order profile pairs (exhaustive): 199927 checks, \
+103632 vacuous, 0 violations
+  PASS anonymity over 200 sampled profiles (seed 424242): no violation
+  PASS Pareto optimality over 200 unanimity cases (seed 424242): no violation
+"""
+
+AXIOM_LAB_UTILITARIAN_3 = """\
+Axiom checks for pairwise-utilitarian (seed 424242):
+  PASS IIA over 400^2 weak-order profile pairs (sampled(400, seed=424242)): \
+1120000 checks, 618434 vacuous, 0 violations
+  PASS anonymity over 200 sampled profiles (seed 424242): no violation
+  PASS Pareto optimality over 200 unanimity cases (seed 424242): no violation
+"""
+
+AXIOM_LAB_APPROVAL = """\
+Axiom checks for approval (seed 424242):
+  PASS IIA exhaustive over 49^2 dichotomous profile pairs: 16807 checks, \
+8688 vacuous, 0 violations
+  PASS Pareto optimality (sampled profiles): no violation
+"""
+
+AXIOM_LAB_DICTATORIAL = """\
+Axiom checks for dictatorial (seed 424242):
+  PASS IIA over 169^2 weak-order profile pairs (exhaustive): 199927 checks, \
+103632 vacuous, 0 violations
+  FAIL anonymity over 200 sampled profiles (seed 424242): witness permutation (1, 0)
+  FAIL Pareto optimality over 200 unanimity cases (seed 424242): counterexample found
+"""
+
+AXIOM_LAB_RELATIVE_UTILITARIAN = """\
+Axiom checks for relative-utilitarian (seed 424242):
+  FAIL IIA on the intensity-flip fixture, restriction ('a', 'b'): hypothesis \
+held and collective preferences changed
+"""
+
+AXIOM_LAB_PC_TRANSITIVE_4 = """\
+Richness audit of domain 'pc-transitive' (75 members):
+  PASS R1 (neutrality) [exhaustive]
+  PASS R2 (full_indifference) [exhaustive]
+  PASS R3 (inversion) [exhaustive]
+  PASS R4 (bottom_extension) [exhaustive]
+  PASS pairwise-comparison inclusion: domain lies inside the \
+pairwise-comparison class
+"""
+
+AXIOM_LAB = {
+    "utilitarian-2": (
+        ("check-axioms", "--swf", "pairwise-utilitarian", "--agents", "2"),
+        AXIOM_LAB_UTILITARIAN_2,
+    ),
+    "utilitarian-3": (
+        ("check-axioms", "--swf", "pairwise-utilitarian", "--agents", "3"),
+        AXIOM_LAB_UTILITARIAN_3,
+    ),
+    "approval": (("check-axioms", "--swf", "approval"), AXIOM_LAB_APPROVAL),
+    "dictatorial": (
+        ("check-axioms", "--swf", "dictatorial"), AXIOM_LAB_DICTATORIAL, 1,
+    ),
+    "relative-utilitarian": (
+        ("check-axioms", "--swf", "relative-utilitarian"),
+        AXIOM_LAB_RELATIVE_UTILITARIAN,
+        1,
+    ),
+    "pc": (("audit-domain", "--domain", "pc", "--alternatives", "4"), AUDIT_PC_4),
+    "pc-transitive": (
+        ("audit-domain", "--domain", "pc-transitive", "--alternatives", "4"),
+        AXIOM_LAB_PC_TRANSITIVE_4,
+    ),
+    "dichotomous": (
+        ("audit-domain", "--domain", "dichotomous", "--alternatives", "4"),
+        AUDIT_DICHOTOMOUS_4,
+    ),
+}
+
 GOLDEN = {
     "aggregate-table1": (("aggregate", TABLE1), AGGREGATE_TABLE1),
     "maximal-lottery-json-condorcet": (
@@ -261,6 +340,8 @@ GOLDEN = {
         ("audit-domain", "--domain", "dichotomous", "--alternatives", "4"),
         AUDIT_DICHOTOMOUS_4,
     ),
+    **{f"axiom-lab-{key}": ((*argv, "--seed", "424242"), *rest)
+       for key, (argv, *rest) in AXIOM_LAB.items()},
 }
 
 
