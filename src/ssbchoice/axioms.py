@@ -33,6 +33,8 @@ from .model import (
     Universe,
     UniverseMismatchError,
     UtilityVector,
+    ranked_order,
+    same_universe,
     weak_order,
 )
 from .ssb import (
@@ -165,16 +167,13 @@ def check_iia(
     over `names` coincide across the two profiles.  Conclusion: so do the
     collective preferences.  Both sides are decided by signature equality
     (exact, complete for SSB relations); a failed hypothesis passes
-    vacuously.
+    vacuously.  Decided by `exhaustive_iia` over the pair and `names`.
     """
     if r1.universe != r2.universe or r1.n != r2.n:
         raise ValueError("profiles must share universe and agent count")
     x = r1.universe.subset(names)
-    for a1, a2 in zip(r1.agents, r2.agents):
-        if relation_signature(to_matrix(a1), x) != relation_signature(to_matrix(a2), x):
-            return IIAVerdict(passed=True, vacuous=True, restriction=x)
-    hold = relation_signature(f(r1), x) == relation_signature(f(r2), x)
-    return IIAVerdict(passed=hold, vacuous=False, restriction=x)
+    report = exhaustive_iia(f, (r1, r2), (x,))
+    return IIAVerdict(passed=report.passed, vacuous=report.vacuous > 0, restriction=x)
 
 
 @dataclass(frozen=True)
@@ -309,7 +308,9 @@ def exhaustive_iia(
     subsets: Sequence[tuple[str, ...]] | None = None,
     max_violations: int = 5,
 ) -> IIASuiteReport:
-    """check_iia over every ordered pair of profiles and every restriction set.
+    """`check_iia`'s test over every ordered pair of profiles and every
+    restriction set; profiles over different universes raise
+    `UniverseMismatchError` before any signature is built.
 
     Precomputes per-profile restriction signatures once, then, for each
     restriction set x, groups the profiles by their hypothesis signature
@@ -322,6 +323,7 @@ def exhaustive_iia(
     (i, j, subset) order, the order of the pairwise loop over profile i,
     then profile j, then restriction set.
     """
+    same_universe(*profiles)
     universe = profiles[0].universe
     if len({profile.n for profile in profiles}) > 1:
         raise ValueError("profiles must share their agent count")
@@ -475,7 +477,14 @@ class DomainDescription:
     def of(
         cls, universe: Universe, members: Iterable[SSBMatrix], name: str = ""
     ) -> "DomainDescription":
-        return cls(universe, tuple(sorted({_ray(m.entries) for m in members})), name)
+        """The domain of `members`, which must all be over `universe`."""
+        rows = set()
+        for member in members:
+            if member.universe != universe:
+                raise UniverseMismatchError(f"member over {member.universe.names}, "
+                                            f"domain over {universe.names}")
+            rows.add(_ray(member.entries))
+        return cls(universe, tuple(sorted(rows)), name)
 
     @property
     def matrices(self) -> list[SSBMatrix]:
@@ -740,18 +749,15 @@ def _ranked(universe: Universe, rank: Sequence[int], table: dict) -> BaseRelatio
 
     `table` maps the rank pattern (each level renumbered by its place
     among the distinct levels) to its weak order over `universe`; a miss
-    builds the order and stores it, so rank vectors that yield the same
-    weak order yield one object.  One table serves one universe.
+    builds the order with `model.ranked_order`, the one weak-order
+    builder, and stores it, so rank vectors that yield the same weak
+    order yield one object.  One table serves one universe.
     """
     levels = sorted(set(rank))
     pattern = tuple([levels.index(r) for r in rank])
     order = table.get(pattern)
     if order is None:
-        m = len(rank)
-        order = table[pattern] = BaseRelation(
-            universe,
-            frozenset((a, b) for a in range(m) for b in range(m) if rank[a] < rank[b]),
-        )
+        order = table[pattern] = ranked_order(universe, pattern)
     elif order.universe is not universe and order.universe != universe:
         raise UniverseMismatchError("weak-order table was filled over another universe")
     return order

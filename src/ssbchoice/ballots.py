@@ -42,7 +42,7 @@ from .model import (
     Profile,
     Universe,
     UtilityVector,
-    weak_order,
+    ranked_order,
 )
 from .solver import SolverDefect
 from .ssb import SSBMatrix
@@ -109,12 +109,13 @@ def _parse_declaration(line: str, lineno: int) -> Universe:
     return Universe(tuple(names))
 
 
-def _check_name(universe: Universe, token: str, lineno: int, column: int) -> str:
+def _name_index(universe: Universe, token: str, lineno: int, column: int) -> int:
+    """The position of the alternative `token` names; a ParseError if none."""
     if not token:
         raise ParseError("missing alternative name", lineno, column)
     if token not in universe:
         raise ParseError(f"unknown alternative {token!r}", lineno, column)
-    return token
+    return universe.index(token)
 
 
 def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
@@ -141,14 +142,16 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
         if not match:
             raise ParseError("expected 'approve { names }'", lineno, pad + 1)
         inner_base = pad + match.start(1)
-        approved = []
-        for token, column in _parts(match.group(1).replace(",", " "), " ", inner_base):
-            if token:
-                approved.append(_check_name(universe, token, lineno, column))
-        if len(set(approved)) != len(approved):
+        approved = [
+            _name_index(universe, token, lineno, column)
+            for token, column in _parts(match.group(1).replace(",", " "), " ", inner_base)
+            if token
+        ]
+        chosen = set(approved)
+        if len(chosen) != len(approved):
             raise ParseError("duplicate alternative in approval set", lineno, pad + 1)
-        tiers = [approved] if approved else [universe.names]
-        return weak_order(universe, tiers)
+        # approved names rank 0, the rest 1: approving none or all ties everything
+        return ranked_order(universe, [int(i not in chosen) for i in range(len(universe))])
     if keyword == "util":
         values: dict[str, Fraction] = {}
         inner = body[body.index("util") + 4 :]
@@ -162,7 +165,7 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
                     f"expected 'name=value', got {item!r}", lineno, item_col
                 )
             (name, name_col), (value, value_col) = pieces
-            _check_name(universe, name, lineno, name_col)
+            _name_index(universe, name, lineno, name_col)
             if name in values:
                 raise ParseError(f"duplicate utility for {name!r}", lineno, name_col)
             values[name] = _parse_rational(value, lineno, value_col)
@@ -178,10 +181,8 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
             if len(pieces) != 2:
                 raise ParseError(f"expected 'a>b', got {item!r}", lineno, item_col)
             (a, a_col), (b, b_col) = pieces
-            pair = (
-                universe.index(_check_name(universe, a, lineno, a_col)),
-                universe.index(_check_name(universe, b, lineno, b_col)),
-            )
+            pair = (_name_index(universe, a, lineno, a_col),
+                    _name_index(universe, b, lineno, b_col))
             if pair[0] == pair[1]:
                 raise ParseError(f"self-edge on {a!r}", lineno, a_col)
             if (pair[1], pair[0]) in strict:
@@ -190,21 +191,17 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
                 )
             strict.add(pair)
         return BaseRelation(universe, frozenset(strict))
-    # weak order: tiers separated by ">", ties by "="
-    tiers = []
-    seen: set[str] = set()
-    for tier_text, tier_col in _parts(body, ">", base):
-        tier = []
+    # weak order: tiers separated by ">", ties by "="; each name gets its
+    # tier's rank, and names in no tier keep rank m, the bottom tier
+    m = len(universe)
+    rank = [m] * m
+    for level, (tier_text, tier_col) in enumerate(_parts(body, ">", base)):
         for token, column in _parts(tier_text, "=", tier_col - 1):
-            name = _check_name(universe, token, lineno, column)
-            if name in seen:
-                raise ParseError(
-                    f"alternative {name!r} listed twice", lineno, column
-                )
-            seen.add(name)
-            tier.append(name)
-        tiers.append(tier)
-    return weak_order(universe, tiers)
+            i = _name_index(universe, token, lineno, column)
+            if rank[i] < m:
+                raise ParseError(f"alternative {token!r} listed twice", lineno, column)
+            rank[i] = level
+    return ranked_order(universe, rank)
 
 
 def parse_ballots(text: str) -> Profile:

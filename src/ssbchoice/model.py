@@ -14,6 +14,7 @@ repr.  There is no global cache.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -222,29 +223,34 @@ class BaseRelation:
     def tiers(self) -> tuple[tuple[str, ...], ...] | None:
         """Indifference tiers if this relation is a weak order, else None.
 
-        A weak order is recovered by grouping alternatives on their
-        dominated count and checking that the grouping reproduces `strict`.
+        A weak order is recovered by ranking each alternative at minus its
+        dominated count and checking that `_ranked_pairs` (`ranked_order`'s
+        pairs) for those ranks reproduce `strict`; a tier is one rank.
         """
         m = len(self.universe)
         dominated = [0] * m
         for a, b in self.strict:
             dominated[a] += 1
-        order = sorted(range(m), key=lambda i: (-dominated[i], i))
-        tiers: list[list[int]] = []
-        for i in order:
-            if tiers and dominated[tiers[-1][0]] == dominated[i]:
-                tiers[-1].append(i)
-            else:
-                tiers.append([i])
-        rebuilt = set()
-        for hi, tier in enumerate(tiers):
-            for low_tier in tiers[hi + 1 :]:
-                rebuilt.update((a, b) for a in tier for b in low_tier)
-        if rebuilt != set(self.strict):
+        if _ranked_pairs([-d for d in dominated]) != self.strict:
             return None
-        return tuple(
-            tuple(self.universe.names[i] for i in sorted(tier)) for tier in tiers
-        )
+        names = self.universe.names
+        order = sorted(range(m), key=lambda i: (-dominated[i], i))
+        return tuple(tuple(names[i] for i in tier)
+                     for _, tier in itertools.groupby(order, dominated.__getitem__))
+
+
+def _ranked_pairs(rank: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """The pairs (a, b) with rank[a] < rank[b]: `ranked_order`'s strict pairs."""
+    return frozenset([(a, b) for a, ra in enumerate(rank)
+                      for b, rb in enumerate(rank) if ra < rb])
+
+
+def ranked_order(universe: Universe, rank: Sequence[int]) -> BaseRelation:
+    """The weak order in which a beats b iff rank[a] < rank[b]: the one
+    builder of a weak order's strict pairs, called by `weak_order`, the
+    ballot parser and `axioms._ranked`; `BaseRelation.tiers` compares
+    against its pair set `_ranked_pairs` without building a relation."""
+    return BaseRelation(universe, _ranked_pairs(rank))
 
 
 def weak_order(
@@ -254,29 +260,22 @@ def weak_order(
 
     A tier may be a single name or a sequence of names.  Alternatives not
     listed in any tier form a shared bottom indifference tier, so partial
-    ballots stay total.
+    ballots stay total.  The tiers become ranks for `ranked_order`; a
+    tier's unknown name raises `KeyError` before a repeat in it is checked.
     """
-    norm: list[tuple[int, ...]] = []
-    seen: set[int] = set()
+    m = len(universe)
+    rank = [m] * m  # the bottom tier: at most m non-empty tiers take levels 0..m-1
+    level = 0
     for tier in tiers:
-        names = [tier] if isinstance(tier, str) else list(tier)
-        idx = tuple(universe.index(n) for n in names)
+        idx = [universe.index(n) for n in ([tier] if isinstance(tier, str) else tier)]
         for i in idx:
-            if i in seen:
+            if rank[i] < m:
                 raise ValueError(
                     f"alternative {universe.names[i]!r} appears in two tiers"
                 )
-            seen.add(i)
-        if idx:
-            norm.append(idx)
-    rest = tuple(i for i in range(len(universe)) if i not in seen)
-    if rest:
-        norm.append(rest)
-    strict = set()
-    for hi, tier in enumerate(norm):
-        for low_tier in norm[hi + 1 :]:
-            strict.update((a, b) for a in tier for b in low_tier)
-    return BaseRelation(universe, frozenset(strict))
+            rank[i] = level
+        level += bool(idx)
+    return ranked_order(universe, rank)
 
 
 @dataclass(frozen=True)

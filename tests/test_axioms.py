@@ -19,11 +19,13 @@ from ssbchoice import (
     pc_extension,
     restrict,
     separable,
+    to_matrix,
     utilitarian,
     weak_order,
 )
 from ssbchoice.axioms import (
     DomainDescription,
+    IIAVerdict,
     _ranked,
     RichnessCondition,
     SWFHandle,
@@ -96,6 +98,29 @@ class TestEnumerations:
         assert len(restriction_sets(ABCD, min_size=2)) == 11
 
 
+def borda(profile):
+    """Borda scores as an SSB matrix: a rule that violates IIA."""
+    m = len(profile.universe)
+    score = [0] * m
+    for agent in profile.agents:
+        for a, _ in agent.strict:
+            score[a] += 1
+    return SSBMatrix(profile.universe, tuple(
+        tuple(score[a] - score[b] for b in range(m)) for a in range(m)))
+
+
+def reference_check_iia(f, r1, r2, names):
+    """`check_iia`'s body from before it was decided by `exhaustive_iia`."""
+    if r1.universe != r2.universe or r1.n != r2.n:
+        raise ValueError("profiles must share universe and agent count")
+    x = r1.universe.subset(names)
+    for a1, a2 in zip(r1.agents, r2.agents):
+        if relation_signature(to_matrix(a1), x) != relation_signature(to_matrix(a2), x):
+            return IIAVerdict(passed=True, vacuous=True, restriction=x)
+    hold = relation_signature(f(r1), x) == relation_signature(f(r2), x)
+    return IIAVerdict(passed=hold, vacuous=False, restriction=x)
+
+
 class TestCheckIIA:
     def test_constant_swf_always_passes(self):
         f = constant_swf()
@@ -123,6 +148,42 @@ class TestCheckIIA:
         r2 = Profile(ABC, (weak_order(ABC, ["a"]),) * 2)
         with pytest.raises(ValueError):
             check_iia(f, r1, r2, ("a", "b"))
+
+    def test_decided_as_the_pre_delegation_body_decided(self):
+        orders = weak_orders(ABC)
+        rng = random.Random(41)
+        utilities = [UtilityVector(ABC, tuple(Fraction(rng.randint(0, 2)) for _ in ABC))
+                     for _ in range(4)]
+        outcomes = set()
+        for make_swf, pool in [(pairwise_utilitarian_swf, orders[:5]),
+                               (dictatorial_swf, orders[:5]),
+                               (lambda: SWFHandle("borda", borda), orders[:5]),
+                               (relative_utilitarian_swf, utilities)]:
+            f = make_swf()
+            for _ in range(60):
+                n = rng.randint(1, 3)
+                r1, r2 = (Profile(ABC, tuple(rng.choice(pool) for _ in range(n)))
+                          for _ in range(2))
+                for x in restriction_sets(ABC):
+                    verdict = check_iia(f, r1, r2, x)
+                    assert verdict == reference_check_iia(f, r1, r2, x)
+                    outcomes.add((verdict.passed, verdict.vacuous))
+        assert outcomes == {(True, True), (True, False), (False, False)}
+
+    def test_refuses_profiles_over_different_universes(self):
+        f = pairwise_utilitarian_swf()
+        r1 = Profile(ABC, (weak_order(ABC, ["a", "b", "c"]),))
+        xyz = Universe(("x", "y", "z"))
+        r2 = Profile(xyz, (weak_order(xyz, ["x", "y", "z"]),))
+        ab = Universe(("a", "b"))
+        r3 = Profile(ab, (weak_order(ab, ["a", "b"]),))
+        for other in (r2, r3):
+            with pytest.raises(ValueError, match="share universe and agent count"):
+                check_iia(f, r1, other, ("a",))
+            with pytest.raises(UniverseMismatchError):
+                exhaustive_iia(f, [r1, other])
+            with pytest.raises(UniverseMismatchError):
+                exhaustive_iia(f, [other, r1], [("a", "b")])
 
     def test_signature_crosscheck_by_sign_sampling(self):
         rng = random.Random(5)
@@ -197,15 +258,6 @@ class TestExhaustiveIIA:
     def test_skipped_one_alternative_sets_match_the_full_sweep(self):
         # Borda scores violate IIA: the full check_iia sweep, one-alternative
         # sets included, must match the report pair by pair
-        def borda(profile):
-            m = len(profile.universe)
-            score = [0] * m
-            for agent in profile.agents:
-                for a, _ in agent.strict:
-                    score[a] += 1
-            return SSBMatrix(profile.universe, tuple(
-                tuple(score[a] - score[b] for b in range(m)) for a in range(m)))
-
         for seed in range(3):
             rng = random.Random(seed)
             profiles = [random_pc_profile(rng, ABCD, 2) for _ in range(14)]
@@ -281,6 +333,20 @@ class TestCheckAnonymity:
         assert check_anonymity(f, profile).passed
         # one lookup for the profile itself, one per relabeled profile
         assert f._cache.lookups == 1 + relabelings
+
+    def test_witness_is_the_first_failing_permutation(self):
+        a, b = weak_orders(ABC)[:2]
+        for agents in [(a, a, b), (a, b, b, a), (b, a, a, a)]:
+            profile = Profile(ABC, agents)
+            witness = next(pi for pi in itertools.permutations(range(len(agents)))
+                           if agents[pi[0]] != agents[0])
+            verdict = check_anonymity(dictatorial_swf(), profile)
+            assert verdict.witness == witness
+            sampled = check_anonymity(dictatorial_swf(), profile, permutation_limit=1,
+                                      samples=30, seed=3)
+            rng = random.Random(3)
+            draws = [tuple(rng.sample(range(len(agents)), len(agents))) for _ in range(30)]
+            assert sampled.witness == next(pi for pi in draws if agents[pi[0]] != agents[0])
 
     def test_large_profiles_sampled(self):
         rng = random.Random(9)
@@ -373,6 +439,13 @@ class TestRichness:
         domain = DomainDescription.of(ABC, members, "pc-minus-zero")
         report = audit_richness(domain, [RichnessCondition.FULL_INDIFFERENCE])
         assert not report.passed
+
+    def test_members_over_another_universe_are_refused(self):
+        ab = Universe(("a", "b"))
+        with pytest.raises(UniverseMismatchError):
+            DomainDescription.of(ab, [SSBMatrix.zero(ABC)])
+        with pytest.raises(UniverseMismatchError):
+            DomainDescription.of(ABC, [SSBMatrix.zero(ABC), SSBMatrix.zero(ab)])
 
     def test_transitive_pc_domain_satisfies_r1_to_r4(self):
         report = audit_richness(pc_transitive_domain(ABCD))

@@ -380,3 +380,77 @@ def test_audit_of_a_scaled_duplicate_and_a_non_pc_member_is_pinned(
     assert code == 1
     assert captured.out == expected.replace("<path>", str(path))
     assert captured.err == ""
+
+
+# One ballot text holding every ballot spelling the parser accepts.
+EVERY_SPELLING = """\
+universe: a, b, c, d
+# partial orders: the unlisted alternatives share the bottom tier
+3: a > b
+1: c
+# ties inside a strict order
+2: b = c > a > d
+1: d > a = b = c
+# approval ballots, empty and not
+2: approve {}
+1: approve {a, b}
+# utilities and raw edges
+1: util a=1, b=1/2, d=-1/3
+1: edges a>b, b>c, c>a
+"""
+
+AGGREGATE_EVERY_SPELLING = """\
+Collective matrix (12 agents, sum of normalized agent matrices):
+alternatives: a, b, c, d
+    0  19/8  3/4    6
+-19/8     0 35/8 45/8
+ -3/4 -35/8    0  9/4
+   -6 -45/8 -9/4    0
+"""
+
+AGGREGATE_EVERY_SPELLING_JSON = (
+    '{"alternatives": ["a", "b", "c", "d"], "matrix": '
+    '[[["0", "1"], ["19", "8"], ["3", "4"], ["6", "1"]], '
+    '[["-19", "8"], ["0", "1"], ["35", "8"], ["45", "8"]], '
+    '[["-3", "4"], ["-35", "8"], ["0", "1"], ["9", "4"]], '
+    '[["-6", "1"], ["-45", "8"], ["-9", "4"], ["0", "1"]]], "agents": 12}\n'
+)
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ((), AGGREGATE_EVERY_SPELLING),
+    (("--json",), AGGREGATE_EVERY_SPELLING_JSON),
+], ids=["text", "json"])
+def test_aggregate_of_every_ballot_spelling_is_pinned(capsys, tmp_path, flags, expected):
+    path = tmp_path / "spellings.ballots"
+    path.write_text(EVERY_SPELLING, encoding="utf-8")
+    code = main(["aggregate", *flags, str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == expected
+    assert captured.err == ""
+
+
+# (ballot line after "universe: a, b, c, d", the error line), each exit code 2
+BAD_WEAK_ORDERS = {
+    "twice-within-a-tier": (
+        "1: a = b = a", "error: line 2, column 12: alternative 'a' listed twice\n"),
+    "twice-across-tiers": (
+        "1: a > b = c > b", "error: line 2, column 16: alternative 'b' listed twice\n"),
+    "unknown-name": ("1: a > e", "error: line 2, column 8: unknown alternative 'e'\n"),
+    "empty-tier": ("1: a > > b", "error: line 2, column 8: missing alternative name\n"),
+    "trailing-separator": (
+        "1: a > b >", "error: line 2, column 11: missing alternative name\n"),
+}
+
+
+@pytest.mark.parametrize("line, expected", BAD_WEAK_ORDERS.values(),
+                         ids=BAD_WEAK_ORDERS.keys())
+def test_weak_order_ballot_errors_are_pinned(capsys, tmp_path, line, expected):
+    path = tmp_path / "bad.ballots"
+    path.write_text(f"universe: a, b, c, d\n{line}\n", encoding="utf-8")
+    code = main(["aggregate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == expected

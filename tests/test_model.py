@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,11 +13,15 @@ from ssbchoice import (
     Universe,
     UniverseMismatchError,
     UtilityVector,
+    approved_set,
+    is_dichotomous,
     mix,
     parse_ballots,
     utilitarian,
     weak_order,
 )
+from ssbchoice.axioms import _ordered_partitions
+from ssbchoice.model import ranked_order
 from ssbchoice.ssb import _over_common_denominator
 
 ABC = Universe(("a", "b", "c"))
@@ -190,6 +195,118 @@ class TestWeakOrder:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             weak_order(ABC, [["a"], ["a", "b"]])
+
+
+# The bodies of `weak_order` and `BaseRelation.tiers` from before both
+# built their pairs through `ranked_order`, kept as references.
+def reference_weak_order(universe, tiers):
+    norm = []
+    seen = set()
+    for tier in tiers:
+        names = [tier] if isinstance(tier, str) else list(tier)
+        idx = tuple(universe.index(n) for n in names)
+        for i in idx:
+            if i in seen:
+                raise ValueError(
+                    f"alternative {universe.names[i]!r} appears in two tiers"
+                )
+            seen.add(i)
+        if idx:
+            norm.append(idx)
+    rest = tuple(i for i in range(len(universe)) if i not in seen)
+    if rest:
+        norm.append(rest)
+    strict = set()
+    for hi, tier in enumerate(norm):
+        for low_tier in norm[hi + 1 :]:
+            strict.update((a, b) for a in tier for b in low_tier)
+    return BaseRelation(universe, frozenset(strict))
+
+
+def reference_tiers(relation):
+    m = len(relation.universe)
+    dominated = [0] * m
+    for a, b in relation.strict:
+        dominated[a] += 1
+    order = sorted(range(m), key=lambda i: (-dominated[i], i))
+    tiers = []
+    for i in order:
+        if tiers and dominated[tiers[-1][0]] == dominated[i]:
+            tiers[-1].append(i)
+        else:
+            tiers.append([i])
+    rebuilt = set()
+    for hi, tier in enumerate(tiers):
+        for low_tier in tiers[hi + 1 :]:
+            rebuilt.update((a, b) for a in tier for b in low_tier)
+    if rebuilt != set(relation.strict):
+        return None
+    return tuple(
+        tuple(relation.universe.names[i] for i in sorted(tier)) for tier in tiers
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception type and text are the outcome
+        return type(exc), str(exc)
+
+
+def _all_relations(universe):
+    """Every asymmetric relation over the universe: 3^(m choose 2) of them."""
+    pairs = list(itertools.combinations(range(len(universe)), 2))
+    for signs in itertools.product((-1, 0, 1), repeat=len(pairs)):
+        yield BaseRelation(universe, frozenset(
+            (a, b) if s > 0 else (b, a) for (a, b), s in zip(pairs, signs) if s))
+
+
+class TestOneWeakOrderBuilder:
+    def test_ranked_order_is_the_rank_comparison(self):
+        r = ranked_order(ABC, [2, 0, 2])
+        assert r.strict == frozenset({(1, 0), (1, 2)})
+        assert r.tiers() == (("b",), ("a", "c"))
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_weak_order_matches_the_reference_on_every_ordered_partition(self, m):
+        u = Universe(tuple("abcde"[:m]))
+        partitions = list(_ordered_partitions(u.names))
+        for tiers in partitions:
+            assert weak_order(u, tiers) == reference_weak_order(u, tiers)
+            # dropping the last tier leaves it to the shared bottom tier
+            assert weak_order(u, tiers[:-1]) == reference_weak_order(u, tiers[:-1])
+
+    def test_weak_order_matches_the_reference_on_hostile_tier_lists(self):
+        u = Universe(("a", "b", "c", "d", "e"))
+        pool = [*u.names, "x", "y"]
+        rng = random.Random(20261018)
+        errors = set()
+        for _ in range(5000):
+            tiers = []
+            for _ in range(rng.randrange(7)):
+                tier = rng.sample(pool, rng.randrange(4)) + rng.choices(pool, k=rng.randrange(2))
+                tiers.append(tier[0] if len(tier) == 1 and rng.random() < 0.5 else tier)
+            got = _outcome(weak_order, u, tiers)
+            assert got == _outcome(reference_weak_order, u, tiers), tiers
+            if isinstance(got, tuple):
+                errors.add(got[0])
+        assert errors == {KeyError, ValueError}
+
+    def test_tiers_and_dichotomy_match_the_reference_on_every_relation(self):
+        count = 0
+        for m in range(1, 5):
+            for r in _all_relations(Universe(tuple("abcd"[:m]))):
+                count += 1
+                expected = reference_tiers(r)
+                assert r.tiers() == expected
+                assert is_dichotomous(r) == (expected is not None and len(expected) <= 2)
+                if expected is None or len(expected) > 2:
+                    with pytest.raises(ValueError, match="not dichotomous"):
+                        approved_set(r)
+                else:
+                    top = expected[0] if len(expected) == 2 else ()
+                    assert approved_set(r) == frozenset(top)
+        assert count == 760
 
 
 class TestProfile:
