@@ -45,7 +45,6 @@ from .ssb import (
     compare,
     normalize,
     pc_extension,
-    restrict,
     to_matrix,
 )
 
@@ -107,43 +106,16 @@ def constant_swf() -> SWFHandle:
 # restriction signatures: relation equality on a sub-simplex
 
 
-def relation_signature(matrix: SSBMatrix, names: Iterable[str]):
-    """Canonical form of the preferences induced on the sub-simplex over `names`.
-
-    Two matrices induce identical preferences there iff their restricted
-    matrices agree up to a positive scale factor, i.e. iff these
-    signatures are equal.  Equals `normalize(restrict(matrix, names)).entries`.
-    """
-    return _signature(matrix.entries, _positions(matrix.universe, names))
-
-
 def _positions(universe: Universe, names: Iterable[str]) -> list[int]:
     return [universe.index(n) for n in universe.subset(names)]
 
 
 def _signature(entries, idx: list[int]):
-    """`relation_signature` of entry rows on the alternatives at ascending
-    positions idx: the ray of the restricted rows (unscaled for PC data)."""
+    """Canonical form of the preferences entry rows induce on the alternatives
+    at ascending positions idx: the ray of the restricted rows (unscaled for
+    PC data).  Two matrices induce identical preferences there iff their
+    signatures are equal."""
     return _ray(tuple([tuple([entries[a][b] for b in idx]) for a in idx]))
-
-
-def signs_match_on(
-    m1: SSBMatrix,
-    m2: SSBMatrix,
-    names: tuple[str, ...],
-    rng: random.Random,
-    trials: int = 50,
-) -> bool:
-    """Cross-check of signature equality by sampling comparison signs."""
-    a = restrict(m1, names)
-    b = restrict(m2, names)
-    sub = a.universe
-    for _ in range(trials):
-        p = random_lottery(rng, sub)
-        q = random_lottery(rng, sub)
-        if compare(a, p, q) is not compare(b, p, q):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

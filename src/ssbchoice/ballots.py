@@ -153,7 +153,8 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
         # approved names rank 0, the rest 1: approving none or all ties everything
         return ranked_order(universe, [int(i not in chosen) for i in range(len(universe))])
     if keyword == "util":
-        values: dict[str, Fraction] = {}
+        # one value per position, written as each name is checked; unnamed ones are 0
+        values: list[Fraction | None] = [None] * len(universe)
         inner = body[body.index("util") + 4 :]
         inner_base = base + body.index("util") + 4
         for item, item_col in _parts(inner, ",", inner_base):
@@ -165,11 +166,13 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
                     f"expected 'name=value', got {item!r}", lineno, item_col
                 )
             (name, name_col), (value, value_col) = pieces
-            _name_index(universe, name, lineno, name_col)
-            if name in values:
+            i = _name_index(universe, name, lineno, name_col)
+            if values[i] is not None:
                 raise ParseError(f"duplicate utility for {name!r}", lineno, name_col)
-            values[name] = _parse_rational(value, lineno, value_col)
-        return UtilityVector.of(universe, values)
+            values[i] = _parse_rational(value, lineno, value_col)
+        return UtilityVector(
+            universe, tuple(Fraction(0) if v is None else v for v in values)
+        )
     if keyword == "edges":
         inner = body[body.index("edges") + 5 :]
         inner_base = base + body.index("edges") + 5

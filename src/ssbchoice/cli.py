@@ -7,12 +7,13 @@ internal check fails (a defect in the program, never in the input).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import axioms
 from .aggregate import utilitarian
@@ -53,12 +54,108 @@ MAX_AXIOM_AGENTS = 50
 MAX_AXIOM_SAMPLES = 500
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The CLI parser; only the subcommands named in argv get their arguments.
+class _Option(NamedTuple):
+    """One `--flag value` option of a subcommand, as argparse is given it."""
+
+    flag: str
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    metavar: str | None = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+_SEED = _Option("--seed", int, 0, metavar="S",
+                help="seed for sampled checks (recorded in reports)")
+_MAX_ENUM = _Option("--max-enum", int, 0, metavar="M", help=(
+    "also list the maximal set's vertices when there are at most M "
+    "alternatives (exponential; 0..10, default 0: never)"))
+
+# Every subcommand's arguments, in help order: name -> (help, positionals,
+# options).  Every subcommand also takes the switch --json.
+_ARGUMENTS = {
+    "aggregate": ("print the collective matrix of a ballot file", ("ballots",), ()),
+    "maximal-lottery": ("solve for a collectively maximal lottery", ("ballots",),
+                        (_MAX_ENUM,)),
+    "budget": ("maximal lottery mapped through a proposal matrix",
+               ("ballots", "proposals"), (_MAX_ENUM,)),
+    "check-axioms": ("run axiom checks against an aggregation rule", (), (
+        _SEED,
+        _Option("--swf", default="pairwise-utilitarian",
+                choices=("pairwise-utilitarian", "approval", "relative-utilitarian",
+                         "dictatorial", "constant")),
+        _Option("--alternatives", int, 3, metavar="M"),
+        _Option("--agents", int, 2, metavar="N"),
+        _Option("--samples", int, 200, metavar="K"),
+    )),
+    "audit-domain": ("audit richness conditions of a preference domain", (), (
+        _SEED,
+        _Option("--domain", default="pc",
+                choices=("pc", "pc-transitive", "dichotomous")),
+        _Option("--alternatives", int, 4, metavar="M"),
+        _Option("--file", help="matrix file defining the domain members"),
+        _Option("--conditions", help="comma-separated subset of R1,R2,R3,R4,R5"),
+        _Option("--member-limit", int, 2000,
+                help="exhaustive below this domain size, sampled above"),
+    )),
+    "cycle-witness": ("search grid lotteries for a collective preference cycle",
+                      ("ballots",), (_Option("--max-denominator", int, 5),)),
+}
+
+
+def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for argv, or None to leave argv to it.
+
+    Reads only the subcommand as the first token followed by its own exact
+    flags with their values, --json and its positionals in order.  Anything
+    else (help, an abbreviated flag, --flag=value, a token or value starting
+    with "-", a failed int() or choice, a wrong positional count) is left to
+    argparse, which accepts or rejects it with its own texts.
+    """
+    if not argv or argv[0] not in _ARGUMENTS:
+        return None
+    _, positionals, options = _ARGUMENTS[argv[0]]
+    flags = {o.flag: o for o in options}
+    values = {"command": argv[0], "json": False, **{o.dest: o.default for o in options}}
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+        elif token == "--json":
+            values["json"] = True
+        elif token in flags:
+            option = flags[token]
+            text = next(tokens, "-")  # a flag with no value left declines too
+            if text.startswith("-"):
+                return None
+            try:
+                value = option.type(text)
+            except ValueError:
+                return None
+            if option.choices is not None and value not in option.choices:
+                return None
+            values[option.dest] = value
+        else:
+            return None
+    if len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
+def _build_parser(argv: list[str]):
+    """The argparse parser; only the subcommands named in argv get their arguments.
 
     argparse takes a subcommand only as one exact token, so any other one stays
     a bare name and help line: usage and error texts still list all six.
     """
+    import argparse  # here, so a command line _read_canonical reads never loads it
+
     parser = argparse.ArgumentParser(
         prog="ssbchoice",
         description="Exact social choice: pairwise aggregation, maximal "
@@ -66,54 +163,16 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     named = set(argv)
-
-    def command(name: str, help: str, *shared: str):
-        """The subparser with --json and the shared flags; None if argv lacks it."""
-        p = sub.add_parser(name, help=help, add_help=name in named)
+    for name, (summary, positionals, options) in _ARGUMENTS.items():
+        p = sub.add_parser(name, help=summary, add_help=name in named)
         if not p.add_help:
-            return None
+            continue
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if "--seed" in shared:
-            p.add_argument("--seed", type=int, default=0, metavar="S",
-                           help="seed for sampled checks (recorded in reports)")
-        if "--max-enum" in shared:
-            p.add_argument("--max-enum", type=int, default=0, metavar="M", help=(
-                "also list the maximal set's vertices when there are at most M "
-                "alternatives (exponential; 0..10, default 0: never)"))
-        return p
-
-    if p := command("aggregate", "print the collective matrix of a ballot file"):
-        p.add_argument("ballots")
-    if p := command("maximal-lottery", "solve for a collectively maximal lottery",
-                    "--max-enum"):
-        p.add_argument("ballots")
-    if p := command("budget", "maximal lottery mapped through a proposal matrix",
-                    "--max-enum"):
-        p.add_argument("ballots")
-        p.add_argument("proposals")
-    if p := command("check-axioms", "run axiom checks against an aggregation rule",
-                    "--seed"):
-        p.add_argument("--swf", default="pairwise-utilitarian",
-                       choices=["pairwise-utilitarian", "approval",
-                                "relative-utilitarian", "dictatorial", "constant"])
-        p.add_argument("--alternatives", type=int, default=3, metavar="M")
-        p.add_argument("--agents", type=int, default=2, metavar="N")
-        p.add_argument("--samples", type=int, default=200, metavar="K")
-    if p := command("audit-domain", "audit richness conditions of a preference domain",
-                    "--seed"):
-        p.add_argument("--domain", default="pc",
-                       choices=["pc", "pc-transitive", "dichotomous"])
-        p.add_argument("--alternatives", type=int, default=4, metavar="M")
-        p.add_argument("--file", help="matrix file defining the domain members")
-        p.add_argument("--conditions",
-                       help="comma-separated subset of R1,R2,R3,R4,R5")
-        p.add_argument("--member-limit", type=int, default=2000,
-                       help="exhaustive below this domain size, sampled above")
-    if p := command("cycle-witness",
-                    "search grid lotteries for a collective preference cycle"):
-        p.add_argument("ballots")
-        p.add_argument("--max-denominator", type=int, default=5)
-
+        for o in options:
+            p.add_argument(o.flag, type=o.type, default=o.default, choices=o.choices,
+                           metavar=o.metavar, help=o.help)
+        for dest in positionals:
+            p.add_argument(dest)
     return parser
 
 
@@ -481,7 +540,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _read_canonical(argv) or _build_parser(argv).parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, ValueError, KeyError, OSError) as exc:

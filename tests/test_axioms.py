@@ -15,6 +15,7 @@ from ssbchoice import (
     UtilityVector,
     WeightVector,
     affine_utilitarian,
+    compare,
     normalize,
     pc_extension,
     restrict,
@@ -26,7 +27,9 @@ from ssbchoice import (
 from ssbchoice.axioms import (
     DomainDescription,
     IIAVerdict,
+    _positions,
     _ranked,
+    _signature,
     RichnessCondition,
     SWFHandle,
     approval_swf,
@@ -51,10 +54,8 @@ from ssbchoice.axioms import (
     random_pc_profile,
     random_ssb_matrix,
     random_weak_order,
-    relation_signature,
     relative_utilitarian_swf,
     restriction_sets,
-    signs_match_on,
     unanimity_case,
     weak_orders,
 )
@@ -107,6 +108,29 @@ def borda(profile):
             score[a] += 1
     return SSBMatrix(profile.universe, tuple(
         tuple(score[a] - score[b] for b in range(m)) for a in range(m)))
+
+
+def relation_signature(matrix, names):
+    """Canonical form of the preferences induced on the sub-simplex over `names`:
+    two matrices induce identical preferences there iff these are equal."""
+    return normalize(restrict(matrix, names)).entries
+
+
+def signature(matrix, names):
+    """`axioms._signature` of a whole matrix on `names`."""
+    return _signature(matrix.entries, _positions(matrix.universe, names))
+
+
+def signs_match_on(m1, m2, names, rng, trials=50):
+    """Cross-check of signature equality by sampling comparison signs."""
+    a = restrict(m1, names)
+    b = restrict(m2, names)
+    for _ in range(trials):
+        p = random_lottery(rng, a.universe)
+        q = random_lottery(rng, a.universe)
+        if compare(a, p, q) is not compare(b, p, q):
+            return False
+    return True
 
 
 def reference_check_iia(f, r1, r2, names):
@@ -191,7 +215,7 @@ class TestCheckIIA:
             m1 = pc_extension(random_pc_profile(rng, ABCD, 1).agents[0])
             m2 = pc_extension(random_pc_profile(rng, ABCD, 1).agents[0])
             for x in [("a", "b"), ("a", "b", "c"), ABCD.names]:
-                same_sig = relation_signature(m1, x) == relation_signature(m2, x)
+                same_sig = signature(m1, x) == signature(m2, x)
                 if same_sig:
                     assert signs_match_on(m1, m2, x, rng)
 
@@ -745,6 +769,9 @@ class TestRichnessAgainstOracles:
 
 
 class TestRelationSignature:
+    """`axioms._signature`, the signature every IIA and richness check reads,
+    against the normalized restriction it stands for."""
+
     @pytest.mark.parametrize("kind", ["random", "separable", "scaled", "pc"])
     def test_equals_normalized_restriction(self, kind):
         rng = random.Random(17)
@@ -763,7 +790,7 @@ class TestRelationSignature:
                 matrix = pc_extension(random_pc_profile(
                     rng, ABCD, 1, transitive=False).agents[0]).scaled(rng.randint(1, 3))
             for x in restriction_sets(ABCD):
-                assert relation_signature(matrix, x) \
+                assert signature(matrix, x) \
                     == normalize(restrict(matrix, x)).entries
 
     @settings(max_examples=200, deadline=None)
@@ -779,7 +806,7 @@ class TestRelationSignature:
                 grid[a][b], grid[b][a] = x, -x
         matrix = SSBMatrix(universe, tuple(map(tuple, grid)))
         names = data.draw(st.sets(st.sampled_from(universe.names), min_size=1))
-        got = relation_signature(matrix, names)
+        got = signature(matrix, names)
         want = normalize(restrict(matrix, names)).entries
         assert got == want
         assert [[type(x) for x in row] for row in got] \

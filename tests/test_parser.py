@@ -4,15 +4,20 @@ the argument paths into it.
 The parser gives arguments only to the subcommand the command line names,
 so these texts pin that the others still appear wherever argparse lists
 them.  argparse wraps to the terminal width, which COLUMNS=80 fixes; the
-texts are those of Python 3.11's argparse.
+texts are those of Python 3.11's argparse.  A well-formed command line is
+read without argparse, from the same argument table; a differential test
+holds that reader to argparse's namespaces and refusals.
 """
 
 import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ssbchoice import cli
 from ssbchoice.cli import main
@@ -185,16 +190,39 @@ def test_argv_defaults_to_sys_argv(capsys, monkeypatch):
     assert capsys.readouterr().out == BUDGET_TABLE1
 
 
-def test_module_runs_as_a_script():
+TABLE1 = [str(FIXTURES / "table1.ballots"), str(FIXTURES / "table1.proposals")]
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python args` in a fresh interpreter that imports this checkout's package."""
     src = str(FIXTURES.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ssbchoice.cli", "budget",
-         str(FIXTURES / "table1.ballots"), str(FIXTURES / "table1.proposals")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_module_runs_as_a_script():
+    proc = run_python("-m", "ssbchoice.cli", "budget", *TABLE1)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, BUDGET_TABLE1, "")
+
+
+def test_well_formed_command_imports_no_argparse():
+    proc = run_python("-c", f"""
+import sys
+from ssbchoice.cli import main
+main({["budget", *TABLE1]!r})
+print(sorted({{"argparse", "gettext", "locale"}} & set(sys.modules)))
+""")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == BUDGET_TABLE1 + "[]\n"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's texts differ between Python versions")
+def test_help_in_a_fresh_process_still_comes_from_argparse():
+    proc = run_python("-m", "ssbchoice.cli", "budget", "-h")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, BUDGET_HELP, "")
 
 
 def test_only_the_named_subcommand_gets_arguments():
@@ -204,3 +232,101 @@ def test_only_the_named_subcommand_gets_arguments():
     actions = {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
     assert actions.pop("budget") == ["help", "json", "max_enum", "ballots", "proposals"]
     assert actions == {name: [] for name in COMMANDS if name != "budget"}
+
+
+# --- the canonical reader against argparse
+
+FLAGS = sorted({"--json", "-h", "--help"} | {
+    o.flag for _, _, options in cli._ARGUMENTS.values() for o in options})
+DASHED = ["-1", "-", "--", "-x", "--json", "-h"]
+VALUES = ["0", "3", "12", "+2", "1_0", " 4", "07", "x", "", "a b",
+          "pairwise-utilitarian", "approval", "constant", "pc", "dichotomous",
+          "R1,R2", "x.ballots", "budget", *DASHED]
+WORDS = ["x.ballots", "y.proposals", "budget", "", "a b", "+2"]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A well-formed argv, often with one or two faults: an abbreviated,
+    foreign or repeated flag, --flag=value, a value such as "-1", "+2",
+    "1_0" or an invalid choice, "-h", "--", "-", or a positional too many
+    or too few."""
+    command = draw(st.sampled_from(COMMANDS))
+    _, positionals, options = cli._ARGUMENTS[command]
+    chosen = draw(st.lists(st.sampled_from(options), max_size=4)) if options else []
+    pieces = [[o.flag, draw(st.sampled_from(o.choices) if o.choices
+                            else st.integers(0, 20).map(str) if o.type is int
+                            else st.sampled_from(WORDS))]
+              for o in chosen]
+    if draw(st.booleans()):
+        pieces.append(["--json"])
+    for word in draw(st.lists(st.sampled_from(WORDS), min_size=len(positionals),
+                              max_size=len(positionals))):
+        pieces.insert(draw(st.integers(0, len(pieces))), [word])
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["value", "abbreviate", "equals", "token",
+                                      "positional", "foreign", "command"]))
+        flagged = [piece for piece in pieces if len(piece) == 2]
+        if fault == "value" and flagged:
+            value = st.sampled_from(VALUES) | st.sampled_from(DASHED)
+            draw(st.sampled_from(flagged))[1] = draw(value)
+        elif fault == "abbreviate" and flagged:
+            piece = draw(st.sampled_from(flagged))
+            piece[0] = piece[0][:draw(st.integers(3, max(3, len(piece[0]) - 1)))]
+        elif fault == "equals" and flagged:
+            piece = draw(st.sampled_from(flagged))
+            piece[:] = ["=".join(piece)]
+        elif fault == "token":
+            pieces.insert(draw(st.integers(0, len(pieces))),
+                          [draw(st.sampled_from(["-h", "--help", "--", "-", "--js"]))])
+        elif fault == "positional":
+            if pieces and draw(st.booleans()):
+                pieces.pop(draw(st.integers(0, len(pieces) - 1)))
+            else:
+                pieces.insert(draw(st.integers(0, len(pieces))),
+                              [draw(st.sampled_from(VALUES))])
+        elif fault == "foreign":
+            pieces.insert(draw(st.integers(0, len(pieces))),
+                          [draw(st.sampled_from(FLAGS)), draw(st.sampled_from(VALUES))])
+        elif fault == "command":
+            command = draw(st.sampled_from(["bogus", "budg", "-h", "--json"]))
+    return [command] + [token for piece in pieces for token in piece]
+
+
+def argparse_reading(argv: list[str]) -> dict | None:
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser(argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines())
+def test_canonical_reader_agrees_with_argparse(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    read = cli._read_canonical(argv)
+    parsed = argparse_reading(argv)
+    if parsed is None:
+        assert read is None
+    else:
+        assert read is None or vars(read) == parsed
+
+
+@pytest.mark.parametrize("argv", [
+    ["budget", "x.ballots", "y.proposals"],
+    ["budget", "x.ballots", "--max-enum", "4", "y.proposals", "--json"],
+    ["maximal-lottery", "--json", "x.ballots"],
+    ["aggregate", "x.ballots"],
+    ["cycle-witness", "--max-denominator", "+7", "x.ballots"],
+    ["check-axioms", "--swf", "approval", "--agents", "3", "--seed", "1_0"],
+    ["check-axioms", "--seed", "1", "--seed", "2"],
+    ["audit-domain", "--domain", "pc", "--alternatives", "4", "--seed", "5"],
+    ["audit-domain", "--file", "m.txt", "--conditions", "R1,R4", "--member-limit", "9"],
+], ids=" ".join)
+def test_canonical_forms_are_read_without_argparse(argv):
+    read = cli._read_canonical(argv)
+    assert read is not None and vars(read) == argparse_reading(argv)
