@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import enum
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -104,10 +105,6 @@ def constant_swf() -> SWFHandle:
 
 # ---------------------------------------------------------------------------
 # restriction signatures: relation equality on a sub-simplex
-
-
-def _positions(universe: Universe, names: Iterable[str]) -> list[int]:
-    return [universe.index(n) for n in universe.subset(names)]
 
 
 def _signature(entries, idx: list[int]):
@@ -256,7 +253,7 @@ class IIASuiteReport:
 
 
 def _signature_tables(f, profiles, subsets):
-    positions = [_positions(profiles[0].universe, x) for x in subsets]
+    positions = [profiles[0].universe.positions(x) for x in subsets]
     known: dict = {}  # agent or output matrix -> its signature on each subset
 
     def signatures(agent):
@@ -514,9 +511,10 @@ def _neutrality_witness(universe: Universe, members, present: set) -> str | None
     generators = []
     for label, images in (("transposition", names[1:2] + names[:1] + names[2:]),
                           ("cycle", names[1:] + names[:1])):
+        mapping = dict(zip(names, images))
+        pi = universe.permutation(mapping)
         # source[pi(a)] = a: entry (pi(a), pi(b)) of an image is entry (a, b)
-        source = sorted(range(len(names)), key=lambda a: universe.index(images[a]))
-        generators.append((label, dict(zip(names, images)), source))
+        generators.append((label, mapping, sorted(range(len(pi)), key=pi.__getitem__)))
     for member in members:
         for label, mapping, source in generators:
             # relabeling keeps the largest entry: the image of a normalized
@@ -534,8 +532,14 @@ _AUDIT_SET_SIZE = 4  # R4 and R5 audit the sets of up to this many alternatives
 def _audit_sets(universe: Universe, largest: int) -> list:
     """(xs, positions) for the sets of 1..min(_AUDIT_SET_SIZE, largest) alternatives."""
     sizes = range(1, min(_AUDIT_SET_SIZE, largest) + 1)
-    return [(xs, _positions(universe, xs))
+    return [(xs, universe.positions(xs))
             for size in sizes for xs in itertools.combinations(universe.names, size)]
+
+
+def audit_set_count(m: int) -> int:
+    """How many restriction sets R5 audits on m alternatives, as `_audit_sets`
+    lists them; R4 audits no more."""
+    return sum(math.comb(m, size) for size in range(1, min(_AUDIT_SET_SIZE, m) + 1))
 
 
 def _unmet(members: Iterable[tuple], idx: list[int], wanted: set) -> set:
@@ -832,11 +836,8 @@ def unanimity_case(
         winner = rng.randrange(n)
         ranks[winner][x] -= 1
         k = rng.randint(1, 3)
-        probs = [Fraction(0)] * m
-        probs[x], probs[y] = Fraction(k, 4), Fraction(4 - k, 4)
-        p = Lottery(universe, tuple(probs))
-        probs[x], probs[y] = Fraction(k - 1, 4), Fraction(5 - k, 4)
-        q = Lottery(universe, tuple(probs))
+        p = universe.lottery([(x, Fraction(k, 4)), (y, Fraction(4 - k, 4))])
+        q = universe.lottery([(x, Fraction(k - 1, 4)), (y, Fraction(5 - k, 4))])
     else:
         p = random_lottery(rng, universe)
         delta = min(p.probs[x], p.probs[y], Fraction(1, 5))

@@ -241,7 +241,7 @@ def _solve(args, profile):
     return matrix, certificate, face, unique
 
 
-def _report_solution(args, profile, matrix, certificate, face, unique):
+def _report_solution(args, matrix, certificate, face, unique):
     arena = matrix.universe.names
     if args.json:
         payload = {
@@ -271,7 +271,7 @@ def _cmd_maximal_lottery(args) -> int:
     _check_range("--max-enum", args.max_enum, 0, 10)
     profile = _load_profile(args.ballots)
     matrix, certificate, face, unique = _solve(args, profile)
-    payload = _report_solution(args, profile, matrix, certificate, face, unique)
+    payload = _report_solution(args, matrix, certificate, face, unique)
     if payload is not None:
         print(json.dumps(payload))
     return EXIT_OK
@@ -283,7 +283,7 @@ def _cmd_budget(args) -> int:
     proposals = parse_proposals(Path(args.proposals).read_text(encoding="utf-8"))
     matrix, certificate, face, unique = _solve(args, profile)
     allocation = budget_allocation(proposals, certificate.lottery)
-    payload = _report_solution(args, profile, matrix, certificate, face, unique)
+    payload = _report_solution(args, matrix, certificate, face, unique)
     if payload is not None:
         payload["allocation"] = {
             dept: fraction_pair(x) for dept, x in zip(proposals.departments, allocation)
@@ -434,8 +434,7 @@ def _cmd_audit_domain(args) -> int:
         }[args.domain]
         domain = builder(universe)
     m = len(domain.universe)
-    largest = min(axioms._AUDIT_SET_SIZE, m)
-    work = len(domain) * sum(math.comb(m, k) for k in range(1, largest + 1))
+    work = len(domain) * axioms.audit_set_count(m)
     if work > AUDIT_WORK_LIMIT:
         raise ValueError(
             f"the audit would check {work} (member, restriction set) pairs "

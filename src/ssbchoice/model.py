@@ -5,6 +5,11 @@ is an `int` when its value is integral (see `ssb.SSBMatrix`), and every
 other value, each probability and utility included, is a
 `fractions.Fraction`.  No value ever passes through a float.
 
+`Universe` is where names become positions, for every layer: a name or a
+position (`position`), a subset (`positions`, `subset`), a renaming
+(`permutation`), a name -> value mapping (`assignment`) and sparse
+probabilities (`lottery`) each resolve there, with one set of errors.
+
 Values are immutable after construction and safe to share between
 threads: every field is set by the constructor and none is written
 later.  A lottery's integer form (`Lottery.scaled`) is derived from its
@@ -86,25 +91,54 @@ class Universe:
         except KeyError:
             raise KeyError(f"unknown alternative {name!r}") from None
 
-    def pure(self, name: str) -> "Lottery":
-        """The one-point lottery on `name`."""
-        i = self.index(name)
-        probs = tuple(
-            Fraction(1) if j == i else Fraction(0) for j in range(len(self.names))
-        )
-        return Lottery(self, probs)
+    def position(self, key: str | int) -> int:
+        """The position of an alternative given by name; a position passes through."""
+        return self.index(key) if isinstance(key, str) else key
 
-    def subset(self, names: Iterable[str] | None) -> tuple[str, ...]:
-        """Validate a subset of alternatives, preserving universe order."""
+    def positions(self, names: Iterable[str] | str | None) -> list[int]:
+        """The ascending positions of a non-empty subset of alternatives, every
+        position for None; a bare string is one name."""
         if names is None:
-            return self.names
-        chosen = set(names)
-        unknown = chosen - set(self.names)
+            return list(range(len(self.names)))
+        chosen = {names} if isinstance(names, str) else set(names)
+        unknown = chosen.difference(self._index)
         if unknown:
             raise KeyError(f"unknown alternatives {sorted(unknown)}")
         if not chosen:
             raise ValueError("subset of alternatives must be non-empty")
-        return tuple(n for n in self.names if n in chosen)
+        return sorted([self._index[n] for n in chosen])
+
+    def subset(self, names: Iterable[str] | str | None) -> tuple[str, ...]:
+        """Validate a subset of alternatives, preserving universe order."""
+        return tuple([self.names[i] for i in self.positions(names)])
+
+    def permutation(self, mapping: dict[str, str]) -> list[int]:
+        """A renaming of the alternatives as positions: image[a] is the position
+        of mapping[names[a]]; raises unless it is a permutation of the universe."""
+        image = {self.index(k): self.index(v) for k, v in mapping.items()}
+        every = list(range(len(self.names)))
+        if sorted(image) != every or sorted(image.values()) != every:
+            raise ValueError("mapping is not a permutation of the universe")
+        return [image[a] for a in every]
+
+    def assignment(self, values: dict[str, Rational]) -> tuple[Fraction, ...]:
+        """One exact value per alternative from a name -> value mapping;
+        omitted names get 0."""
+        unknown = set(values).difference(self._index)
+        if unknown:
+            raise KeyError(f"unknown alternatives {sorted(unknown)}")
+        return tuple([frac(values.get(n, 0)) for n in self.names])
+
+    def lottery(self, entries: Iterable[tuple[int, Fraction]]) -> "Lottery":
+        """The lottery with the given (position, probability) entries, 0 elsewhere."""
+        probs = [Fraction(0)] * len(self.names)
+        for i, x in entries:
+            probs[i] = x
+        return Lottery(self, tuple(probs))
+
+    def pure(self, name: str) -> "Lottery":
+        """The one-point lottery on `name`."""
+        return self.lottery([(self.index(name), Fraction(1))])
 
 
 @dataclass(frozen=True)
@@ -140,16 +174,10 @@ class Lottery:
     @classmethod
     def of(cls, universe: Universe, assignment: dict[str, Rational]) -> "Lottery":
         """Build a lottery from a name -> probability mapping; omitted names get 0."""
-        unknown = set(assignment) - set(universe.names)
-        if unknown:
-            raise KeyError(f"unknown alternatives {sorted(unknown)}")
-        probs = tuple(frac(assignment.get(n, 0)) for n in universe.names)
-        return cls(universe, probs)
+        return cls(universe, universe.assignment(assignment))
 
     def __getitem__(self, key: str | int) -> Fraction:
-        if isinstance(key, str):
-            key = self.universe.index(key)
-        return self.probs[key]
+        return self.probs[self.universe.position(key)]
 
     def support(self) -> tuple[str, ...]:
         return tuple(n for n, p in zip(self.universe.names, self.probs) if p > 0)
@@ -192,18 +220,11 @@ class BaseRelation:
                     f"asymmetry violated: both ({a},{b}) and ({b},{a}) present"
                 )
 
-    def _pair(self, a: str | int, b: str | int) -> tuple[int, int]:
-        if isinstance(a, str):
-            a = self.universe.index(a)
-        if isinstance(b, str):
-            b = self.universe.index(b)
-        return a, b
-
     def prefers(self, a: str | int, b: str | int) -> bool:
-        return self._pair(a, b) in self.strict
+        return (self.universe.position(a), self.universe.position(b)) in self.strict
 
     def indifferent(self, a: str | int, b: str | int) -> bool:
-        a, b = self._pair(a, b)
+        a, b = self.universe.position(a), self.universe.position(b)
         return (a, b) not in self.strict and (b, a) not in self.strict
 
     def inverse(self) -> "BaseRelation":
@@ -211,13 +232,9 @@ class BaseRelation:
 
     def relabel(self, mapping: dict[str, str]) -> "BaseRelation":
         """Rename alternatives by a permutation of the universe."""
-        perm = {self.universe.index(k): self.universe.index(v) for k, v in mapping.items()}
-        if sorted(perm) != list(range(len(self.universe))) or sorted(
-            perm.values()
-        ) != list(range(len(self.universe))):
-            raise ValueError("mapping is not a permutation of the universe")
+        image = self.universe.permutation(mapping)
         return BaseRelation(
-            self.universe, frozenset((perm[a], perm[b]) for a, b in self.strict)
+            self.universe, frozenset((image[a], image[b]) for a, b in self.strict)
         )
 
     def tiers(self) -> tuple[tuple[str, ...], ...] | None:
@@ -270,9 +287,9 @@ def weak_order(
         idx = [universe.index(n) for n in ([tier] if isinstance(tier, str) else tier)]
         for i in idx:
             if rank[i] < m:
-                raise ValueError(
-                    f"alternative {universe.names[i]!r} appears in two tiers"
-                )
+                where = ("listed twice in one tier" if rank[i] == level
+                         else "appears in two tiers")
+                raise ValueError(f"alternative {universe.names[i]!r} {where}")
             rank[i] = level
         level += bool(idx)
     return ranked_order(universe, rank)
@@ -295,15 +312,10 @@ class UtilityVector:
 
     @classmethod
     def of(cls, universe: Universe, assignment: dict[str, Rational]) -> "UtilityVector":
-        unknown = set(assignment) - set(universe.names)
-        if unknown:
-            raise KeyError(f"unknown alternatives {sorted(unknown)}")
-        return cls(universe, tuple(frac(assignment.get(n, 0)) for n in universe.names))
+        return cls(universe, universe.assignment(assignment))
 
     def __getitem__(self, key: str | int) -> Fraction:
-        if isinstance(key, str):
-            key = self.universe.index(key)
-        return self.values[key]
+        return self.values[self.universe.position(key)]
 
     def is_dichotomous(self) -> bool:
         return len(set(self.values)) <= 2
@@ -408,5 +420,5 @@ class FeasiblePolytope:
     @classmethod
     def delta(cls, universe: Universe, names: Iterable[str] | None = None):
         """The sub-simplex of lotteries supported on the given alternatives."""
-        chosen = universe.subset(names)
-        return cls(universe, tuple(universe.pure(n) for n in chosen))
+        return cls(universe, tuple(universe.lottery([(i, Fraction(1))])
+                                   for i in universe.positions(names)))

@@ -128,9 +128,10 @@ def _optimal_strategy(payoff: Sequence[Sequence[int | Fraction]]) -> list[Fracti
 
 
 def _arena(phi: SSBMatrix, names: Iterable[str] | None):
-    """The arena's names, their universe indices, and phi's entries among them."""
-    arena = phi.universe.subset(names)
-    idx = [phi.universe.index(n) for n in arena]
+    """The arena's names, their ascending universe positions, and phi's
+    entries among them."""
+    idx = phi.universe.positions(names)
+    arena = tuple([phi.universe.names[a] for a in idx])
     return arena, idx, [[phi.entries[a][b] for b in idx] for a in idx]
 
 
@@ -153,10 +154,8 @@ def maximal_lottery(
     """
     _, idx, sub = _arena(phi, names)
     weights = _optimal_strategy(sub)
-    probs = [Fraction(0)] * len(phi.universe)
-    for i, w in zip(idx, weights):
-        probs[i] = w
-    return MaximalityCertificate(Lottery(phi.universe, tuple(probs)), _slacks(sub, weights))
+    lottery = phi.universe.lottery(zip(idx, weights))
+    return MaximalityCertificate(lottery, _slacks(sub, weights))
 
 
 def is_maximal(phi: SSBMatrix, p: Lottery, names: Iterable[str] | None = None) -> bool:

@@ -91,11 +91,7 @@ class SSBMatrix:
 
     def __getitem__(self, key: tuple[str | int, str | int]) -> int | Fraction:
         a, b = key
-        if isinstance(a, str):
-            a = self.universe.index(a)
-        if isinstance(b, str):
-            b = self.universe.index(b)
-        return self.entries[a][b]
+        return self.entries[self.universe.position(a)][self.universe.position(b)]
 
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
@@ -124,15 +120,8 @@ class SSBMatrix:
 
     def relabel(self, mapping: dict[str, str]) -> "SSBMatrix":
         """Permute alternatives: entry (pi(a), pi(b)) of the result is entry (a, b)."""
-        perm = {
-            self.universe.index(k): self.universe.index(v) for k, v in mapping.items()
-        }
-        m = len(self.universe)
-        if sorted(perm) != list(range(m)) or sorted(perm.values()) != list(range(m)):
-            raise ValueError("mapping is not a permutation of the universe")
-        source = [0] * m  # source[perm[a]] = a
-        for a, image in perm.items():
-            source[image] = a
+        image = self.universe.permutation(mapping)
+        source = sorted(range(len(image)), key=image.__getitem__)  # source[pi(a)] = a
         rows = (self.entries[a] for a in source)
         return SSBMatrix(
             self.universe, tuple(tuple(row[b] for b in source) for row in rows)
@@ -241,11 +230,9 @@ def restrict(phi: SSBMatrix, names: Iterable[str]) -> SSBMatrix:
     itself, not just its ray, which is what makes summing matrices
     commute with restriction.
     """
-    chosen = phi.universe.subset(names)
-    sub = Universe(chosen)
-    idx = [phi.universe.index(n) for n in chosen]
+    idx = phi.universe.positions(names)
     rows = tuple(tuple(phi.entries[a][b] for b in idx) for a in idx)
-    return SSBMatrix(sub, rows)
+    return SSBMatrix(Universe(phi.universe.names[a] for a in idx), rows)
 
 
 def is_pc(phi: SSBMatrix) -> bool:
@@ -306,11 +293,7 @@ def lottery_grid(universe: Universe, max_denominator: int = 5) -> list[Lottery]:
     m = len(universe)
     for i in range(m):
         for j in range(i + 1, m):
-            for t in weights:
-                probs = [Fraction(0)] * m
-                probs[i] = t
-                probs[j] = 1 - t
-                grid.append(Lottery(universe, tuple(probs)))
+            grid += [universe.lottery([(i, t), (j, 1 - t)]) for t in weights]
     return grid
 
 

@@ -27,13 +27,14 @@ from ssbchoice import (
 from ssbchoice.axioms import (
     DomainDescription,
     IIAVerdict,
-    _positions,
+    _audit_sets,
     _ranked,
     _signature,
     RichnessCondition,
     SWFHandle,
     approval_swf,
     audit_richness,
+    audit_set_count,
     check_anonymity,
     check_iia,
     check_pareto,
@@ -118,7 +119,7 @@ def relation_signature(matrix, names):
 
 def signature(matrix, names):
     """`axioms._signature` of a whole matrix on `names`."""
-    return _signature(matrix.entries, _positions(matrix.universe, names))
+    return _signature(matrix.entries, matrix.universe.positions(names))
 
 
 def signs_match_on(m1, m2, names, rng, trials=50):
@@ -444,6 +445,11 @@ class TestCheckPareto:
 
 
 class TestRichness:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_audit_set_count_counts_the_audited_sets(self, m):
+        universe = Universe(tuple("abcdefg"[:m]))
+        assert audit_set_count(m) == len(_audit_sets(universe, m))
+
     def test_full_pc_domain_is_rich(self):
         report = audit_richness(pc_domain(ABCD))
         assert report.passed

@@ -10,13 +10,19 @@ from ssbchoice import (
     FeasiblePolytope,
     Lottery,
     Profile,
+    SSBMatrix,
     Universe,
     UniverseMismatchError,
     UtilityVector,
     approved_set,
     is_dichotomous,
+    is_maximal,
+    maximal_lottery,
+    maximal_set,
     mix,
     parse_ballots,
+    restrict,
+    unique_optimum,
     utilitarian,
     weak_order,
 )
@@ -48,6 +54,91 @@ class TestUniverse:
             u.subset(["b", "nope"])
         with pytest.raises(ValueError):
             u.subset([])
+
+
+CYCLE = SSBMatrix.from_rows(ABC, [[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
+A_OVER_B = weak_order(ABC, ["a", "b"])
+PURE_A = Lottery.of(ABC, {"a": 1})
+UTILITY_A = UtilityVector.of(ABC, {"a": 1})
+UNKNOWN_X = (KeyError, "unknown alternative 'x'")
+NOT_A_PERMUTATION = (ValueError, "mapping is not a permutation of the universe")
+EMPTY_SUBSET = (ValueError, "subset of alternatives must be non-empty")
+
+# Every way a name, subset, renaming or assignment can fail to resolve, with
+# the exception type and text each raised before `Universe` resolved them all.
+RESOLUTION_FAILURES = {
+    "Lottery.of": (lambda: Lottery.of(ABC, {"a": 1, "x": 0, "e": 0}),
+                   (KeyError, "unknown alternatives ['e', 'x']")),
+    "UtilityVector.of": (lambda: UtilityVector.of(ABC, {"z": 1, "b": 0}),
+                         (KeyError, "unknown alternatives ['z']")),
+    "Universe.pure": (lambda: ABC.pure("x"), UNKNOWN_X),
+    "Lottery[]": (lambda: PURE_A["x"], UNKNOWN_X),
+    "UtilityVector[]": (lambda: UTILITY_A["x"], UNKNOWN_X),
+    "SSBMatrix[] row": (lambda: CYCLE["x", "a"], UNKNOWN_X),
+    "SSBMatrix[] column": (lambda: CYCLE["a", "x"], UNKNOWN_X),
+    "prefers": (lambda: A_OVER_B.prefers("a", "x"), UNKNOWN_X),
+    "indifferent": (lambda: A_OVER_B.indifferent("x", "a"), UNKNOWN_X),
+    "BaseRelation.relabel unknown name": (
+        lambda: A_OVER_B.relabel({"a": "b", "x": "a"}), UNKNOWN_X),
+    "BaseRelation.relabel unknown image": (
+        lambda: A_OVER_B.relabel({"a": "x", "b": "b", "c": "c"}), UNKNOWN_X),
+    "BaseRelation.relabel partial": (
+        lambda: A_OVER_B.relabel({"a": "b", "b": "a"}), NOT_A_PERMUTATION),
+    "BaseRelation.relabel not onto": (
+        lambda: A_OVER_B.relabel({"a": "b", "b": "b", "c": "c"}), NOT_A_PERMUTATION),
+    "SSBMatrix.relabel unknown name": (lambda: CYCLE.relabel({"x": "a"}), UNKNOWN_X),
+    "SSBMatrix.relabel unknown image": (
+        lambda: CYCLE.relabel({"a": "b", "b": "x"}), UNKNOWN_X),
+    "SSBMatrix.relabel partial": (lambda: CYCLE.relabel({"a": "a"}), NOT_A_PERMUTATION),
+    "SSBMatrix.relabel not onto": (
+        lambda: CYCLE.relabel({"a": "c", "b": "c", "c": "a"}), NOT_A_PERMUTATION),
+    "restrict unknown": (lambda: restrict(CYCLE, ["b", "x", "y"]),
+                         (KeyError, "unknown alternatives ['x', 'y']")),
+    "restrict empty": (lambda: restrict(CYCLE, []), EMPTY_SUBSET),
+    "maximal_lottery unknown": (lambda: maximal_lottery(CYCLE, ["x"]),
+                                (KeyError, "unknown alternatives ['x']")),
+    "maximal_lottery empty": (lambda: maximal_lottery(CYCLE, ()), EMPTY_SUBSET),
+    "is_maximal unknown": (lambda: is_maximal(CYCLE, PURE_A, ["a", "q"]),
+                           (KeyError, "unknown alternatives ['q']")),
+    "is_maximal empty": (lambda: is_maximal(CYCLE, PURE_A, set()), EMPTY_SUBSET),
+    "is_maximal outside arena": (lambda: is_maximal(CYCLE, PURE_A, ["b", "c"]),
+                                 (ValueError, "support ('a',) outside arena ('b', 'c')")),
+    "unique_optimum other arena": (
+        lambda: unique_optimum(CYCLE, maximal_lottery(CYCLE), ["c", "a"]),
+        (ValueError, "certificate does not belong to phi on arena ('a', 'c')")),
+    "maximal_set empty": (lambda: maximal_set(CYCLE, []), EMPTY_SUBSET),
+    "FeasiblePolytope.delta unknown": (lambda: FeasiblePolytope.delta(ABC, ["a", "x"]),
+                                       (KeyError, "unknown alternatives ['x']")),
+    "FeasiblePolytope.delta empty": (lambda: FeasiblePolytope.delta(ABC, []), EMPTY_SUBSET),
+}
+
+
+class TestResolution:
+    @pytest.mark.parametrize("case", RESOLUTION_FAILURES)
+    def test_failure_type_and_text(self, case):
+        call, (kind, text) = RESOLUTION_FAILURES[case]
+        with pytest.raises(Exception) as info:
+            call()
+        assert type(info.value) is kind
+        assert info.value.args == (text,)
+
+    def test_a_bare_string_is_one_name(self):
+        u = Universe(("alpha", "beta", "c"))
+        phi = SSBMatrix.from_rows(u, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])
+        assert restrict(phi, "beta") == SSBMatrix.zero(Universe(("beta",)))
+        assert maximal_lottery(phi, "beta").lottery == u.pure("beta")
+        assert FeasiblePolytope.delta(u, "beta").vertices == (u.pure("beta"),)
+        with pytest.raises(KeyError, match="unknown alternatives \\['ab'\\]"):
+            restrict(SSBMatrix.zero(ABC), "ab")
+
+    def test_universe_resolvers(self):
+        u = Universe(("x", "y", "z"))
+        assert u.positions(["z", "x", "z"]) == [0, 2]
+        assert u.positions(None) == [0, 1, 2]
+        assert u.permutation({"x": "y", "y": "z", "z": "x"}) == [1, 2, 0]
+        assert u.assignment({"y": "1/2"}) == (0, Fraction(1, 2), 0)
+        assert u.lottery([(2, Fraction(1, 3)), (0, Fraction(2, 3))]).probs == (
+            Fraction(2, 3), 0, Fraction(1, 3))
 
 
 class TestLottery:
@@ -193,19 +284,24 @@ class TestWeakOrder:
         assert r.tiers() == (("a",), ("b", "c", "d"))
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^alternative 'a' appears in two tiers$"):
             weak_order(ABC, [["a"], ["a", "b"]])
+        with pytest.raises(ValueError, match="^alternative 'a' listed twice in one tier$"):
+            weak_order(ABC, [["b"], ["a", "c", "a"]])
 
 
 # The bodies of `weak_order` and `BaseRelation.tiers` from before both
-# built their pairs through `ranked_order`, kept as references.
+# built their pairs through `ranked_order`, kept as references; a name
+# repeated inside one tier now has its own message.
 def reference_weak_order(universe, tiers):
     norm = []
     seen = set()
     for tier in tiers:
         names = [tier] if isinstance(tier, str) else list(tier)
         idx = tuple(universe.index(n) for n in names)
-        for i in idx:
+        for at, i in enumerate(idx):
+            if i in idx[:at]:
+                raise ValueError(f"alternative {universe.names[i]!r} listed twice in one tier")
             if i in seen:
                 raise ValueError(
                     f"alternative {universe.names[i]!r} appears in two tiers"
