@@ -109,6 +109,15 @@ def _parse_declaration(line: str, lineno: int) -> Universe:
     return Universe(tuple(names))
 
 
+def _declared(text: str, what: str):
+    """The universe a text's first significant line declares, that line's number
+    and the significant lines after it."""
+    lines = _significant_lines(text)
+    for lineno, line in lines:
+        return _parse_declaration(line, lineno), lineno, lines
+    raise ParseError(f"no {what} declaration found", 1)
+
+
 def _name_index(universe: Universe, token: str, lineno: int, column: int) -> int:
     """The position of the alternative `token` names; a ParseError if none."""
     if not token:
@@ -209,12 +218,9 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
 
 def parse_ballots(text: str) -> Profile:
     """Parse ballot text into a profile: one run per ballot line, in file order."""
-    universe: Universe | None = None
+    universe, _, lines = _declared(text, "universe")
     runs: list = []
-    for lineno, line in _significant_lines(text):
-        if universe is None:
-            universe = _parse_declaration(line, lineno)
-            continue
+    for lineno, line in lines:
         count_text, sep, body = line.partition(":")
         if not sep:
             raise ParseError("expected 'count: ballot'", lineno)
@@ -228,8 +234,6 @@ def parse_ballots(text: str) -> Profile:
             raise ParseError(f"ballot count must be positive, got {count}", lineno)
         agent = _parse_ballot_body(universe, body, len(count_text) + 1, lineno)
         runs.append((agent, count))
-    if universe is None:
-        raise ParseError("no universe declaration found", 1)
     if not runs:
         raise ParseError("no ballots found", 1)
     return Profile.from_runs(universe, runs)
@@ -312,22 +316,17 @@ def _parse_share(token: str, lineno: int, column: int) -> Fraction:
 
 
 def parse_proposals(text: str) -> ProposalMatrix:
-    universe: Universe | None = None
+    universe, first_line, lines = _declared(text, "alternatives")
     departments: list[str] = []
     seen: set[str] = set()
     rows: list[tuple[Fraction, ...]] = []
-    first_line = 1
-    for lineno, line in _significant_lines(text):
-        if universe is None:
-            universe = _parse_declaration(line, lineno)
-            first_line = lineno
-            continue
+    for lineno, line in lines:
         name, sep, rest = line.partition(":")
         if not sep:
             raise ParseError("expected 'department: shares'", lineno)
         base = len(line) - len(rest)
         values = [
-            (_parse_share(token, lineno, column), column)
+            _parse_share(token, lineno, column)
             for token, column in _parts(rest, " ", base)
             if token
         ]
@@ -342,9 +341,7 @@ def parse_proposals(text: str) -> ProposalMatrix:
             raise ParseError(f"duplicate department {department!r}", lineno, column)
         seen.add(department)
         departments.append(department)
-        rows.append(tuple(v for v, _ in values))
-    if universe is None:
-        raise ParseError("no alternatives declaration found", 1)
+        rows.append(tuple(values))
     try:
         return ProposalMatrix(tuple(departments), universe.names, tuple(rows))
     except ValueError as exc:
@@ -382,13 +379,10 @@ def render_matrix(matrix: SSBMatrix) -> str:
 
 def parse_matrices(text: str) -> list[SSBMatrix]:
     """Parse one or more matrix blocks sharing a single declaration line."""
-    universe: Universe | None = None
+    universe, _, lines = _declared(text, "alternatives")
     rows: list[tuple[Fraction, ...]] = []
     matrices: list[SSBMatrix] = []
-    for lineno, line in _significant_lines(text):
-        if universe is None:
-            universe = _parse_declaration(line, lineno)
-            continue
+    for lineno, line in lines:
         values = [
             _parse_rational(token, lineno, column)
             for token, column in _parts(line, " ", 0)
@@ -405,8 +399,6 @@ def parse_matrices(text: str) -> list[SSBMatrix]:
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
             rows = []
-    if universe is None:
-        raise ParseError("no alternatives declaration found", 1)
     if rows:
         raise ParseError("incomplete matrix block at end of input", 1)
     return matrices

@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Exit status: 0 on success (or every requested check passing), 1 when a
-check or audit reports FAIL, 2 on malformed input, 3 when an exact
-internal check fails (a defect in the program, never in the input).
+check or audit reports FAIL, 2 on malformed input, 3 on a defect in the
+program, never in the input: an exact internal check that fails, or any
+other unexpected exception, reported as one `internal error:` line.
 """
 
 from __future__ import annotations
@@ -148,12 +149,9 @@ def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _build_parser(argv: list[str]):
-    """The argparse parser; only the subcommands named in argv get their arguments.
-
-    argparse takes a subcommand only as one exact token, so any other one stays
-    a bare name and help line: usage and error texts still list all six.
-    """
+def _build_parser():
+    """The argparse parser, built from `_ARGUMENTS`, for what `_read_canonical`
+    leaves to it: help, usage and errors."""
     import argparse  # here, so a command line _read_canonical reads never loads it
 
     parser = argparse.ArgumentParser(
@@ -162,11 +160,8 @@ def _build_parser(argv: list[str]):
         "lotteries, budget mapping, and axiom audits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = set(argv)
     for name, (summary, positionals, options) in _ARGUMENTS.items():
-        p = sub.add_parser(name, help=summary, add_help=name in named)
-        if not p.add_help:
-            continue
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         for o in options:
             p.add_argument(o.flag, type=o.type, default=o.default, choices=o.choices,
@@ -225,23 +220,33 @@ def _cmd_aggregate(args) -> int:
     return EXIT_OK
 
 
-def _solve(args, profile):
-    if len(profile.universe) > MAX_SOLVE_ALTERNATIVES:
-        raise ValueError(f"{args.ballots} has {len(profile.universe)} alternatives; "
+def _cmd_solve(args) -> int:
+    """`maximal-lottery`; `budget` is the same report plus the lottery's allocation.
+
+    Everything that can fail runs before the first print, so an error leaves
+    stdout empty.
+    """
+    _check_range("--max-enum", args.max_enum, 0, 10)
+    profile = _load_profile(args.ballots)
+    budget = args.command == "budget"
+    if budget:
+        proposals = parse_proposals(Path(args.proposals).read_text(encoding="utf-8"))
+    m = len(profile.universe)
+    if m > MAX_SOLVE_ALTERNATIVES:
+        raise ValueError(f"{args.ballots} has {m} alternatives; "
                          f"solving commands accept at most {MAX_SOLVE_ALTERNATIVES}")
     matrix = utilitarian(profile)
     certificate = maximal_lottery(matrix)
     unique = unique_optimum(matrix, certificate)
     face = None
-    if len(matrix.universe) <= args.max_enum:
+    if m <= args.max_enum:
         face, enumerated = maximal_set(matrix, max_enum=args.max_enum)
         if enumerated != unique:
             raise SolverDefect(f"uniqueness test says {unique}, "
                                f"the enumerated maximal set says {enumerated}")
-    return matrix, certificate, face, unique
-
-
-def _report_solution(args, matrix, certificate, face, unique):
+    if budget:
+        allocation = tuple(zip(proposals.departments,
+                               budget_allocation(proposals, certificate.lottery)))
     arena = matrix.universe.names
     if args.json:
         payload = {
@@ -251,7 +256,11 @@ def _report_solution(args, matrix, certificate, face, unique):
         }
         if face is not None:
             payload["maximal_set"] = [_lottery_json(v) for v in face]
-        return payload
+        if budget:
+            payload["allocation"] = {d: fraction_pair(x) for d, x in allocation}
+            payload["allocation_percent"] = {d: format_percent(x) for d, x in allocation}
+        print(json.dumps(payload))
+        return EXIT_OK
     print("Maximal lottery:")
     _print_lottery(certificate.lottery)
     print("Slacks against pure outcomes (all exact, all >= 0):")
@@ -264,38 +273,9 @@ def _report_solution(args, matrix, certificate, face, unique):
     else:
         print(f"Not unique: the maximal set has {len(face)} vertices; "
               "reported lottery is the solver's deterministic pick.")
-    return None
-
-
-def _cmd_maximal_lottery(args) -> int:
-    _check_range("--max-enum", args.max_enum, 0, 10)
-    profile = _load_profile(args.ballots)
-    matrix, certificate, face, unique = _solve(args, profile)
-    payload = _report_solution(args, matrix, certificate, face, unique)
-    if payload is not None:
-        print(json.dumps(payload))
-    return EXIT_OK
-
-
-def _cmd_budget(args) -> int:
-    _check_range("--max-enum", args.max_enum, 0, 10)
-    profile = _load_profile(args.ballots)
-    proposals = parse_proposals(Path(args.proposals).read_text(encoding="utf-8"))
-    matrix, certificate, face, unique = _solve(args, profile)
-    allocation = budget_allocation(proposals, certificate.lottery)
-    payload = _report_solution(args, matrix, certificate, face, unique)
-    if payload is not None:
-        payload["allocation"] = {
-            dept: fraction_pair(x) for dept, x in zip(proposals.departments, allocation)
-        }
-        payload["allocation_percent"] = {
-            dept: format_percent(x)
-            for dept, x in zip(proposals.departments, allocation)
-        }
-        print(json.dumps(payload))
-    else:
+    if budget:
         print("Budget allocation:")
-        for dept, share in zip(proposals.departments, allocation):
+        for dept, share in allocation:
             print(f"  {dept}: {format_fraction(share)} ({format_percent(share)}%)")
     return EXIT_OK
 
@@ -529,8 +509,8 @@ def _cmd_cycle_witness(args) -> int:
 
 _COMMANDS = {
     "aggregate": _cmd_aggregate,
-    "maximal-lottery": _cmd_maximal_lottery,
-    "budget": _cmd_budget,
+    "maximal-lottery": _cmd_solve,
+    "budget": _cmd_solve,
     "check-axioms": _cmd_check_axioms,
     "audit-domain": _cmd_audit_domain,
     "cycle-witness": _cmd_cycle_witness,
@@ -539,7 +519,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_canonical(argv) or _build_parser(argv).parse_args(argv)
+    args = _read_canonical(argv) or _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, ValueError, KeyError, OSError) as exc:
@@ -548,7 +528,7 @@ def main(argv=None) -> int:
     except (MemoryError, RecursionError) as exc:
         print(f"error: input too large to process ({type(exc).__name__})", file=sys.stderr)
         return EXIT_INPUT
-    except SolverDefect as exc:
+    except Exception as exc:  # a defect in the program, whatever its type
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_DEFECT
 

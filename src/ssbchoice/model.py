@@ -5,10 +5,11 @@ is an `int` when its value is integral (see `ssb.SSBMatrix`), and every
 other value, each probability and utility included, is a
 `fractions.Fraction`.  No value ever passes through a float.
 
-`Universe` is where names become positions, for every layer: a name or a
-position (`position`), a subset (`positions`, `subset`), a renaming
-(`permutation`), a name -> value mapping (`assignment`) and sparse
-probabilities (`lottery`) each resolve there, with one set of errors.
+`Universe` is where names become positions, for every layer: a name
+(`index`), a subset (`positions`, `subset`), a renaming (`permutation`),
+a name -> value mapping (`assignment`) and sparse probabilities
+(`lottery`) each resolve there, with one set of errors.  Lookups take
+names only: a position, even a valid one, is an unknown alternative.
 
 Values are immutable after construction and safe to share between
 threads: every field is set by the constructor and none is written
@@ -91,9 +92,13 @@ class Universe:
         except KeyError:
             raise KeyError(f"unknown alternative {name!r}") from None
 
-    def position(self, key: str | int) -> int:
-        """The position of an alternative given by name; a position passes through."""
-        return self.index(key) if isinstance(key, str) else key
+    def _check_known(self, keys: Iterable) -> None:
+        """Raise KeyError naming every key that is no alternative's name, sorted
+        by text (then type name), so keys of mixed types are named too."""
+        unknown = set(keys).difference(self._index)
+        if unknown:
+            names = sorted(unknown, key=lambda k: (str(k), type(k).__name__))
+            raise KeyError(f"unknown alternatives {names}")
 
     def positions(self, names: Iterable[str] | str | None) -> list[int]:
         """The ascending positions of a non-empty subset of alternatives, every
@@ -101,9 +106,7 @@ class Universe:
         if names is None:
             return list(range(len(self.names)))
         chosen = {names} if isinstance(names, str) else set(names)
-        unknown = chosen.difference(self._index)
-        if unknown:
-            raise KeyError(f"unknown alternatives {sorted(unknown)}")
+        self._check_known(chosen)
         if not chosen:
             raise ValueError("subset of alternatives must be non-empty")
         return sorted([self._index[n] for n in chosen])
@@ -124,9 +127,7 @@ class Universe:
     def assignment(self, values: dict[str, Rational]) -> tuple[Fraction, ...]:
         """One exact value per alternative from a name -> value mapping;
         omitted names get 0."""
-        unknown = set(values).difference(self._index)
-        if unknown:
-            raise KeyError(f"unknown alternatives {sorted(unknown)}")
+        self._check_known(values)
         return tuple([frac(values.get(n, 0)) for n in self.names])
 
     def lottery(self, entries: Iterable[tuple[int, Fraction]]) -> "Lottery":
@@ -176,8 +177,8 @@ class Lottery:
         """Build a lottery from a name -> probability mapping; omitted names get 0."""
         return cls(universe, universe.assignment(assignment))
 
-    def __getitem__(self, key: str | int) -> Fraction:
-        return self.probs[self.universe.position(key)]
+    def __getitem__(self, name: str) -> Fraction:
+        return self.probs[self.universe.index(name)]
 
     def support(self) -> tuple[str, ...]:
         return tuple(n for n, p in zip(self.universe.names, self.probs) if p > 0)
@@ -220,11 +221,11 @@ class BaseRelation:
                     f"asymmetry violated: both ({a},{b}) and ({b},{a}) present"
                 )
 
-    def prefers(self, a: str | int, b: str | int) -> bool:
-        return (self.universe.position(a), self.universe.position(b)) in self.strict
+    def prefers(self, a: str, b: str) -> bool:
+        return (self.universe.index(a), self.universe.index(b)) in self.strict
 
-    def indifferent(self, a: str | int, b: str | int) -> bool:
-        a, b = self.universe.position(a), self.universe.position(b)
+    def indifferent(self, a: str, b: str) -> bool:
+        a, b = self.universe.index(a), self.universe.index(b)
         return (a, b) not in self.strict and (b, a) not in self.strict
 
     def inverse(self) -> "BaseRelation":
@@ -314,8 +315,8 @@ class UtilityVector:
     def of(cls, universe: Universe, assignment: dict[str, Rational]) -> "UtilityVector":
         return cls(universe, universe.assignment(assignment))
 
-    def __getitem__(self, key: str | int) -> Fraction:
-        return self.values[self.universe.position(key)]
+    def __getitem__(self, name: str) -> Fraction:
+        return self.values[self.universe.index(name)]
 
     def is_dichotomous(self) -> bool:
         return len(set(self.values)) <= 2

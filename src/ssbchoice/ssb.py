@@ -89,9 +89,9 @@ class SSBMatrix:
     ) -> "SSBMatrix":
         return cls(universe, tuple(tuple(row) for row in rows))
 
-    def __getitem__(self, key: tuple[str | int, str | int]) -> int | Fraction:
+    def __getitem__(self, key: tuple[str, str]) -> int | Fraction:
         a, b = key
-        return self.entries[self.universe.position(a)][self.universe.position(b)]
+        return self.entries[self.universe.index(a)][self.universe.index(b)]
 
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -124,6 +125,46 @@ class TestBudget:
         assert payload["allocation"]["Military"] == ["11", "60"]
         assert payload["allocation_percent"]["Transportation"] == "26.7"
         assert payload["lottery"]["C"] == ["2", "3"]
+
+    @staticmethod
+    def seeded_ballots(seed):
+        """A few weak-order ballot lines over A-D; seed 1 has no unique lottery."""
+        rng = random.Random(seed)
+        lines = ["universe: A, B, C, D"]
+        for _ in range(rng.randint(1, 4)):
+            names = list("ABCD")
+            rng.shuffle(names)
+            order = names[0] + "".join(rng.choice([" > ", " = "]) + n for n in names[1:])
+            lines.append(f"{rng.randint(1, 3)}: {order}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--max-enum", 4]], ids=["", "max-enum"])
+    @pytest.mark.parametrize("source", ["table1", 0, 1, 2, 3, 4])
+    def test_budget_is_maximal_lottery_plus_allocation(self, capsys, tmp_path,
+                                                       source, flags):
+        ballots_path = FIXTURES / "table1.ballots"
+        if source != "table1":
+            ballots_path = tmp_path / f"seed{source}.ballots"
+            ballots_path.write_text(self.seeded_ballots(source), encoding="utf-8")
+        proposals = FIXTURES / "table1.proposals"
+        code, solved, _ = run(capsys, "maximal-lottery", ballots_path, *flags)
+        assert code == 0
+        code, budget, _ = run(capsys, "budget", ballots_path, proposals, *flags)
+        assert code == 0
+        assert budget.startswith(solved)
+        allocation = budget[len(solved):].splitlines()
+        assert allocation[0] == "Budget allocation:"
+        assert [line.split(":")[0] for line in allocation[1:]] == [
+            "  Education", "  Transportation", "  Health", "  Military"]
+
+        code, solved, _ = run(capsys, "maximal-lottery", ballots_path, *flags, "--json")
+        assert code == 0
+        code, budget, _ = run(capsys, "budget", ballots_path, proposals, *flags, "--json")
+        assert code == 0
+        solved, budget = json.loads(solved), json.loads(budget)
+        assert list(budget)[-2:] == ["allocation", "allocation_percent"]
+        del budget["allocation"], budget["allocation_percent"]
+        assert list(budget) == list(solved) and budget == solved
 
 
 class TestCheckAxioms:
@@ -478,6 +519,16 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert err == f"error: input too large to process ({exc.__name__})\n"
+
+    @pytest.mark.parametrize("exc", [TypeError, IndexError])
+    def test_unexpected_exceptions_exit_3(self, capsys, monkeypatch, exc):
+        # exit 1 is a FAIL verdict, so a defect of any type must not end there
+        def broken(profile):
+            raise exc("broken on purpose")
+
+        monkeypatch.setattr(cli, "utilitarian", broken)
+        code, out, err = run(capsys, "aggregate", FIXTURES / "table1.ballots")
+        assert (code, out, err) == (3, "", "internal error: broken on purpose\n")
 
     def test_solver_defect_exits_3(self, capsys, monkeypatch):
         def broken(matrix):

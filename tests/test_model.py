@@ -131,6 +131,31 @@ class TestResolution:
         with pytest.raises(KeyError, match="unknown alternatives \\['ab'\\]"):
             restrict(SSBMatrix.zero(ABC), "ab")
 
+    @pytest.mark.parametrize("lookup, key", [
+        # a position used to pass through unchecked: -1 read c's 1 by tuple
+        # wrap-around, and prefers(-3, -2) said False although a beats b
+        (lambda: Lottery.of(ABC, {"c": 1})[-1], -1),
+        (lambda: A_OVER_B.prefers(-3, -2), -3),
+        (lambda: A_OVER_B.prefers("a", 1), 1),
+        (lambda: A_OVER_B.indifferent(2, "c"), 2),
+        (lambda: UTILITY_A[0], 0),
+        (lambda: CYCLE["a", 0], 0),
+    ], ids=["Lottery[-1]", "prefers(-3, -2)", "prefers('a', 1)", "indifferent(2, 'c')",
+            "UtilityVector[0]", "SSBMatrix['a', 0]"])
+    def test_lookups_take_names_only(self, lookup, key):
+        with pytest.raises(KeyError) as info:
+            lookup()
+        assert info.value.args == (f"unknown alternative {key}",)
+
+    def test_unknown_keys_of_mixed_types_are_named(self):
+        # sorting the unknowns themselves raised TypeError between str and int
+        with pytest.raises(KeyError) as info:
+            restrict(CYCLE, ["a", 0, "x"])
+        assert info.value.args == ("unknown alternatives [0, 'x']",)
+        with pytest.raises(KeyError) as info:
+            Lottery.of(ABC, {"a": 1, "1": 0, 1: 0})
+        assert info.value.args == ("unknown alternatives [1, '1']",)
+
     def test_universe_resolvers(self):
         u = Universe(("x", "y", "z"))
         assert u.positions(["z", "x", "z"]) == [0, 2]
