@@ -716,8 +716,7 @@ def random_lottery(rng: random.Random, universe: Universe, max_weight: int = 8) 
     weights = [rng.randint(0, max_weight) for _ in universe.names]
     if not any(weights):
         weights[rng.randrange(len(weights))] = 1
-    total = sum(weights)
-    return Lottery(universe, tuple(Fraction(w, total) for w in weights))
+    return Lottery.from_scaled(universe, sum(weights), weights)
 
 
 def _ranked(universe: Universe, rank: Sequence[int], table: dict) -> BaseRelation:
@@ -836,14 +835,19 @@ def unanimity_case(
         winner = rng.randrange(n)
         ranks[winner][x] -= 1
         k = rng.randint(1, 3)
-        p = universe.lottery([(x, Fraction(k, 4)), (y, Fraction(4 - k, 4))])
-        q = universe.lottery([(x, Fraction(k - 1, 4)), (y, Fraction(5 - k, 4))])
+        p_nums, q_nums = [0] * m, [0] * m
+        p_nums[x], p_nums[y] = k, 4 - k
+        q_nums[x], q_nums[y] = k - 1, 5 - k
+        p = Lottery.from_scaled(universe, 4, p_nums)
+        q = Lottery.from_scaled(universe, 4, q_nums)
     else:
+        # q moves min(p_x, p_y, 1/5) from y to x, over 5d
         p = random_lottery(rng, universe)
-        delta = min(p.probs[x], p.probs[y], Fraction(1, 5))
-        probs = list(p.probs)
-        probs[x] += delta
-        probs[y] -= delta
-        q = Lottery(universe, tuple(probs))
+        d, nums = p.scaled
+        q_nums = [5 * a for a in nums]
+        delta = min(q_nums[x], q_nums[y], d)
+        q_nums[x] += delta
+        q_nums[y] -= delta
+        q = Lottery.from_scaled(universe, 5 * d, q_nums)
     table = {} if table is None else table
     return Profile(universe, tuple(_ranked(universe, rank, table) for rank in ranks)), p, q

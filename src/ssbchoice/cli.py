@@ -348,10 +348,14 @@ def _cmd_check_axioms(args) -> int:
         ))
         table: dict = {}  # one object per weak order the samples draw
         anon_fail = None
+        checked: set = set()  # the check is deterministic: a repeat would pass again
         for _ in range(args.samples):
             profile = axioms.random_pc_profile(
                 rng, universe, max(2, args.agents), table=table
             )
+            if profile in checked:
+                continue
+            checked.add(profile)
             verdict = axioms.check_anonymity(handle, profile)
             if not verdict.passed:
                 anon_fail = verdict
@@ -522,7 +526,7 @@ def main(argv=None) -> int:
     args = _read_canonical(argv) or _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ValueError, KeyError, OSError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (MemoryError, RecursionError) as exc:

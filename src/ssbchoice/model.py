@@ -13,16 +13,18 @@ names only: a position, even a valid one, is an unknown alternative.
 
 Values are immutable after construction and safe to share between
 threads: every field is set by the constructor and none is written
-later.  A lottery's integer form (`Lottery.scaled`) is derived from its
-probabilities at construction and takes no part in equality, hashing or
-repr.  There is no global cache.
+later, except a lottery's Fractions.  A lottery's value is its integer
+form (`Lottery.scaled`, probabilities over their least common
+denominator), which equality compares; its `probs` are derived from it
+on first read and kept (a racing read builds an equal tuple), and
+hashing and repr read them.  There is no global cache.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -139,38 +141,92 @@ class Universe:
 
     def pure(self, name: str) -> "Lottery":
         """The one-point lottery on `name`."""
-        return self.lottery([(self.index(name), Fraction(1))])
+        nums = [0] * len(self.names)
+        nums[self.index(name)] = 1
+        return Lottery.from_scaled(self, 1, nums)
 
 
-@dataclass(frozen=True)
 class Lottery:
     """An exact probability vector over a universe of alternatives.
 
-    `scaled` is the integer form `(d, nums)` with probs == nums / d and d
-    the least common denominator; it is computed once, at construction,
-    and the checks run on it in ints.
+    The value is stored as its integer form `scaled = (d, nums)`, with
+    probs == nums / d and d the least common denominator, which is the
+    same as gcd(d, *nums) == 1; equality compares `(universe, scaled)`.
+    Both constructors, `Lottery(universe, probs)` and `from_scaled`, run
+    the same checks on that form in ints.  `probs`, the Fractions, is
+    derived on first read and kept; hash and repr read it, so they are
+    those of `(universe, probs)`.  Instances are frozen.
     """
 
-    universe: Universe
-    probs: tuple[Fraction, ...]
-    scaled: tuple[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("universe", "scaled", "_probs")
 
-    def __post_init__(self):
-        probs = tuple(frac(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if len(probs) != len(self.universe):
-            raise ValueError(
-                f"lottery has {len(probs)} entries for {len(self.universe)} alternatives"
-            )
+    def __init__(self, universe: Universe, probs: Iterable[Rational]):
+        probs = tuple([frac(p) for p in probs])
         d, nums = _over_common_denominator(probs)
-        if any(x < 0 for x in nums):
-            raise ValueError(f"negative probability in {probs}")
+        self._set(universe, d, nums, probs)
+
+    @classmethod
+    def from_scaled(cls, universe: Universe, d: int, nums: Sequence[int]) -> "Lottery":
+        """The lottery nums / d; (d, nums) need not be in lowest terms."""
+        lottery = cls.__new__(cls)
+        lottery._set(universe, d, nums, None)
+        return lottery
+
+    def _set(self, universe, d, nums, probs) -> None:
+        """Check (d, nums) in ints, reduce it, and store it with `probs`, the
+        Fractions if the caller has them (None defers them to first read)."""
+        nums = tuple(nums)
+        if len(nums) != len(universe):
+            raise ValueError(
+                f"lottery has {len(nums)} entries for {len(universe)} alternatives"
+            )
+        if type(d) is not int or any(type(x) is not int for x in nums):
+            raise TypeError(f"lottery integer form must be ints, got {(d, nums)!r}")
+        if d <= 0:
+            raise ValueError(f"lottery denominator must be positive, got {d}")
+        if min(nums) < 0:
+            raise ValueError(
+                f"negative probability in {tuple(Fraction(x, d) for x in nums)}"
+            )
         total = sum(nums)
         if total != d:
             raise ValueError(f"probabilities sum to {Fraction(total, d)}, not 1")
-        object.__setattr__(self, "scaled", (d, tuple(nums)))
+        g = math.gcd(d, *nums)
+        if g != 1:
+            d, nums = d // g, tuple([x // g for x in nums])
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "scaled", (d, nums))
+        object.__setattr__(self, "_probs", probs)
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        probs = self._probs
+        if probs is None:
+            d, nums = self.scaled
+            probs = tuple([Fraction(x, d) for x in nums])
+            object.__setattr__(self, "_probs", probs)
+        return probs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.scaled == other.scaled and self.universe == other.universe
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.probs))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(universe={self.universe!r}, "
+                f"probs={self.probs!r})")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Lottery.from_scaled, (self.universe, *self.scaled)
 
     @classmethod
     def of(cls, universe: Universe, assignment: dict[str, Rational]) -> "Lottery":
@@ -181,7 +237,7 @@ class Lottery:
         return self.probs[self.universe.index(name)]
 
     def support(self) -> tuple[str, ...]:
-        return tuple(n for n, p in zip(self.universe.names, self.probs) if p > 0)
+        return tuple(n for n, x in zip(self.universe.names, self.scaled[1]) if x)
 
 
 def mix(p: Lottery, q: Lottery, lam: Rational) -> Lottery:
@@ -413,13 +469,12 @@ class FeasiblePolytope:
         seen: set = set()
         unique = []
         for v in vertices:
-            if v.probs not in seen:
-                seen.add(v.probs)
+            if v.scaled not in seen:
+                seen.add(v.scaled)
                 unique.append(v)
         object.__setattr__(self, "vertices", tuple(unique))
 
     @classmethod
     def delta(cls, universe: Universe, names: Iterable[str] | None = None):
         """The sub-simplex of lotteries supported on the given alternatives."""
-        return cls(universe, tuple(universe.lottery([(i, Fraction(1))])
-                                   for i in universe.positions(names)))
+        return cls(universe, tuple(universe.pure(n) for n in universe.subset(names)))

@@ -128,19 +128,18 @@ class SSBMatrix:
         )
 
 
-def evaluate(phi: SSBMatrix, p: Lottery, q: Lottery) -> Fraction:
-    """The exact bilinear form p' phi q; positive sign means p beats q.
+def _scaled_form(phi: SSBMatrix, p: Lottery, q: Lottery) -> int | Fraction:
+    """p' phi q times both lotteries' denominators, which are positive, so
+    it has the form's sign; an int when phi's entries are ints.
 
     p and q enter through their integer forms (`Lottery.scaled`, over
-    their least common denominators), so an integer matrix is summed in
-    ints and divided once at the end.  Each row is summed over q's
-    nonzero probabilities, skipping zero entries, and multiplied by p_a
-    once; rows where p_a is 0 are skipped.
+    their least common denominators).  Each row is summed over q's
+    nonzero entries, skipping zero matrix entries, and multiplied by p's
+    entry once; rows where p's entry is 0 are skipped.
     """
     same_universe(phi, p, q)
-    p_den, p_nums = p.scaled
-    q_den, q_nums = q.scaled
-    q_support = [(b, qb) for b, qb in enumerate(q_nums) if qb]
+    p_nums = p.scaled[1]
+    q_support = [(b, qb) for b, qb in enumerate(q.scaled[1]) if qb]
     total = 0
     for row, pa in zip(phi.entries, p_nums):
         if not pa:
@@ -151,11 +150,23 @@ def evaluate(phi: SSBMatrix, p: Lottery, q: Lottery) -> Fraction:
             if x:
                 row_value += qb * x
         total += pa * row_value
-    return Fraction(total, p_den * q_den)
+    return total
+
+
+def evaluate(phi: SSBMatrix, p: Lottery, q: Lottery) -> Fraction:
+    """The exact bilinear form p' phi q; positive sign means p beats q.
+
+    Computed in the lotteries' integer forms (see `_scaled_form`), so an
+    integer matrix is summed in ints and divided once at the end.
+    """
+    return Fraction(_scaled_form(phi, p, q), p.scaled[0] * q.scaled[0])
 
 
 def compare(phi: SSBMatrix, p: Lottery, q: Lottery) -> Comparison:
-    value = evaluate(phi, p, q)
+    """How p' phi q compares with 0: the sign of `_scaled_form`, which is
+    `evaluate`'s value before its division, so no Fraction is built for an
+    integer matrix."""
+    value = _scaled_form(phi, p, q)
     if value > 0:
         return Comparison.PREFERRED
     if value < 0:
@@ -293,7 +304,10 @@ def lottery_grid(universe: Universe, max_denominator: int = 5) -> list[Lottery]:
     m = len(universe)
     for i in range(m):
         for j in range(i + 1, m):
-            grid += [universe.lottery([(i, t), (j, 1 - t)]) for t in weights]
+            for t in weights:
+                nums = [0] * m
+                nums[i], nums[j] = t.numerator, t.denominator - t.numerator
+                grid.append(Lottery.from_scaled(universe, t.denominator, nums))
     return grid
 
 

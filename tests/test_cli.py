@@ -211,6 +211,35 @@ class TestCheckAxioms:
         assert ("PASS IIA sampled(400, seed=3) over 400^2 dichotomous profile "
                 "pairs: 1120000 checks") in out
 
+    @pytest.mark.parametrize("swf, alternatives, seed", [
+        ("pairwise-utilitarian", 3, 4),
+        ("dictatorial", 2, 3),  # a profile repeats before the first failing one
+    ])
+    def test_anonymity_is_checked_once_per_distinct_profile(self, capsys, monkeypatch,
+                                                            swf, alternatives, seed):
+        # every sample is still drawn, in order, up to a failing one
+        sampled, checked = [], []
+        draw, check = cli.axioms.random_pc_profile, cli.axioms.check_anonymity
+
+        def recording_draw(*args, **kwargs):
+            sampled.append(draw(*args, **kwargs))
+            return sampled[-1]
+
+        def recording_check(handle, profile):
+            checked.append(profile)
+            return check(handle, profile)
+
+        monkeypatch.setattr(cli.axioms, "random_pc_profile", recording_draw)
+        monkeypatch.setattr(cli.axioms, "check_anonymity", recording_check)
+        run(capsys, "check-axioms", "--swf", swf, "--alternatives", alternatives,
+            "--seed", seed)
+        assert checked == list(dict.fromkeys(sampled))
+        if swf == "dictatorial":
+            assert not check(cli.axioms.dictatorial_swf(), checked[-1]).passed
+            assert 1 < len(checked) < len(sampled) < 200
+        else:
+            assert len(checked) < len(sampled) == 200
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "check-axioms", "--alternatives", 3, "--samples", 10, "--json"
@@ -520,15 +549,18 @@ class TestErrorHandling:
         assert out == ""
         assert err == f"error: input too large to process ({exc.__name__})\n"
 
-    @pytest.mark.parametrize("exc", [TypeError, IndexError])
+    @pytest.mark.parametrize("exc", [TypeError, IndexError, KeyError])
     def test_unexpected_exceptions_exit_3(self, capsys, monkeypatch, exc):
-        # exit 1 is a FAIL verdict, so a defect of any type must not end there
+        # exit 1 is a FAIL verdict, so a defect of any type must not end there;
+        # a KeyError is one too: the parsers reject unknown names before any
+        # lookup (str(KeyError) quotes its text)
         def broken(profile):
             raise exc("broken on purpose")
 
         monkeypatch.setattr(cli, "utilitarian", broken)
         code, out, err = run(capsys, "aggregate", FIXTURES / "table1.ballots")
-        assert (code, out, err) == (3, "", "internal error: broken on purpose\n")
+        text = "'broken on purpose'" if exc is KeyError else "broken on purpose"
+        assert (code, out, err) == (3, "", f"internal error: {text}\n")
 
     def test_solver_defect_exits_3(self, capsys, monkeypatch):
         def broken(matrix):

@@ -4,6 +4,8 @@ Any change to the number representation, the solver's pick or the
 formatters that alters a single byte of these outputs fails here.
 """
 
+import json
+
 import pytest
 
 from ssbchoice.cli import main
@@ -454,3 +456,71 @@ def test_weak_order_ballot_errors_are_pinned(capsys, tmp_path, line, expected):
     assert code == 2
     assert captured.out == ""
     assert captured.err == expected
+
+
+# check-axioms for every --swf at --agents 2 and 3 and seeds 0-3 (three
+# alternatives), in text and --json, as printed before anonymity was
+# checked once per distinct sampled profile: each case is its exit code
+# and its checks as (passed, name, detail).  The weak-order rules share
+# their IIA line; at three agents the pool is sampled from the seed.
+IIA_SAMPLED_VACUOUS = {0: 617768, 1: 618172, 2: 617920, 3: 618336}
+ANONYMITY_WITNESS = {  # per rule and agent count; None: no violation
+    ("pairwise-utilitarian", 2): None, ("pairwise-utilitarian", 3): None,
+    ("constant", 2): None, ("constant", 3): None,
+    ("dictatorial", 2): (1, 0), ("dictatorial", 3): (1, 0, 2),
+}
+
+
+def _axiom_checks(swf, agents, seed):
+    if swf == "approval":
+        pairs, checks, vacuous = {2: (49, 16807, 8688), 3: (343, 823543, 455514)}[agents]
+        return 0, [
+            (True, f"IIA exhaustive over {pairs}^2 dichotomous profile pairs",
+             f"{checks} checks, {vacuous} vacuous, 0 violations"),
+            (True, "Pareto optimality (sampled profiles)", "no violation"),
+        ]
+    if swf == "relative-utilitarian":
+        return 1, [(False, "IIA on the intensity-flip fixture, restriction ('a', 'b')",
+                    "hypothesis held and collective preferences changed")]
+    if agents == 2:
+        iia = (True, "IIA over 169^2 weak-order profile pairs (exhaustive)",
+               "199927 checks, 103632 vacuous, 0 violations")
+    else:
+        iia = (True, f"IIA over 400^2 weak-order profile pairs (sampled(400, seed={seed}))",
+               f"1120000 checks, {IIA_SAMPLED_VACUOUS[seed]} vacuous, 0 violations")
+    witness = ANONYMITY_WITNESS[swf, agents]
+    pareto = swf == "pairwise-utilitarian"
+    return int(witness is not None or not pareto), [
+        iia,
+        (witness is None, f"anonymity over 200 sampled profiles (seed {seed})",
+         "no violation" if witness is None else f"witness permutation {witness}"),
+        (pareto, f"Pareto optimality over 200 unanimity cases (seed {seed})",
+         "no violation" if pareto else "counterexample found"),
+    ]
+
+
+AXIOM_CASES = [(swf, agents, seed, json_flag)
+               for swf in ("pairwise-utilitarian", "approval", "relative-utilitarian",
+                           "dictatorial", "constant")
+               for agents in (2, 3) for seed in range(4) for json_flag in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "swf, agents, seed, json_flag", AXIOM_CASES,
+    ids=[f"{swf}-{agents}-seed{seed}-{'json' if j else 'text'}"
+         for swf, agents, seed, j in AXIOM_CASES])
+def test_check_axioms_per_rule_agents_and_seed_is_pinned(capsys, swf, agents, seed,
+                                                         json_flag):
+    exit_code, checks = _axiom_checks(swf, agents, seed)
+    if json_flag:
+        expected = json.dumps({"swf": swf, "seed": seed, "checks": [
+            {"name": name, "passed": passed, "detail": detail}
+            for passed, name, detail in checks]}) + "\n"
+    else:
+        expected = f"Axiom checks for {swf} (seed {seed}):\n" + "".join(
+            f"  {'PASS' if passed else 'FAIL'} {name}: {detail}\n"
+            for passed, name, detail in checks)
+    argv = ["check-axioms", "--swf", swf, "--agents", str(agents), "--seed", str(seed)]
+    code = main(argv + ["--json"] * json_flag)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (exit_code, expected, "")

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -27,7 +30,7 @@ from ssbchoice import (
     weak_order,
 )
 from ssbchoice.axioms import _ordered_partitions
-from ssbchoice.model import ranked_order
+from ssbchoice.model import frac, ranked_order
 from ssbchoice.ssb import _over_common_denominator
 
 ABC = Universe(("a", "b", "c"))
@@ -200,10 +203,11 @@ class TestLottery:
             assert p.scaled == (d, tuple(nums))
             assert all(Fraction(x, d) == y for x, y in zip(nums, probs))
 
-    def test_integer_form_is_not_part_of_the_value(self):
+    def test_spellings_of_one_value_are_equal(self):
         p = Lottery.of(ABC, {"a": Fraction(1, 3), "c": Fraction(2, 3)})
         q = Lottery(ABC, (Fraction(1, 3), 0, "2/3"))
-        assert p == q and hash(p) == hash(q)
+        r = Lottery.from_scaled(ABC, 9, (3, 0, 6))
+        assert p == q == r and hash(p) == hash(q) == hash(r)
         assert "scaled" not in repr(p)
 
     def test_support(self):
@@ -215,6 +219,167 @@ class TestLottery:
         p = ABC.pure("b")
         assert p.probs == (Fraction(0), Fraction(1), Fraction(0))
         assert p.support() == ("b",)
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceLottery:
+    """`Lottery` as a dataclass over its Fractions, the definition it had
+    before it stored its integer form as its value: the reference for
+    equality, hashing, repr, frozen assignment and every error."""
+
+    universe: Universe
+    probs: tuple[Fraction, ...]
+    scaled: tuple[int, tuple[int, ...]] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        probs = tuple(frac(p) for p in self.probs)
+        object.__setattr__(self, "probs", probs)
+        if len(probs) != len(self.universe):
+            raise ValueError(
+                f"lottery has {len(probs)} entries for {len(self.universe)} alternatives"
+            )
+        d, nums = _over_common_denominator(probs)
+        if any(x < 0 for x in nums):
+            raise ValueError(f"negative probability in {probs}")
+        total = sum(nums)
+        if total != d:
+            raise ValueError(f"probabilities sum to {Fraction(total, d)}, not 1")
+        object.__setattr__(self, "scaled", (d, tuple(nums)))
+
+
+def _outcome(build):
+    """What a construction gives: its value, or its error's type and text."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_probs(rng: random.Random, m: int) -> tuple:
+    """Probabilities spelled as Fractions, ints and strings, a share of them
+    invalid: negative, not summing to 1, a bool or float, or a wrong count."""
+    weights = [rng.randint(0, 6) for _ in range(m)]
+    weights[rng.randrange(m)] += 1
+    total = max(1, sum(weights) + rng.choice([0, 0, 0, 1, -1]))
+    probs = [Fraction(w, total) for w in weights]
+    if rng.random() < 0.1:
+        probs[0] = -probs[0]
+    spelled = [rng.choice([p, str(p), p.numerator if p.denominator == 1 else p])
+               for p in probs]
+    roll = rng.random()
+    if roll < 0.05:
+        spelled[-1] = rng.choice([True, 0.5, None, "x"])
+    elif roll < 0.1:
+        spelled = spelled[: rng.randrange(m)] if rng.random() < 0.5 else spelled + [0]
+    return tuple(spelled)
+
+
+class TestLotteryMatchesTheReference:
+    def _pair(self, universe, probs):
+        return (_outcome(lambda: Lottery(universe, probs)),
+                _outcome(lambda: ReferenceLottery(universe, probs)))
+
+    def test_values_and_errors(self):
+        rng = random.Random(18)
+        built, errors = [], set()
+        for _ in range(600):
+            universe = Universe("abcde"[: rng.randint(1, 5)])
+            new, ref = self._pair(universe, _seeded_probs(rng, len(universe)))
+            if isinstance(ref, tuple):
+                assert new == ref
+                errors.add((ref[0], ref[1][:12]))
+                continue
+            assert new.universe == ref.universe
+            assert new.probs == ref.probs
+            assert all(type(x) is Fraction for x in new.probs)
+            assert new.scaled == ref.scaled
+            assert hash(new) == hash(ref)
+            assert repr(new) == repr(ref).replace("ReferenceLottery(", "Lottery(", 1)
+            built.append((new, ref))
+        assert len(built) > 200
+        assert {kind for kind, _ in errors} == {TypeError, ValueError}
+        assert len(errors) >= 6, errors
+        for (p, p_ref), (q, q_ref) in zip(built, built[1:] + built[:1]):
+            assert (p == q) is (p_ref == q_ref)
+            assert (p != q) is (p_ref != q_ref)
+        p, p_ref = built[0]
+        assert p.__eq__(p.probs) is p_ref.__eq__(p_ref.probs) is NotImplemented
+        renamed = Universe(n.upper() for n in p.universe.names)
+        assert Lottery(renamed, p.probs) != p
+        assert ReferenceLottery(renamed, p.probs) != p_ref
+
+    def test_non_iterable_and_foreign_universe_errors(self):
+        for universe, probs in [(ABC, 5), (None, (1, 0, 0)), (ABC, (1, 0)),
+                                (ABC, ("1/2", "1/2", "x")), (ABC, (0.5, 0.5, 0))]:
+            new, ref = self._pair(universe, probs)
+            assert isinstance(new, tuple) and new == ref
+
+    def test_frozen(self):
+        p, ref = Lottery(ABC, (1, 0, 0)), ReferenceLottery(ABC, (1, 0, 0))
+        for name in ("universe", "probs", "scaled", "_probs", "other"):
+            for act in (lambda x: setattr(x, name, 1), lambda x: delattr(x, name)):
+                new_error, ref_error = _outcome(lambda: act(p)), _outcome(lambda: act(ref))
+                assert new_error == ref_error
+                assert new_error[0] is dataclasses.FrozenInstanceError
+        assert p == Lottery(ABC, (1, 0, 0))
+
+    def test_unreduced_integer_forms(self):
+        rng = random.Random(8)
+        forms = [(8, (2, 6, 0)), (3, (0, 3, 0)), (12, (4, 4, 4))]
+        for _ in range(200):
+            nums = [rng.randint(0, 9) for _ in range(3)]
+            nums[rng.randrange(3)] += 1
+            g = rng.randint(1, 6)
+            forms.append((g * sum(nums), tuple(g * x for x in nums)))
+        for d, nums in forms:
+            p = Lottery.from_scaled(ABC, d, nums)
+            ref = ReferenceLottery(ABC, tuple(Fraction(x, d) for x in nums))
+            assert p.scaled == ref.scaled
+            assert p.probs == ref.probs
+            assert p == Lottery(ABC, ref.probs)
+            assert hash(p) == hash(ref)
+            assert repr(p) == repr(ref).replace("ReferenceLottery(", "Lottery(", 1)
+        assert Lottery.from_scaled(ABC, 8, (2, 6, 0)).scaled == (4, (1, 3, 0))
+
+    @pytest.mark.parametrize("d, nums, error", [
+        (True, (1, 0, 0), TypeError),
+        (1, (True, False, False), TypeError),
+        (2, (1, Fraction(1), 0), TypeError),
+        (2, (1.0, 1, 0), TypeError),
+        (2.0, (1, 1, 0), TypeError),
+        (2, ("1", 1, 0), TypeError),
+        (0, (0, 0, 0), ValueError),
+        (-4, (-1, -3, 0), ValueError),
+        (2, (1, 1), ValueError),
+        (2, (1, 1, 0, 0), ValueError),
+        (2, (3, -1, 0), ValueError),
+        (4, (1, 1, 1), ValueError),
+    ])
+    def test_integer_path_rejections(self, d, nums, error):
+        with pytest.raises(error):
+            Lottery.from_scaled(ABC, d, nums)
+
+    def test_integer_path_error_texts(self):
+        def text(d, nums):
+            return _outcome(lambda: Lottery.from_scaled(ABC, d, nums))
+
+        assert text(True, (1, 0, 0)) == (
+            TypeError, "lottery integer form must be ints, got (True, (1, 0, 0))")
+        assert text(0, (0, 0, 0)) == (
+            ValueError, "lottery denominator must be positive, got 0")
+        assert text(2, (1, 1)) == (ValueError, "lottery has 2 entries for 3 alternatives")
+        # the checks the Fraction path shares keep its texts
+        assert text(4, (6, -2, 0)) == _outcome(
+            lambda: ReferenceLottery(ABC, (Fraction(6, 4), Fraction(-2, 4), 0)))
+        assert text(4, (1, 1, 1)) == (ValueError, "probabilities sum to 3/4, not 1")
+
+    def test_copy_and_pickle_keep_the_value(self):
+        p = Lottery.from_scaled(ABC, 6, (2, 4, 0))
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert clone == p and clone.scaled == (3, (1, 2, 0))
+            assert clone.probs == (Fraction(1, 3), Fraction(2, 3), 0)
 
 
 class TestMix:

@@ -180,6 +180,39 @@ class TestCompare:
         q = mix(u.pure("A"), u.pure("D"), Fraction(1, 2))
         assert compare(table1_margins, u.pure("C"), q) is Comparison.PREFERRED
 
+    def test_is_the_sign_of_evaluate(self):
+        # int matrices (integer margins and PC matrices) and matrices with
+        # Fraction entries, against lotteries built from Fractions and from
+        # integer forms, pure ones and a lottery against itself
+        rng = random.Random(17)
+        sign = {1: Comparison.PREFERRED, 0: Comparison.INDIFFERENT,
+                -1: Comparison.DISPREFERRED}
+        seen = set()
+        for trial in range(600):
+            kind = trial % 3
+            if kind == 0:
+                phi = random_ssb_matrix(rng, ABCD)
+            elif kind == 1:
+                phi = pc_extension(random_relation(rng, ABCD))
+            else:
+                upper = [[rng.randint(-3, 3) * (a < b) for b in range(4)] for a in range(4)]
+                phi = SSBMatrix.from_rows(
+                    ABCD, [[upper[a][b] - upper[b][a] for b in range(4)] for a in range(4)])
+            has_fractions = any(type(x) is Fraction for row in phi.entries for x in row)
+            pick = rng.random()
+            if pick < 0.2:
+                p = q = random_lottery(rng, ABCD)
+            else:
+                p = random_lottery(rng, ABCD)
+                q = (ABCD.pure(rng.choice(ABCD.names)) if pick < 0.4 else
+                     Lottery(ABCD, [Fraction(w, 6) for w in (1, 2, 0, 3)]) if pick < 0.5
+                     else random_lottery(rng, ABCD))
+            value = evaluate(phi, p, q)
+            outcome = compare(phi, p, q)
+            assert outcome is sign[(value > 0) - (value < 0)], (phi, p, q)
+            seen.add((has_fractions, outcome))
+        assert len(seen) == 6
+
 
 class TestPCExtension:
     def test_chain3(self, chain3_matrix):
