@@ -1,10 +1,12 @@
 """Black-box axiom audits of aggregation rules.
 
-Three rules go under the microscope: pairwise utilitarianism (sums the
-agents' normalized comparison matrices), a rule that sums unit-rescaled
-vNM utilities, and a dictatorship.  Independence of irrelevant
-alternatives, anonymity, and Pareto optimality are checked by exhaustive
-enumeration at desk scale.
+Two rules go under the microscope: pairwise utilitarianism (sums the
+agents' normalized comparison matrices) and a dictatorship.  The same
+sum is also applied to vNM agents, whose normalized matrices are their
+utilities rescaled to the unit interval; there independence fails,
+because vNM utilities are not a pairwise-comparison domain.
+Independence of irrelevant alternatives, anonymity, and Pareto
+optimality are checked by exhaustive enumeration at desk scale.
 """
 
 import random

@@ -26,7 +26,6 @@ from .ssb import (
     evaluate,
     is_dichotomous,
     normalize,
-    separable,
     to_matrix,
 )
 
@@ -112,23 +111,18 @@ def utilitarian(profile: Profile) -> SSBMatrix:
 def relative_utilitarian_vnm(profile: Profile) -> SSBMatrix:
     """Sum of agents' utilities rescaled to the unit interval.
 
-    Included as a negative fixture: this rule violates independence of
-    irrelevant alternatives even on vNM profiles, which the axiom lab
-    demonstrates.  Constant (fully indifferent) agents contribute zero.
+    This is `utilitarian` on vNM agents: an agent's normalized matrix is
+    `separable` of its utilities rescaled to [0, 1], zero for a constant
+    agent.  Independence of irrelevant alternatives fails for this same
+    sum, as the axiom lab demonstrates, because vNM utilities are not a
+    pairwise-comparison domain: their intensities move the sum.
     """
-    total = [Fraction(0)] * len(profile.universe)
-    for agent, count in profile.runs:
+    for agent, _ in profile.runs:
         if not isinstance(agent, UtilityVector):
             raise TypeError(
                 f"vNM rule needs UtilityVector agents, got {type(agent).__name__}"
             )
-        if agent.is_constant():
-            continue
-        lo, hi = min(agent.values), max(agent.values)
-        span = hi - lo
-        for i, v in enumerate(agent.values):
-            total[i] += count * (v - lo) / span
-    return separable(UtilityVector(profile.universe, tuple(total)))
+    return _weighted_sum(profile.universe, profile.runs)
 
 
 def approval_aggregate(profile: Profile) -> tuple[UtilityVector, SSBMatrix]:
@@ -136,8 +130,9 @@ def approval_aggregate(profile: Profile) -> tuple[UtilityVector, SSBMatrix]:
 
     Each agent must be a two-tier weak order (or fully indifferent); the
     score of an alternative is the number of agents whose top tier
-    contains it.  The matrix equals unit-weight affine utilitarianism on
-    the agents' vNM representations.
+    contains it.  The matrix is `utilitarian`'s sum: a dichotomous
+    agent's PC matrix is `separable` of its 0/1 approval vector, so the
+    sum is `separable` of the scores.
     """
     scores = [Fraction(0)] * len(profile.universe)
     for agent, count in profile.runs:
@@ -146,7 +141,7 @@ def approval_aggregate(profile: Profile) -> tuple[UtilityVector, SSBMatrix]:
         for name in approved_set(agent):
             scores[profile.universe.index(name)] += count
     u = UtilityVector(profile.universe, tuple(scores))
-    return u, separable(u)
+    return u, _weighted_sum(profile.universe, profile.runs)
 
 
 class ParetoDominance(enum.Enum):

@@ -4,9 +4,11 @@ Everything here treats a social welfare function as a black box from
 profiles to SSB matrices and checks its behaviour on enumerable or
 sampled instances: independence of irrelevant alternatives, anonymity,
 Pareto optimality, and richness conditions on closed-world preference
-domains.  Deliberately broken rules (dictatorial, constant, the
-intensity-summing vNM rule) live here too, so the checkers can be shown
-to reject something.
+domains.  Deliberately broken rules (dictatorial, constant) live here
+too, so the checkers can be shown to reject something, as does the
+relative-utilitarian handle: the same utilitarian sum on vNM agents,
+where independence fails because vNM utilities are not a
+pairwise-comparison domain.
 """
 
 from __future__ import annotations
@@ -684,7 +686,8 @@ def pc_inclusion_check(domain: DomainDescription) -> PCInclusionReport:
 
 def intensity_flip_fixture() -> tuple[Profile, Profile, tuple[str, str]]:
     """Two vNM profiles whose pairwise preferences on (a, b) agree while the
-    intensity-summing rule flips the collective verdict on that pair.
+    utilitarian sum of the vNM agents flips the collective verdict on that
+    pair: vNM utilities are not a pairwise-comparison domain.
 
     Agent 1 moves their utility for b from 0 to 1/2, which changes no
     ordinal comparison between a and b for anyone, yet the summed scores

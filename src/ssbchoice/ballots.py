@@ -20,9 +20,9 @@ Proposal files map each alternative to a column of exact shares:
     alternatives: A, B, C, D
     Education: 40% 30% 20% 10%
 
-Columns must each sum to exactly 1 (shares may be given as `40%`,
-`2/5`, or `0.4`; all parse exactly), and department names must be
-non-empty and distinct.
+Shares must be non-negative and each column must sum to exactly 1
+(shares may be given as `40%`, `2/5`, or `0.4`; all parse exactly), and
+department names must be non-empty and distinct.
 
 Every rational literal, in ballots, proposals and matrix files, may carry
 a decimal exponent (`1e3`) of at most `MAX_EXPONENT` in magnitude: an
@@ -286,7 +286,8 @@ def render_profile(profile: Profile) -> str:
 
 @dataclass(frozen=True)
 class ProposalMatrix:
-    """Column-stochastic shares: one column per alternative, one row per item."""
+    """Column-stochastic shares: one column per alternative, one row per item;
+    every share is non-negative and every column sums to exactly 1."""
 
     departments: tuple[str, ...]
     alternatives: tuple[str, ...]
@@ -295,9 +296,14 @@ class ProposalMatrix:
     def __post_init__(self):
         if len(self.shares) != len(self.departments):
             raise ValueError("one share row per department required")
-        for row in self.shares:
+        for department, row in zip(self.departments, self.shares):
             if len(row) != len(self.alternatives):
                 raise ValueError("every row needs one share per alternative")
+            for name, x in zip(self.alternatives, row):
+                if x < 0:
+                    raise ValueError(
+                        f"{department!r} has negative share {x} in column {name!r}"
+                    )
         for j, name in enumerate(self.alternatives):
             total = sum(row[j] for row in self.shares)
             if total != 1:

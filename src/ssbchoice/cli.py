@@ -481,33 +481,28 @@ def _cmd_cycle_witness(args) -> int:
                          f"{MAX_GRID_LOTTERIES} lotteries")
     matrix = utilitarian(profile)
     witness = cycle_witness(matrix, max_denominator=args.max_denominator)
+    if witness is not None:
+        p, q, r = witness
+        values = [evaluate(matrix, x, y) for x, y in ((p, q), (q, r), (r, p))]
     if args.json:
         if witness is None:
             print(json.dumps({"found": False}))
         else:
-            p, q, r = witness
             print(json.dumps({
                 "found": True,
                 "cycle": [_lottery_json(x) for x in witness],
-                "values": [
-                    fraction_pair(evaluate(matrix, p, q)),
-                    fraction_pair(evaluate(matrix, q, r)),
-                    fraction_pair(evaluate(matrix, r, p)),
-                ],
+                "values": [fraction_pair(v) for v in values],
             }))
         return EXIT_OK
     if witness is None:
         print(f"none found on grid (two-support lotteries, denominators "
               f"<= {args.max_denominator})")
     else:
-        p, q, r = witness
         print("Cycle found: p beats q beats r beats p")
         for label, lottery in zip("pqr", witness):
             print(f" {label}:")
             _print_lottery(lottery, indent="   ")
-        print(f" values: {format_fraction(evaluate(matrix, p, q))}, "
-              f"{format_fraction(evaluate(matrix, q, r))}, "
-              f"{format_fraction(evaluate(matrix, r, p))}")
+        print(f" values: {', '.join(map(format_fraction, values))}")
     return EXIT_OK
 
 

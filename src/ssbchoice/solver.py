@@ -269,11 +269,10 @@ def maximal_set(
             continue
         if any(s < 0 for s in _slacks(sub, point)):
             continue
-        probs = [Fraction(0)] * len(universe)
-        for i, x in zip(idx, point):
-            probs[i] = x
-        found.add(tuple(probs))
-    vertices = [Lottery(universe, key) for key in sorted(found)]
+        found.add(tuple(point))
+    # every vertex is 0 off the ascending arena, so sorting arena points
+    # orders the vertices as sorting their full vectors would
+    vertices = [universe.lottery(zip(idx, key)) for key in sorted(found)]
     if not vertices:
         raise SolverDefect("empty maximal set; existence guarantee violated")
     return vertices, len(vertices) == 1

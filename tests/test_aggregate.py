@@ -22,6 +22,7 @@ from ssbchoice import (
     pareto_relation,
     pc_extension,
     relative_utilitarian_vnm,
+    separable,
     to_matrix,
     utilitarian,
     weak_order,
@@ -35,6 +36,11 @@ from ssbchoice.axioms import (
 )
 
 ABC = Universe(("a", "b", "c"))
+
+
+def entry_types(matrix):
+    # tuple equality alone would take 1 == Fraction(1)
+    return [list(map(type, row)) for row in matrix.entries]
 
 
 class TestMajorityMargins:
@@ -194,6 +200,33 @@ class TestRelativeUtilitarian:
         profile = Profile(ABC, (UtilityVector.of(ABC, {}),))
         assert relative_utilitarian_vnm(profile).is_zero()
 
+    @staticmethod
+    def rescaled_sum(profile):
+        """Reference: separable of the sum of each non-constant agent's
+        utilities rescaled to [0, 1]."""
+        total = [Fraction(0)] * len(profile.universe)
+        for agent in profile.agents:
+            lo, hi = min(agent.values), max(agent.values)
+            if lo != hi:
+                total = [t + (v - lo) / (hi - lo) for t, v in zip(total, agent.values)]
+        return separable(UtilityVector(profile.universe, tuple(total)))
+
+    def test_equals_utilitarian(self):
+        # the sum of the agents' utilities rescaled to [0, 1] is the sum of
+        # their normalized matrices, in entries and in entry types
+        rng = random.Random(37)
+        for _ in range(1000):
+            u = Universe(tuple("abcdef"[: rng.randint(2, 6)]))
+            pool = [UtilityVector(u, (Fraction(1, 3),) * len(u))] + [
+                UtilityVector(u, tuple(random_fraction(rng) for _ in u.names))
+                for _ in range(3)
+            ]
+            profile = Profile(u, tuple(rng.choice(pool) for _ in range(rng.randint(1, 5))))
+            got = relative_utilitarian_vnm(profile)
+            for want in (utilitarian(profile), self.rescaled_sum(profile)):
+                assert got.entries == want.entries
+                assert entry_types(got) == entry_types(want)
+
 
 class TestApprovalAggregate:
     def test_counts_approvals(self):
@@ -244,7 +277,9 @@ class TestApprovalAggregate:
             for x in u.names:
                 for y in u.names:
                     assert (matrix[x, y] > 0) == (margins[x, y] > 0)
-            assert utilitarian(profile).entries == matrix.entries
+            summed = utilitarian(profile)
+            assert summed.entries == matrix.entries
+            assert entry_types(summed) == entry_types(matrix)
 
 
 class TestParetoRelation:

@@ -236,6 +236,11 @@ class TestProposals:
         with pytest.raises(ParseError, match="sums to"):
             parse_proposals(bad)
 
+    def test_negative_share_rejected(self):
+        bad = "alternatives: A, B\nx: 120% 50%\ny: -20% 50%\n"
+        with pytest.raises(ParseError, match="'y' has negative share -1/5 in column 'A'"):
+            parse_proposals(bad)
+
     @pytest.mark.parametrize("text, message, column", [
         ("alternatives: A, B\nroads: 50% 50%\n  roads: 50% 50%\n",
          "duplicate department 'roads'", 3),

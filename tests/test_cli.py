@@ -432,6 +432,16 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == "error: line 3, column 1: duplicate department 'roads'\n"
 
+    def test_negative_share_exit_2(self, capsys, tmp_path):
+        ballots = tmp_path / "one.ballots"
+        ballots.write_text("universe: A, B, C, D\n1: A > B > C > D\n", encoding="utf-8")
+        path = tmp_path / "negative.proposals"
+        path.write_text("alternatives: A, B, C, D\nEducation: 120% 30% 20% 10%\n"
+                        "Health: -20% 70% 80% 90%\n", encoding="utf-8")
+        code, out, err = run(capsys, "budget", ballots, path)
+        assert (code, out) == (2, "")
+        assert err == "error: line 1, column 1: 'Health' has negative share -1/5 in column 'A'\n"
+
     @pytest.mark.parametrize("argv", [
         ["aggregate", FIXTURES / "table1.ballots", "--seed", 1],
         ["cycle-witness", FIXTURES / "chain3.ballots", "--max-enum", 3],
