@@ -22,7 +22,13 @@ Proposal files map each alternative to a column of exact shares:
 
 Shares must be non-negative and each column must sum to exactly 1
 (shares may be given as `40%`, `2/5`, or `0.4`; all parse exactly), and
-department names must be non-empty and distinct.
+department names must be non-empty and distinct.  A negative share is
+reported at the share, a column's wrong sum at its name in the
+declaration.
+
+The budget path computes in ints: shares are checked on each row over its
+least common denominator, the allocation is one exact quotient per
+department from the lottery's integer form, and percents round in ints.
 
 Every rational literal, in ballots, proposals and matrix files, may carry
 a decimal exponent (`1e3`) of at most `MAX_EXPONENT` in magnitude: an
@@ -33,8 +39,9 @@ matrix holds one entry per ordered pair of them.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from .model import (
     BaseRelation,
@@ -42,6 +49,7 @@ from .model import (
     Profile,
     Universe,
     UtilityVector,
+    _over_common_denominator,
     ranked_order,
 )
 from .solver import SolverDefect
@@ -80,7 +88,8 @@ def _parts(text: str, sep: str, base: int):
         offset += len(piece) + 1
 
 
-def _parse_declaration(line: str, lineno: int) -> Universe:
+def _parse_declaration(line: str, lineno: int) -> tuple[Universe, list[int]]:
+    """The universe a declaration line names, and each name's column."""
     keyword, sep, rest = line.partition(":")
     if not sep or keyword.strip().lower() not in _DECLARATION_KEYWORDS:
         raise ParseError(
@@ -88,6 +97,7 @@ def _parse_declaration(line: str, lineno: int) -> Universe:
         )
     base = len(line) - len(rest)
     names: list[str] = []
+    columns: list[int] = []
     seen: set[str] = set()
     for token, column in _parts(rest.replace(",", " "), " ", base):
         if not token:
@@ -104,17 +114,19 @@ def _parse_declaration(line: str, lineno: int) -> Universe:
             )
         seen.add(token)
         names.append(token)
+        columns.append(column)
     if not names:
         raise ParseError("declaration names no alternatives", lineno)
-    return Universe(tuple(names))
+    return Universe(tuple(names)), columns
 
 
 def _declared(text: str, what: str):
-    """The universe a text's first significant line declares, that line's number
-    and the significant lines after it."""
+    """The universe a text's first significant line declares, the (line, column)
+    of each name there, and the significant lines after it."""
     lines = _significant_lines(text)
     for lineno, line in lines:
-        return _parse_declaration(line, lineno), lineno, lines
+        universe, columns = _parse_declaration(line, lineno)
+        return universe, [(lineno, column) for column in columns], lines
     raise ParseError(f"no {what} declaration found", 1)
 
 
@@ -128,14 +140,23 @@ def _name_index(universe: Universe, token: str, lineno: int, column: int) -> int
 
 
 def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
-    exponent = _EXPONENT_RE.search(token)
-    if exponent:
-        digits = (exponent.group(1) or "").replace("_", "")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            raise ParseError(
-                f"decimal exponent exceeds {MAX_EXPONENT} in magnitude", lineno, column
-            )
+    numerator, slash, denominator = token.partition("/")
+    # ASCII `digits` or `digits/digits`, the common case, skips the exponent
+    # search and Fraction's string parse; int() raises ValueError on a
+    # literal over the int-string digit limit, as Fraction(token) does
+    plain = (numerator.isascii() and numerator.isdigit()
+             and (not slash or denominator.isascii() and denominator.isdigit()))
+    if not plain:
+        exponent = _EXPONENT_RE.search(token)
+        if exponent:
+            digits = (exponent.group(1) or "").replace("_", "")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+                raise ParseError(
+                    f"decimal exponent exceeds {MAX_EXPONENT} in magnitude", lineno, column
+                )
     try:
+        if plain:
+            return Fraction(int(numerator), int(denominator) if slash else 1)
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"invalid rational {token!r}", lineno, column) from None
@@ -147,13 +168,15 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
     match = _BALLOT_KEYWORD_RE.match(stripped)
     keyword = match.group() if match else None
     if keyword == "approve":
-        match = re.match(r"approve\s*\{(.*)\}\s*$", stripped)
-        if not match:
+        # `stripped` ends in non-space, so the braces close it exactly when its
+        # last character is "}"
+        rest = stripped[7:].lstrip()
+        if not (rest.startswith("{") and rest.endswith("}")):
             raise ParseError("expected 'approve { names }'", lineno, pad + 1)
-        inner_base = pad + match.start(1)
+        inner_base = pad + len(stripped) - len(rest) + 1
         approved = [
             _name_index(universe, token, lineno, column)
-            for token, column in _parts(match.group(1).replace(",", " "), " ", inner_base)
+            for token, column in _parts(rest[1:-1].replace(",", " "), " ", inner_base)
             if token
         ]
         chosen = set(approved)
@@ -239,23 +262,31 @@ def parse_ballots(text: str) -> Profile:
     return Profile.from_runs(universe, runs)
 
 
+def _lowest_terms(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction as it stands, of any
+    other value (str, bool, float...) through Fraction(value)."""
+    if type(value) is not int and type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
 def format_fraction(value: Fraction) -> str:
     """Lowest terms, positive denominator; integers render without '/1'."""
-    return str(Fraction(value))
+    n, d = _lowest_terms(value)
+    return f"{n}/{d}" if d != 1 else str(n)
 
 
 def fraction_pair(value: Fraction) -> list[str]:
-    value = Fraction(value)
-    return [str(value.numerator), str(value.denominator)]
+    n, d = _lowest_terms(value)
+    return [str(n), str(d)]
 
 
 def format_percent(value: Fraction) -> str:
-    """One decimal place, round half up, computed without floats."""
-    scaled = Fraction(value) * 1000
-    sign = "-" if scaled < 0 else ""
-    units = abs(scaled)
-    tenths = int(units + Fraction(1, 2))  # floor(x + 1/2): round half up
-    return f"{sign}{tenths // 10}.{tenths % 10}"
+    """One decimal place, round half up, computed in ints."""
+    n, d = _lowest_terms(value)
+    # tenths of a percent: floor(1000 |n| / d + 1/2), so halves round up
+    tenths = (2000 * abs(n) + d) // (2 * d)
+    return f"{'-' if n < 0 else ''}{tenths // 10}.{tenths % 10}"
 
 
 def _render_agent(agent) -> str:
@@ -284,32 +315,55 @@ def render_profile(profile: Profile) -> str:
     return "\n".join(lines) + "\n"
 
 
+class ShareError(ValueError):
+    """A share check of `ProposalMatrix` that failed, with the position of the
+    share it names (`row` None for a column's sum)."""
+
+    def __init__(self, message: str, row: int | None, column: int):
+        super().__init__(message)
+        self.row = row
+        self.column = column
+
+
 @dataclass(frozen=True)
 class ProposalMatrix:
     """Column-stochastic shares: one column per alternative, one row per item;
-    every share is non-negative and every column sums to exactly 1."""
+    every share is non-negative and every column sums to exactly 1.
+
+    `scaled` holds each row over its least common denominator, `(D, nums)`
+    with row == nums / D; the checks run on it in ints.
+    """
 
     departments: tuple[str, ...]
     alternatives: tuple[str, ...]
     shares: tuple[tuple[Fraction, ...], ...]
+    scaled: tuple[tuple[int, tuple[int, ...]], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.shares) != len(self.departments):
             raise ValueError("one share row per department required")
-        for department, row in zip(self.departments, self.shares):
+        scaled = []
+        for i, (department, row) in enumerate(zip(self.departments, self.shares)):
             if len(row) != len(self.alternatives):
                 raise ValueError("every row needs one share per alternative")
-            for name, x in zip(self.alternatives, row):
+            if not all(isinstance(x, (int, Fraction)) for x in row):
+                raise TypeError(f"shares must be ints or Fractions, got {row!r}")
+            d, nums = _over_common_denominator(row)
+            for j, x in enumerate(nums):
                 if x < 0:
-                    raise ValueError(
-                        f"{department!r} has negative share {x} in column {name!r}"
-                    )
+                    raise ShareError(f"{department!r} has negative share "
+                                     f"{Fraction(x, d)} in column {self.alternatives[j]!r}",
+                                     i, j)
+            scaled.append((d, tuple(nums)))
+        # column j sums to sum_i nums_ij / D_i: compare over the rows' common D
+        common = math.lcm(*[d for d, _ in scaled])
+        factors = [common // d for d, _ in scaled]
         for j, name in enumerate(self.alternatives):
-            total = sum(row[j] for row in self.shares)
-            if total != 1:
-                raise ValueError(
-                    f"column {name!r} sums to {total}, must be exactly 1"
-                )
+            total = sum([f * nums[j] for f, (_, nums) in zip(factors, scaled)])
+            if total != common:
+                raise ShareError(f"column {name!r} sums to {Fraction(total, common)}, "
+                                 "must be exactly 1", None, j)
+        object.__setattr__(self, "scaled", tuple(scaled))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.shares)
@@ -322,20 +376,20 @@ def _parse_share(token: str, lineno: int, column: int) -> Fraction:
 
 
 def parse_proposals(text: str) -> ProposalMatrix:
-    universe, first_line, lines = _declared(text, "alternatives")
+    """Parse proposal text; a share check that fails is reported at the share,
+    or, for a column's sum, at its alternative's name in the declaration."""
+    universe, name_at, lines = _declared(text, "alternatives")
     departments: list[str] = []
     seen: set[str] = set()
     rows: list[tuple[Fraction, ...]] = []
+    share_at: list[list[tuple[int, int]]] = []
     for lineno, line in lines:
         name, sep, rest = line.partition(":")
         if not sep:
             raise ParseError("expected 'department: shares'", lineno)
         base = len(line) - len(rest)
-        values = [
-            _parse_share(token, lineno, column)
-            for token, column in _parts(rest, " ", base)
-            if token
-        ]
+        tokens = [(token, column) for token, column in _parts(rest, " ", base) if token]
+        values = [_parse_share(token, lineno, column) for token, column in tokens]
         if len(values) != len(universe):
             raise ParseError(
                 f"{len(values)} shares for {len(universe)} alternatives", lineno
@@ -348,10 +402,12 @@ def parse_proposals(text: str) -> ProposalMatrix:
         seen.add(department)
         departments.append(department)
         rows.append(tuple(values))
+        share_at.append([(lineno, column) for _, column in tokens])
     try:
         return ProposalMatrix(tuple(departments), universe.names, tuple(rows))
-    except ValueError as exc:
-        raise ParseError(str(exc), first_line) from None
+    except ShareError as exc:
+        where = name_at if exc.row is None else share_at[exc.row]
+        raise ParseError(str(exc), *where[exc.column]) from None
 
 
 def budget_allocation(proposals: ProposalMatrix, lottery: Lottery) -> tuple[Fraction, ...]:
@@ -361,11 +417,13 @@ def budget_allocation(proposals: ProposalMatrix, lottery: Lottery) -> tuple[Frac
             f"proposal alternatives {proposals.alternatives} do not match "
             f"ballot universe {lottery.universe.names}"
         )
-    allocation = tuple(
-        sum((share * prob for share, prob in zip(row, lottery.probs)), Fraction(0))
-        for row in proposals.shares
-    )
-    if sum(allocation) != 1:
+    # row i over D_i times p over d: share i is (a_i . nums) / (D_i d)
+    d, nums = lottery.scaled
+    dots = [(row_d, sum([a * x for a, x in zip(row, nums)]))
+            for row_d, row in proposals.scaled]
+    allocation = tuple([Fraction(dot, row_d * d) for row_d, dot in dots])
+    common = math.lcm(*[row_d for row_d, _ in dots])
+    if sum([dot * (common // row_d) for row_d, dot in dots]) != common * d:
         raise SolverDefect(f"allocation sums to {sum(allocation)}, not 1")
     return allocation
 

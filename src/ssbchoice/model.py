@@ -7,8 +7,8 @@ other value, each probability and utility included, is a
 
 `Universe` is where names become positions, for every layer: a name
 (`index`), a subset (`positions`, `subset`), a renaming (`permutation`),
-a name -> value mapping (`assignment`) and sparse probabilities
-(`lottery`) each resolve there, with one set of errors.  Lookups take
+a name -> value mapping (`assignment`) and a sparse lottery in integer
+form (`lottery`) each resolve there, with one set of errors.  Lookups take
 names only: a position, even a valid one, is an unknown alternative.
 
 Values are immutable after construction and safe to share between
@@ -132,12 +132,13 @@ class Universe:
         self._check_known(values)
         return tuple([frac(values.get(n, 0)) for n in self.names])
 
-    def lottery(self, entries: Iterable[tuple[int, Fraction]]) -> "Lottery":
-        """The lottery with the given (position, probability) entries, 0 elsewhere."""
-        probs = [Fraction(0)] * len(self.names)
+    def lottery(self, d: int, entries: Iterable[tuple[int, int]]) -> "Lottery":
+        """The lottery with the given (position, numerator) entries over the
+        denominator d, 0 elsewhere."""
+        nums = [0] * len(self.names)
         for i, x in entries:
-            probs[i] = x
-        return Lottery(self, tuple(probs))
+            nums[i] = x
+        return Lottery.from_scaled(self, d, nums)
 
     def pure(self, name: str) -> "Lottery":
         """The one-point lottery on `name`."""
@@ -376,9 +377,6 @@ class UtilityVector:
 
     def is_dichotomous(self) -> bool:
         return len(set(self.values)) <= 2
-
-    def is_constant(self) -> bool:
-        return len(set(self.values)) == 1
 
     def expected(self, p: Lottery) -> Fraction:
         same_universe(self, p)

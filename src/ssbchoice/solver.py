@@ -22,8 +22,9 @@ one solve yields the maximal lottery and its certificate.
 
 All elimination, in the simplex and in the linear systems of
 `unique_optimum` and `maximal_set`, is one fraction-free integer pivot
-(Bareiss, Math. Comp. 22, 1968), so only final solutions become
-Fractions.  The simplex scales each row of [(phi + K) | I | 1] to
+(Bareiss, Math. Comp. 22, 1968), and a solution leaves it in integer
+form (d, nums): lotteries are built from that form, and slacks are
+computed on it.  The simplex scales each row of [(phi + K) | I | 1] to
 integers by its own least common denominator: a positive row factor
 changes no ratio and the sign of no reduced cost, so Bland's rule makes
 the same pivots, and picks the same lottery, as on the rational tableau.
@@ -82,8 +83,9 @@ def _pivot(rows: list, r: int, c: int, d: int) -> int:
     return p
 
 
-def _optimal_strategy(payoff: Sequence[Sequence[int | Fraction]]) -> list[Fraction]:
-    """An optimal strategy of the symmetric game with skew-symmetric payoff.
+def _optimal_strategy(payoff: Sequence[Sequence[int | Fraction]]) -> tuple[int, list[int]]:
+    """An optimal strategy of the symmetric game with skew-symmetric payoff,
+    in integer form (d, nums): the strategy is nums / d, with d > 0.
 
     Primal simplex from the all-slack basis with Bland's rule: the lowest
     column with negative reduced cost enters.
@@ -115,16 +117,16 @@ def _optimal_strategy(payoff: Sequence[Sequence[int | Fraction]]) -> list[Fracti
         d = _pivot(rows, leaving, entering, d)
         basis[leaving] = entering
 
-    value = Fraction(rows[-1][-1], d)
-    if value != Fraction(1, shift):
-        raise SolverDefect(
-            f"shifted game value {value} != 1/{shift}; zero-sum symmetry broken"
-        )
-    weights = [Fraction(0)] * k
+    # every pivot is positive, so d > 0; the value rows[-1][-1] / d must be
+    # 1 / shift, and shift is a Fraction when the entries are
+    if rows[-1][-1] * shift.numerator != d * shift.denominator:
+        raise SolverDefect(f"shifted game value {Fraction(rows[-1][-1], d)} != "
+                           f"1/{shift}; zero-sum symmetry broken")
+    nums = [0] * k
     for i, var in enumerate(basis):
         if var < k:  # a pivoted row holds d in its basic column
-            weights[var] = shift * Fraction(rows[i][-1], d)
-    return weights
+            nums[var] = shift.numerator * rows[i][-1]
+    return shift.denominator * d, nums
 
 
 def _arena(phi: SSBMatrix, names: Iterable[str] | None):
@@ -135,11 +137,12 @@ def _arena(phi: SSBMatrix, names: Iterable[str] | None):
     return arena, idx, [[phi.entries[a][b] for b in idx] for a in idx]
 
 
-def _slacks(sub, p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """(p' phi)_b for each b of the arena, p and phi (`sub`) given on it."""
-    support = [(x, row) for x, row in zip(p, sub) if x]
-    return tuple(sum((x * row[b] for x, row in support), Fraction(0))
-                 for b in range(len(sub)))
+def _slacks(sub, d: int, nums: Sequence[int]) -> tuple[Fraction, ...]:
+    """(p' phi)_b for each b of the arena, p = nums / d and phi (`sub`) given
+    on it."""
+    support = [(x, row) for x, row in zip(nums, sub) if x]
+    return tuple([Fraction(sum([x * row[b] for x, row in support]), d)
+                  for b in range(len(sub))])
 
 
 def maximal_lottery(
@@ -153,9 +156,9 @@ def maximal_lottery(
     `maximal_set` lists the vertices of the whole optimal face.
     """
     _, idx, sub = _arena(phi, names)
-    weights = _optimal_strategy(sub)
-    lottery = phi.universe.lottery(zip(idx, weights))
-    return MaximalityCertificate(lottery, _slacks(sub, weights))
+    d, nums = _optimal_strategy(sub)
+    lottery = phi.universe.lottery(d, zip(idx, nums))
+    return MaximalityCertificate(lottery, _slacks(sub, d, nums))
 
 
 def is_maximal(phi: SSBMatrix, p: Lottery, names: Iterable[str] | None = None) -> bool:
@@ -168,13 +171,15 @@ def is_maximal(phi: SSBMatrix, p: Lottery, names: Iterable[str] | None = None) -
     arena, idx, sub = _arena(phi, names)
     if not set(p.support()) <= set(arena):
         raise ValueError(f"support {p.support()} outside arena {arena}")
-    return all(s >= 0 for s in _slacks(sub, [p.probs[i] for i in idx]))
+    d, nums = p.scaled
+    return all(s >= 0 for s in _slacks(sub, d, [nums[i] for i in idx]))
 
 
-def _solve_unique(rows: list, n: int) -> list[Fraction] | None:
+def _solve_unique(rows: list, n: int) -> tuple[int, list[int]] | None:
     """The unique solution of integer rows [coefficients..., rhs] in n
-    unknowns, or None; Gauss-Jordan by `_pivot`, after which every pivot
-    row holds the last divisor d in its pivot column."""
+    unknowns, in integer form (d, nums) with d > 0, or None; Gauss-Jordan by
+    `_pivot`, after which every pivot row holds the last divisor d in its
+    pivot column."""
     rows, d = list(rows), 1
     for col in range(n):
         pivot_at = next((r for r in range(col, len(rows)) if rows[r][col]), None)
@@ -184,7 +189,8 @@ def _solve_unique(rows: list, n: int) -> list[Fraction] | None:
         d = _pivot(rows, col, col, d)
     if any(row[-1] for row in rows[n:]):
         return None  # inconsistent
-    return [Fraction(row[-1], d) for row in rows[:n]]
+    sign = 1 if d > 0 else -1
+    return sign * d, [sign * row[-1] for row in rows[:n]]
 
 
 def unique_optimum(
@@ -215,9 +221,10 @@ def unique_optimum(
     same_universe(phi, certificate.lottery)
     arena, idx, sub = _arena(phi, names)
     k = len(arena)
-    p = [certificate.lottery.probs[i] for i in idx]
-    slack = _slacks(sub, p)
-    if sum(p) != 1 or slack != certificate.slack:
+    d, nums = certificate.lottery.scaled
+    p = [nums[i] for i in idx]
+    slack = _slacks(sub, d, p)
+    if sum(p) != d or slack != certificate.slack:
         raise ValueError(f"certificate does not belong to phi on arena {arena}")
     if any(x == 0 and s == 0 for x, s in zip(p, slack)):
         return False
@@ -225,7 +232,7 @@ def unique_optimum(
     rows = [_over_common_denominator([sub[a][b] for a in support])[1] + [0] for b in support]
     rows.append([1] * (len(support) + 1))
     point = _solve_unique(rows, len(support))
-    if point is not None and point != [p[a] for a in support]:
+    if point is not None and [x * d for x in point[1]] != [p[a] * point[0] for a in support]:
         raise SolverDefect("the face system's only solution is not the certificate")
     return point is not None
 
@@ -256,7 +263,7 @@ def maximal_set(
     tight_rows = [_over_common_denominator([r[b] for r in sub])[1] + [0] for b in range(k)]
     sum_row = [1] * (k + 1)
 
-    found: set[tuple[Fraction, ...]] = set()
+    found: dict[tuple[Fraction, ...], tuple[int, list[int]]] = {}
     for pattern in itertools.product((0, 1, 2), repeat=k):
         rows = [sum_row]
         for a, choice in enumerate(pattern):
@@ -265,14 +272,16 @@ def maximal_set(
             if choice != 0:  # 1 = tight column, 2 = both
                 rows.append(tight_rows[a])
         point = _solve_unique(rows, k)
-        if point is None or any(x < 0 for x in point):
+        if point is None or min(point[1]) < 0:
             continue
-        if any(s < 0 for s in _slacks(sub, point)):
+        if min(_slacks(sub, *point)) < 0:
             continue
-        found.add(tuple(point))
+        d, nums = point
+        found[tuple([Fraction(x, d) for x in nums])] = point
     # every vertex is 0 off the ascending arena, so sorting arena points
     # orders the vertices as sorting their full vectors would
-    vertices = [universe.lottery(zip(idx, key)) for key in sorted(found)]
+    vertices = [universe.lottery(d, zip(idx, nums))
+                for _, (d, nums) in sorted(found.items())]
     if not vertices:
         raise SolverDefect("empty maximal set; existence guarantee violated")
     return vertices, len(vertices) == 1
@@ -291,12 +300,12 @@ def choose(phi: SSBMatrix, feasible: FeasiblePolytope) -> Lottery:
     same_universe(phi, feasible)
     verts = feasible.vertices
     payoff = [[evaluate(phi, vi, vj) for vj in verts] for vi in verts]
-    weights = _optimal_strategy(payoff)
+    d, nums = _optimal_strategy(payoff)
     probs = [Fraction(0)] * len(phi.universe)
-    for v, w in zip(verts, weights):
+    for v, w in zip(verts, nums):
         if w:
             for i, x in enumerate(v.probs):
-                probs[i] += w * x
+                probs[i] += Fraction(w, d) * x
     result = Lottery(phi.universe, tuple(probs))
     for j, v in enumerate(verts):
         if evaluate(phi, result, v) < 0:

@@ -157,6 +157,31 @@ class TestParseErrors:
         top = 10**MAX_EXPONENT
         assert edge.agents[0].values == (Fraction(1, top), 2 * top)
 
+    @pytest.mark.parametrize("body, message, column", [
+        ("approve{", "expected 'approve { names }'", 4),
+        ("approve {a", "expected 'approve { names }'", 4),
+        ("approve }", "expected 'approve { names }'", 4),
+        ("approve {a}}", "unknown alternative 'a}'", 13),
+        ("approve { a, a }", "duplicate alternative in approval set", 4),
+        ("approve {x}", "unknown alternative 'x'", 13),
+    ])
+    def test_approve_errors(self, body, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_ballots("universe: a, b, c\n2: " + body + "\n")
+        assert (err.value.message, err.value.line, err.value.column) == (message, 2, column)
+
+    @pytest.mark.parametrize("body, approved", [
+        ("approve{}", ()),
+        ("approve {a}", ("a",)),
+        ("approve\x1f{ b }", ("b",)),
+        ("approve\u3000{b,c }", ("b", "c")),
+    ])
+    def test_approve_braces_after_any_whitespace(self, body, approved):
+        agent = parse_ballots("universe: a, b, c\n2: " + body + "\n").runs[0][0]
+        expected = {(a, b) for a in range(3) for b in range(3)
+                    if "abc"[a] in approved and "abc"[b] not in approved}
+        assert agent.strict == expected
+
     def test_alternatives_are_capped(self):
         names = [f"x{i}" for i in range(MAX_ALTERNATIVES + 1)]
         at_cap = parse_ballots(
@@ -240,6 +265,18 @@ class TestProposals:
         bad = "alternatives: A, B\nx: 120% 50%\ny: -20% 50%\n"
         with pytest.raises(ParseError, match="'y' has negative share -1/5 in column 'A'"):
             parse_proposals(bad)
+
+    @pytest.mark.parametrize("text, message, where", [
+        ("alternatives: A, B\nx: 120% 50%\ny:  20%  -50%\nz: 0 0\n",
+         "'y' has negative share -1/2 in column 'B'", (3, 10)),
+        ("# shares\nalternatives: A,  B\nx: 1 1/2\ny: 0 1/3\n",
+         "column 'B' sums to 5/6, must be exactly 1", (2, 19)),
+        ("alternatives: A, B\n", "column 'A' sums to 0, must be exactly 1", (1, 15)),
+    ])
+    def test_share_errors_point_at_the_share(self, text, message, where):
+        with pytest.raises(ParseError) as err:
+            parse_proposals(text)
+        assert (err.value.message, err.value.line, err.value.column) == (message, *where)
 
     @pytest.mark.parametrize("text, message, column", [
         ("alternatives: A, B\nroads: 50% 50%\n  roads: 50% 50%\n",

@@ -440,7 +440,7 @@ class TestErrorHandling:
                         "Health: -20% 70% 80% 90%\n", encoding="utf-8")
         code, out, err = run(capsys, "budget", ballots, path)
         assert (code, out) == (2, "")
-        assert err == "error: line 1, column 1: 'Health' has negative share -1/5 in column 'A'\n"
+        assert err == "error: line 3, column 9: 'Health' has negative share -1/5 in column 'A'\n"
 
     @pytest.mark.parametrize("argv", [
         ["aggregate", FIXTURES / "table1.ballots", "--seed", 1],
@@ -586,7 +586,7 @@ class TestErrorHandling:
         # columns that do not sum to 1 cannot come from parse_proposals
         third = Fraction(1, 3)
         proposals = SimpleNamespace(departments=("X",), alternatives=("A", "B", "C", "D"),
-                                    shares=((third,) * 4,))
+                                    shares=((third,) * 4,), scaled=((3, (1,) * 4),))
         monkeypatch.setattr(cli, "parse_proposals", lambda text: proposals)
         code, _, err = run(capsys, "budget", FIXTURES / "table1.ballots",
                            FIXTURES / "table1.proposals")

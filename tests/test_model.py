@@ -165,8 +165,9 @@ class TestResolution:
         assert u.positions(None) == [0, 1, 2]
         assert u.permutation({"x": "y", "y": "z", "z": "x"}) == [1, 2, 0]
         assert u.assignment({"y": "1/2"}) == (0, Fraction(1, 2), 0)
-        assert u.lottery([(2, Fraction(1, 3)), (0, Fraction(2, 3))]).probs == (
+        assert u.lottery(3, [(2, 1), (0, 2)]).probs == (
             Fraction(2, 3), 0, Fraction(1, 3))
+        assert u.lottery(6, [(2, 2), (0, 4)]).scaled == (3, (2, 0, 1))
 
 
 class TestLottery:
@@ -694,7 +695,6 @@ class TestUtilityVector:
     def test_dichotomous_detection(self):
         assert UtilityVector.of(ABC, {"a": 1, "b": 1}).is_dichotomous()
         assert UtilityVector.of(ABC, {"a": 2, "b": 1, "c": 0}).is_dichotomous() is False
-        assert UtilityVector.of(ABC, {}).is_constant()
 
     def test_expected_value(self):
         u = UtilityVector.of(ABC, {"a": 1, "b": Fraction(1, 3)})
