@@ -1,8 +1,9 @@
 """Exact-arithmetic social choice with skew-symmetric bilinear utilities.
 
 Lotteries over finitely many alternatives, pairwise-comparison preference
-extension, majority-margin and affine utilitarian aggregation, maximal
-lotteries via exact zero-sum-game solving, and brute-force axiom audits.
+extension, pairwise utilitarian aggregation (the unique anonymous Arrovian
+rule on pairwise-comparison domains), maximal lotteries via exact
+zero-sum-game solving, and brute-force axiom audits.
 All arithmetic is rational; results are exact identities, not tolerances.
 """
 
@@ -26,20 +27,15 @@ from .ssb import (
     cycle_witness,
     evaluate,
     is_dichotomous,
-    is_pc,
-    is_vnm_separable,
     lottery_grid,
     normalize,
     pc_extension,
     restrict,
-    same_relation,
     separable,
     to_matrix,
 )
 from .aggregate import (
     ParetoDominance,
-    WeightVector,
-    affine_utilitarian,
     approval_aggregate,
     majority_margins,
     pareto_relation,
@@ -66,7 +62,6 @@ from .ballots import (
     parse_matrices,
     parse_proposals,
     render_matrix,
-    render_profile,
 )
 
 __version__ = "0.1.0"
@@ -86,8 +81,6 @@ __all__ = [
     "Universe",
     "UniverseMismatchError",
     "UtilityVector",
-    "WeightVector",
-    "affine_utilitarian",
     "approval_aggregate",
     "approved_set",
     "budget_allocation",
@@ -101,8 +94,6 @@ __all__ = [
     "fraction_pair",
     "is_dichotomous",
     "is_maximal",
-    "is_pc",
-    "is_vnm_separable",
     "lottery_grid",
     "majority_margins",
     "maximal_lottery",
@@ -116,9 +107,7 @@ __all__ = [
     "pc_extension",
     "relative_utilitarian_vnm",
     "render_matrix",
-    "render_profile",
     "restrict",
-    "same_relation",
     "separable",
     "to_matrix",
     "unique_optimum",

@@ -1,15 +1,15 @@
 """Social welfare functions over preference profiles.
 
-The central rule is affine utilitarianism: normalize each agent's SSB
-matrix and add them with per-agent weights.  With unit weights on
-pairwise-comparison agents this is exactly the matrix of pairwise
-majority margins, whose sign structure is the collective preference.
+The central rule is pairwise utilitarianism: normalize each agent's SSB
+matrix and add them, every agent counting once.  On pairwise-comparison
+agents this is exactly the matrix of pairwise majority margins, whose
+sign structure is the collective preference; it is the unique anonymous
+Arrovian rule on pairwise-comparison domains.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
@@ -17,7 +17,6 @@ from .model import (
     Lottery,
     Profile,
     UtilityVector,
-    frac,
     same_universe,
 )
 from .ssb import (
@@ -30,46 +29,33 @@ from .ssb import (
 )
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """One exact weight per agent."""
+def utilitarian(profile: Profile) -> SSBMatrix:
+    """The sum of the agents' normalized SSB matrices (the anonymous rule).
 
-    weights: tuple[Fraction, ...]
+    Normalizing before summing is part of the rule's definition: skipping
+    it would let an agent's chosen scale act as a hidden weight.
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(frac(w) for w in self.weights))
-
-    @classmethod
-    def unit(cls, n: int) -> "WeightVector":
-        return cls(tuple(Fraction(1) for _ in range(n)))
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-def _weighted_sum(universe, weighted_agents) -> SSBMatrix:
-    """The sum of w * normalize(to_matrix(agent)) over (agent, w) pairs.
-
-    A skew-symmetric matrix is its positive part P minus P's transpose,
-    so only the weighted positive parts are summed, into a grid of plain
-    ints and Fractions, and one SSBMatrix is built at the end.  A base
-    relation's normalized matrix is its PC matrix (zero, or largest entry
-    exactly 1), so its positive part is 1 on `strict` and the relation
-    adds w straight from its pairs.
+    Each run of equal agents is added once, times its multiplicity.  A
+    skew-symmetric matrix is its positive part P minus P's transpose, so
+    only the positive parts are summed, into a grid of plain ints and
+    Fractions, and one SSBMatrix is built at the end.  A base relation's
+    normalized matrix is its PC matrix (zero, or largest entry exactly
+    1), so its positive part is 1 on `strict` and the relation adds its
+    count straight from its pairs.
     """
-    m = len(universe)
+    m = len(profile.universe)
     grid = [[0] * m for _ in range(m)]
-    for agent, w in weighted_agents:
+    for agent, count in profile.runs:
         if isinstance(agent, BaseRelation):
             for a, b in agent.strict:
-                grid[a][b] += w
+                grid[a][b] += count
             continue
         for target, row in zip(grid, normalize(to_matrix(agent)).entries):
             for b, x in enumerate(row):
                 if x > 0:
-                    target[b] += w * x
+                    target[b] += count * x
     return SSBMatrix(
-        universe,
+        profile.universe,
         tuple(tuple(grid[a][b] - grid[b][a] for b in range(m)) for a in range(m)),
     )
 
@@ -86,26 +72,7 @@ def majority_margins(profile: Profile) -> SSBMatrix:
                 "majority margins need BaseRelation agents, got "
                 f"{type(agent).__name__}"
             )
-    return _weighted_sum(profile.universe, profile.runs)
-
-
-def affine_utilitarian(profile: Profile, weights: WeightVector) -> SSBMatrix:
-    """The weighted sum of the agents' normalized SSB matrices.
-
-    Normalizing before weighting is part of the rule's definition:
-    skipping it would let an agent's chosen scale act as a hidden weight.
-    """
-    if len(weights) != profile.n:
-        raise ValueError(f"{len(weights)} weights for {profile.n} agents")
-    return _weighted_sum(profile.universe, zip(profile.agents, weights.weights))
-
-
-def utilitarian(profile: Profile) -> SSBMatrix:
-    """Affine utilitarianism with unit weights (the anonymous rule).
-
-    Each run of equal agents is aggregated once, weighted by its length.
-    """
-    return _weighted_sum(profile.universe, profile.runs)
+    return utilitarian(profile)
 
 
 def relative_utilitarian_vnm(profile: Profile) -> SSBMatrix:
@@ -122,7 +89,7 @@ def relative_utilitarian_vnm(profile: Profile) -> SSBMatrix:
             raise TypeError(
                 f"vNM rule needs UtilityVector agents, got {type(agent).__name__}"
             )
-    return _weighted_sum(profile.universe, profile.runs)
+    return utilitarian(profile)
 
 
 def approval_aggregate(profile: Profile) -> tuple[UtilityVector, SSBMatrix]:
@@ -141,7 +108,7 @@ def approval_aggregate(profile: Profile) -> tuple[UtilityVector, SSBMatrix]:
         for name in approved_set(agent):
             scores[profile.universe.index(name)] += count
     u = UtilityVector(profile.universe, tuple(scores))
-    return u, _weighted_sum(profile.universe, profile.runs)
+    return u, utilitarian(profile)
 
 
 class ParetoDominance(enum.Enum):

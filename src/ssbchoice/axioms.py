@@ -194,8 +194,8 @@ def pareto_pairs(
     universe: Universe, samples: int = 200, seed: int = 0
 ) -> list[tuple[Lottery, Lottery]]:
     """All ordered pure pairs, then `samples` pairs of random lotteries drawn
-    with `seed`: the pairs `check_pareto` checks by default.  A caller that
-    checks many profiles over one universe builds them once."""
+    with `seed`: lottery pairs for `check_pareto`, built once for the many
+    profiles a caller checks over one universe."""
     rng = random.Random(seed)
     pure = [universe.pure(n) for n in universe.names]
     pairs = [(p, q) for p in pure for q in pure]
@@ -207,21 +207,14 @@ def pareto_pairs(
 
 
 def check_pareto(
-    f: SWFHandle,
-    profile: Profile,
-    pairs: Iterable[tuple[Lottery, Lottery]] | None = None,
-    samples: int = 200,
-    seed: int = 0,
+    f: SWFHandle, profile: Profile, pairs: Iterable[tuple[Lottery, Lottery]]
 ) -> ParetoVerdict:
     """Unanimity must be respected: strict dominance forces strict collective
     preference, unanimous indifference forces collective indifference.
 
-    Checks the supplied lottery pairs, or by default
-    `pareto_pairs(profile.universe, samples, seed)`.  Reports the first
-    counterexample.
+    Checks the given lottery pairs (see `pareto_pairs`) and reports the
+    first counterexample.
     """
-    if pairs is None:
-        pairs = pareto_pairs(profile.universe, samples, seed)
     collective = f(profile)
     checked = strict_cases = weak_cases = 0
     for p, q in pairs:

@@ -289,32 +289,6 @@ def format_percent(value: Fraction) -> str:
     return f"{'-' if n < 0 else ''}{tenths // 10}.{tenths % 10}"
 
 
-def _render_agent(agent) -> str:
-    if isinstance(agent, BaseRelation):
-        tiers = agent.tiers()
-        if tiers is not None:
-            return " > ".join(" = ".join(tier) for tier in tiers)
-        pairs = sorted(agent.strict)
-        names = agent.universe.names
-        return "edges " + ", ".join(f"{names[a]}>{names[b]}" for a, b in pairs)
-    if isinstance(agent, UtilityVector):
-        return "util " + ", ".join(
-            f"{name}={format_fraction(value)}"
-            for name, value in zip(agent.universe.names, agent.values)
-        )
-    raise TypeError(
-        f"{type(agent).__name__} agents have no ballot form; "
-        "only relations and utility vectors round-trip"
-    )
-
-
-def render_profile(profile: Profile) -> str:
-    """Canonical ballot text: re-parsing reproduces the profile exactly."""
-    lines = ["universe: " + ", ".join(profile.universe.names)]
-    lines += [f"{count}: {_render_agent(agent)}" for agent, count in profile.runs]
-    return "\n".join(lines) + "\n"
-
-
 class ShareError(ValueError):
     """A share check of `ProposalMatrix` that failed, with the position of the
     share it names (`row` None for a column's sum)."""
@@ -364,9 +338,6 @@ class ProposalMatrix:
                 raise ShareError(f"column {name!r} sums to {Fraction(total, common)}, "
                                  "must be exactly 1", None, j)
         object.__setattr__(self, "scaled", tuple(scaled))
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.shares)
 
 
 def _parse_share(token: str, lineno: int, column: int) -> Fraction:

@@ -278,16 +278,6 @@ class BaseRelation:
                     f"asymmetry violated: both ({a},{b}) and ({b},{a}) present"
                 )
 
-    def prefers(self, a: str, b: str) -> bool:
-        return (self.universe.index(a), self.universe.index(b)) in self.strict
-
-    def indifferent(self, a: str, b: str) -> bool:
-        a, b = self.universe.index(a), self.universe.index(b)
-        return (a, b) not in self.strict and (b, a) not in self.strict
-
-    def inverse(self) -> "BaseRelation":
-        return BaseRelation(self.universe, frozenset((b, a) for a, b in self.strict))
-
     def relabel(self, mapping: dict[str, str]) -> "BaseRelation":
         """Rename alternatives by a permutation of the universe."""
         image = self.universe.permutation(mapping)
@@ -374,13 +364,6 @@ class UtilityVector:
 
     def __getitem__(self, name: str) -> Fraction:
         return self.values[self.universe.index(name)]
-
-    def is_dichotomous(self) -> bool:
-        return len(set(self.values)) <= 2
-
-    def expected(self, p: Lottery) -> Fraction:
-        same_universe(self, p)
-        return sum((u * w for u, w in zip(self.values, p.probs)), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -45,17 +45,13 @@ from .ssb import SSBMatrix, _over_common_denominator, evaluate
 class MaximalityCertificate:
     """A lottery together with its exact slacks against every opposing vertex.
 
-    slack[j] = evaluate(phi, lottery, vertex_j) and every slack is >= 0;
-    for sub-simplex problems the opposing vertices are the pure outcomes
-    of the arena in universe order.
+    slack[j] = evaluate(phi, lottery, vertex_j) and every slack is >= 0
+    (`maximal_lottery` checks it); for sub-simplex problems the opposing
+    vertices are the pure outcomes of the arena in universe order.
     """
 
     lottery: Lottery
     slack: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if any(s < 0 for s in self.slack):
-            raise ValueError(f"negative slack in certificate: {self.slack}")
 
 
 class SolverDefect(RuntimeError):
@@ -157,8 +153,10 @@ def maximal_lottery(
     """
     _, idx, sub = _arena(phi, names)
     d, nums = _optimal_strategy(sub)
-    lottery = phi.universe.lottery(d, zip(idx, nums))
-    return MaximalityCertificate(lottery, _slacks(sub, d, nums))
+    slack = _slacks(sub, d, nums)
+    if min(slack) < 0:
+        raise SolverDefect(f"negative slack in certificate: {slack}")
+    return MaximalityCertificate(phi.universe.lottery(d, zip(idx, nums)), slack)
 
 
 def is_maximal(phi: SSBMatrix, p: Lottery, names: Iterable[str] | None = None) -> bool:

@@ -83,21 +83,9 @@ class SSBMatrix:
         m = len(universe)
         return cls(universe, ((0,) * m,) * m)
 
-    @classmethod
-    def from_rows(
-        cls, universe: Universe, rows: Iterable[Iterable[Rational]]
-    ) -> "SSBMatrix":
-        return cls(universe, tuple(tuple(row) for row in rows))
-
     def __getitem__(self, key: tuple[str, str]) -> int | Fraction:
         a, b = key
         return self.entries[self.universe.index(a)][self.universe.index(b)]
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.entries))
-
-    def max_entry(self) -> int | Fraction:
-        return max(map(max, self.entries))
 
     def scaled(self, factor: Rational) -> "SSBMatrix":
         f = _entry(factor)
@@ -227,12 +215,6 @@ def _ray(rows):
     return tuple(tuple(_entry(Fraction(x, top)) for x in row) for row in rows)
 
 
-def same_relation(a: SSBMatrix, b: SSBMatrix) -> bool:
-    """Whether two matrices represent identical preferences (equal up to scale)."""
-    same_universe(a, b)
-    return normalize(a).entries == normalize(b).entries
-
-
 def restrict(phi: SSBMatrix, names: Iterable[str]) -> SSBMatrix:
     """The submatrix over a subset of alternatives, in universe order.
 
@@ -246,12 +228,8 @@ def restrict(phi: SSBMatrix, names: Iterable[str]) -> SSBMatrix:
     return SSBMatrix(Universe(phi.universe.names[a] for a in idx), rows)
 
 
-def is_pc(phi: SSBMatrix) -> bool:
-    """Whether every entry lies in {-1, 0, 1}."""
-    return _pc_rows(phi.entries)
-
-
 def _pc_rows(rows) -> bool:
+    """Whether every entry of the rows lies in {-1, 0, 1}."""
     return set().union(*rows) <= {-1, 0, 1}
 
 
@@ -269,22 +247,6 @@ def approved_set(relation: BaseRelation) -> frozenset[str]:
     if len(tiers) <= 1:
         return frozenset()
     return frozenset(tiers[0])
-
-
-def is_vnm_separable(phi: SSBMatrix) -> UtilityVector | None:
-    """The utility vector inducing phi, if one exists; anchored at u(first) = 0.
-
-    phi is separable iff entries are additive along triples:
-    phi(a, c) = phi(a, b) + phi(b, c).  Checking all triples against the
-    candidate u(x) = phi(x, first) is equivalent and m^2 instead of m^3.
-    """
-    m = len(phi.universe)
-    u = tuple(phi.entries[x][0] for x in range(m))
-    for a in range(m):
-        for b in range(m):
-            if phi.entries[a][b] != u[a] - u[b]:
-                return None
-    return UtilityVector(phi.universe, u)
 
 
 def lottery_grid(universe: Universe, max_denominator: int = 5) -> list[Lottery]:

@@ -10,12 +10,9 @@ from ssbchoice import (
     SSBMatrix,
     Universe,
     UtilityVector,
-    WeightVector,
-    affine_utilitarian,
     approval_aggregate,
     compare,
     evaluate,
-    is_vnm_separable,
     majority_margins,
     mix,
     normalize,
@@ -55,10 +52,10 @@ class TestMajorityMargins:
 
     def test_all_indifferent(self):
         profile = Profile(ABC, (weak_order(ABC, [ABC.names]),) * 3)
-        assert majority_margins(profile).is_zero()
+        assert majority_margins(profile) == SSBMatrix.zero(ABC)
 
     def test_condorcet_cycle(self, condorcet_matrix):
-        assert condorcet_matrix.entries == SSBMatrix.from_rows(
+        assert condorcet_matrix.entries == SSBMatrix(
             ABC, [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
         ).entries
 
@@ -100,31 +97,22 @@ def _mixed_profiles(seed, count=60):
         runs = [
             (_mixed_agent(rng, u), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))
         ]
-        yield rng, Profile.from_runs(u, runs)
+        yield Profile.from_runs(u, runs)
 
 
-def _brute_force_sum(profile, weights):
+def _brute_force_sum(profile):
     total = SSBMatrix.zero(profile.universe)
-    for agent, w in zip(profile.agents, weights):
-        total = total + normalize(to_matrix(agent)).scaled(w)
+    for agent in profile.agents:
+        total = total + normalize(to_matrix(agent))
     return total
 
 
 class TestAggregationKernel:
-    """Both public rules against an agent-by-agent sum of SSBMatrix objects."""
+    """The rule against an agent-by-agent sum of SSBMatrix objects."""
 
     def test_utilitarian_matches_brute_force(self):
-        for _, profile in _mixed_profiles(41):
-            expect = _brute_force_sum(profile, [1] * profile.n)
-            assert utilitarian(profile).entries == expect.entries
-
-    def test_affine_utilitarian_matches_brute_force(self):
-        for rng, profile in _mixed_profiles(42):
-            weights = [random_fraction(rng, 5, 7) for _ in range(profile.n)]
-            weights[rng.randrange(profile.n)] = Fraction(0)
-            expect = _brute_force_sum(profile, weights)
-            out = affine_utilitarian(profile, WeightVector(tuple(weights)))
-            assert out.entries == expect.entries
+        for profile in _mixed_profiles(41):
+            assert utilitarian(profile).entries == _brute_force_sum(profile).entries
 
     def test_majority_margins_is_utilitarian_on_relations(self):
         rng = random.Random(43)
@@ -135,34 +123,28 @@ class TestAggregationKernel:
             assert majority_margins(profile).entries == utilitarian(profile).entries
 
 
-class TestAffineUtilitarian:
-    def test_condorcet_unit_weights(self, condorcet_profile, condorcet_matrix):
-        out = affine_utilitarian(condorcet_profile, WeightVector.unit(3))
-        assert out.entries == condorcet_matrix.entries
+class TestUtilitarian:
+    def test_condorcet(self, condorcet_profile, condorcet_matrix):
+        assert utilitarian(condorcet_profile).entries == condorcet_matrix.entries
 
     def test_single_agent_identity(self):
         agent = weak_order(ABC, ["a", "b", "c"])
         profile = Profile(ABC, (agent,))
-        out = affine_utilitarian(profile, WeightVector.unit(1))
-        assert out.entries == normalize(pc_extension(agent)).entries
+        assert utilitarian(profile).entries == normalize(pc_extension(agent)).entries
 
     def test_opposed_agents_cancel(self):
-        agent = weak_order(ABC, ["a", "b", "c"])
-        profile = Profile(ABC, (agent, agent.inverse()))
-        assert affine_utilitarian(profile, WeightVector.unit(2)).is_zero()
+        profile = Profile(ABC, (weak_order(ABC, ["a", "b", "c"]),
+                                weak_order(ABC, ["c", "b", "a"])))
+        assert utilitarian(profile) == SSBMatrix.zero(ABC)
 
-    def test_normalizes_before_weighting(self):
+    def test_normalizes_before_summing(self):
         # a scaled matrix must not act as a hidden weight
         loud = pc_extension(weak_order(ABC, ["a", "b", "c"])).scaled(100)
         quiet = pc_extension(weak_order(ABC, ["c", "b", "a"]))
         profile = Profile(ABC, (loud, quiet))
-        assert affine_utilitarian(profile, WeightVector.unit(2)).is_zero()
+        assert utilitarian(profile) == SSBMatrix.zero(ABC)
 
-    def test_weight_length_mismatch(self, condorcet_profile):
-        with pytest.raises(ValueError):
-            affine_utilitarian(condorcet_profile, WeightVector.unit(2))
-
-    def test_unit_weights_equal_majority_margins(self):
+    def test_equals_majority_margins(self):
         rng = random.Random(19)
         u = Universe(("a", "b", "c", "d"))
         for _ in range(100):
@@ -191,14 +173,13 @@ class TestRelativeUtilitarian:
     def test_single_agent_normalized(self):
         u = UtilityVector.of(ABC, {"a": 6, "b": 2, "c": 2})
         profile = Profile(ABC, (u,))
+        # rescaled to [0, 1], the agent's utilities are (1, 0, 0)
         out = relative_utilitarian_vnm(profile)
-        got = is_vnm_separable(out)
-        assert got is not None
-        assert [got.values[0] - got.values[i] for i in range(3)] == [0, 1, 1]
+        assert out == separable(UtilityVector(ABC, (1, 0, 0)))
 
     def test_constant_agents_contribute_zero(self):
         profile = Profile(ABC, (UtilityVector.of(ABC, {}),))
-        assert relative_utilitarian_vnm(profile).is_zero()
+        assert relative_utilitarian_vnm(profile) == SSBMatrix.zero(ABC)
 
     @staticmethod
     def rescaled_sum(profile):
@@ -246,7 +227,7 @@ class TestApprovalAggregate:
     def test_nobody_approves_anything(self):
         profile = Profile(ABC, (weak_order(ABC, [ABC.names]),) * 2)
         scores, matrix = approval_aggregate(profile)
-        assert matrix.is_zero() and scores.values == (0, 0, 0)
+        assert matrix == SSBMatrix.zero(ABC) and scores.values == (0, 0, 0)
 
     def test_single_approver(self):
         profile = Profile(ABC, (weak_order(ABC, [["a"]]),))
@@ -272,7 +253,7 @@ class TestApprovalAggregate:
             )
             profile = Profile(u, agents)
             scores, matrix = approval_aggregate(profile)
-            assert is_vnm_separable(matrix) is not None
+            assert matrix == separable(scores)
             margins = majority_margins(profile)
             for x in u.names:
                 for y in u.names:
@@ -378,8 +359,9 @@ class TestSymmetryProperties:
             margins = majority_margins(profile)
             for x in u.names:
                 for y in u.names:
-                    ahead = sum(1 for a in profile.agents if a.prefers(x, y))
-                    behind = sum(1 for a in profile.agents if a.prefers(y, x))
+                    xy, yx = (u.index(x), u.index(y)), (u.index(y), u.index(x))
+                    ahead = sum(1 for a in profile.agents if xy in a.strict)
+                    behind = sum(1 for a in profile.agents if yx in a.strict)
                     got = compare(margins, u.pure(x), u.pure(y))
                     if ahead > behind:
                         assert got is Comparison.PREFERRED

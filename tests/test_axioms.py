@@ -13,8 +13,6 @@ from ssbchoice import (
     Universe,
     UniverseMismatchError,
     UtilityVector,
-    WeightVector,
-    affine_utilitarian,
     compare,
     normalize,
     pc_extension,
@@ -405,33 +403,25 @@ class TestCheckPareto:
         strict_agent = weak_order(ABC, ["a", "b", "c"])
         indifferent = weak_order(ABC, [ABC.names])
         profile = Profile(ABC, (strict_agent, indifferent))
-        muted = SWFHandle(
-            "zero-weight-on-1",
-            lambda r: affine_utilitarian(r, WeightVector((0, 1))),
-        )
-        verdict = check_pareto(muted, profile, samples=50)
+        # weights (0, 1): the second agent's normalized matrix
+        muted = SWFHandle("zero-weight-on-1", lambda r: normalize(to_matrix(r.agents[1])))
+        verdict = check_pareto(muted, profile, pareto_pairs(ABC, samples=50))
         assert not verdict.passed
         p, q, dominance, outcome = verdict.counterexample
         assert dominance.value == "strict"
 
     def test_all_indifferent_profile(self):
         profile = Profile(ABC, (weak_order(ABC, [ABC.names]),) * 3)
-        verdict = check_pareto(constant_swf(), profile, samples=50)
+        verdict = check_pareto(constant_swf(), profile, pareto_pairs(ABC, samples=50))
         assert verdict.passed and verdict.strict_cases == 0
 
-    def test_default_pairs_are_pareto_pairs(self):
+    def test_pareto_pairs_are_pure_pairs_then_seeded_samples(self):
         pairs = pareto_pairs(ABC, samples=30, seed=4)
+        pure = [ABC.pure(n) for n in ABC.names]
+        assert pairs[:9] == [(p, q) for p in pure for q in pure]
         assert len(pairs) == 9 + 30
         assert pairs == pareto_pairs(ABC, samples=30, seed=4)
-        muted = SWFHandle(
-            "zero-weight-on-1",
-            lambda r: affine_utilitarian(r, WeightVector((0, 1))),
-        )
-        profile = Profile(ABC, (weak_order(ABC, ["a", "b", "c"]),
-                                weak_order(ABC, [ABC.names])))
-        for f in (muted, pairwise_utilitarian_swf()):
-            assert check_pareto(f, profile, samples=30, seed=4) \
-                == check_pareto(f, profile, pairs=pairs)
+        assert pairs != pareto_pairs(ABC, samples=30, seed=5)
 
     def test_unanimity_cases_have_expected_structure(self):
         from ssbchoice import ParetoDominance, pareto_relation
@@ -465,7 +455,7 @@ class TestRichness:
         assert report.results[0].witness is not None
 
     def test_missing_zero_fails_r2(self):
-        members = [m for m in pc_matrices(ABC) if not m.is_zero()]
+        members = [m for m in pc_matrices(ABC) if m != SSBMatrix.zero(ABC)]
         domain = DomainDescription.of(ABC, members, "pc-minus-zero")
         report = audit_richness(domain, [RichnessCondition.FULL_INDIFFERENCE])
         assert not report.passed
@@ -491,7 +481,7 @@ class TestRichness:
     def test_crippled_dichotomous_domain_fails_r5(self):
         relations = [
             r for r in dichotomous_relations(ABCD)
-            if len(r.strict) == 0 or not r.prefers("a", "b")
+            if len(r.strict) == 0 or (0, 1) not in r.strict
         ]
         domain = DomainDescription.of(
             ABCD, (pc_extension(r) for r in relations), "no-a-over-b"

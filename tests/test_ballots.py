@@ -6,7 +6,6 @@ from ssbchoice import (
     BaseRelation,
     Lottery,
     ParseError,
-    Profile,
     Universe,
     UtilityVector,
     budget_allocation,
@@ -18,7 +17,6 @@ from ssbchoice import (
     parse_matrices,
     parse_proposals,
     render_matrix,
-    render_profile,
 )
 from ssbchoice.ballots import MAX_ALTERNATIVES, MAX_EXPONENT
 
@@ -63,7 +61,7 @@ class TestParseBallots:
         )
         agent = profile.agents[0]
         assert isinstance(agent, BaseRelation)
-        assert agent.prefers("c", "a") and agent.tiers() is None
+        assert agent.strict == {(0, 1), (1, 2), (2, 0)} and agent.tiers() is None
 
     def test_partial_weak_order_bottoms_out(self):
         profile = parse_ballots("universe: a, b, c, d\n1: b > a\n")
@@ -93,7 +91,7 @@ class TestParseBallots:
         approve, util, edges, empty = profile.agents
         assert approve.tiers() == (("a",), ("b",))
         assert util.values == (1, 0)
-        assert edges.prefers("b", "a")
+        assert edges.strict == {(1, 0)}
         assert empty.strict == frozenset()
 
     def test_a_name_equal_to_a_keyword_reads_as_the_keyword(self):
@@ -201,32 +199,6 @@ class TestParseErrors:
             parse_ballots("universe: " + ", ".join(names[:5] + ["x3"]) + "\n1: x0\n")
 
 
-class TestRoundTrip:
-    CASES = [
-        "universe: A, B, C, D\n25: A > B > C > D\n20: B > A > C > D\n",
-        "universe: a, b, c\n3: a = b = c\n",
-        "universe: a, b, c\n2: approve {a, b}\n1: approve {}\n",
-        "universe: a, b, c\n1: util a=1, b=1/3, c=0\n2: util a=0, b=7/2, c=-1\n",
-        "universe: a, b, c\n1: edges a>b, b>c, c>a\n1: a > b > c\n",
-    ]
-
-    @pytest.mark.parametrize("text", CASES)
-    def test_render_reparses_identically(self, text):
-        profile = parse_ballots(text)
-        rendered = render_profile(profile)
-        assert parse_ballots(rendered) == profile
-        # canonical form is a fixed point
-        assert render_profile(parse_ballots(rendered)) == rendered
-
-    def test_table1_round_trip(self, table1_profile):
-        assert parse_ballots(render_profile(table1_profile)) == table1_profile
-
-    def test_matrix_agents_unrepresentable(self, table1_margins):
-        profile = Profile(table1_margins.universe, (table1_margins,))
-        with pytest.raises(TypeError):
-            render_profile(profile)
-
-
 class TestFormatting:
     def test_fraction_lowest_terms(self):
         assert format_fraction(Fraction(40, 80)) == "1/2"
@@ -252,7 +224,7 @@ class TestProposals:
         assert table1_proposals.departments == (
             "Education", "Transportation", "Health", "Military",
         )
-        assert table1_proposals.column(0) == (
+        assert tuple(row[0] for row in table1_proposals.shares) == (
             Fraction(2, 5), Fraction(3, 10), Fraction(1, 5), Fraction(1, 10),
         )
 
@@ -312,7 +284,7 @@ class TestBudgetAllocation:
     def test_pure_proposal_returns_column(self, table1_proposals, table1_margins):
         u = table1_margins.universe
         assert budget_allocation(table1_proposals, u.pure("A")) \
-            == table1_proposals.column(0)
+            == tuple(row[0] for row in table1_proposals.shares)
 
     def test_half_half_mixture(self, table1_proposals, table1_margins):
         u = table1_margins.universe

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import re
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ssbchoice import Profile, SolverDefect, Universe, ballots, cli
+from ssbchoice import Profile, SolverDefect, Universe, ballots, cli, solver
 from ssbchoice.cli import main
 from ssbchoice.ssb import lottery_grid
 
@@ -582,6 +583,16 @@ class TestErrorHandling:
         assert out == ""
         assert err == "internal error: game LP unbounded\n"
 
+    def test_non_optimal_strategy_exits_3(self, capsys, monkeypatch):
+        # a feasible but non-optimal pure strategy has a negative slack: the
+        # defect is the solver's, never the input's
+        monkeypatch.setattr(solver, "_optimal_strategy",
+                            lambda payoff: (1, [1] + [0] * (len(payoff) - 1)))
+        code, out, err = run(capsys, "maximal-lottery", FIXTURES / "condorcet.ballots")
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("internal error: negative slack in certificate: ")
+
     def test_allocation_not_summing_to_one_exits_3(self, capsys, monkeypatch):
         # columns that do not sum to 1 cannot come from parse_proposals
         third = Fraction(1, 3)
@@ -592,3 +603,64 @@ class TestErrorHandling:
                            FIXTURES / "table1.proposals")
         assert code == 3
         assert err.startswith("internal error: allocation sums to 1/3")
+
+
+class TestByteOrderMark:
+    """A file saved with a UTF-8 byte-order mark reads as it does without one."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["aggregate"], (FIXTURES / "table1.ballots").read_text(encoding="utf-8")),
+        (["budget", FIXTURES / "table1.ballots"],
+         (FIXTURES / "table1.proposals").read_text(encoding="utf-8")),
+        (["audit-domain", "--conditions", "R2,R3", "--file"],
+         "alternatives: a, b\n0 1\n-1 0\n0 -1\n1 0\n0 0\n0 0\n"),
+    ], ids=["ballots", "proposals", "matrices"])
+    def test_each_file_kind(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "input"
+        path.write_text(text, encoding="utf-8")
+        plain = run(capsys, *argv, path)
+        assert plain[0] == 0 and plain[2] == ""
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert run(capsys, *argv, path) == plain
+
+
+class TestCollector:
+    """`main` pauses the cyclic garbage collector while a command runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["aggregate", FIXTURES / "table1.ballots"],
+        ["budget", FIXTURES / "table1.ballots", FIXTURES / "table1.proposals",
+         "--max-enum", 4],
+        ["maximal-lottery", FIXTURES / "empty-indifference.ballots", "--max-enum", 3,
+         "--json"],
+        ["cycle-witness", FIXTURES / "chain4.ballots"],
+        ["check-axioms", "--swf", "dictatorial", "--samples", 20],
+        ["check-axioms", "--swf", "approval"],
+        ["audit-domain", "--alternatives", 3],
+        ["aggregate", FIXTURES / "missing.ballots"],
+    ], ids=["aggregate", "budget", "maximal-lottery", "cycle-witness",
+            "check-axioms dictatorial", "check-axioms approval", "audit-domain",
+            "missing file"])
+    def test_commands_leave_no_reference_cycles(self, capsys, argv):
+        # what pausing rests on: no garbage a command makes needs the collector
+        gc.collect()
+        gc.disable()
+        try:
+            main([str(a) for a in argv])
+        finally:
+            gc.enable()
+        assert gc.collect() == 0
+        capsys.readouterr()
+
+    def test_paused_during_the_command_and_resumed_after(self, capsys, monkeypatch):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            raise TypeError("broken on purpose")
+
+        monkeypatch.setitem(cli._COMMANDS, "aggregate", command)
+        assert gc.isenabled()
+        code, _, _ = run(capsys, "aggregate", FIXTURES / "table1.ballots")
+        assert (code, seen) == (3, [False])
+        assert gc.isenabled()

@@ -104,7 +104,7 @@ class TestMaximalLottery:
         assert cert.lottery.probs == (Fraction(1, 3),) * 3
 
     def test_dominant_row_gives_pure_winner(self):
-        phi = SSBMatrix.from_rows(ABC, [[0, 2, 1], [-2, 0, -3], [-1, 3, 0]])
+        phi = SSBMatrix(ABC, [[0, 2, 1], [-2, 0, -3], [-1, 3, 0]])
         cert = maximal_lottery(phi)
         assert cert.lottery == ABC.pure("a")
 
@@ -133,7 +133,7 @@ class TestMaximalLottery:
         assert min(cert.slack) == 0 and all(s >= 0 for s in cert.slack)
         rows = [[0] * 12 for _ in range(12)]
         rows[0][1], rows[1][0] = 1, -1
-        lopsided = SSBMatrix.from_rows(u, rows)
+        lopsided = SSBMatrix(u, rows)
         assert maximal_lottery(lopsided).lottery.support() == ("x0",)
 
 
@@ -142,7 +142,7 @@ def integer_matrix(rng, m, zero_rate, values):
     for i, j in itertools.combinations(range(m), 2):
         rows[i][j] = 0 if rng.random() < zero_rate else rng.choice(values)
         rows[j][i] = -rows[i][j]
-    return SSBMatrix.from_rows(Universe(tuple(f"x{i}" for i in range(m))), rows)
+    return SSBMatrix(Universe(tuple(f"x{i}" for i in range(m))), rows)
 
 
 class TestDeterministicPick:
@@ -187,7 +187,7 @@ class TestDeterministicPick:
     ])
     def test_pick_on_non_unique_instances(self, rows, pick):
         u = Universe(tuple("abcdef"[: len(rows)]))
-        phi = SSBMatrix.from_rows(u, rows)
+        phi = SSBMatrix(u, rows)
         cert = maximal_lottery(phi)
         assert cert.lottery.probs == tuple(Fraction(x) for x in pick)
         assert not unique_optimum(phi, cert)
@@ -296,7 +296,7 @@ class TestMaximalSet:
         # whose support systems alone are underdetermined, so plain
         # support enumeration would miss them.
         u = Universe(("a", "b", "c", "d"))
-        phi = SSBMatrix.from_rows(u, [
+        phi = SSBMatrix(u, [
             [0, 0, 1, -1],
             [0, 0, -1, 1],
             [-1, 1, 0, 0],
@@ -338,7 +338,7 @@ class TestUniqueOptimum:
         return enumerated
 
     def test_fixtures(self, table1_margins, condorcet_matrix):
-        tied_block = SSBMatrix.from_rows(Universe(("a", "b", "c", "d")), [
+        tied_block = SSBMatrix(Universe(("a", "b", "c", "d")), [
             [0, 0, 1, -1],
             [0, 0, -1, 1],
             [-1, 1, 0, 0],
@@ -362,7 +362,7 @@ class TestUniqueOptimum:
             for i, j in itertools.combinations(range(m), 2):
                 rows[i][j] = 0 if rng.random() < 0.2 else rng.randint(-3, 3)
                 rows[j][i] = -rows[i][j]
-            unique_count += self.agrees(SSBMatrix.from_rows(u, rows))
+            unique_count += self.agrees(SSBMatrix(u, rows))
         assert 0 < unique_count < len(sizes)
 
     def test_interior_point_of_a_face(self):
@@ -394,7 +394,7 @@ class TestNoFloat:
             for i, j in itertools.combinations(range(m), 2):
                 rows[i][j] = 0 if rng.random() < 0.2 else rng.randint(-9, 9)
                 rows[j][i] = -rows[i][j]
-            phi = SSBMatrix.from_rows(u, rows)
+            phi = SSBMatrix(u, rows)
             cert = maximal_lottery(phi)
             assert_exact(cert.lottery.probs)
             assert_exact(cert.slack)
@@ -419,7 +419,7 @@ class TestAgainstBruteForce:
                 for j in range(i + 1, m):
                     grid[i][j] = rng.randint(-2, 2)
                     grid[j][i] = -grid[i][j]
-            phi = SSBMatrix.from_rows(u, grid)
+            phi = SSBMatrix(u, grid)
             vertices, unique = maximal_set(phi)
             hull = [v.probs for v in vertices]
             # every reported vertex is maximal by the independent test

@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "ssbchoice").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "ssbchoice").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -37,3 +39,64 @@ def test_no_regex_compiled_inside_a_function(path):
                 if any(isinstance(x, ast.Constant) for x in patterns):
                     calls.append((node.lineno, node.func.attr))
     assert calls == []
+
+
+# Public names that no command, demo or benchmark reaches, each kept for the
+# tests that use it as an oracle or a seeded generator
+SURFACE_ALLOWED = {
+    "restrict": "the restriction oracle of the axiom, ssb and property suites",
+    "is_maximal": "the maximality oracle of the acceptance and solver suites",
+    "random_ssb_matrix": "the seeded generator of arbitrary SSB matrices",
+    "pc_matrices": "every PC matrix in entry order, for the aggregate and axiom suites",
+    "SSBMatrix.relabel": "the neutrality oracle for collective matrices",
+    "BaseRelation.relabel": "the neutrality oracle for agents",
+}
+
+
+def _references(node) -> Counter:
+    """How often each identifier is read below node: names, attributes and
+    import aliases."""
+    seen = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            seen[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            seen[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            seen[n.name.rpartition(".")[2]] += 1
+    return seen
+
+
+def _public_definitions(tree):
+    """(qualified name, node) for each public module-level function or class
+    and each public non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_name_is_reached():
+    # The surface is what the commands, demos and benchmark use; `__init__`
+    # only re-exports.  A method counts as reached when an attribute of its
+    # name is read anywhere: the scan knows no types.
+    program = [path for path in SOURCES if path.name != "__init__.py"]
+    readers = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    reads = Counter()
+    definitions = []
+    for path in program + readers:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        reads += _references(tree)
+        if path in program:
+            definitions += _public_definitions(tree)
+    unreached = set()
+    for name, node in definitions:
+        short = name.rpartition(".")[2]
+        if reads[short] == _references(node)[short]:
+            unreached.add(name)
+    assert sorted(unreached - SURFACE_ALLOWED.keys()) == []
+    # an entry that is reached, or defined no more, leaves the list
+    assert sorted(SURFACE_ALLOWED.keys() - unreached) == []

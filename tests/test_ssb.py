@@ -15,14 +15,11 @@ from ssbchoice import (
     cycle_witness,
     evaluate,
     is_dichotomous,
-    is_pc,
-    is_vnm_separable,
     lottery_grid,
     mix,
     normalize,
     pc_extension,
     restrict,
-    same_relation,
     separable,
     weak_order,
 )
@@ -41,8 +38,8 @@ def assert_canonical(phi):
 
 
 class TestEntryRepresentation:
-    def test_from_rows_coerces_each_literal(self):
-        phi = SSBMatrix.from_rows(ABC, [
+    def test_constructor_coerces_each_literal(self):
+        phi = SSBMatrix(ABC, [
             [0, Fraction(4, 2), "1/2"],
             [-2, 0, "3"],
             ["-0.5", -3, 0],
@@ -53,13 +50,13 @@ class TestEntryRepresentation:
         )
         assert type(phi["a", "b"]) is int and type(phi["b", "c"]) is int
         assert type(phi["a", "c"]) is Fraction
-        decimal = SSBMatrix.from_rows(Universe(("x", "y")), [[0, "0.5"], ["-1/2", 0]])
+        decimal = SSBMatrix(Universe(("x", "y")), [[0, "0.5"], ["-1/2", 0]])
         assert decimal.entries == ((0, Fraction(1, 2)), (Fraction(-1, 2), 0))
         assert_canonical(decimal)
 
     def test_equal_values_hash_equal_across_types(self):
-        ints = SSBMatrix.from_rows(ABC, [[0, 1, 2], [-1, 0, 0], [-2, 0, 0]])
-        fracs = SSBMatrix.from_rows(ABC, [
+        ints = SSBMatrix(ABC, [[0, 1, 2], [-1, 0, 0], [-2, 0, 0]])
+        fracs = SSBMatrix(ABC, [
             [Fraction(0), Fraction(1), Fraction(2)],
             [Fraction(-1), Fraction(0), Fraction(0)],
             [Fraction(-2), Fraction(0), Fraction(0)],
@@ -71,7 +68,7 @@ class TestEntryRepresentation:
     def test_bool_and_float_rejected(self):
         for bad in (True, 0.5, 1.0):
             with pytest.raises(TypeError):
-                SSBMatrix.from_rows(Universe(("x", "y")), [[0, bad], [0, 0]])
+                SSBMatrix(Universe(("x", "y")), [[0, bad], [0, 0]])
 
     def test_constructors_build_ints(self, chain4_matrix):
         assert_canonical(chain4_matrix)
@@ -85,14 +82,15 @@ class TestEntryRepresentation:
             assert all(type(x) is int for row in phi.entries for x in row)
 
     def test_normalize_margins_with_maximum_two(self):
-        margins = SSBMatrix.from_rows(ABC, [[0, 2, 1], [-2, 0, -1], [-1, 1, 0]])
+        margins = SSBMatrix(ABC, [[0, 2, 1], [-2, 0, -1], [-1, 1, 0]])
         n = normalize(margins)
-        assert n.max_entry() == 1 and type(n.max_entry()) is int
+        top = max(map(max, n.entries))
+        assert top == 1 and type(top) is int
         assert n["a", "c"] == Fraction(1, 2) and type(n["a", "c"]) is Fraction
         assert_canonical(n)
 
     def test_scaling_collapses_integral_results(self):
-        phi = SSBMatrix.from_rows(ABC, [[0, 2, 1], [-2, 0, -1], [-1, 1, 0]])
+        phi = SSBMatrix(ABC, [[0, 2, 1], [-2, 0, -1], [-1, 1, 0]])
         half = phi.scaled(Fraction(1, 2))
         assert_canonical(half)
         assert half["a", "b"] == 1 and type(half["a", "b"]) is int
@@ -108,9 +106,9 @@ class TestEntryRepresentation:
 
 def test_skew_symmetry_enforced():
     with pytest.raises(ValueError):
-        SSBMatrix.from_rows(ABC, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        SSBMatrix(ABC, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     with pytest.raises(ValueError):
-        SSBMatrix.from_rows(ABC, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+        SSBMatrix(ABC, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
 class TestEvaluate:
@@ -148,7 +146,7 @@ class TestEvaluate:
                 )))
             if trial % 3 == 0:
                 dead = rng.randrange(4)
-                phi = SSBMatrix.from_rows(ABCD, [
+                phi = SSBMatrix(ABCD, [
                     [0 if dead in (a, b) else phi.entries[a][b] for b in range(4)]
                     for a in range(4)
                 ])
@@ -196,7 +194,7 @@ class TestCompare:
                 phi = pc_extension(random_relation(rng, ABCD))
             else:
                 upper = [[rng.randint(-3, 3) * (a < b) for b in range(4)] for a in range(4)]
-                phi = SSBMatrix.from_rows(
+                phi = SSBMatrix(
                     ABCD, [[upper[a][b] - upper[b][a] for b in range(4)] for a in range(4)])
             has_fractions = any(type(x) is Fraction for row in phi.entries for x in row)
             pick = rng.random()
@@ -216,12 +214,12 @@ class TestCompare:
 
 class TestPCExtension:
     def test_chain3(self, chain3_matrix):
-        assert chain3_matrix.entries == SSBMatrix.from_rows(
+        assert chain3_matrix.entries == SSBMatrix(
             ABC, [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
         ).entries
 
     def test_complete_indifference(self):
-        assert pc_extension(weak_order(ABC, [ABC.names])).is_zero()
+        assert pc_extension(weak_order(ABC, [ABC.names])) == SSBMatrix.zero(ABC)
 
     def test_chain4_upper_triangular(self, chain4_matrix):
         for i in range(4):
@@ -322,25 +320,19 @@ class TestRestrict:
 
 
 class TestPredicates:
-    def test_chain3_pc_but_not_separable(self, chain3_matrix):
-        assert is_pc(chain3_matrix)
-        assert is_vnm_separable(chain3_matrix) is None
-
     def test_two_tier_separable(self):
+        # a two-tier order's PC matrix is `separable` of its 0/1 approval
+        # vector, and of that vector shifted by any constant
         phi = pc_extension(weak_order(ABC, [["a", "b"], ["c"]]))
-        u = is_vnm_separable(phi)
-        assert u is not None
-        # anchored at u(a) = 0; only differences matter
-        assert u.values == (0, 0, -1)
-        diffs = [u.values[i] - u.values[2] for i in range(3)]
-        assert diffs == [1, 1, 0]
+        assert phi == separable(UtilityVector(ABC, (1, 1, 0)))
+        assert phi == separable(UtilityVector(ABC, (0, 0, -1)))
 
     def test_zero_matrix_satisfies_everything(self):
         zero = SSBMatrix.zero(ABC)
-        assert is_pc(zero)
-        assert is_dichotomous(weak_order(ABC, [ABC.names]))
-        u = is_vnm_separable(zero)
-        assert u is not None and set(u.values) == {0}
+        indifferent = weak_order(ABC, [ABC.names])
+        assert pc_extension(indifferent) == zero
+        assert is_dichotomous(indifferent)
+        assert separable(UtilityVector(ABC, (0, 0, 0))) == zero
 
     def test_dichotomous_is_two_tiers(self):
         assert is_dichotomous(weak_order(ABC, [["a", "b"], ["c"]]))
@@ -356,12 +348,10 @@ class TestPredicates:
                             for _ in range(4))
             )
             phi = separable(u)
-            got = is_vnm_separable(phi)
-            assert got is not None
             p = random_lottery(rng, ABCD)
             q = random_lottery(rng, ABCD)
-            assert evaluate(phi, p, q) == u.expected(p) - u.expected(q)
-            assert got.expected(p) - got.expected(q) == evaluate(phi, p, q)
+            expected = lambda r: sum(x * w for x, w in zip(u.values, r.probs))
+            assert evaluate(phi, p, q) == expected(p) - expected(q)
 
 
 class TestCycleWitness:
@@ -454,6 +444,7 @@ class TestSymmetrySpotCheck:
         assert confirmed >= 300
 
 
-def test_same_relation_is_scale_free(table1_margins):
-    assert same_relation(table1_margins, table1_margins.scaled(Fraction(7, 3)))
-    assert not same_relation(table1_margins, -table1_margins)
+def test_normalize_is_scale_free(table1_margins):
+    # `normalize(a) == normalize(b)` decides whether a and b are one relation
+    assert normalize(table1_margins) == normalize(table1_margins.scaled(Fraction(7, 3)))
+    assert normalize(table1_margins) != normalize(-table1_margins)
