@@ -18,6 +18,7 @@ from ssbchoice import (
     UniverseMismatchError,
     UtilityVector,
     approved_set,
+    evaluate,
     is_dichotomous,
     is_maximal,
     maximal_lottery,
@@ -25,6 +26,7 @@ from ssbchoice import (
     mix,
     parse_ballots,
     restrict,
+    separable,
     unique_optimum,
     utilitarian,
     weak_order,
@@ -79,6 +81,7 @@ RESOLUTION_FAILURES = {
     "UtilityVector[]": (lambda: UTILITY_A["x"], UNKNOWN_X),
     "SSBMatrix[] row": (lambda: CYCLE["x", "a"], UNKNOWN_X),
     "SSBMatrix[] column": (lambda: CYCLE["a", "x"], UNKNOWN_X),
+    "weak_order": (lambda: weak_order(ABC, [["a", "x"]]), UNKNOWN_X),
     "BaseRelation.relabel unknown name": (
         lambda: A_OVER_B.relabel({"a": "b", "x": "a"}), UNKNOWN_X),
     "BaseRelation.relabel unknown image": (
@@ -138,7 +141,10 @@ class TestResolution:
         (lambda: Lottery.of(ABC, {"c": 1})[-1], -1),
         (lambda: UTILITY_A[0], 0),
         (lambda: CYCLE["a", 0], 0),
-    ], ids=["Lottery[-1]", "UtilityVector[0]", "SSBMatrix['a', 0]"])
+        (lambda: weak_order(ABC, [["a", 1]]), 1),
+        (lambda: ABC.pure(0), 0),
+    ], ids=["Lottery[-1]", "UtilityVector[0]", "SSBMatrix['a', 0]",
+            "weak_order([['a', 1]])", "Universe.pure(0)"])
     def test_lookups_take_names_only(self, lookup, key):
         with pytest.raises(KeyError) as info:
             lookup()
@@ -423,6 +429,12 @@ class TestBaseRelation:
         assert cycle.strict == {(0, 1), (1, 2), (2, 0)}
         assert cycle.tiers() is None
 
+    def test_indifference_is_complement(self):
+        # indifference is the absence of both orientations
+        r = weak_order(ABC, [["a", "b"], ["c"]])
+        assert (0, 1) not in r.strict and (1, 0) not in r.strict
+        assert (0, 2) in r.strict
+
     def test_random_relations_keep_invariants(self):
         rng = random.Random(3)
         for _ in range(200):
@@ -674,3 +686,10 @@ class TestFeasiblePolytope:
         with pytest.raises(ValueError):
             FeasiblePolytope(ABC, ())
 
+
+class TestUtilityVector:
+    def test_expected_value(self):
+        # the expected utility difference is the separable matrix's value
+        u = UtilityVector.of(ABC, {"a": 1, "b": Fraction(1, 3)})
+        p = Lottery.of(ABC, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
+        assert evaluate(separable(u), p, ABC.pure("c")) == Fraction(2, 3)

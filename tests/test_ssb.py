@@ -24,6 +24,7 @@ from ssbchoice import (
     weak_order,
 )
 from ssbchoice.axioms import random_lottery, random_relation, random_ssb_matrix
+from ssbchoice.ssb import _pc_rows
 
 ABC = Universe(("a", "b", "c"))
 ABCD = Universe(("a", "b", "c", "d"))
@@ -320,6 +321,11 @@ class TestRestrict:
 
 
 class TestPredicates:
+    def test_chain3_pc_but_not_separable(self, chain3_matrix):
+        assert _pc_rows(chain3_matrix.entries)
+        # a separable matrix has phi(a, c) = phi(a, b) + phi(b, c)
+        assert chain3_matrix["a", "c"] != chain3_matrix["a", "b"] + chain3_matrix["b", "c"]
+
     def test_two_tier_separable(self):
         # a two-tier order's PC matrix is `separable` of its 0/1 approval
         # vector, and of that vector shifted by any constant
