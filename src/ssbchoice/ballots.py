@@ -13,7 +13,10 @@ Counts are positive integers.  A line is stored once, as one run of
 that many identical agents, so a count costs the same at any size.
 Alternatives a weak order leaves out drop to a shared bottom tier; `util`
 values omitted default to 0.  A keyword counts only as a whole token, so
-`utility > b` is a weak order.  `#` starts a comment anywhere.
+`utility > b` is a weak order.  `#` starts a comment anywhere.  Each
+distinct ballot body is parsed once, at its first line, and the lines
+that repeat it share that agent; a body that fails raises at its first
+line.
 
 Proposal files map each alternative to a column of exact shares:
 
@@ -34,7 +37,12 @@ Every rational literal, in ballots, proposals and matrix files, may carry
 a decimal exponent (`1e3`) of at most `MAX_EXPONENT` in magnitude: an
 exponent sets the size of the exact integer it builds.  A declaration
 names at most `MAX_ALTERNATIVES` alternatives, since every collective
-matrix holds one entry per ordered pair of them.
+matrix holds one entry per ordered pair of them.  The CLI refuses an input
+file of more than `MAX_INPUT_BYTES` bytes before reading it.
+
+The readers split lines with `str.split` and keep no positions: the column
+of a `ParseError` is computed from its line only when it is raised
+(`_column`), so every error still names its line and column.
 """
 
 from __future__ import annotations
@@ -61,7 +69,9 @@ _DECLARATION_KEYWORDS = ("universe", "alternatives")
 _BALLOT_KEYWORD_RE = re.compile(r"approve(?=[\s{]|$)|(?:util|edges)(?=\s|$)")
 MAX_EXPONENT = 1000
 MAX_ALTERNATIVES = 256
+MAX_INPUT_BYTES = 4_000_000
 _EXPONENT_RE = re.compile(r"[eE][-+]?[0_]*(\d[\d_]*)?")
+_ZERO = Fraction(0)  # every unnamed utility: one object, not one per position
 
 
 class ParseError(ValueError):
@@ -80,63 +90,77 @@ def _significant_lines(text: str):
             yield lineno, body
 
 
-def _parts(text: str, sep: str, base: int):
-    """Split on a single-character separator, yielding (piece, 1-based column)."""
-    offset = 0
-    for piece in text.split(sep):
-        yield piece.strip(), base + offset + (len(piece) - len(piece.lstrip())) + 1
-        offset += len(piece) + 1
+def _column(text: str, base: int, *path: tuple[str, int]) -> int:
+    """The 1-based column of a piece of `text`, which starts after column
+    `base`: each (sep, k) step of `path` takes the k-th piece of the text
+    split on sep, stripped, as the text of the next step.  The column is
+    where the last piece starts past its leading whitespace.  Readers split
+    without columns and call this only to raise a ParseError."""
+    for sep, k in path:
+        pieces = text.split(sep)
+        piece = pieces[k]
+        base += sum(map(len, pieces[:k])) + k + len(piece) - len(piece.lstrip())
+        text = piece.strip()
+    return base + 1
 
 
-def _parse_declaration(line: str, lineno: int) -> tuple[Universe, list[int]]:
-    """The universe a declaration line names, and each name's column."""
-    keyword, sep, rest = line.partition(":")
+def _token_column(text: str, base: int, j: int) -> int:
+    """The column of the j-th non-empty piece of `text` split on spaces."""
+    k = [k for k, piece in enumerate(text.split(" ")) if piece.strip()][j]
+    return _column(text, base, (" ", k))
+
+
+def _declaration_names(line: str) -> tuple[str, int]:
+    """A declaration line's names with commas as spaces, and the column
+    after which that text starts."""
+    rest = line.partition(":")[2]
+    return rest.replace(",", " "), len(line) - len(rest)
+
+
+def _parse_declaration(line: str, lineno: int) -> Universe:
+    """The universe a declaration line names."""
+    keyword, sep, _ = line.partition(":")
     if not sep or keyword.strip().lower() not in _DECLARATION_KEYWORDS:
         raise ParseError(
             "expected a declaration line like 'universe: a, b, c'", lineno
         )
-    base = len(line) - len(rest)
+    text, base = _declaration_names(line)
     names: list[str] = []
-    columns: list[int] = []
     seen: set[str] = set()
-    for token, column in _parts(rest.replace(",", " "), " ", base):
+    for piece in text.split(" "):
+        token = piece.strip()
         if not token:
             continue
         if not _NAME_RE.match(token):
-            raise ParseError(f"invalid alternative name {token!r}", lineno, column)
-        if token in seen:
-            raise ParseError(f"duplicate alternative {token!r}", lineno, column)
-        if len(names) == MAX_ALTERNATIVES:
-            raise ParseError(
-                f"declaration names more than {MAX_ALTERNATIVES} alternatives",
-                lineno,
-                column,
-            )
-        seen.add(token)
-        names.append(token)
-        columns.append(column)
+            message = f"invalid alternative name {token!r}"
+        elif token in seen:
+            message = f"duplicate alternative {token!r}"
+        elif len(names) == MAX_ALTERNATIVES:
+            message = f"declaration names more than {MAX_ALTERNATIVES} alternatives"
+        else:
+            seen.add(token)
+            names.append(token)
+            continue
+        raise ParseError(message, lineno, _token_column(text, base, len(names)))
     if not names:
         raise ParseError("declaration names no alternatives", lineno)
-    return Universe(tuple(names)), columns
+    return Universe(tuple(names))
 
 
 def _declared(text: str, what: str):
-    """The universe a text's first significant line declares, the (line, column)
-    of each name there, and the significant lines after it."""
+    """The universe a text's first significant line declares, that line's
+    (number, text), and the significant lines after it."""
     lines = _significant_lines(text)
     for lineno, line in lines:
-        universe, columns = _parse_declaration(line, lineno)
-        return universe, [(lineno, column) for column in columns], lines
+        return _parse_declaration(line, lineno), (lineno, line), lines
     raise ParseError(f"no {what} declaration found", 1)
 
 
-def _name_index(universe: Universe, token: str, lineno: int, column: int) -> int:
-    """The position of the alternative `token` names; a ParseError if none."""
+def _unknown(token: str, lineno: int, column: int) -> ParseError:
+    """The error for a token that names no alternative."""
     if not token:
-        raise ParseError("missing alternative name", lineno, column)
-    if token not in universe:
-        raise ParseError(f"unknown alternative {token!r}", lineno, column)
-    return universe.index(token)
+        return ParseError("missing alternative name", lineno, column)
+    return ParseError(f"unknown alternative {token!r}", lineno, column)
 
 
 def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
@@ -162,86 +186,124 @@ def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
         raise ParseError(f"invalid rational {token!r}", lineno, column) from None
 
 
+def _parse_row(text: str, base: int, lineno: int, parse) -> list[Fraction]:
+    """Each non-empty piece of `text` split on spaces, read by `parse`; `text`
+    starts after column `base`."""
+    values = []
+    for piece in text.split(" "):
+        token = piece.strip()
+        if token:
+            try:
+                values.append(parse(token, lineno, 0))  # column placed on error
+            except ParseError as exc:
+                column = _token_column(text, base, len(values))
+                raise ParseError(exc.message, lineno, column) from None
+    return values
+
+
 def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
+    """The agent a ballot body describes; `body` starts after column `base`."""
+    index = universe._index  # name -> position: one dict lookup per name
     stripped = body.strip()
-    pad = base + (len(body) - len(body.lstrip()))
     match = _BALLOT_KEYWORD_RE.match(stripped)
     keyword = match.group() if match else None
     if keyword == "approve":
         # `stripped` ends in non-space, so the braces close it exactly when its
         # last character is "}"
         rest = stripped[7:].lstrip()
+        pad = base + len(body) - len(body.lstrip()) + 1
         if not (rest.startswith("{") and rest.endswith("}")):
-            raise ParseError("expected 'approve { names }'", lineno, pad + 1)
-        inner_base = pad + len(stripped) - len(rest) + 1
-        approved = [
-            _name_index(universe, token, lineno, column)
-            for token, column in _parts(rest[1:-1].replace(",", " "), " ", inner_base)
-            if token
-        ]
+            raise ParseError("expected 'approve { names }'", lineno, pad)
+        inner = rest[1:-1].replace(",", " ")
+        approved: list[int] = []
+        for piece in inner.split(" "):
+            token = piece.strip()
+            if token:
+                i = index.get(token)
+                if i is None:
+                    raise _unknown(token, lineno, _token_column(
+                        inner, pad + len(stripped) - len(rest), len(approved)))
+                approved.append(i)
         chosen = set(approved)
         if len(chosen) != len(approved):
-            raise ParseError("duplicate alternative in approval set", lineno, pad + 1)
+            raise ParseError("duplicate alternative in approval set", lineno, pad)
         # approved names rank 0, the rest 1: approving none or all ties everything
         return ranked_order(universe, [int(i not in chosen) for i in range(len(universe))])
     if keyword == "util":
         # one value per position, written as each name is checked; unnamed ones are 0
         values: list[Fraction | None] = [None] * len(universe)
-        inner = body[body.index("util") + 4 :]
-        inner_base = base + body.index("util") + 4
-        for item, item_col in _parts(inner, ",", inner_base):
-            if not item:
-                raise ParseError("empty utility assignment", lineno, item_col)
-            pieces = list(_parts(item, "=", item_col - 1))
-            if len(pieces) != 2:
-                raise ParseError(
-                    f"expected 'name=value', got {item!r}", lineno, item_col
-                )
-            (name, name_col), (value, value_col) = pieces
-            i = _name_index(universe, name, lineno, name_col)
-            if values[i] is not None:
-                raise ParseError(f"duplicate utility for {name!r}", lineno, name_col)
-            values[i] = _parse_rational(value, lineno, value_col)
-        return UtilityVector(
-            universe, tuple(Fraction(0) if v is None else v for v in values)
-        )
+        at = body.index("util") + 4
+        inner = body[at:]
+        for k, item in enumerate(inner.split(",")):
+            item = item.strip()
+            name, _, value = item.partition("=")
+            name = name.strip()
+            i = index.get(name)
+            if i is None or values[i] is not None or item.count("=") != 1:
+                column = _column(inner, base + at, (",", k))
+                if not item:
+                    raise ParseError("empty utility assignment", lineno, column)
+                if item.count("=") != 1:
+                    raise ParseError(f"expected 'name=value', got {item!r}", lineno, column)
+                column = _column(item, column - 1, ("=", 0))
+                if i is None:
+                    raise _unknown(name, lineno, column)
+                raise ParseError(f"duplicate utility for {name!r}", lineno, column)
+            try:
+                values[i] = _parse_rational(value.strip(), lineno, 0)
+            except ParseError as exc:
+                column = _column(inner, base + at, (",", k), ("=", 1))
+                raise ParseError(exc.message, lineno, column) from None
+        return UtilityVector(universe, tuple([_ZERO if v is None else v for v in values]))
     if keyword == "edges":
-        inner = body[body.index("edges") + 5 :]
-        inner_base = base + body.index("edges") + 5
+        at = body.index("edges") + 5
+        inner = body[at:]
         strict: set[tuple[int, int]] = set()
-        for item, item_col in _parts(inner, ",", inner_base):
+        for k, item in enumerate(inner.split(",")):
+            item = item.strip()
             if not item:
                 continue
-            pieces = list(_parts(item, ">", item_col - 1))
-            if len(pieces) != 2:
-                raise ParseError(f"expected 'a>b', got {item!r}", lineno, item_col)
-            (a, a_col), (b, b_col) = pieces
-            pair = (_name_index(universe, a, lineno, a_col),
-                    _name_index(universe, b, lineno, b_col))
-            if pair[0] == pair[1]:
-                raise ParseError(f"self-edge on {a!r}", lineno, a_col)
-            if (pair[1], pair[0]) in strict:
-                raise ParseError(
-                    f"both orientations of {a!r}/{b!r} present", lineno, a_col
-                )
+            a, _, b = item.partition(">")
+            a, b = a.strip(), b.strip()
+            pair = (index.get(a), index.get(b))
+            if (None in pair or pair[0] == pair[1] or (pair[1], pair[0]) in strict
+                    or item.count(">") != 1):
+                column = _column(inner, base + at, (",", k))
+                if item.count(">") != 1:
+                    raise ParseError(f"expected 'a>b', got {item!r}", lineno, column)
+                a_col = _column(item, column - 1, (">", 0))
+                if pair[0] is None:
+                    raise _unknown(a, lineno, a_col)
+                if pair[1] is None:
+                    raise _unknown(b, lineno, _column(item, column - 1, (">", 1)))
+                message = (f"self-edge on {a!r}" if pair[0] == pair[1]
+                           else f"both orientations of {a!r}/{b!r} present")
+                raise ParseError(message, lineno, a_col)
             strict.add(pair)
         return BaseRelation(universe, frozenset(strict))
     # weak order: tiers separated by ">", ties by "="; each name gets its
     # tier's rank, and names in no tier keep rank m, the bottom tier
     m = len(universe)
     rank = [m] * m
-    for level, (tier_text, tier_col) in enumerate(_parts(body, ">", base)):
-        for token, column in _parts(tier_text, "=", tier_col - 1):
-            i = _name_index(universe, token, lineno, column)
-            if rank[i] < m:
+    for level, tier in enumerate(body.split(">")):
+        for k, piece in enumerate(tier.split("=")):
+            token = piece.strip()
+            i = index.get(token)
+            if i is None or rank[i] < m:
+                column = _column(body, base, (">", level), ("=", k))
+                if i is None:
+                    raise _unknown(token, lineno, column)
                 raise ParseError(f"alternative {token!r} listed twice", lineno, column)
             rank[i] = level
     return ranked_order(universe, rank)
 
 
 def parse_ballots(text: str) -> Profile:
-    """Parse ballot text into a profile: one run per ballot line, in file order."""
+    """Parse ballot text into a profile: one run per ballot line, in file
+    order.  Each distinct body is parsed once, at its first line, and its
+    runs share the agent."""
     universe, _, lines = _declared(text, "universe")
+    agents: dict[str, object] = {}
     runs: list = []
     for lineno, line in lines:
         count_text, sep, body = line.partition(":")
@@ -255,7 +317,10 @@ def parse_ballots(text: str) -> Profile:
             ) from None
         if count <= 0:
             raise ParseError(f"ballot count must be positive, got {count}", lineno)
-        agent = _parse_ballot_body(universe, body, len(count_text) + 1, lineno)
+        agent = agents.get(body)
+        if agent is None:
+            agent = agents[body] = _parse_ballot_body(
+                universe, body, len(count_text) + 1, lineno)
         runs.append((agent, count))
     if not runs:
         raise ParseError("no ballots found", 1)
@@ -349,36 +414,35 @@ def _parse_share(token: str, lineno: int, column: int) -> Fraction:
 def parse_proposals(text: str) -> ProposalMatrix:
     """Parse proposal text; a share check that fails is reported at the share,
     or, for a column's sum, at its alternative's name in the declaration."""
-    universe, name_at, lines = _declared(text, "alternatives")
+    universe, declaration, lines = _declared(text, "alternatives")
     departments: list[str] = []
     seen: set[str] = set()
     rows: list[tuple[Fraction, ...]] = []
-    share_at: list[list[tuple[int, int]]] = []
+    row_at: list[tuple[int, str, int]] = []  # (line, shares text, its base column)
     for lineno, line in lines:
         name, sep, rest = line.partition(":")
         if not sep:
             raise ParseError("expected 'department: shares'", lineno)
-        base = len(line) - len(rest)
-        tokens = [(token, column) for token, column in _parts(rest, " ", base) if token]
-        values = [_parse_share(token, lineno, column) for token, column in tokens]
+        values = _parse_row(rest, len(name) + 1, lineno, _parse_share)
         if len(values) != len(universe):
             raise ParseError(
                 f"{len(values)} shares for {len(universe)} alternatives", lineno
             )
-        department, column = name.strip(), len(name) - len(name.lstrip()) + 1
-        if not department:
-            raise ParseError("empty department name", lineno, column)
-        if department in seen:
-            raise ParseError(f"duplicate department {department!r}", lineno, column)
+        department = name.strip()
+        if not department or department in seen:
+            message = (f"duplicate department {department!r}" if department
+                       else "empty department name")
+            raise ParseError(message, lineno, len(name) - len(name.lstrip()) + 1)
         seen.add(department)
         departments.append(department)
         rows.append(tuple(values))
-        share_at.append([(lineno, column) for _, column in tokens])
+        row_at.append((lineno, rest, len(name) + 1))
     try:
         return ProposalMatrix(tuple(departments), universe.names, tuple(rows))
     except ShareError as exc:
-        where = name_at if exc.row is None else share_at[exc.row]
-        raise ParseError(str(exc), *where[exc.column]) from None
+        lineno, text, base = (row_at[exc.row] if exc.row is not None
+                              else (declaration[0], *_declaration_names(declaration[1])))
+        raise ParseError(str(exc), lineno, _token_column(text, base, exc.column)) from None
 
 
 def budget_allocation(proposals: ProposalMatrix, lottery: Lottery) -> tuple[Fraction, ...]:
@@ -418,11 +482,7 @@ def parse_matrices(text: str) -> list[SSBMatrix]:
     rows: list[tuple[Fraction, ...]] = []
     matrices: list[SSBMatrix] = []
     for lineno, line in lines:
-        values = [
-            _parse_rational(token, lineno, column)
-            for token, column in _parts(line, " ", 0)
-            if token
-        ]
+        values = _parse_row(line, 0, lineno, _parse_rational)
         if len(values) != len(universe):
             raise ParseError(
                 f"{len(values)} entries for {len(universe)} alternatives", lineno

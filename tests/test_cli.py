@@ -226,9 +226,9 @@ class TestCheckAxioms:
             sampled.append(draw(*args, **kwargs))
             return sampled[-1]
 
-        def recording_check(handle, profile):
+        def recording_check(handle, profile, **kwargs):
             checked.append(profile)
-            return check(handle, profile)
+            return check(handle, profile, **kwargs)
 
         monkeypatch.setattr(cli.axioms, "random_pc_profile", recording_draw)
         monkeypatch.setattr(cli.axioms, "check_anonymity", recording_check)
@@ -240,6 +240,19 @@ class TestCheckAxioms:
             assert 1 < len(checked) < len(sampled) < 200
         else:
             assert len(checked) < len(sampled) == 200
+
+    def test_anonymity_relabelings_are_drawn_with_the_seed(self, capsys):
+        # above 6 agents each profile is relabeled by 24 permutations drawn with
+        # --seed; the dictatorial rule fails at the first that moves agent 0
+        for seed in (1, 2, 3):
+            code, out, _ = run(capsys, "check-axioms", "--swf", "dictatorial", "--agents", 8,
+                               "--samples", 20, "--seed", seed)
+            rng = random.Random(seed)
+            drawn = [tuple(rng.sample(range(8), 8)) for _ in range(24)]
+            first = next(pi for pi in drawn if pi[0] != 0)
+            assert code == 1
+            assert f"FAIL anonymity over 20 sampled profiles (seed {seed}): " \
+                f"witness permutation {first}\n" in out
 
     def test_json_report(self, capsys):
         code, out, _ = run(
@@ -490,6 +503,7 @@ class TestErrorHandling:
         (cli, "MAX_AXIOM_SAMPLES"),
         (ballots, "MAX_ALTERNATIVES"),
         (ballots, "MAX_EXPONENT"),
+        (ballots, "MAX_INPUT_BYTES"),
     ])
     def test_readme_lists_every_bound(self, module, name):
         readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")

@@ -19,6 +19,8 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from ssbchoice.ballots import MAX_INPUT_BYTES
+
 from conftest import FIXTURES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -216,3 +218,71 @@ def test_flag_values(data):
                                    max_size=3, unique=True)):
         argv += [flag, data.draw(flag_value(flags[flag]))]
     run_cli(argv)
+
+
+# -- the byte bound on every input file ----------------------------------------
+
+COUNT_READS = """
+import sys
+from ssbchoice import cli
+
+reads = []
+
+
+class Counted:
+    # the file `cli._read` opens, with each read counted
+    def __init__(self, file):
+        self.file = file
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def read(self, *args):
+        reads.append(args)
+        return self.file.read(*args)
+
+
+cli.open = lambda *args, **kwargs: Counted(open(*args, **kwargs))
+code = cli.main(sys.argv[1:])
+print(code, len(reads))
+"""
+
+
+def test_a_file_over_the_byte_bound_is_refused_unread(tmp_path):
+    path = tmp_path / "over.ballots"
+    with open(path, "wb") as file:
+        file.truncate(MAX_INPUT_BYTES + 1)  # sparse: no bytes need writing
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+    def counted_run(*argv):
+        return subprocess.run([sys.executable, "-c", COUNT_READS, *argv], capture_output=True,
+                              text=True, env=env, preexec_fn=_cap_memory, timeout=WALL_BUDGET)
+
+    # the count sees the one read of a file within the bound
+    within = counted_run("aggregate", "--json", str(FIXTURES / "condorcet.ballots"))
+    assert within.stdout.splitlines()[-1] == "0 1"
+    start = time.perf_counter()
+    proc = counted_run("maximal-lottery", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert proc.stdout == "2 0\n"
+    assert proc.stderr == (f"error: {path} has {MAX_INPUT_BYTES + 1} bytes; input files "
+                           f"may hold at most {MAX_INPUT_BYTES}\n")
+
+
+def test_a_file_at_the_byte_bound_completes():
+    # three weak orders in turn, each parsed once however often it repeats
+    head = "universe: a, b, c, d\n"
+    cycle = "1: a > b > c\n2: d = c > a\n3: b\n"
+    text = head + cycle * ((MAX_INPUT_BYTES - len(head)) // len(cycle))
+    text += "#" * (MAX_INPUT_BYTES - len(text) - 1) + "\n"
+    assert len(text.encode("utf-8")) == MAX_INPUT_BYTES
+    code, out, _ = run_cli(["maximal-lottery", "{0}"], [text])
+    assert code == 0
+    assert out.startswith("Maximal lottery:\n")
