@@ -38,7 +38,8 @@ a decimal exponent (`1e3`) of at most `MAX_EXPONENT` in magnitude: an
 exponent sets the size of the exact integer it builds.  A declaration
 names at most `MAX_ALTERNATIVES` alternatives, since every collective
 matrix holds one entry per ordered pair of them.  The CLI refuses an input
-file of more than `MAX_INPUT_BYTES` bytes before reading it.
+file of more than `MAX_INPUT_BYTES` bytes: before reading it when its size
+is known, and one byte past the bound when it is a pipe or device.
 
 The readers split lines with `str.split` and keep no positions: the column
 of a `ParseError` is computed from its line only when it is raised

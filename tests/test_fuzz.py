@@ -26,6 +26,8 @@ from conftest import FIXTURES
 SRC = Path(__file__).resolve().parent.parent / "src"
 MEMORY_CAP = 1 << 30  # bytes of address space for each child
 WALL_BUDGET = 10.0  # seconds per example
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
 FUZZ = settings(max_examples=8, deadline=None, derandomize=True)
 
 
@@ -46,12 +48,10 @@ def run_cli(argv, files=()):
                 path.write_text(content, encoding="utf-8")
             paths.append(str(path))
         argv = [str(a).format(*paths) for a in argv]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "ssbchoice.cli", *argv],
-            capture_output=True, text=True, errors="replace", env=env,
+            capture_output=True, text=True, errors="replace", env=CHILD_ENV,
             preexec_fn=_cap_memory, timeout=WALL_BUDGET,
         )
         elapsed = time.perf_counter() - start
@@ -254,16 +254,18 @@ print(code, len(reads))
 """
 
 
+def over_bound(path):
+    return f"error: {path} has more than {MAX_INPUT_BYTES} bytes, the most an input file may hold\n"
+
+
 def test_a_file_over_the_byte_bound_is_refused_unread(tmp_path):
     path = tmp_path / "over.ballots"
     with open(path, "wb") as file:
         file.truncate(MAX_INPUT_BYTES + 1)  # sparse: no bytes need writing
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
 
     def counted_run(*argv):
         return subprocess.run([sys.executable, "-c", COUNT_READS, *argv], capture_output=True,
-                              text=True, env=env, preexec_fn=_cap_memory, timeout=WALL_BUDGET)
+                              text=True, env=CHILD_ENV, preexec_fn=_cap_memory, timeout=WALL_BUDGET)
 
     # the count sees the one read of a file within the bound
     within = counted_run("aggregate", "--json", str(FIXTURES / "condorcet.ballots"))
@@ -272,8 +274,23 @@ def test_a_file_over_the_byte_bound_is_refused_unread(tmp_path):
     proc = counted_run("maximal-lottery", str(path))
     assert time.perf_counter() - start < 1.0
     assert proc.stdout == "2 0\n"
-    assert proc.stderr == (f"error: {path} has {MAX_INPUT_BYTES + 1} bytes; input files "
-                           f"may hold at most {MAX_INPUT_BYTES}\n")
+    assert proc.stderr == over_bound(path)
+
+
+def test_a_device_with_no_size_is_read_only_to_the_bound():
+    # /dev/zero reports size 0 and never ends: reading stops one byte past the bound
+    code, _, err = run_cli(["maximal-lottery", "/dev/zero"])
+    assert (code, err) == (2, over_bound("/dev/zero"))
+
+
+def test_a_pipe_within_the_bound_reads_as_the_file():
+    path = FIXTURES / "condorcet.ballots"
+    piped = subprocess.run([sys.executable, "-m", "ssbchoice.cli", "maximal-lottery", "/dev/stdin"],
+                           input=path.read_bytes(), capture_output=True, env=CHILD_ENV,
+                           preexec_fn=_cap_memory, timeout=WALL_BUDGET)
+    code, out, _ = run_cli(["maximal-lottery", path])
+    assert (piped.returncode, piped.stdout.decode("utf-8"), piped.stderr) == (code, out, b"")
+    assert code == 0
 
 
 def test_a_file_at_the_byte_bound_completes():
