@@ -250,12 +250,21 @@ class IIASuiteReport:
 def _signature_tables(f, profiles, subsets):
     positions = [profiles[0].universe.positions(x) for x in subsets]
     known: dict = {}  # agent or output matrix -> its signature on each subset
+    rays: dict = {}  # restricted block -> its ray, as `_signature` computes it
+
+    def ray(block):
+        sig = rays.get(block)
+        if sig is None:
+            sig = rays[block] = _ray(block)
+        return sig
 
     def signatures(agent):
         sig = known.get(agent)
         if sig is None:
             entries = to_matrix(agent).entries
-            sig = known[agent] = tuple(_signature(entries, idx) for idx in positions)
+            sig = known[agent] = tuple(
+                ray(tuple([tuple([entries[a][b] for b in idx]) for a in idx]))
+                for idx in positions)
         return sig
 
     hyp = []
@@ -725,7 +734,7 @@ def _ranked(universe: Universe, rank: Sequence[int], table: dict) -> BaseRelatio
     order yield one object.  One table serves one universe.
     """
     levels = sorted(set(rank))
-    pattern = tuple([levels.index(r) for r in rank])
+    pattern = tuple(map(levels.index, rank))
     order = table.get(pattern)
     if order is None:
         order = table[pattern] = ranked_order(universe, pattern)
@@ -773,20 +782,36 @@ def random_ssb_matrix(rng: random.Random, universe: Universe, max_abs: int = 4) 
     return SSBMatrix(universe, tuple(map(tuple, grid)))
 
 
+def _profile(universe: Universe, agents: tuple, profiles: dict | None) -> Profile:
+    """The profile of `agents` from `profiles`, the caller's dict from agent
+    tuple to profile; a miss builds the profile and stores it, so equal
+    agent tuples yield one object.  Equal agents share a universe, so a
+    hit is over `universe` as a build would be.  None builds afresh."""
+    if profiles is None:
+        return Profile(universe, agents)
+    profile = profiles.get(agents)
+    if profile is None:
+        profile = profiles[agents] = Profile(universe, agents)
+    return profile
+
+
 def random_pc_profile(
     rng: random.Random,
     universe: Universe,
     n: int,
     transitive: bool = True,
     table: dict | None = None,
+    profiles: dict | None = None,
 ) -> Profile:
     """n agents drawn by `random_weak_order` from `table` (a fresh one,
-    living for this call, by default), or by `random_relation`."""
+    living for this call, by default), or by `random_relation`; the
+    profile comes from `profiles` (see `_profile`)."""
     if not transitive:
-        return Profile(universe, tuple(random_relation(rng, universe) for _ in range(n)))
-    table = {} if table is None else table
-    return Profile(universe, tuple(random_weak_order(rng, universe, table)
-                                   for _ in range(n)))
+        agents = tuple(random_relation(rng, universe) for _ in range(n))
+    else:
+        table = {} if table is None else table
+        agents = tuple(random_weak_order(rng, universe, table) for _ in range(n))
+    return _profile(universe, agents, profiles)
 
 
 def unanimity_case(
@@ -795,6 +820,7 @@ def unanimity_case(
     n: int,
     strict: bool,
     table: dict | None = None,
+    profiles: dict | None = None,
 ) -> tuple[Profile, Lottery, Lottery]:
     """A profile plus a lottery pair with unanimity built in.
 
@@ -804,7 +830,8 @@ def unanimity_case(
     on {x, y} only, which makes that agent strictly better off under the
     shift and everyone else indifferent.  The agents' weak orders come
     from `table` as in `random_weak_order`: the caller's, shared across
-    calls over one universe, or by default a fresh one for this call.
+    calls over one universe, or by default a fresh one for this call; the
+    profile comes from `profiles` (see `_profile`).
     """
     m = len(universe)
     x, y = rng.sample(range(m), 2)
@@ -846,4 +873,5 @@ def unanimity_case(
         q_nums[y] -= delta
         q = Lottery.from_scaled(universe, 5 * d, q_nums)
     table = {} if table is None else table
-    return Profile(universe, tuple(_ranked(universe, rank, table) for rank in ranks)), p, q
+    agents = tuple(_ranked(universe, rank, table) for rank in ranks)
+    return _profile(universe, agents, profiles), p, q

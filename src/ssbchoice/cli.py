@@ -53,7 +53,8 @@ MAX_GRID_LOTTERIES = 1500
 # check-axioms work grows linearly in --samples, and in --agents only above 6:
 # up to 6 agents the anonymity check relabels each profile all n! ways, so 6 is
 # the slowest count within the limit.  At m=6 and 500 samples, 6 agents took
-# 27 s and 72 MiB, 50 agents 9.9 s and 134 MiB; 2000 agents at m=3 took 60 s
+# 16.5-18.2 s and 41 MiB, 50 agents 4.1-5.0 s and 58 MiB; 2000 agents at m=3
+# took 60 s when the limit was chosen
 MAX_AXIOM_AGENTS = 50
 MAX_AXIOM_SAMPLES = 500
 
@@ -382,11 +383,12 @@ def _cmd_check_axioms(args) -> int:
             detail,
         ))
         table: dict = {}  # one object per weak order the samples draw
+        profiles: dict = {}  # and one per agent tuple
         anon_fail = None
         checked: set = set()  # the check is deterministic: a repeat would pass again
         for _ in range(args.samples):
             profile = axioms.random_pc_profile(
-                rng, universe, max(2, args.agents), table=table
+                rng, universe, max(2, args.agents), table=table, profiles=profiles
             )
             if profile in checked:
                 continue
@@ -405,7 +407,7 @@ def _cmd_check_axioms(args) -> int:
         for _ in range(args.samples):
             strict = rng.random() < 0.5
             profile, p, q = axioms.unanimity_case(
-                rng, universe, max(2, args.agents), strict, table
+                rng, universe, max(2, args.agents), strict, table, profiles
             )
             verdict = axioms.check_pareto(handle, profile, pairs=[(p, q)])
             if not verdict.passed:

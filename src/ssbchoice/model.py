@@ -13,11 +13,17 @@ names only: a position, even a valid one, is an unknown alternative.
 
 Values are immutable after construction and safe to share between
 threads: every field is set by the constructor and none is written
-later, except a lottery's Fractions.  A lottery's value is its integer
-form (`Lottery.scaled`, probabilities over their least common
+later.  Two derived values are stored after construction, on first use,
+and are no part of the value: a lottery's Fractions, and the hash of a
+`Universe`, `BaseRelation` or `Profile`.  A lottery's value is its
+integer form (`Lottery.scaled`, probabilities over their least common
 denominator), which equality compares; its `probs` are derived from it
 on first read and kept (a racing read builds an equal tuple), and
-hashing and repr read them.  There is no global cache.
+hashing and repr read them.  A stored hash is the dataclass hash of the
+fields, and pickling rebuilds the object rather than copying it, since a
+string's hash differs between processes.  There is no global cache: a
+caller that wants equal values shared keeps its own dict, as
+`check-axioms` does for one command (see `axioms._profile`).
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ class Universe:
 
     names: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
+    _hash = None  # hash((names,)), stored on first use; not a field
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -78,6 +85,16 @@ class Universe:
             raise ValueError(f"duplicate alternative names in {names}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.names,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return Universe, (self.names,)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -264,6 +281,7 @@ class BaseRelation:
 
     universe: Universe
     strict: frozenset[tuple[int, int]]
+    _hash = None  # as Universe's
 
     def __post_init__(self):
         object.__setattr__(self, "strict", frozenset(self.strict))
@@ -277,6 +295,16 @@ class BaseRelation:
                 raise ValueError(
                     f"asymmetry violated: both ({a},{b}) and ({b},{a}) present"
                 )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.universe, self.strict))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return BaseRelation, (self.universe, self.strict)
 
     def relabel(self, mapping: dict[str, str]) -> "BaseRelation":
         """Rename alternatives by a permutation of the universe."""
@@ -351,8 +379,12 @@ class UtilityVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        values = tuple(frac(v) for v in self.values)
-        object.__setattr__(self, "values", values)
+        values = self.values
+        # the ballot parser hands over a tuple of Fractions, which `frac`
+        # would return unchanged
+        if type(values) is not tuple or {*map(type, values)} != {Fraction}:
+            values = tuple([frac(v) for v in values])
+            object.__setattr__(self, "values", values)
         if len(values) != len(self.universe):
             raise ValueError(
                 f"{len(values)} utilities for {len(self.universe)} alternatives"
@@ -381,9 +413,10 @@ class Profile:
 
     universe: Universe
     runs: tuple[tuple[object, int], ...]
+    _hash = None  # as Universe's
 
     def __init__(self, universe: Universe, agents: Iterable):
-        self._set_runs(universe, ((agent, 1) for agent in agents))
+        self._set_runs(universe, zip(agents, itertools.repeat(1)))
 
     @classmethod
     def from_runs(
@@ -395,25 +428,38 @@ class Profile:
         return profile
 
     def _set_runs(self, universe: Universe, runs: Iterable[tuple[object, int]]) -> None:
-        merged: list[list] = []
+        agents: list = []
+        counts: list[int] = []
         for agent, count in runs:
-            if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
+            if count <= 0 if type(count) is int else (
+                    isinstance(count, bool) or not isinstance(count, int) or count <= 0):
                 raise ValueError(
                     f"agent multiplicity must be a positive integer, got {count!r}"
                 )
-            if merged and (merged[-1][0] is agent or merged[-1][0] == agent):
-                merged[-1][1] += count
+            if agents and (agents[-1] is agent or agents[-1] == agent):
+                counts[-1] += count
                 continue
             agent_universe = getattr(agent, "universe", None)
             if agent_universe is not universe and agent_universe != universe:
                 raise UniverseMismatchError(
                     "agent universe differs from profile universe"
                 )
-            merged.append([agent, count])
-        if not merged:
+            agents.append(agent)
+            counts.append(count)
+        if not agents:
             raise ValueError("profile needs at least one agent")
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "runs", tuple((agent, count) for agent, count in merged))
+        object.__setattr__(self, "runs", tuple(zip(agents, counts)))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.universe, self.runs))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return Profile.from_runs, (self.universe, self.runs)
 
     @property
     def agents(self) -> tuple:

@@ -22,12 +22,14 @@ from ssbchoice import (
     utilitarian,
     weak_order,
 )
+from ssbchoice import axioms
 from ssbchoice.axioms import (
     DomainDescription,
     IIAVerdict,
     _audit_sets,
     _ranked,
     _signature,
+    _signature_tables,
     RichnessCondition,
     SWFHandle,
     approval_swf,
@@ -300,6 +302,55 @@ class TestExhaustiveIIA:
             assert (report.checked, report.vacuous) == (checked, vacuous)
             assert report.violations == tuple(violations)
 
+    @pytest.mark.parametrize("pool, make_swf, fractions", [
+        ("weak-orders-2", pairwise_utilitarian_swf, True),
+        ("weak-orders-3", pairwise_utilitarian_swf, True),
+        ("weak-orders-2", dictatorial_swf, False),
+        ("weak-orders-2", constant_swf, False),
+        ("weak-orders-2", lambda: SWFHandle("borda", borda), True),
+        ("weak-orders-3", lambda: SWFHandle("borda", borda), True),
+        ("relations", lambda: SWFHandle("borda", borda), True),
+        ("dichotomous", approval_swf, True),
+        ("utilities", relative_utilitarian_swf, True),
+        ("matrices", pairwise_utilitarian_swf, True),
+    ])
+    def test_signature_tables_match_the_reference(self, monkeypatch, pool, make_swf,
+                                                  fractions):
+        # one ray per distinct restricted block gives the signatures, entry
+        # types included, and the report of the per-block reference
+        for seed in range(3):
+            rng = random.Random(seed)
+            universe = ABCD if seed else ABC
+            if pool.startswith("weak-orders"):
+                n = int(pool[-1])
+                profiles = [random_pc_profile(rng, universe, n) for _ in range(30)]
+            elif pool == "relations":
+                profiles = [random_pc_profile(rng, universe, 2, transitive=False)
+                            for _ in range(30)]
+            elif pool == "dichotomous":
+                relations = dichotomous_relations(universe)
+                profiles = [Profile(universe, (rng.choice(relations), rng.choice(relations)))
+                            for _ in range(30)]
+            elif pool == "utilities":
+                profiles = [Profile(universe, tuple(
+                    UtilityVector(universe, tuple(
+                        Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in universe))
+                    for _ in range(2))) for _ in range(30)]
+            else:
+                profiles = [Profile(universe, tuple(
+                    random_ssb_matrix(rng, universe) for _ in range(2))) for _ in range(30)]
+            subsets = [x for x in restriction_sets(universe) if len(x) > 1]
+            got = _signature_tables(make_swf(), profiles, subsets)
+            want = _reference_signature_tables(make_swf(), profiles, subsets)
+            assert got == want
+            assert [type(x) for x in _leaves(got)] == [type(x) for x in _leaves(want)]
+            # the outputs' signatures hold Fraction entries where the rule's do
+            assert any(type(x) is Fraction for x in _leaves(got[1])) == fractions
+            report = exhaustive_iia(make_swf(), profiles, max_violations=10**6)
+            with monkeypatch.context() as patched:
+                patched.setattr(axioms, "_signature_tables", _reference_signature_tables)
+                assert exhaustive_iia(make_swf(), profiles, max_violations=10**6) == report
+
     def test_profiles_must_share_agent_count(self):
         one = Profile(ABC, (weak_order(ABC, ["a"]),))
         with pytest.raises(ValueError):
@@ -317,6 +368,36 @@ class TestExhaustiveIIA:
         report = exhaustive_iia(pairwise_utilitarian_swf(), profiles)
         assert report.passed
         assert report.checked == 120 * 120 * len(restriction_sets(ABCD))
+
+
+def _reference_signature_tables(f, profiles, subsets):
+    """`axioms._signature_tables` as it was before restricted blocks shared
+    their rays: every agent's and output's block is divided afresh."""
+    positions = [profiles[0].universe.positions(x) for x in subsets]
+    known: dict = {}
+
+    def signatures(agent):
+        sig = known.get(agent)
+        if sig is None:
+            entries = to_matrix(agent).entries
+            sig = known[agent] = tuple(_signature(entries, idx) for idx in positions)
+        return sig
+
+    hyp = []
+    con = []
+    for profile in profiles:
+        hyp.append(tuple(zip(*(signatures(a) for a in profile.agents))))
+        con.append(signatures(f(profile)))
+    return hyp, con
+
+
+def _leaves(value):
+    """The non-tuple values inside nested tuples and lists, in order."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
 
 
 class TestCheckAnonymity:
@@ -996,6 +1077,34 @@ class TestWeakOrderTable:
                 assert all(id(agent) in entries
                            for agent, _ in profile.runs + case[0].runs)
             assert rng.random() == ref.random()
+
+    def test_shared_profiles_dict_changes_no_draw(self):
+        # test_shared_table_changes_no_draw with one `profiles` dict as well:
+        # equal agent tuples give one Profile object, and the draws and the
+        # instances are those of fresh calls
+        for seed in range(30):
+            rng, ref = random.Random(seed), random.Random(seed)
+            table, profiles = {}, {}
+            drawn = []
+            for _ in range(6):
+                n = rng.randint(1, 3)
+                assert n == ref.randint(1, 3)
+                transitive = rng.random() < 0.8
+                assert transitive == (ref.random() < 0.8)
+                profile = random_pc_profile(rng, ABC, n, transitive, table, profiles)
+                assert profile == random_pc_profile(ref, ABC, n, transitive)
+                strict = rng.random() < 0.5
+                assert strict == (ref.random() < 0.5)
+                case = unanimity_case(rng, ABC, n, strict, table, profiles)
+                assert case == unanimity_case(ref, ABC, n, strict)
+                drawn += [profile, case[0]]
+                for p in (profile, case[0]):
+                    assert profiles[tuple(p.agents)] is p
+            assert rng.random() == ref.random()
+            for a in drawn:
+                for b in drawn:
+                    assert (a is b) == (a == b)
+            assert len(profiles) == len(set(drawn))
 
     def test_table_serves_one_universe(self):
         table = {}

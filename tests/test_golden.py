@@ -291,6 +291,115 @@ AXIOM_LAB = {
     ),
 }
 
+# check-axioms at agent counts and a universe size the cases above do not
+# reach (seed 5), captured before profiles, rays and hashes were interned;
+# the 8-agent runs sample the anonymity permutations.
+AXIOMS_PAIRWISE_UTILITARIAN_1_AGENT = """\
+Axiom checks for pairwise-utilitarian (seed 5):
+  PASS IIA over 13^2 weak-order profile pairs (exhaustive): 1183 checks, \
+486 vacuous, 0 violations
+  PASS anonymity over 200 sampled profiles (seed 5): no violation
+  PASS Pareto optimality over 200 unanimity cases (seed 5): no violation
+"""
+AXIOMS_PAIRWISE_UTILITARIAN_1_AGENT_JSON = (
+    '{"swf": "pairwise-utilitarian", "seed": 5, '
+    '"checks": [{"name": "IIA over 13^2 weak-order profile pairs (exhaustive)", '
+    '"passed": true, "detail": "1183 checks, 486 vacuous, 0 violations"}, '
+    '{"name": "anonymity over 200 sampled profiles (seed 5)", "passed": true, '
+    '"detail": "no violation"}, '
+    '{"name": "Pareto optimality over 200 unanimity cases (seed 5)", '
+    '"passed": true, "detail": "no violation"}]}\n'
+)
+
+AXIOMS_PAIRWISE_UTILITARIAN_6_AGENTS = """\
+Axiom checks for pairwise-utilitarian (seed 5):
+  PASS IIA over 400^2 weak-order profile pairs (sampled(400, \
+seed=5)): 1120000 checks, 637486 vacuous, 0 violations
+  PASS anonymity over 20 sampled profiles (seed 5): no violation
+  PASS Pareto optimality over 20 unanimity cases (seed 5): no violation
+"""
+AXIOMS_PAIRWISE_UTILITARIAN_6_AGENTS_JSON = (
+    '{"swf": "pairwise-utilitarian", "seed": 5, '
+    '"checks": [{"name": "IIA over 400^2 weak-order profile pairs (sampled(400, '
+    'seed=5))", "passed": true, "detail": "1120000 checks, 637486 vacuous, '
+    '0 violations"}, {"name": "anonymity over 20 sampled profiles (seed 5)", '
+    '"passed": true, "detail": "no violation"}, '
+    '{"name": "Pareto optimality over 20 unanimity cases (seed 5)", '
+    '"passed": true, "detail": "no violation"}]}\n'
+)
+
+AXIOMS_PAIRWISE_UTILITARIAN_8_AGENTS = """\
+Axiom checks for pairwise-utilitarian (seed 5):
+  PASS IIA over 400^2 weak-order profile pairs (sampled(400, \
+seed=5)): 1120000 checks, 638322 vacuous, 0 violations
+  PASS anonymity over 200 sampled profiles (seed 5): no violation
+  PASS Pareto optimality over 200 unanimity cases (seed 5): no violation
+"""
+AXIOMS_PAIRWISE_UTILITARIAN_8_AGENTS_JSON = (
+    '{"swf": "pairwise-utilitarian", "seed": 5, '
+    '"checks": [{"name": "IIA over 400^2 weak-order profile pairs (sampled(400, '
+    'seed=5))", "passed": true, "detail": "1120000 checks, 638322 vacuous, '
+    '0 violations"}, {"name": "anonymity over 200 sampled profiles (seed 5)", '
+    '"passed": true, "detail": "no violation"}, '
+    '{"name": "Pareto optimality over 200 unanimity cases (seed 5)", '
+    '"passed": true, "detail": "no violation"}]}\n'
+)
+
+AXIOMS_DICTATORIAL_8_AGENTS = """\
+Axiom checks for dictatorial (seed 5):
+  PASS IIA over 400^2 weak-order profile pairs (sampled(400, \
+seed=5)): 1120000 checks, 638322 vacuous, 0 violations
+  FAIL anonymity over 200 sampled profiles (seed 5): witness permutation (4, 5, \
+2, 7, 0, 1, 3, 6)
+  FAIL Pareto optimality over 200 unanimity cases (seed 5): counterexample found
+"""
+AXIOMS_DICTATORIAL_8_AGENTS_JSON = (
+    '{"swf": "dictatorial", "seed": 5, '
+    '"checks": [{"name": "IIA over 400^2 weak-order profile pairs (sampled(400, '
+    'seed=5))", "passed": true, "detail": "1120000 checks, 638322 vacuous, '
+    '0 violations"}, {"name": "anonymity over 200 sampled profiles (seed 5)", '
+    '"passed": false, "detail": "witness permutation (4, 5, 2, 7, 0, 1, 3, 6)"}, '
+    '{"name": "Pareto optimality over 200 unanimity cases (seed 5)", '
+    '"passed": false, "detail": "counterexample found"}]}\n'
+)
+
+AXIOMS_APPROVAL_4_ALTERNATIVES = """\
+Axiom checks for approval (seed 5):
+  PASS IIA exhaustive over 225^2 dichotomous profile pairs: 759375 checks, \
+512928 vacuous, 0 violations
+  PASS Pareto optimality (sampled profiles): no violation
+"""
+AXIOMS_APPROVAL_4_ALTERNATIVES_JSON = (
+    '{"swf": "approval", "seed": 5, '
+    '"checks": [{"name": "IIA exhaustive over 225^2 dichotomous profile pairs", '
+    '"passed": true, "detail": "759375 checks, 512928 vacuous, 0 violations"}, '
+    '{"name": "Pareto optimality (sampled profiles)", "passed": true, '
+    '"detail": "no violation"}]}\n'
+)
+
+AXIOMS_CAPTURED = {  # name: (flags, text stdout, --json stdout, exit code)
+    "pairwise-utilitarian-1-agent": (
+        ("--swf", "pairwise-utilitarian", "--agents", "1"),
+        AXIOMS_PAIRWISE_UTILITARIAN_1_AGENT, AXIOMS_PAIRWISE_UTILITARIAN_1_AGENT_JSON, 0,
+    ),
+    "pairwise-utilitarian-6-agents": (
+        ("--swf", "pairwise-utilitarian", "--agents", "6", "--samples", "20"),
+        AXIOMS_PAIRWISE_UTILITARIAN_6_AGENTS, AXIOMS_PAIRWISE_UTILITARIAN_6_AGENTS_JSON, 0,
+    ),
+    "pairwise-utilitarian-8-agents": (
+        ("--swf", "pairwise-utilitarian", "--agents", "8"),
+        AXIOMS_PAIRWISE_UTILITARIAN_8_AGENTS, AXIOMS_PAIRWISE_UTILITARIAN_8_AGENTS_JSON, 0,
+    ),
+    "dictatorial-8-agents": (
+        ("--swf", "dictatorial", "--agents", "8"),
+        AXIOMS_DICTATORIAL_8_AGENTS, AXIOMS_DICTATORIAL_8_AGENTS_JSON, 1,
+    ),
+    "approval-4-alternatives": (
+        ("--swf", "approval", "--alternatives", "4"),
+        AXIOMS_APPROVAL_4_ALTERNATIVES, AXIOMS_APPROVAL_4_ALTERNATIVES_JSON, 0,
+    ),
+}
+
 GOLDEN = {
     "aggregate-table1": (("aggregate", TABLE1), AGGREGATE_TABLE1),
     "maximal-lottery-json-condorcet": (
@@ -344,6 +453,10 @@ GOLDEN = {
     ),
     **{f"axiom-lab-{key}": ((*argv, "--seed", "424242"), *rest)
        for key, (argv, *rest) in AXIOM_LAB.items()},
+    **{f"check-axioms-{key}{suffix}": (("check-axioms", *json_flag, *flags, "--seed", "5"),
+                                       stdout, code)
+       for key, (flags, text, json_text, code) in AXIOMS_CAPTURED.items()
+       for suffix, json_flag, stdout in (("", (), text), ("-json", ("--json",), json_text))},
 }
 
 

@@ -1,10 +1,15 @@
 import copy
 import dataclasses
 import itertools
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -672,6 +677,80 @@ class TestProfileRuns:
         assert peak < 2**20
 
 
+class TestStoredHash:
+    """`Universe`, `BaseRelation` and `Profile` store their hash on first use."""
+
+    def test_hash_is_the_field_tuple_hash(self):
+        order = weak_order(ABC, ["a", ["b", "c"]])
+        profile = Profile(ABC, (order, order, A_OVER_B))
+        for value, fields in ((Universe(("a", "b", "c")), (ABC.names,)),
+                              (order, (ABC, order.strict)),
+                              (profile, (ABC, profile.runs))):
+            assert "_hash" not in vars(value)
+            assert hash(value) == hash(fields) == hash(value)
+            assert vars(value)["_hash"] == hash(fields)
+
+    def test_stored_hash_is_no_part_of_the_value(self):
+        hashed, bare = (weak_order(ABC, ["a", ["b", "c"]]) for _ in range(2))
+        hash(hashed)
+        assert hashed == bare and repr(hashed) == repr(bare)
+        for clone in (copy.copy(hashed), copy.deepcopy(hashed),
+                      pickle.loads(pickle.dumps(hashed))):
+            assert clone == hashed and "_hash" not in vars(clone)
+
+    def test_pickled_hash_is_recomputed_in_another_process(self):
+        # dump under one string-hash seed and load under another: a stored
+        # hash copied with the instance dict, as pickling would without
+        # `__reduce__`, keeps the first seed's value, so the loaded object
+        # equals a fresh one yet misses it as a dict key
+        dump = _run_hash_seed_child("1", "dump", "")
+        loaded = json.loads(_run_hash_seed_child("2", "load", dump))
+        rebuilt, naive = loaded
+        assert rebuilt == [[True, True, True]] * 3
+        assert naive == [[True, False, False]] * 3
+
+
+HASH_SEED_CHILD = """
+import copyreg, io, json, pickle, sys
+from ssbchoice import BaseRelation, Profile, Universe, weak_order
+
+def values():
+    universe = Universe(("a", "b", "c"))
+    order = weak_order(universe, ["a", ["b", "c"]])
+    return [universe, order, Profile(universe, (order, weak_order(universe, ["c"])))]
+
+class DictCopying(pickle.Pickler):
+    def reducer_override(self, obj):
+        if type(obj) in (Universe, BaseRelation, Profile):
+            return copyreg.__newobj__, (type(obj),), dict(vars(obj))
+        return NotImplemented
+
+if sys.argv[1] == "dump":
+    objs = values()
+    for obj in objs:
+        hash(obj)
+    naive = io.BytesIO()
+    DictCopying(naive).dump(objs)
+    print(json.dumps([pickle.dumps(objs).hex(), naive.getvalue().hex()]))
+else:
+    fresh = values()
+    print(json.dumps([
+        [[a == b, hash(a) == hash(b), {b: 1}.get(a) == 1] for a, b in zip(loaded, fresh)]
+        for loaded in (pickle.loads(bytes.fromhex(x)) for x in json.loads(sys.stdin.read()))
+    ]))
+"""
+
+
+def _run_hash_seed_child(seed: str, mode: str, stdin: str) -> str:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", HASH_SEED_CHILD, mode], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
 class TestFeasiblePolytope:
     def test_dedupes_vertices(self):
         f = FeasiblePolytope(ABC, (ABC.pure("a"), ABC.pure("a"), ABC.pure("b")))
@@ -693,3 +772,39 @@ class TestUtilityVector:
         u = UtilityVector.of(ABC, {"a": 1, "b": Fraction(1, 3)})
         p = Lottery.of(ABC, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
         assert evaluate(separable(u), p, ABC.pure("c")) == Fraction(2, 3)
+
+    @pytest.mark.parametrize("values", [
+        (1, "1/2", Fraction(2, 3)),
+        [Fraction(1), Fraction(0), Fraction(-5, 2)],
+        (Fraction(1), Fraction(0), Fraction(-5, 2)),
+        (Fraction(1), 0, Fraction(-5, 2)),
+        ("0.25", "3", "-1e2"),
+    ])
+    def test_values_are_coerced_as_frac_coerces_them(self, values):
+        u = UtilityVector(ABC, values)
+        assert type(u.values) is tuple
+        assert u.values == tuple(frac(v) for v in values)
+        assert [type(v) for v in u.values] == [Fraction] * 3
+
+    def test_a_tuple_of_fractions_is_kept(self):
+        values = (Fraction(1, 3), Fraction(0), Fraction(7))
+        assert UtilityVector(ABC, values).values is values
+
+    @pytest.mark.parametrize("values", [
+        (True, 0, 1),
+        (Fraction(1), False, Fraction(0)),
+        (1.5, 0, 0),
+        (Fraction(1), None, Fraction(0)),
+        (Fraction(1), Fraction(2)),
+        (1, 2, 3, 4),
+        (),
+    ])
+    def test_errors_are_frac_and_length_errors(self, values):
+        def reference():
+            coerced = tuple(frac(v) for v in values)
+            if len(coerced) != 3:
+                raise ValueError(f"{len(coerced)} utilities for 3 alternatives")
+
+        got = _outcome(lambda: UtilityVector(ABC, values))
+        assert got == _outcome(reference)
+        assert got[0] in (TypeError, ValueError)
