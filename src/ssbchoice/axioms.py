@@ -17,6 +17,7 @@ import bisect
 import enum
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -106,15 +107,28 @@ def constant_swf() -> SWFHandle:
 
 
 # ---------------------------------------------------------------------------
-# restriction signatures: relation equality on a sub-simplex
+# restriction signatures of flat members: relation equality on a sub-simplex
 
 
-def _signature(entries, idx: list[int]):
-    """Canonical form of the preferences entry rows induce on the alternatives
-    at ascending positions idx: the ray of the restricted rows (unscaled for
-    PC data).  Two matrices induce identical preferences there iff their
-    signatures are equal."""
-    return _ray(tuple([tuple([entries[a][b] for b in idx]) for a in idx]))
+def _getter(positions: list[int]) -> Callable[[tuple], tuple]:
+    """The entries at `positions` of a flat member, always as a tuple
+    (`operator.itemgetter` of one position returns the bare entry)."""
+    if len(positions) == 1:
+        return operator.itemgetter(slice(positions[0], positions[0] + 1))
+    return operator.itemgetter(*positions)
+
+
+def _block_getter(idx: list[int], m: int) -> Callable[[tuple], tuple]:
+    """The flat block of the entries among the alternatives at positions idx."""
+    return _getter([a * m + b for a in idx for b in idx])
+
+
+def _signature(block: tuple):
+    """Canonical form of the preferences a flat restricted block induces on
+    its alternatives: the ray of the block, as one row (unscaled for PC
+    data).  Two members induce identical preferences on a restriction set
+    iff the signatures of their blocks there are equal."""
+    return _ray((block,))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +187,20 @@ def check_anonymity(
         pool = list(range(profile.n))
         perms = [tuple(rng.sample(pool, profile.n)) for _ in range(samples)]
         mode = f"sampled({samples}, seed={seed})"
+    # equal agents make relabelings repeat an agent sequence, and each is
+    # checked once; at n = 2 the only repeat is the profile itself, a memo hit
+    seen = None
+    if profile.n >= 3:
+        first: dict = {}
+        label = [first.setdefault(agent, len(first)) for agent in profile.agents]
+        if len(first) < profile.n:
+            seen = {tuple(label)}
     for pi in perms:
+        if seen is not None:
+            sequence = tuple([label[i] for i in pi])
+            if sequence in seen:
+                continue
+            seen.add(sequence)
         # the memo is read, not filled: no relabeling is asked for again
         relabeled = profile.permuted(pi)
         if (f._cache.get(relabeled) or f.fn(relabeled)).entries != base.entries:
@@ -250,7 +277,7 @@ class IIASuiteReport:
 def _signature_tables(f, profiles, subsets):
     positions = [profiles[0].universe.positions(x) for x in subsets]
     known: dict = {}  # agent or output matrix -> its signature on each subset
-    rays: dict = {}  # restricted block -> its ray, as `_signature` computes it
+    rays: dict = {}  # restricted block -> its ray
 
     def ray(block):
         sig = rays.get(block)
@@ -374,18 +401,30 @@ def dichotomous_relations(universe: Universe) -> list[BaseRelation]:
 
 def pc_matrices(universe: Universe) -> list[SSBMatrix]:
     """Every pairwise-comparison matrix (all sign patterns), in entry order."""
-    return [SSBMatrix(universe, rows) for rows in _sign_patterns(len(universe))]
+    m = len(universe)
+    return [SSBMatrix(universe, _rows(grid, m)) for grid in _sign_patterns(m)]
 
 
 def _sign_patterns(m: int) -> list[tuple]:
-    """The entry rows of every sign pattern on m alternatives, in entry order:
-    row a is fixed by the rows above it up to its diagonal, free after it."""
+    """Every sign pattern on m alternatives as flat, row-major entries, in
+    entry order: row a is fixed by the rows above it up to its diagonal
+    (the negated column a), free after it."""
     grids = [()]
     for a in range(m):
         tails = list(itertools.product((-1, 0, 1), repeat=m - a - 1))
-        heads = [tuple([-row[a] for row in rows]) + (0,) for rows in grids]
-        grids = [rows + (head + tail,) for rows, head in zip(grids, heads) for tail in tails]
+        heads = [tuple([-g[i] for i in range(a, a * m, m)]) + (0,) for g in grids]
+        grids = [g + head + tail for g, head in zip(grids, heads) for tail in tails]
     return grids
+
+
+def _rows(flat: tuple, m: int) -> tuple:
+    """Flat, row-major entries as m rows."""
+    return tuple(flat[i:i + m] for i in range(0, m * m, m))
+
+
+def _flat(rows) -> tuple:
+    """Entry rows as one flat, row-major tuple."""
+    return tuple(itertools.chain.from_iterable(rows))
 
 
 def profiles_over(relations: Sequence, n: int, universe: Universe) -> list[Profile]:
@@ -437,13 +476,14 @@ class DomainDescription:
     """A finite, closed-world stand-in for a preference domain.
 
     Membership means "this preference relation is available to agents".
-    Members are stored once, as the sorted, distinct entry rows of their
-    normalized matrices, so membership is scale-free.  `of` builds them
+    Members are stored once, each as one flat, row-major tuple of the m*m
+    entries of its normalized matrix, sorted and distinct, so membership
+    is scale-free.  Flat tuples sort as their rows do.  `of` builds them
     from matrices; `matrices` builds the members back.
     """
 
     universe: Universe
-    _rows: tuple  # sorted, distinct and normalized: `of` or `pc_domain` makes it
+    _entries: tuple  # sorted, distinct, flat and normalized: `of` or `pc_domain` makes it
     name: str = ""
 
     @classmethod
@@ -451,25 +491,26 @@ class DomainDescription:
         cls, universe: Universe, members: Iterable[SSBMatrix], name: str = ""
     ) -> "DomainDescription":
         """The domain of `members`, which must all be over `universe`."""
-        rows = set()
+        entries = set()
         for member in members:
             if member.universe != universe:
                 raise UniverseMismatchError(f"member over {member.universe.names}, "
                                             f"domain over {universe.names}")
-            rows.add(_ray(member.entries))
-        return cls(universe, tuple(sorted(rows)), name)
+            entries.add(_flat(_ray(member.entries)))
+        return cls(universe, tuple(sorted(entries)), name)
 
     @property
     def matrices(self) -> list[SSBMatrix]:
-        return [SSBMatrix(self.universe, rows) for rows in self._rows]
+        m = len(self.universe)
+        return [SSBMatrix(self.universe, _rows(flat, m)) for flat in self._entries]
 
     def __contains__(self, matrix: SSBMatrix) -> bool:
-        rows = _ray(matrix.entries)
-        i = bisect.bisect_left(self._rows, rows)
-        return matrix.universe == self.universe and self._rows[i:i + 1] == (rows,)
+        flat = _flat(_ray(matrix.entries))
+        i = bisect.bisect_left(self._entries, flat)
+        return matrix.universe == self.universe and self._entries[i:i + 1] == (flat,)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._entries)
 
 
 def pc_domain(universe: Universe) -> DomainDescription:
@@ -512,19 +553,21 @@ def _neutrality_witness(universe: Universe, members, present: set) -> str | None
     """R1 through the transposition (a0 a1) and the cycle (a0 ... a_{m-1}),
     which together generate every relabeling of the universe."""
     names = universe.names
+    m = len(names)
     generators = []
     for label, images in (("transposition", names[1:2] + names[:1] + names[2:]),
                           ("cycle", names[1:] + names[:1])):
         mapping = dict(zip(names, images))
         pi = universe.permutation(mapping)
         # source[pi(a)] = a: entry (pi(a), pi(b)) of an image is entry (a, b)
-        generators.append((label, mapping, sorted(range(len(pi)), key=pi.__getitem__)))
+        source = sorted(range(m), key=pi.__getitem__)
+        image = _getter([a * m + b for a in source for b in source])
+        generators.append((label, mapping, image))
     for member in members:
-        for label, mapping, source in generators:
+        for label, mapping, image in generators:
             # relabeling keeps the largest entry: the image of a normalized
             # member is normalized
-            image = tuple(tuple(member[a][b] for b in source) for a in source)
-            if image not in present:
+            if image(member) not in present:
                 return (f"relabeling {mapping} (the {label} generator) of a "
                         "member leaves the domain")
     return None
@@ -546,10 +589,11 @@ def audit_set_count(m: int) -> int:
     return sum(math.comb(m, size) for size in range(1, min(_AUDIT_SET_SIZE, m) + 1))
 
 
-def _unmet(members: Iterable[tuple], idx: list[int], wanted: set) -> set:
-    """`wanted` less the members' signatures on idx, scanned in order until none is left."""
+def _unmet(members: Iterable[tuple], get, wanted: set) -> set:
+    """`wanted` less the signatures of the members' blocks `get` takes,
+    scanned in order until none is left."""
     for member in members:
-        wanted.discard(_signature(member, idx))
+        wanted.discard(_signature(get(member)))
         if not wanted:
             break
     return wanted
@@ -557,13 +601,10 @@ def _unmet(members: Iterable[tuple], idx: list[int], wanted: set) -> set:
 
 def _ranked_above(members, idx: list[int], m: int):
     """Lazily, the members ranking all of idx above one common position outside it."""
-    outside = [a for a in range(m) if a not in idx]
+    columns = [_getter([x * m + a for x in idx]) for a in range(m) if a not in idx]
     for member in members:
-        for a in outside:
-            for x in idx:
-                if member[x][a] <= 0:
-                    break
-            else:
+        for column in columns:
+            if min(column(member)) > 0:
                 yield member
                 break
 
@@ -573,14 +614,14 @@ def _bottom_extension_witness(universe: Universe, members, scope) -> str | None:
     alternatives must be that of a member ranking all of xs above one common
     outside alternative; the first failing (member, xs)."""
     m = len(universe)
-    subsets = _audit_sets(universe, m - 1)
-    missing = []  # per xs: the scoped signatures left unmet
-    for xs, idx in subsets:
-        wanted = {_signature(member, idx) for member in scope}
-        missing.append(_unmet(_ranked_above(members, idx, m), idx, wanted))
+    subsets = []  # per xs: its block getter and the scoped signatures left unmet
+    for xs, idx in _audit_sets(universe, m - 1):
+        get = _block_getter(idx, m)
+        wanted = set(map(_signature, set(map(get, scope))))
+        subsets.append((xs, get, _unmet(_ranked_above(members, idx, m), get, wanted)))
     for member in scope:
-        for (xs, idx), wanted in zip(subsets, missing):
-            if wanted and _signature(member, idx) in wanted:
+        for xs, get, wanted in subsets:
+            if wanted and _signature(get(member)) in wanted:
                 return (f"no member matches a member on {xs} while ranking "
                         f"{xs} above a fresh alternative")
     return None
@@ -590,11 +631,12 @@ def _dichotomous_patterns_witness(universe: Universe, members) -> str | None:
     """R5: every two-tier pattern on every audited xs must be some member's
     restriction; the first unmet (xs, approved set).  A pattern's entry
     (a, b) is u_a - u_b, u the 0/1 approval vector: its own signature."""
-    for xs, idx in _audit_sets(universe, len(universe)):
+    m = len(universe)
+    for xs, idx in _audit_sets(universe, m):
         approvals = [ok for r in range(len(xs) + 1) for ok in itertools.combinations(xs, r)]
-        patterns = [tuple(tuple((a in ok) - (b in ok) for b in xs) for a in xs)
+        patterns = [_signature(tuple([(a in ok) - (b in ok) for a in xs for b in xs]))
                     for ok in approvals]
-        unmet = _unmet(members, idx, set(patterns))
+        unmet = _unmet(members, _block_getter(idx, m), set(patterns))
         for approved, pattern in zip(approvals, patterns):
             if pattern in unmet:
                 return (f"pattern approving {approved or '(nothing)'} on "
@@ -610,8 +652,10 @@ def audit_richness(
 ) -> RichnessReport:
     """Check closure conditions of a closed-world domain, with witnesses.
 
-    Every condition reads the domain's stored entry rows as they are,
-    sorted and normalized; R1, R2 and R3 are lookups in one set of them.
+    Every condition reads the domain's stored flat entry tuples as they
+    are, sorted and normalized; R1, R2 and R3 are lookups in one set of
+    them.  R1, R4 and R5 read a member's entries through one precomputed
+    getter per generator or restriction set.
     R1 looks up each member's images under two generators of every
     relabeling, and its FAIL witness names the generator; R2 the zero
     matrix; R3 each member's negation.  R4 and R5 share one scan per
@@ -623,7 +667,7 @@ def audit_richness(
     when the domain is larger, records its mode, and PASS under sampling
     means "no violation found among the sampled members".
     """
-    members = domain._rows
+    members = domain._entries
     present = set(members)
     if len(members) > member_limit:
         rng = random.Random(seed)
@@ -639,12 +683,12 @@ def audit_richness(
         if condition is RichnessCondition.NEUTRALITY:
             witness = _neutrality_witness(domain.universe, members, present)
         elif condition is RichnessCondition.FULL_INDIFFERENCE:
-            witness = (None if SSBMatrix.zero(domain.universe).entries in present
+            witness = (None if (0,) * len(domain.universe) ** 2 in present
                        else "zero matrix (complete indifference) missing")
         elif condition is RichnessCondition.INVERSION:
             witness = next(
-                ("inverse of a member is missing" for m in members
-                 if tuple(tuple(-x for x in row) for row in m) not in present),
+                ("inverse of a member is missing" for member in members
+                 if tuple(map(operator.neg, member)) not in present),
                 None,
             )
         elif condition is RichnessCondition.BOTTOM_EXTENSION:
@@ -673,9 +717,10 @@ def pc_inclusion_check(domain: DomainDescription) -> PCInclusionReport:
     rich domain with a non-PC member admits no such rule.  This checks the
     set inclusion only; it does not (and cannot) verify nonexistence.
     """
-    for member in domain._rows:
-        if not _pc_rows(member):
-            return PCInclusionReport(False, SSBMatrix(domain.universe, member), (
+    for member in domain._entries:
+        if not _pc_rows((member,)):
+            witness = SSBMatrix(domain.universe, _rows(member, len(domain.universe)))
+            return PCInclusionReport(False, witness, (
                 "domain leaves the pairwise-comparison class; if it is rich, "
                 "no anonymous aggregation rule satisfies Pareto optimality "
                 "and independence of irrelevant alternatives on it"))

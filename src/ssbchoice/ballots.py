@@ -231,8 +231,10 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
         # approved names rank 0, the rest 1: approving none or all ties everything
         return ranked_order(universe, [int(i not in chosen) for i in range(len(universe))])
     if keyword == "util":
-        # one value per position, written as each name is checked; unnamed ones are 0
-        values: list[Fraction | None] = [None] * len(universe)
+        # one value per position, written as each name is checked; unnamed ones
+        # stay `_ZERO`, which no parsed value is, so a named position is one
+        # holding another object
+        values = [_ZERO] * len(universe)
         at = body.index("util") + 4
         inner = body[at:]
         for k, item in enumerate(inner.split(",")):
@@ -240,7 +242,7 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
             name, _, value = item.partition("=")
             name = name.strip()
             i = index.get(name)
-            if i is None or values[i] is not None or item.count("=") != 1:
+            if i is None or values[i] is not _ZERO or item.count("=") != 1:
                 column = _column(inner, base + at, (",", k))
                 if not item:
                     raise ParseError("empty utility assignment", lineno, column)
@@ -255,7 +257,7 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
             except ParseError as exc:
                 column = _column(inner, base + at, (",", k), ("=", 1))
                 raise ParseError(exc.message, lineno, column) from None
-        return UtilityVector(universe, tuple([_ZERO if v is None else v for v in values]))
+        return UtilityVector(universe, tuple(values))
     if keyword == "edges":
         at = body.index("edges") + 5
         inner = body[at:]

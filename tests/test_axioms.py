@@ -23,12 +23,12 @@ from ssbchoice import (
     weak_order,
 )
 from ssbchoice import axioms
+from ssbchoice.ssb import _ray
 from ssbchoice.axioms import (
     DomainDescription,
     IIAVerdict,
     _audit_sets,
     _ranked,
-    _signature,
     _signature_tables,
     RichnessCondition,
     SWFHandle,
@@ -65,6 +65,21 @@ ABC = Universe(("a", "b", "c"))
 ABCD = Universe(("a", "b", "c", "d"))
 
 
+def flatten(rows):
+    return tuple(itertools.chain.from_iterable(rows))
+
+
+def nested_sign_patterns(m):
+    """`axioms._sign_patterns` as it was while members were stored as rows:
+    the entry rows of every sign pattern, in entry order."""
+    grids = [()]
+    for a in range(m):
+        tails = list(itertools.product((-1, 0, 1), repeat=m - a - 1))
+        heads = [tuple([-row[a] for row in rows]) + (0,) for rows in grids]
+        grids = [rows + (head + tail,) for rows, head in zip(grids, heads) for tail in tails]
+    return grids
+
+
 class TestEnumerations:
     def test_weak_order_counts(self):
         assert len(weak_orders(ABC)) == 13
@@ -78,6 +93,12 @@ class TestEnumerations:
         relations = dichotomous_relations(ABCD)
         assert len(relations) == 15
         assert len({r.strict for r in relations}) == 15
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_sign_patterns_are_the_nested_rows_flattened(self, m):
+        flat = axioms._sign_patterns(m)
+        assert flat == [flatten(rows) for rows in nested_sign_patterns(m)]
+        assert all(len(grid) == m * m for grid in flat)
 
     def test_pc_matrix_counts(self):
         assert len(pc_matrices(ABC)) == 27
@@ -117,8 +138,16 @@ def relation_signature(matrix, names):
     return normalize(restrict(matrix, names)).entries
 
 
+def _signature(entries, idx):
+    """The signature of nested entry rows on the alternatives at ascending
+    positions idx: the ray of the restricted rows.  `axioms` read domain
+    members this way before they were stored flat; it stays the reference
+    for `_signature_tables` and for the flat signature."""
+    return _ray(tuple([tuple([entries[a][b] for b in idx]) for a in idx]))
+
+
 def signature(matrix, names):
-    """`axioms._signature` of a whole matrix on `names`."""
+    """The reference `_signature` of a whole matrix on `names`."""
     return _signature(matrix.entries, matrix.universe.positions(names))
 
 
@@ -458,6 +487,22 @@ class TestCheckAnonymity:
         profile = random_pc_profile(rng, ABC, 8)
         verdict = check_anonymity(f, profile, permutation_limit=6, samples=10)
         assert verdict.passed and verdict.mode.startswith("sampled")
+
+    def test_repeated_agent_sequences_are_checked_once(self):
+        a, b, c = weak_orders(ABC)[:3]
+        agents = (a, b, a, c, b, a)
+        calls = []
+
+        def recording(profile):
+            calls.append(profile.agents)
+            return utilitarian(profile)
+
+        assert check_anonymity(SWFHandle("recording", recording), Profile(ABC, agents)).passed
+        sequences = {tuple(agents[i] for i in pi) for pi in itertools.permutations(range(6))}
+        # the profile itself, then each other sequence once: 6! / (3! 2! 1!) - 1
+        assert calls[0] == agents
+        assert len(calls[1:]) == len(set(calls[1:])) == len(sequences) - 1 == 59
+        assert set(calls[1:]) == sequences - {agents}
 
     def test_relabeled_profiles_are_not_memoized(self):
         f = pairwise_utilitarian_swf()
@@ -846,8 +891,8 @@ class TestRichnessAgainstOracles:
 
 
 class TestRelationSignature:
-    """`axioms._signature`, the signature every IIA and richness check reads,
-    against the normalized restriction it stands for."""
+    """The reference `_signature` of nested rows, which `_signature_tables`
+    is checked against, against the normalized restriction it stands for."""
 
     @pytest.mark.parametrize("kind", ["random", "separable", "scaled", "pc"])
     def test_equals_normalized_restriction(self, kind):
@@ -888,6 +933,64 @@ class TestRelationSignature:
         assert got == want
         assert [[type(x) for x in row] for row in got] \
             == [[type(x) for x in row] for row in want]
+
+
+def flat_signature(matrix, names):
+    """`axioms._signature` of a whole matrix's flat entries on `names`, read
+    through the block getter R4 and R5 use."""
+    get = axioms._block_getter(matrix.universe.positions(names), len(matrix.universe))
+    return axioms._signature(get(flatten(matrix.entries)))
+
+
+class TestFlatSignature:
+    """The flat signature R4 and R5 read, against the normalized restriction
+    it stands for, flattened to one row."""
+
+    @pytest.mark.parametrize("kind", ["random", "separable", "scaled", "pc"])
+    def test_equals_normalized_restriction(self, kind):
+        rng = random.Random(17)
+        rays = 0
+        for _ in range(25):
+            if kind == "random":
+                matrix = random_ssb_matrix(rng, ABCD)
+            elif kind == "separable":
+                matrix = separable(UtilityVector(ABCD, tuple(
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in ABCD
+                )))
+            elif kind == "scaled":
+                matrix = random_ssb_matrix(rng, ABCD).scaled(
+                    Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                )
+            else:
+                matrix = pc_extension(random_pc_profile(
+                    rng, ABCD, 1, transitive=False).agents[0]).scaled(rng.randint(1, 3))
+            for x in restriction_sets(ABCD):
+                got = flat_signature(matrix, x)
+                want = (flatten(normalize(restrict(matrix, x)).entries),)
+                assert got == want
+                assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
+                rays += any(type(v) is Fraction for v in got[0])
+        # random and separable matrices have Fraction rays; PC and integer
+        # scalings of them do not
+        assert (rays > 0) == (kind in ("random", "separable", "scaled"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_normalized_restriction_with_entry_types(self, data):
+        m = data.draw(st.integers(min_value=1, max_value=5))
+        universe = Universe(tuple(chr(ord("a") + i) for i in range(m)))
+        values = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+        grid = [[0] * m for _ in range(m)]
+        for a in range(m):
+            for b in range(a + 1, m):
+                x = data.draw(values)
+                grid[a][b], grid[b][a] = x, -x
+        matrix = SSBMatrix(universe, tuple(map(tuple, grid)))
+        names = data.draw(st.sets(st.sampled_from(universe.names), min_size=1))
+        got = flat_signature(matrix, names)
+        want = (flatten(normalize(restrict(matrix, names)).entries),)
+        assert got == want
+        assert [type(x) for x in got[0]] == [type(x) for x in want[0]]
 
 
 class TestPCInclusion:

@@ -55,6 +55,18 @@ class TestParseBallots:
         profile = parse_ballots("universe: a, b, c\n1: util b=0.4\n")
         assert profile.agents[0].values == (0, Fraction(2, 5), 0)
 
+    @pytest.mark.parametrize("body, column", [
+        ("util a=0, a=1", 14),
+        ("util a=0/3, b=1, a=0", 21),
+    ])
+    def test_util_name_given_zero_then_again_is_a_duplicate(self, body, column):
+        # an unnamed position holds the parser's shared zero; a parsed zero
+        # is another object, so naming a position twice is caught either way
+        with pytest.raises(ParseError) as err:
+            parse_ballots("universe: a, b, c\n1: " + body + "\n")
+        assert (err.value.message, err.value.line, err.value.column) \
+            == ("duplicate utility for 'a'", 2, column)
+
     def test_edges_allow_cycles(self):
         profile = parse_ballots(
             "universe: a, b, c\n1: edges a>b, b>c, c>a\n"

@@ -497,6 +497,89 @@ def test_audit_of_a_scaled_duplicate_and_a_non_pc_member_is_pinned(
     assert captured.err == ""
 
 
+# R5 FAIL witnesses: the first unmet two-tier pattern, on a pair for the zero
+# matrix and on the whole set for the two-tier domain on a, b, c that lacks
+# the relation approving a and c
+ZERO_FILE_4 = "alternatives: a, b, c, d\n" + "0 0 0 0\n" * 4
+
+TWO_TIER_BUT_AC = """\
+alternatives: a, b, c
+0 0 0
+0 0 0
+0 0 0
+
+0 1 1
+-1 0 0
+-1 0 0
+
+0 -1 0
+1 0 1
+0 -1 0
+
+0 0 -1
+0 0 -1
+1 1 0
+
+0 0 1
+0 0 1
+-1 -1 0
+
+0 -1 -1
+1 0 0
+1 0 0
+"""
+
+AUDIT_R5_ZERO_FILE_4 = """\
+Richness audit of domain '<path>' (1 members):
+  FAIL R5 (dichotomous_patterns) [exhaustive]: pattern approving ('a',) on \
+('a', 'b') is not any member's restriction
+  PASS pairwise-comparison inclusion: domain lies inside the \
+pairwise-comparison class
+"""
+
+AUDIT_R5_ZERO_FILE_4_JSON = (
+    '{"domain": "<path>", "members": 1, "seed": 0, "conditions": ['
+    '{"condition": "R5", "name": "dichotomous_patterns", "passed": false, '
+    '"mode": "exhaustive", "witness": "pattern approving (\'a\',) on '
+    '(\'a\', \'b\') is not any member\'s restriction"}], '
+    '"pc_inclusion": {"all_pc": true, "message": "domain lies inside the '
+    'pairwise-comparison class"}}\n'
+)
+
+AUDIT_R5_TWO_TIER_BUT_AC = """\
+Richness audit of domain '<path>' (6 members):
+  FAIL R5 (dichotomous_patterns) [exhaustive]: pattern approving ('a', 'c') \
+on ('a', 'b', 'c') is not any member's restriction
+  PASS pairwise-comparison inclusion: domain lies inside the \
+pairwise-comparison class
+"""
+
+AUDIT_R5_TWO_TIER_BUT_AC_JSON = (
+    '{"domain": "<path>", "members": 6, "seed": 0, "conditions": ['
+    '{"condition": "R5", "name": "dichotomous_patterns", "passed": false, '
+    '"mode": "exhaustive", "witness": "pattern approving (\'a\', \'c\') on '
+    '(\'a\', \'b\', \'c\') is not any member\'s restriction"}], '
+    '"pc_inclusion": {"all_pc": true, "message": "domain lies inside the '
+    'pairwise-comparison class"}}\n'
+)
+
+
+@pytest.mark.parametrize("text, flags, expected", [
+    (ZERO_FILE_4, (), AUDIT_R5_ZERO_FILE_4),
+    (ZERO_FILE_4, ("--json",), AUDIT_R5_ZERO_FILE_4_JSON),
+    (TWO_TIER_BUT_AC, (), AUDIT_R5_TWO_TIER_BUT_AC),
+    (TWO_TIER_BUT_AC, ("--json",), AUDIT_R5_TWO_TIER_BUT_AC_JSON),
+], ids=["zero-text", "zero-json", "two-tier-text", "two-tier-json"])
+def test_r5_failure_witness_is_pinned(capsys, tmp_path, text, flags, expected):
+    path = tmp_path / "domain.matrices"
+    path.write_text(text, encoding="utf-8")
+    code = main(["audit-domain", "--file", str(path), "--conditions", "R5", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == expected.replace("<path>", str(path))
+    assert captured.err == ""
+
+
 # One ballot text holding every ballot spelling the parser accepts.
 EVERY_SPELLING = """\
 universe: a, b, c, d

@@ -79,19 +79,50 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def test_every_public_name_is_reached():
-    # The surface is what the commands, demos and benchmark use; `__init__`
-    # only re-exports.  A method counts as reached when an attribute of its
-    # name is read anywhere: the scan knows no types.
+# Module-level private names that no command, demo or benchmark reaches, each
+# kept for the tests that use it as an oracle
+PRIVATE_ALLOWED: dict[str, str] = {}
+
+
+def _private_definitions(tree):
+    """(name, node) for each private module-level function or class."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                and not node.name.startswith("__")):
+            yield node.name, node
+
+
+def _reads_and_definitions(definitions):
+    """How often each identifier is read in the program modules (not
+    `__init__`, which only re-exports), the demos and the benchmark, and the
+    program modules' `definitions(tree)`."""
     program = [path for path in SOURCES if path.name != "__init__.py"]
     readers = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     reads = Counter()
-    definitions = []
+    found = []
     for path in program + readers:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         reads += _references(tree)
         if path in program:
-            definitions += _public_definitions(tree)
+            found += definitions(tree)
+    return reads, found
+
+
+def test_every_private_name_is_reached():
+    # A private helper that only its own body (recursion) or the tests read
+    # is dead program code, unless it is listed as a test oracle
+    reads, definitions = _reads_and_definitions(_private_definitions)
+    unreached = {name for name, node in definitions
+                 if reads[name] == _references(node)[name]}
+    assert sorted(unreached - PRIVATE_ALLOWED.keys()) == []
+    assert sorted(PRIVATE_ALLOWED.keys() - unreached) == []
+
+
+def test_every_public_name_is_reached():
+    # The surface is what the commands, demos and benchmark use; `__init__`
+    # only re-exports.  A method counts as reached when an attribute of its
+    # name is read anywhere: the scan knows no types.
+    reads, definitions = _reads_and_definitions(_public_definitions)
     unreached = set()
     for name, node in definitions:
         short = name.rpartition(".")[2]
