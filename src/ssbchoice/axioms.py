@@ -410,10 +410,15 @@ def _sign_patterns(m: int) -> list[tuple]:
     entry order: row a is fixed by the rows above it up to its diagonal
     (the negated column a), free after it."""
     grids = [()]
-    for a in range(m):
+    for a in range(m - 1):
         tails = list(itertools.product((-1, 0, 1), repeat=m - a - 1))
         heads = [tuple([-g[i] for i in range(a, a * m, m)]) + (0,) for g in grids]
         grids = [g + head + tail for g, head in zip(grids, heads) for tail in tails]
+    # the last row is all head: write it into each member in place, so that
+    # no second list of members is alive at the largest level
+    a = m - 1
+    for j, g in enumerate(grids):
+        grids[j] = g + tuple([-g[i] for i in range(a, a * m, m)]) + (0,)
     return grids
 
 

@@ -20,6 +20,14 @@ p = K y satisfies (phi p)_a <= 0 for every row a (substitute sum(y) into
 (phi + K) y <= 1), hence p' phi >= 0 componentwise by skew-symmetry:
 one solve yields the maximal lottery and its certificate.
 
+The simplex runs only when no alternative of the arena is a strict
+Condorcet winner.  Maximal lotteries are Condorcet-consistent: if row c
+is > 0 off the diagonal, the pure lottery on c is the only maximal
+lottery, and its certificate (row c as the slacks) is exact as read.
+`maximal_lottery` returns it at once and `unique_optimum` answers it
+without a linear system.  Since that optimum is unique, every correct
+solver returns it, so the output is byte-identical to the simplex's.
+
 All elimination, in the simplex and in the linear systems of
 `unique_optimum` and `maximal_set`, is one fraction-free integer pivot
 (Bareiss, Math. Comp. 22, 1968), and a solution leaves it in integer
@@ -146,12 +154,25 @@ def maximal_lottery(
 ) -> MaximalityCertificate:
     """One maximal lottery on the given alternatives, with exact certificate.
 
-    Ties among several maximal lotteries resolve to the simplex's first
-    optimal basic solution under a fixed pivot order, so the output is
-    deterministic; `unique_optimum` says whether it is the only one, and
-    `maximal_set` lists the vertices of the whole optimal face.
+    If one alternative c of the arena is a strict Condorcet winner (every
+    other entry of its row is > 0), the pure lottery on c is returned with
+    row c as its slacks, and no simplex runs: any maximal q has
+    (q' phi)_c = sum_a q_a phi[a][c] >= 0 with phi[a][c] < 0 for a != c,
+    so q is pure on c, the only maximal lottery.  Bland's simplex, being
+    correct, returns that same lottery, so the shortcut changes no output.
+
+    Otherwise (a weak winner, whose row is >= 0 with a zero; a tie; a
+    cycle) Bland's simplex runs, and ties among several maximal lotteries
+    resolve to its first optimal basic solution under a fixed pivot order,
+    so the output is deterministic; `unique_optimum` says whether it is
+    the only one, and `maximal_set` lists the vertices of the whole
+    optimal face.
     """
     _, idx, sub = _arena(phi, names)
+    for c, row in enumerate(sub):
+        if min(row[:c] + row[c + 1:], default=1) > 0:
+            return MaximalityCertificate(phi.universe.lottery(1, [(idx[c], 1)]),
+                                         tuple(map(Fraction, row)))
     d, nums = _optimal_strategy(sub)
     slack = _slacks(sub, d, nums)
     if min(slack) < 0:
@@ -215,11 +236,23 @@ def unique_optimum(
       has rank |S|.
 
     One linear system over the support, and no enumeration of the face.
+    A pure certificate, such as `maximal_lottery` gives for a strict
+    Condorcet winner, needs no system: on a one-point support S = {c} it
+    is q_c = 1, of full rank, so the answer is "no degenerate
+    alternative".  Its check reads row c of phi, which holds its slacks,
+    as it is, with no Fraction built.
     """
     same_universe(phi, certificate.lottery)
+    d, nums = certificate.lottery.scaled
+    if d == 1:
+        c = nums.index(1)
+        idx = phi.universe.positions(names)
+        if c not in idx or tuple([phi.entries[c][b] for b in idx]) != certificate.slack:
+            raise ValueError("certificate does not belong to phi on arena "
+                             f"{tuple([phi.universe.names[a] for a in idx])}")
+        return certificate.slack.count(0) == 1  # c's own slack is the one zero
     arena, idx, sub = _arena(phi, names)
     k = len(arena)
-    d, nums = certificate.lottery.scaled
     p = [nums[i] for i in idx]
     slack = _slacks(sub, d, p)
     if sum(p) != d or slack != certificate.slack:

@@ -80,6 +80,18 @@ def nested_sign_patterns(m):
     return grids
 
 
+def two_list_sign_patterns(m):
+    """`axioms._sign_patterns` as it was before it wrote the last row in
+    place: every level, the last included, built as a new list of members
+    from a list of heads."""
+    grids = [()]
+    for a in range(m):
+        tails = list(itertools.product((-1, 0, 1), repeat=m - a - 1))
+        heads = [tuple([-g[i] for i in range(a, a * m, m)]) + (0,) for g in grids]
+        grids = [g + head + tail for g, head in zip(grids, heads) for tail in tails]
+    return grids
+
+
 class TestEnumerations:
     def test_weak_order_counts(self):
         assert len(weak_orders(ABC)) == 13
@@ -99,6 +111,10 @@ class TestEnumerations:
         flat = axioms._sign_patterns(m)
         assert flat == [flatten(rows) for rows in nested_sign_patterns(m)]
         assert all(len(grid) == m * m for grid in flat)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_sign_patterns_in_place_last_row_keeps_members_and_order(self, m):
+        assert axioms._sign_patterns(m) == two_list_sign_patterns(m)
 
     def test_pc_matrix_counts(self):
         assert len(pc_matrices(ABC)) == 27

@@ -167,6 +167,28 @@ class TestBudget:
         del budget["allocation"], budget["allocation_percent"]
         assert list(budget) == list(solved) and budget == solved
 
+    @pytest.mark.parametrize("ballots_name, bland_runs", [("chain3", 0), ("table1", 1)],
+                             ids=["condorcet-winner", "no-winner"])
+    def test_one_solve_and_one_uniqueness_test(self, capsys, tmp_path, monkeypatch,
+                                               ballots_name, bland_runs):
+        # the bench's spans and solver counters wrap these two names
+        calls = {"maximal_lottery": 0, "unique_optimum": 0, "_optimal_strategy": 0}
+        for module, name in ((cli, "maximal_lottery"), (cli, "unique_optimum"),
+                             (solver, "_optimal_strategy")):
+            def counted(*args, _name=name, _wrapped=getattr(module, name)):
+                calls[_name] += 1
+                return _wrapped(*args)
+            monkeypatch.setattr(module, name, counted)
+        proposals = FIXTURES / "table1.proposals"
+        if ballots_name == "chain3":
+            proposals = tmp_path / "chain3.proposals"
+            proposals.write_text("alternatives: a, b, c\nX: 50% 0% 100%\n"
+                                 "Y: 50% 100% 0%\n", encoding="utf-8")
+        code, out, _ = run(capsys, "budget", FIXTURES / f"{ballots_name}.ballots", proposals)
+        assert code == 0 and "Budget allocation:" in out
+        assert calls == {"maximal_lottery": 1, "unique_optimum": 1,
+                         "_optimal_strategy": bland_runs}
+
 
 class TestCheckAxioms:
     def test_pairwise_utilitarian_passes(self, capsys):

@@ -18,10 +18,13 @@ from ssbchoice import (
     maximal_lottery,
     maximal_set,
     mix,
+    solver,
     unique_optimum,
     weak_order,
 )
+from ssbchoice.aggregate import approval_aggregate
 from ssbchoice.axioms import random_lottery, random_ssb_matrix
+from ssbchoice.model import _over_common_denominator, ranked_order
 
 ABC = Universe(("a", "b", "c"))
 
@@ -184,6 +187,10 @@ class TestDeterministicPick:
           ["-1", "-3", "0", "-1", "4", "0"], ["2", "2", "1", "0", "2", "0"],
           ["3", "-3", "-4", "-2", "0", "2"], ["2", "4", "0", "0", "-2", "0"]],
          ["0", "0", "0", "1", "0", "0"]),
+        # weak winners (a row >= 0 with a zero): Bland's simplex, not the
+        # strict-winner shortcut, picks among the maximal lotteries
+        ([["0", "0", "1"], ["0", "0", "1"], ["-1", "-1", "0"]], ["1", "0", "0"]),
+        ([["0", "1", "0"], ["-1", "0", "2"], ["0", "-2", "0"]], ["1", "0", "0"]),
     ])
     def test_pick_on_non_unique_instances(self, rows, pick):
         u = Universe(tuple("abcdef"[: len(rows)]))
@@ -191,6 +198,116 @@ class TestDeterministicPick:
         cert = maximal_lottery(phi)
         assert cert.lottery.probs == tuple(Fraction(x) for x in pick)
         assert not unique_optimum(phi, cert)
+
+
+# -- the solver as it was before the strict-Condorcet-winner shortcut --
+
+BLAND = solver._optimal_strategy
+
+
+def bland_maximal_lottery(phi, names=None):
+    """`maximal_lottery` with Bland's simplex on every arena."""
+    _, idx, sub = solver._arena(phi, names)
+    d, nums = BLAND(sub)
+    slack = solver._slacks(sub, d, nums)
+    assert min(slack) >= 0
+    return MaximalityCertificate(phi.universe.lottery(d, zip(idx, nums)), slack)
+
+
+def face_system_unique_optimum(phi, certificate, names=None):
+    """`unique_optimum` with the face system for every certificate, pure
+    ones included."""
+    arena, idx, sub = solver._arena(phi, names)
+    d, nums = certificate.lottery.scaled
+    p = [nums[i] for i in idx]
+    slack = solver._slacks(sub, d, p)
+    if sum(p) != d or slack != certificate.slack:
+        raise ValueError(f"certificate does not belong to phi on arena {arena}")
+    if any(x == 0 and s == 0 for x, s in zip(p, slack)):
+        return False
+    support = [a for a in range(len(arena)) if p[a]]
+    rows = [_over_common_denominator([sub[a][b] for a in support])[1] + [0]
+            for b in support]
+    rows.append([1] * (len(support) + 1))
+    return solver._solve_unique(rows, len(support)) is not None
+
+
+def weak_order_margins(rng, u):
+    n = rng.randint(1, 7)
+    return majority_margins(Profile(u, [
+        ranked_order(u, [rng.randrange(len(u)) for _ in u.names]) for _ in range(n)]))
+
+
+def approval_margins(rng, u):
+    n = rng.randint(1, 7)
+    return approval_aggregate(Profile(u, [
+        ranked_order(u, [rng.randrange(2) for _ in u.names]) for _ in range(n)]))[1]
+
+
+def fraction_matrix(rng, u):
+    return random_ssb_matrix(rng, u, max_abs=rng.choice((1, 4)))
+
+
+class TestCondorcetShortcut:
+    """A strict Condorcet winner's pure certificate, and the pure-certificate
+    uniqueness answer, against the Bland-only solver and the face system."""
+
+    KINDS = {
+        "weak-order margins": weak_order_margins,
+        "approval margins": approval_margins,
+        "integers, 20% zeros": lambda rng, u: integer_matrix(rng, len(u), 0.2, range(-3, 4)),
+        "Fraction entries": fraction_matrix,
+    }
+
+    def test_agrees_with_bland_and_the_face_system(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver, "_optimal_strategy",
+                            lambda sub: calls.append(1) or BLAND(sub))
+        rng = random.Random(2007)
+        paths = {(kind, path): 0 for kind in self.KINDS for path in ("shortcut", "bland")}
+        for i in range(2000):
+            kind = list(self.KINDS)[i % len(self.KINDS)]
+            u = Universe(tuple(f"x{a}" for a in range(rng.randint(1, 8))))
+            phi = self.KINDS[kind](rng, u)
+            names = None
+            if rng.random() < 0.3:
+                names = rng.sample(u.names, rng.randint(1, len(u)))
+            before = len(calls)
+            cert = maximal_lottery(phi, names)
+            paths[kind, "bland" if len(calls) > before else "shortcut"] += 1
+            want = bland_maximal_lottery(phi, names)
+            assert cert.lottery == want.lottery
+            assert cert.slack == want.slack
+            assert [type(x) for x in cert.slack] == [type(x) for x in want.slack]
+            assert (unique_optimum(phi, cert, names)
+                    == face_system_unique_optimum(phi, want, names))
+        assert min(paths.values()) > 0, paths
+
+    def test_altered_slack_of_a_pure_certificate_rejected(self, chain3_matrix):
+        cert = maximal_lottery(chain3_matrix)
+        assert cert.lottery.scaled == (1, (1, 0, 0))
+        for b in range(len(cert.slack)):
+            slack = list(cert.slack)
+            slack[b] += 1
+            with pytest.raises(ValueError, match="does not belong"):
+                unique_optimum(chain3_matrix, MaximalityCertificate(cert.lottery, tuple(slack)))
+
+    def test_pure_certificate_of_another_arena_rejected(self, table1_margins):
+        for names, outside in ((["A", "B"], ["B", "C"]), (["C", "D"], ["A", "B", "D"])):
+            cert = maximal_lottery(table1_margins, names)
+            assert cert.lottery.scaled[0] == 1
+            assert unique_optimum(table1_margins, cert, names)
+            with pytest.raises(ValueError, match="does not belong"):
+                unique_optimum(table1_margins, cert)
+            with pytest.raises(ValueError, match="does not belong"):
+                unique_optimum(table1_margins, cert, outside)  # winner outside
+
+    def test_pure_certificate_of_another_matrix_rejected(self, chain3_matrix):
+        cert = maximal_lottery(chain3_matrix)
+        doubled = SSBMatrix(chain3_matrix.universe,
+                            [[2 * x for x in row] for row in chain3_matrix.entries])
+        with pytest.raises(ValueError, match="does not belong"):
+            unique_optimum(doubled, cert)
 
 
 class TestAgainstHighs:
