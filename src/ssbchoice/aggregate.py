@@ -10,6 +10,7 @@ Arrovian rule on pairwise-comparison domains.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 
 from .model import (
@@ -24,7 +25,6 @@ from .ssb import (
     approved_set,
     evaluate,
     is_dichotomous,
-    normalize,
     to_matrix,
 )
 
@@ -37,27 +37,32 @@ def utilitarian(profile: Profile) -> SSBMatrix:
 
     Each run of equal agents is added once, times its multiplicity.  A
     skew-symmetric matrix is its positive part P minus P's transpose, so
-    only the positive parts are summed, into a grid of plain ints and
-    Fractions, and one SSBMatrix is built at the end.  A base relation's
-    normalized matrix is its PC matrix (zero, or largest entry exactly
-    1), so its positive part is 1 on `strict` and the relation adds its
-    count straight from its pairs.
+    only positive parts are summed, into one grid of ints over a running
+    denominator.  A base relation's normalized P is 1 on `strict`; any
+    other agent's is R+ / max R for the integer rows R of its matrix.
     """
     m = len(profile.universe)
     grid = [[0] * m for _ in range(m)]
+    denominator = 1
     for agent, count in profile.runs:
         if isinstance(agent, BaseRelation):
             for a, b in agent.strict:
-                grid[a][b] += count
+                grid[a][b] += count * denominator
             continue
-        for target, row in zip(grid, normalize(to_matrix(agent)).entries):
-            for b, x in enumerate(row):
-                if x > 0:
-                    target[b] += count * x
-    return SSBMatrix(
-        profile.universe,
-        tuple(tuple(grid[a][b] - grid[b][a] for b in range(m)) for a in range(m)),
-    )
+        rows = to_matrix(agent).scaled[1]
+        top = max(map(max, rows))
+        if top:
+            common = math.lcm(denominator, top)
+            if common != denominator:
+                grid = [[x * (common // denominator) for x in row] for row in grid]
+                denominator = common
+            weight = count * (common // top)
+            for target, row in zip(grid, rows):
+                for b, x in enumerate(row):
+                    if x > 0:
+                        target[b] += weight * x
+    return SSBMatrix.from_scaled(profile.universe, denominator, [
+        [grid[a][b] - grid[b][a] for b in range(m)] for a in range(m)])
 
 
 def majority_margins(profile: Profile) -> SSBMatrix:

@@ -41,6 +41,10 @@ matrix holds one entry per ordered pair of them.  The CLI refuses an input
 file of more than `MAX_INPUT_BYTES` bytes: before reading it when its size
 is known, and one byte past the bound when it is a pipe or device.
 
+The formatters refuse to print a number of more digits than Python
+converts to text (`sys.get_int_max_str_digits()`), with one error that
+names that limit.
+
 The readers split lines with `str.split` and keep no positions: the column
 of a `ParseError` is computed from its line only when it is raised
 (`_column`), so every error still names its line and column.
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .model import (
@@ -338,15 +343,25 @@ def _lowest_terms(value) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
+def _digits(n: int) -> str:
+    """str(n); a ValueError naming the limit if n has more digits than
+    Python converts (`sys.get_int_max_str_digits()`)."""
+    try:
+        return str(n)
+    except ValueError:
+        raise ValueError(f"a number to print has more than {sys.get_int_max_str_digits()} "
+                         "digits, Python's limit for converting an int to text") from None
+
+
 def format_fraction(value: Fraction) -> str:
     """Lowest terms, positive denominator; integers render without '/1'."""
     n, d = _lowest_terms(value)
-    return f"{n}/{d}" if d != 1 else str(n)
+    return f"{_digits(n)}/{_digits(d)}" if d != 1 else _digits(n)
 
 
 def fraction_pair(value: Fraction) -> list[str]:
     n, d = _lowest_terms(value)
-    return [str(n), str(d)]
+    return [_digits(n), _digits(d)]
 
 
 def format_percent(value: Fraction) -> str:
@@ -354,7 +369,7 @@ def format_percent(value: Fraction) -> str:
     n, d = _lowest_terms(value)
     # tenths of a percent: floor(1000 |n| / d + 1/2), so halves round up
     tenths = (2000 * abs(n) + d) // (2 * d)
-    return f"{'-' if n < 0 else ''}{tenths // 10}.{tenths % 10}"
+    return f"{'-' if n < 0 else ''}{_digits(tenths // 10)}.{tenths % 10}"
 
 
 class ShareError(ValueError):

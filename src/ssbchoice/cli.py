@@ -235,33 +235,34 @@ def _lottery_json(lottery):
     }
 
 
-def _print_lottery(lottery, indent="  "):
-    for name, prob in zip(lottery.universe.names, lottery.probs):
-        print(f"{indent}{name}: {format_fraction(prob)} ({format_percent(prob)}%)")
+def _lottery_lines(lottery, indent="  ") -> list[str]:
+    return [f"{indent}{name}: {format_fraction(prob)} ({format_percent(prob)}%)"
+            for name, prob in zip(lottery.universe.names, lottery.probs)]
+
+
+# The report commands below build their whole text, formatting included,
+# before one print, so an error leaves stdout empty.
 
 
 def _cmd_aggregate(args) -> int:
     profile = _load_profile(args.ballots)
     matrix = utilitarian(profile)
+    agents = format_fraction(profile.n)  # a count over the digit limit is refused here
     if args.json:
-        print(json.dumps({
+        text = json.dumps({
             "alternatives": list(matrix.universe.names),
             "matrix": [[fraction_pair(x) for x in row] for row in matrix.entries],
             "agents": profile.n,
-        }))
+        }) + "\n"
     else:
-        print(f"Collective matrix ({profile.n} agents, sum of normalized "
-              "agent matrices):")
-        print(render_matrix(matrix), end="")
+        text = (f"Collective matrix ({agents} agents, sum of normalized "
+                f"agent matrices):\n{render_matrix(matrix)}")
+    print(text, end="")
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    """`maximal-lottery`; `budget` is the same report plus the lottery's allocation.
-
-    Everything that can fail runs before the first print, so an error leaves
-    stdout empty.
-    """
+    """`maximal-lottery`; `budget` is the same report plus the lottery's allocation."""
     _check_range("--max-enum", args.max_enum, 0, 10)
     profile = _load_profile(args.ballots)
     budget = args.command == "budget"
@@ -297,22 +298,22 @@ def _cmd_solve(args) -> int:
             payload["allocation_percent"] = {d: format_percent(x) for d, x in allocation}
         print(json.dumps(payload))
         return EXIT_OK
-    print("Maximal lottery:")
-    _print_lottery(certificate.lottery)
-    print("Slacks against pure outcomes (all exact, all >= 0):")
-    for name, slack in zip(arena, certificate.slack):
-        print(f"  vs {name}: {format_fraction(slack)}")
+    lines = ["Maximal lottery:", *_lottery_lines(certificate.lottery),
+             "Slacks against pure outcomes (all exact, all >= 0):"]
+    lines += [f"  vs {name}: {format_fraction(slack)}"
+              for name, slack in zip(arena, certificate.slack)]
     if unique:
-        print("This is the unique maximal lottery.")
+        lines.append("This is the unique maximal lottery.")
     elif face is None:
-        print("Not unique: reported lottery is the solver's deterministic pick.")
+        lines.append("Not unique: reported lottery is the solver's deterministic pick.")
     else:
-        print(f"Not unique: the maximal set has {len(face)} vertices; "
-              "reported lottery is the solver's deterministic pick.")
+        lines.append(f"Not unique: the maximal set has {len(face)} vertices; "
+                     "reported lottery is the solver's deterministic pick.")
     if budget:
-        print("Budget allocation:")
-        for dept, share in allocation:
-            print(f"  {dept}: {format_fraction(share)} ({format_percent(share)}%)")
+        lines.append("Budget allocation:")
+        lines += [f"  {dept}: {format_fraction(share)} ({format_percent(share)}%)"
+                  for dept, share in allocation]
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -532,14 +533,14 @@ def _cmd_cycle_witness(args) -> int:
             }))
         return EXIT_OK
     if witness is None:
-        print(f"none found on grid (two-support lotteries, denominators "
-              f"<= {args.max_denominator})")
+        lines = [f"none found on grid (two-support lotteries, denominators "
+                 f"<= {args.max_denominator})"]
     else:
-        print("Cycle found: p beats q beats r beats p")
+        lines = ["Cycle found: p beats q beats r beats p"]
         for label, lottery in zip("pqr", witness):
-            print(f" {label}:")
-            _print_lottery(lottery, indent="   ")
-        print(f" values: {', '.join(map(format_fraction, values))}")
+            lines += [f" {label}:", *_lottery_lines(lottery, indent="   ")]
+        lines.append(f" values: {', '.join(map(format_fraction, values))}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

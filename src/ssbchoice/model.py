@@ -1,9 +1,12 @@
 """Exact-rational domain types: alternatives, lotteries, relations, profiles.
 
-Every number in this package is an exact rational: an SSB matrix entry
-is an `int` when its value is integral (see `ssb.SSBMatrix`), and every
-other value, each probability and utility included, is a
-`fractions.Fraction`.  No value ever passes through a float.
+Every number in this package is an exact rational, and no value ever
+passes through a float.  A lottery and an SSB matrix are stored in one
+integer form each, `scaled`: integers over one positive denominator
+(`_IntegerForm`).  The pipeline computes on that form, and
+`fractions.Fraction` appears where a value is read out (`Lottery.probs`,
+`SSBMatrix.entries`, whose integral entries are `int`s) and for every
+other value, each utility included.
 
 `Universe` is where names become positions, for every layer: a name
 (`index`), a subset (`positions`, `subset`), a renaming (`permutation`),
@@ -13,13 +16,14 @@ names only: a position, even a valid one, is an unknown alternative.
 
 Values are immutable after construction and safe to share between
 threads: every field is set by the constructor and none is written
-later.  Two derived values are stored after construction, on first use,
-and are no part of the value: a lottery's Fractions, and the hash of a
-`Universe`, `BaseRelation` or `Profile`.  A lottery's value is its
-integer form (`Lottery.scaled`, probabilities over their least common
-denominator), which equality compares; its `probs` are derived from it
-on first read and kept (a racing read builds an equal tuple), and
-hashing and repr read them.  A stored hash is the dataclass hash of the
+later.  Two kinds of derived value are stored after construction, on
+first use, and are no part of the value: the Fractions of a lottery or
+an SSB matrix, and the hash of a `Universe`, `BaseRelation` or
+`Profile`.  A lottery's value is its integer form (`Lottery.scaled`,
+probabilities over their least common denominator), which equality
+compares; its `probs` are derived from it on first read and kept (a
+racing read builds an equal tuple), and hashing and repr read them, as
+an SSB matrix's do its `entries`.  A stored hash is the dataclass hash of the
 fields, and pickling rebuilds the object rather than copying it, since a
 string's hash differs between processes.  There is no global cache: a
 caller that wants equal values shared keeps its own dict, as
@@ -164,33 +168,62 @@ class Universe:
         return Lottery.from_scaled(self, 1, nums)
 
 
-class Lottery:
+class _IntegerForm:
+    """A frozen value over a universe stored as its integer form `scaled`,
+    (d, integers) with d > 0 in lowest terms, which equality compares.
+    `__post_init__` checks and stores it, for both constructors.  Hash and
+    repr read the derived field `_DERIVED` names, as the dataclass over
+    `(universe, <derived>)` did; pickling rebuilds through `from_scaled`."""
+
+    __slots__ = ()
+    _DERIVED: str
+
+    @classmethod
+    def from_scaled(cls, universe: Universe, d: int, nums):
+        """The value nums / d; (d, nums) need not be in lowest terms."""
+        value = cls.__new__(cls)
+        value.__post_init__(universe, d, nums)
+        return value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.scaled == other.scaled and self.universe == other.universe
+
+    def __hash__(self) -> int:
+        return hash((self.universe, getattr(self, self._DERIVED)))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(universe={self.universe!r}, "
+                f"{self._DERIVED}={getattr(self, self._DERIVED)!r})")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.from_scaled, (self.universe, *self.scaled)
+
+
+class Lottery(_IntegerForm):
     """An exact probability vector over a universe of alternatives.
 
-    The value is stored as its integer form `scaled = (d, nums)`, with
-    probs == nums / d and d the least common denominator, which is the
-    same as gcd(d, *nums) == 1; equality compares `(universe, scaled)`.
-    Both constructors, `Lottery(universe, probs)` and `from_scaled`, run
-    the same checks on that form in ints.  `probs`, the Fractions, is
-    derived on first read and kept; hash and repr read it, so they are
-    those of `(universe, probs)`.  Instances are frozen.
+    Its integer form (`_IntegerForm`) is `scaled = (d, nums)`: probs ==
+    nums / d, with d the least common denominator.  `probs`, the
+    Fractions, is derived on first read and kept; hash and repr read it.
     """
 
     __slots__ = ("universe", "scaled", "_probs")
+    _DERIVED = "probs"
 
     def __init__(self, universe: Universe, probs: Iterable[Rational]):
         probs = tuple([frac(p) for p in probs])
         d, nums = _over_common_denominator(probs)
-        self._set(universe, d, nums, probs)
+        self.__post_init__(universe, d, nums, probs)
 
-    @classmethod
-    def from_scaled(cls, universe: Universe, d: int, nums: Sequence[int]) -> "Lottery":
-        """The lottery nums / d; (d, nums) need not be in lowest terms."""
-        lottery = cls.__new__(cls)
-        lottery._set(universe, d, nums, None)
-        return lottery
-
-    def _set(self, universe, d, nums, probs) -> None:
+    def __post_init__(self, universe, d, nums, probs=None) -> None:
         """Check (d, nums) in ints, reduce it, and store it with `probs`, the
         Fractions if the caller has them (None defers them to first read)."""
         nums = tuple(nums)
@@ -224,27 +257,6 @@ class Lottery:
             probs = tuple([Fraction(x, d) for x in nums])
             object.__setattr__(self, "_probs", probs)
         return probs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.scaled == other.scaled and self.universe == other.universe
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self.probs))
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}(universe={self.universe!r}, "
-                f"probs={self.probs!r})")
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Lottery.from_scaled, (self.universe, *self.scaled)
 
     @classmethod
     def of(cls, universe: Universe, assignment: dict[str, Rational]) -> "Lottery":
@@ -393,6 +405,11 @@ class UtilityVector:
     @classmethod
     def of(cls, universe: Universe, assignment: dict[str, Rational]) -> "UtilityVector":
         return cls(universe, universe.assignment(assignment))
+
+    @property
+    def scaled(self) -> tuple[int, list[int]]:
+        """(d, nums) with values == nums / d, d the least common denominator."""
+        return _over_common_denominator(self.values)
 
     def __getitem__(self, name: str) -> Fraction:
         return self.values[self.universe.index(name)]

@@ -28,14 +28,22 @@ lottery, and its certificate (row c as the slacks) is exact as read.
 without a linear system.  Since that optimum is unique, every correct
 solver returns it, so the output is byte-identical to the simplex's.
 
-All elimination, in the simplex and in the linear systems of
+Every solve reads phi's integer form (`SSBMatrix.scaled`, rows R over
+one denominator D): R = D phi is a positive multiple of phi, so it has
+the same optimal strategies, the same optimal face and the same sign on
+every slack, and a slack's Fraction is divided by D once, when it is
+built.  The simplex plays the game R with K = 1 + max |R|, which is
+max |phi| + 1/D in phi's units.  Bland's path does not depend on the
+shift K > 0: x -> x / (1 + (K' - K) sum x) maps the shifted feasible
+region for K onto the one for K', divides every variable and slack by
+one positive factor and keeps sum x increasing, so the two tableaux
+have the same bases, signs of reduced costs and ratio-test ties.  All
+elimination, in the simplex and in the linear systems of
 `unique_optimum` and `maximal_set`, is one fraction-free integer pivot
 (Bareiss, Math. Comp. 22, 1968), and a solution leaves it in integer
 form (d, nums): lotteries are built from that form, and slacks are
-computed on it.  The simplex scales each row of [(phi + K) | I | 1] to
-integers by its own least common denominator: a positive row factor
-changes no ratio and the sign of no reduced cost, so Bland's rule makes
-the same pivots, and picks the same lottery, as on the rational tableau.
+computed on it.  `choose`, whose payoff is computed, puts it over one
+denominator before its solve.
 """
 
 from __future__ import annotations
@@ -87,19 +95,17 @@ def _pivot(rows: list, r: int, c: int, d: int) -> int:
     return p
 
 
-def _optimal_strategy(payoff: Sequence[Sequence[int | Fraction]]) -> tuple[int, list[int]]:
-    """An optimal strategy of the symmetric game with skew-symmetric payoff,
-    in integer form (d, nums): the strategy is nums / d, with d > 0.
+def _optimal_strategy(payoff: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+    """An optimal strategy of the symmetric game with skew-symmetric integer
+    payoff, in integer form (d, nums): the strategy is nums / d, with d > 0.
 
     Primal simplex from the all-slack basis with Bland's rule: the lowest
     column with negative reduced cost enters.
     """
     k = len(payoff)
     shift = 1 + max(abs(x) for row in payoff for x in row)
-    rows = []
-    for i, row in enumerate(payoff):
-        scale, nums = _over_common_denominator([x + shift for x in row])
-        rows.append(nums + [scale * (j == i) for j in range(k)] + [scale])
+    rows = [[x + shift for x in row] + [int(j == i) for j in range(k)] + [1]
+            for i, row in enumerate(payoff)]
     rows.append([-1] * k + [0] * (k + 1))  # objective: reduced costs, value
     basis = list(range(k, 2 * k))
     d = 1
@@ -122,28 +128,30 @@ def _optimal_strategy(payoff: Sequence[Sequence[int | Fraction]]) -> tuple[int, 
         basis[leaving] = entering
 
     # every pivot is positive, so d > 0; the value rows[-1][-1] / d must be
-    # 1 / shift, and shift is a Fraction when the entries are
-    if rows[-1][-1] * shift.numerator != d * shift.denominator:
+    # 1 / shift
+    if rows[-1][-1] * shift != d:
         raise SolverDefect(f"shifted game value {Fraction(rows[-1][-1], d)} != "
                            f"1/{shift}; zero-sum symmetry broken")
     nums = [0] * k
     for i, var in enumerate(basis):
         if var < k:  # a pivoted row holds d in its basic column
-            nums[var] = shift.numerator * rows[i][-1]
-    return shift.denominator * d, nums
+            nums[var] = shift * rows[i][-1]
+    return d, nums
 
 
 def _arena(phi: SSBMatrix, names: Iterable[str] | None):
     """The arena's names, their ascending universe positions, and phi's
-    entries among them."""
+    integer rows (`phi.scaled`) among them."""
     idx = phi.universe.positions(names)
     arena = tuple([phi.universe.names[a] for a in idx])
-    return arena, idx, [[phi.entries[a][b] for b in idx] for a in idx]
+    rows = phi.scaled[1]
+    return arena, idx, [[rows[a][b] for b in idx] for a in idx]
 
 
 def _slacks(sub, d: int, nums: Sequence[int]) -> tuple[Fraction, ...]:
-    """(p' phi)_b for each b of the arena, p = nums / d and phi (`sub`) given
-    on it."""
+    """(p' R)_b / d for each b of the arena, p = nums and integer rows R
+    (`sub`) given on it: the slacks of nums / d0 against R / D when d is
+    d0 * D."""
     support = [(x, row) for x, row in zip(nums, sub) if x]
     return tuple([Fraction(sum([x * row[b] for x, row in support]), d)
                   for b in range(len(sub))])
@@ -169,12 +177,13 @@ def maximal_lottery(
     optimal face.
     """
     _, idx, sub = _arena(phi, names)
+    scale = phi.scaled[0]
     for c, row in enumerate(sub):
         if min(row[:c] + row[c + 1:], default=1) > 0:
             return MaximalityCertificate(phi.universe.lottery(1, [(idx[c], 1)]),
-                                         tuple(map(Fraction, row)))
+                                         tuple([Fraction(x, scale) for x in row]))
     d, nums = _optimal_strategy(sub)
-    slack = _slacks(sub, d, nums)
+    slack = _slacks(sub, d * scale, nums)
     if min(slack) < 0:
         raise SolverDefect(f"negative slack in certificate: {slack}")
     return MaximalityCertificate(phi.universe.lottery(d, zip(idx, nums)), slack)
@@ -191,7 +200,7 @@ def is_maximal(phi: SSBMatrix, p: Lottery, names: Iterable[str] | None = None) -
     if not set(p.support()) <= set(arena):
         raise ValueError(f"support {p.support()} outside arena {arena}")
     d, nums = p.scaled
-    return all(s >= 0 for s in _slacks(sub, d, [nums[i] for i in idx]))
+    return all(s >= 0 for s in _slacks(sub, d * phi.scaled[0], [nums[i] for i in idx]))
 
 
 def _solve_unique(rows: list, n: int) -> tuple[int, list[int]] | None:
@@ -239,8 +248,8 @@ def unique_optimum(
     A pure certificate, such as `maximal_lottery` gives for a strict
     Condorcet winner, needs no system: on a one-point support S = {c} it
     is q_c = 1, of full rank, so the answer is "no degenerate
-    alternative".  Its check reads row c of phi, which holds its slacks,
-    as it is, with no Fraction built.
+    alternative".  Its check reads row c of phi's `entries`, which holds
+    its slacks, as it is (for an integer matrix, its integer row).
     """
     same_universe(phi, certificate.lottery)
     d, nums = certificate.lottery.scaled
@@ -254,13 +263,13 @@ def unique_optimum(
     arena, idx, sub = _arena(phi, names)
     k = len(arena)
     p = [nums[i] for i in idx]
-    slack = _slacks(sub, d, p)
+    slack = _slacks(sub, d * phi.scaled[0], p)
     if sum(p) != d or slack != certificate.slack:
         raise ValueError(f"certificate does not belong to phi on arena {arena}")
     if any(x == 0 and s == 0 for x, s in zip(p, slack)):
         return False
     support = [a for a in range(k) if p[a]]
-    rows = [_over_common_denominator([sub[a][b] for a in support])[1] + [0] for b in support]
+    rows = [[sub[a][b] for a in support] + [0] for b in support]
     rows.append([1] * (len(support) + 1))
     point = _solve_unique(rows, len(support))
     if point is not None and [x * d for x in point[1]] != [p[a] * point[0] for a in support]:
@@ -291,7 +300,7 @@ def maximal_set(
         raise ValueError(f"|X| = {k} exceeds enumeration bound {max_enum}")
     # integer rows [coefficients..., rhs], built once for all 3^k patterns
     zero_rows = [[int(j == a) for j in range(k)] + [0] for a in range(k)]
-    tight_rows = [_over_common_denominator([r[b] for r in sub])[1] + [0] for b in range(k)]
+    tight_rows = [[r[b] for r in sub] + [0] for b in range(k)]
     sum_row = [1] * (k + 1)
 
     found: dict[tuple[Fraction, ...], tuple[int, list[int]]] = {}
@@ -305,7 +314,7 @@ def maximal_set(
         point = _solve_unique(rows, k)
         if point is None or min(point[1]) < 0:
             continue
-        if min(_slacks(sub, *point)) < 0:
+        if min(_slacks(sub, *point)) < 0:  # phi's scale changes no sign
             continue
         d, nums = point
         found[tuple([Fraction(x, d) for x in nums])] = point
@@ -330,8 +339,9 @@ def choose(phi: SSBMatrix, feasible: FeasiblePolytope) -> Lottery:
     """
     same_universe(phi, feasible)
     verts = feasible.vertices
-    payoff = [[evaluate(phi, vi, vj) for vj in verts] for vi in verts]
-    d, nums = _optimal_strategy(payoff)
+    k = len(verts)
+    _, flat = _over_common_denominator([evaluate(phi, vi, vj) for vi in verts for vj in verts])
+    d, nums = _optimal_strategy([flat[i * k:(i + 1) * k] for i in range(k)])
     probs = [Fraction(0)] * len(phi.universe)
     for v, w in zip(verts, nums):
         if w:

@@ -1,39 +1,42 @@
 """Skew-symmetric bilinear utility matrices and the pairwise-comparison extension.
 
 An SSBMatrix holds one exact rational value per ordered pair of
-alternatives, an `int` when the value is integral and a lowest-terms
-`Fraction` otherwise; a lottery p is strictly preferred to q exactly
-when the bilinear form p' M q is positive.  Preferences over pure
-outcomes extend to lotteries through `pc_extension`: the resulting
-matrix has entries in {-1, 0, 1} and prefers the lottery that is more
-likely to return the better alternative in an independent draw.
+alternatives, stored as one integer form: integer rows over one positive
+denominator d (d == 1 for pairwise-comparison matrices and integer
+margins).  Aggregation, evaluation and the solver read those rows, and
+`Fraction`s appear where a value is read out (`entries`, `evaluate`).
+A lottery p is strictly preferred to q exactly when the bilinear form
+p' M q is positive.  Preferences over pure outcomes extend to lotteries
+through `pc_extension`: the resulting matrix has entries in {-1, 0, 1}
+and prefers the lottery that is more likely to return the better
+alternative in an independent draw.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .model import (
     BaseRelation,
     Lottery,
-    Rational,
     Universe,
     UtilityVector,
+    _IntegerForm,
     _over_common_denominator,
     frac,
     same_universe,
 )
 
 
-def _entry(value: Rational) -> int | Fraction:
-    """An exact rational in canonical form: an int when integral, else a Fraction."""
-    if type(value) is int:
-        return value
-    value = frac(value)
+def _entry(x, d) -> int | Fraction:
+    """The exact rational x / d in canonical form: an int when integral, else
+    a lowest-terms Fraction."""
+    value = Fraction(x, d)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -43,85 +46,81 @@ class Comparison(enum.Enum):
     DISPREFERRED = "dispreferred"
 
 
-@dataclass(frozen=True)
-class SSBMatrix:
+class SSBMatrix(_IntegerForm):
     """A skew-symmetric exact-rational matrix indexed by a universe.
 
-    Every entry is stored in one canonical form: a Python `int` when its
-    value is integral and a lowest-terms `Fraction` otherwise, so the
-    {-1, 0, 1} matrices and integer margins that pairwise-comparison data
-    produce never pay for Fraction arithmetic.  Equal values hash equal
-    across the two types (`hash(3) == hash(Fraction(3))`), so equality,
-    hashing and ordering are those of the exact values.  Inputs may be
-    ints, Fractions or strings like "2/5"; bools and floats are rejected.
+    Its value is its integer form `scaled = (d, rows)`: the entries are
+    rows / d, d > 0 and gcd(d, every entry of rows) == 1.  The constructor
+    takes ints, Fractions or strings like "2/5" (bools and floats are
+    rejected); computed matrices are built with `from_scaled`.  `entries`,
+    an `int` when integral and a lowest-terms `Fraction` otherwise, is
+    derived on first read and kept; when d == 1 it is rows itself.
     """
 
-    universe: Universe
-    entries: tuple[tuple[int | Fraction, ...], ...]
+    __slots__ = ("universe", "scaled", "_entries")
+    _DERIVED = "entries"
 
-    def __post_init__(self):
-        m = len(self.universe)
-        rows = tuple(
-            tuple([x if type(x) is int else _entry(x) for x in row])
-            for row in self.entries
-        )
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, universe: Universe, entries):
+        entries = [[x if type(x) is int else frac(x) for x in row] for row in entries]
+        d, flat = _over_common_denominator([x for row in entries for x in row])
+        nums = iter(flat)
+        self.__post_init__(universe, d, [list(itertools.islice(nums, len(row)))
+                                         for row in entries])
+
+    def __post_init__(self, universe, d, rows) -> None:
+        """Check rows / d in ints, reduce it and store it."""
+        rows = tuple(map(tuple, rows))
+        m = len(universe)
         if len(rows) != m or any(len(r) != m for r in rows):
             raise ValueError(f"matrix shape is not {m}x{m}")
-        for i, row in enumerate(rows):
-            for j in range(i, m):
-                a, b = row[j], rows[j][i]
-                # canonical entries are equal iff these parts are (an int's
-                # denominator is 1)
-                if a.numerator != -b.numerator or a.denominator != b.denominator:
-                    raise ValueError(
-                        f"not skew-symmetric at ({i},{j}): {a} vs {b}"
-                    )
+        if type(d) is not int or d <= 0 or not {*map(type, itertools.chain(*rows))} <= {int}:
+            raise TypeError(f"matrix integer form must be ints over d > 0, got d={d!r}")
+        if [tuple(map(operator.neg, col)) for col in zip(*rows)] != list(rows):
+            i, j = next((i, j) for i in range(m) for j in range(i, m)
+                        if rows[i][j] != -rows[j][i])
+            raise ValueError(f"not skew-symmetric at ({i},{j}): "
+                             f"{_entry(rows[i][j], d)} vs {_entry(rows[j][i], d)}")
+        g = math.gcd(d, *itertools.chain(*rows))
+        if g != 1:
+            d, rows = d // g, tuple([tuple([x // g for x in row]) for row in rows])
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "scaled", (d, rows))
+        object.__setattr__(self, "_entries", rows if d == 1 else None)
+
+    @property
+    def entries(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        entries = self._entries
+        if entries is None:
+            d, rows = self.scaled
+            entries = tuple([tuple([_entry(x, d) for x in row]) for row in rows])
+            object.__setattr__(self, "_entries", entries)
+        return entries
 
     @classmethod
     def zero(cls, universe: Universe) -> "SSBMatrix":
         m = len(universe)
-        return cls(universe, ((0,) * m,) * m)
+        return cls.from_scaled(universe, 1, ((0,) * m,) * m)
 
     def __getitem__(self, key: tuple[str, str]) -> int | Fraction:
         a, b = key
         return self.entries[self.universe.index(a)][self.universe.index(b)]
 
-    def scaled(self, factor: Rational) -> "SSBMatrix":
-        f = _entry(factor)
-        return SSBMatrix(
-            self.universe, tuple(tuple(f * x for x in row) for row in self.entries)
-        )
-
-    def __neg__(self) -> "SSBMatrix":
-        return self.scaled(-1)
-
-    def __add__(self, other: "SSBMatrix") -> "SSBMatrix":
-        same_universe(self, other)
-        return SSBMatrix(
-            self.universe,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
     def relabel(self, mapping: dict[str, str]) -> "SSBMatrix":
         """Permute alternatives: entry (pi(a), pi(b)) of the result is entry (a, b)."""
         image = self.universe.permutation(mapping)
         source = sorted(range(len(image)), key=image.__getitem__)  # source[pi(a)] = a
-        rows = (self.entries[a] for a in source)
-        return SSBMatrix(
-            self.universe, tuple(tuple(row[b] for b in source) for row in rows)
+        d, rows = self.scaled
+        return SSBMatrix.from_scaled(
+            self.universe, d, [[rows[a][b] for b in source] for a in source]
         )
 
 
-def _scaled_form(phi: SSBMatrix, p: Lottery, q: Lottery) -> int | Fraction:
-    """p' phi q times both lotteries' denominators, which are positive, so
-    it has the form's sign; an int when phi's entries are ints.
+def _scaled_form(phi: SSBMatrix, p: Lottery, q: Lottery) -> int:
+    """p' phi q times phi's and both lotteries' denominators, which are
+    positive, so it has the form's sign.
 
-    p and q enter through their integer forms (`Lottery.scaled`, over
-    their least common denominators).  Each row is summed over q's
+    phi, p and q enter through their integer forms (`SSBMatrix.scaled`,
+    `Lottery.scaled`).  Each row is summed over q's
     nonzero entries, skipping zero matrix entries, and multiplied by p's
     entry once; rows where p's entry is 0 are skipped.
     """
@@ -129,7 +128,7 @@ def _scaled_form(phi: SSBMatrix, p: Lottery, q: Lottery) -> int | Fraction:
     p_nums = p.scaled[1]
     q_support = [(b, qb) for b, qb in enumerate(q.scaled[1]) if qb]
     total = 0
-    for row, pa in zip(phi.entries, p_nums):
+    for row, pa in zip(phi.scaled[1], p_nums):
         if not pa:
             continue
         row_value = 0
@@ -144,16 +143,15 @@ def _scaled_form(phi: SSBMatrix, p: Lottery, q: Lottery) -> int | Fraction:
 def evaluate(phi: SSBMatrix, p: Lottery, q: Lottery) -> Fraction:
     """The exact bilinear form p' phi q; positive sign means p beats q.
 
-    Computed in the lotteries' integer forms (see `_scaled_form`), so an
-    integer matrix is summed in ints and divided once at the end.
+    Computed in the integer forms (see `_scaled_form`), so it is summed in
+    ints and divided once at the end.
     """
-    return Fraction(_scaled_form(phi, p, q), p.scaled[0] * q.scaled[0])
+    return Fraction(_scaled_form(phi, p, q), phi.scaled[0] * p.scaled[0] * q.scaled[0])
 
 
 def compare(phi: SSBMatrix, p: Lottery, q: Lottery) -> Comparison:
     """How p' phi q compares with 0: the sign of `_scaled_form`, which is
-    `evaluate`'s value before its division, so no Fraction is built for an
-    integer matrix."""
+    `evaluate`'s value before its division, so no Fraction is built."""
     value = _scaled_form(phi, p, q)
     if value > 0:
         return Comparison.PREFERRED
@@ -173,15 +171,13 @@ def pc_extension(relation: BaseRelation) -> SSBMatrix:
     for a, b in relation.strict:
         grid[a][b] = 1
         grid[b][a] = -1
-    return SSBMatrix(relation.universe, tuple(tuple(row) for row in grid))
+    return SSBMatrix.from_scaled(relation.universe, 1, grid)
 
 
 def separable(u: UtilityVector) -> SSBMatrix:
     """The SSB matrix of a vNM agent: entry (a, b) is u(a) - u(b)."""
-    vals = u.values
-    return SSBMatrix(
-        u.universe, tuple(tuple(ua - ub for ub in vals) for ua in vals)
-    )
+    d, nums = u.scaled
+    return SSBMatrix.from_scaled(u.universe, d, [[ua - ub for ub in nums] for ua in nums])
 
 
 def to_matrix(agent) -> SSBMatrix:
@@ -202,8 +198,9 @@ def normalize(phi: SSBMatrix) -> SSBMatrix:
     positive multiples of one another, so this is a canonical form:
     `normalize(a) == normalize(b)` decides relation equality.
     """
-    rows = _ray(phi.entries)
-    return phi if rows is phi.entries else SSBMatrix(phi.universe, rows)
+    d, rows = phi.scaled
+    top = max(map(max, rows))
+    return phi if top in (0, d) else SSBMatrix.from_scaled(phi.universe, top, rows)
 
 
 def _ray(rows):
@@ -212,7 +209,7 @@ def _ray(rows):
     top = max(map(max, rows))
     if top == 0 or top == 1:
         return rows
-    return tuple(tuple(_entry(Fraction(x, top)) for x in row) for row in rows)
+    return tuple(tuple(_entry(x, top) for x in row) for row in rows)
 
 
 def restrict(phi: SSBMatrix, names: Iterable[str]) -> SSBMatrix:
@@ -224,8 +221,9 @@ def restrict(phi: SSBMatrix, names: Iterable[str]) -> SSBMatrix:
     commute with restriction.
     """
     idx = phi.universe.positions(names)
-    rows = tuple(tuple(phi.entries[a][b] for b in idx) for a in idx)
-    return SSBMatrix(Universe(phi.universe.names[a] for a in idx), rows)
+    d, rows = phi.scaled
+    return SSBMatrix.from_scaled(Universe(phi.universe.names[a] for a in idx), d,
+                                 [[rows[a][b] for b in idx] for a in idx])
 
 
 def _pc_rows(rows) -> bool:
@@ -284,19 +282,16 @@ def cycle_witness(
     positions.  A returned witness always verifies exactly; None means no
     cycle exists on this grid.
 
-    phi is scaled to integers by its least common denominator, a positive
-    factor, so the sign of p' phi q is the sign of the integer form of p
-    dotted with phi times the integer form of q; each product phi q is
-    formed once.  `beats` is kept as one int bitset per lottery (`out[i]`:
+    The sign of p' phi q is the sign of the integer form of p dotted with
+    phi's integer rows times the integer form of q, since every
+    denominator is positive; each product phi q is formed once.  `beats` is kept as one int bitset per lottery (`out[i]`:
     the lotteries i beats) plus its transpose (`into[i]`: those beating
     i), and the first l closing a cycle through i beats j is the lowest
     set bit of `out[j] & into[i]`.
     """
     grid = lottery_grid(phi.universe, max_denominator)
     k = len(grid)
-    m = len(phi.universe)
-    _, flat = _over_common_denominator([x for row in phi.entries for x in row])
-    rows = [flat[a * m : (a + 1) * m] for a in range(m)]
+    rows = phi.scaled[1]
     forms = [lottery.scaled[1] for lottery in grid]
     images = [
         [sum(map(operator.mul, row, nums)) for row in rows] for nums in forms

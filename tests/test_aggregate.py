@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ssbchoice import (
+    BaseRelation,
     Comparison,
     ParetoDominance,
     Profile,
@@ -31,8 +32,15 @@ from ssbchoice.axioms import (
     random_ssb_matrix,
     random_weak_order,
 )
+from test_ssb import ReferenceSSBMatrix, scaled
 
 ABC = Universe(("a", "b", "c"))
+
+
+def plus(phi, psi):
+    """The entrywise sum of two matrices, built through the constructor."""
+    return SSBMatrix(phi.universe, [[x + y for x, y in zip(r, s)]
+                                    for r, s in zip(phi.entries, psi.entries)])
 
 
 def entry_types(matrix):
@@ -72,7 +80,7 @@ class TestMajorityMargins:
             profile = Profile(u, agents)
             total = SSBMatrix.zero(u)
             for agent in agents:
-                total = total + pc_extension(agent)
+                total = plus(total, pc_extension(agent))
             assert majority_margins(profile).entries == total.entries
 
 
@@ -86,7 +94,7 @@ def _mixed_agent(rng, universe):
         return UtilityVector(universe, tuple(random_fraction(rng) for _ in universe))
     if kind == 3:
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 4))
-        return random_ssb_matrix(rng, universe).scaled(scale)
+        return scaled(random_ssb_matrix(rng, universe), scale)
     return weak_order(universe, [universe.names])
 
 
@@ -103,8 +111,87 @@ def _mixed_profiles(seed, count=60):
 def _brute_force_sum(profile):
     total = SSBMatrix.zero(profile.universe)
     for agent in profile.agents:
-        total = total + normalize(to_matrix(agent))
+        total = plus(total, normalize(to_matrix(agent)))
     return total
+
+
+def _canonical(x):
+    return x.numerator if x.denominator == 1 else x
+
+
+def reference_utilitarian(profile):
+    """`utilitarian` as it was before the integer form: each non-relation
+    agent normalized (`separable` for a vNM agent, then divided by its
+    largest entry) and its positive part summed in ints and Fractions,
+    entry by entry."""
+    m = len(profile.universe)
+    grid = [[0] * m for _ in range(m)]
+    for agent, count in profile.runs:
+        if isinstance(agent, BaseRelation):
+            for a, b in agent.strict:
+                grid[a][b] += count
+            continue
+        if isinstance(agent, UtilityVector):
+            rows = ReferenceSSBMatrix(profile.universe, tuple(
+                tuple(ua - ub for ub in agent.values) for ua in agent.values)).entries
+        else:
+            rows = ReferenceSSBMatrix(profile.universe, agent.entries).entries
+        top = max(map(max, rows))
+        if top not in (0, 1):
+            rows = tuple(tuple(_canonical(Fraction(x, top)) for x in row) for row in rows)
+        for target, row in zip(grid, rows):
+            for b, x in enumerate(row):
+                if x > 0:
+                    target[b] += count * x
+    return ReferenceSSBMatrix(
+        profile.universe,
+        tuple(tuple(grid[a][b] - grid[b][a] for b in range(m)) for a in range(m)),
+    )
+
+
+def _exponent_fraction(rng):
+    """A utility with an exponent-sized denominator, like `417e-953`."""
+    return Fraction(rng.randint(0, 999), 10 ** rng.randint(1, 60))
+
+
+def _reference_agent(rng, universe):
+    """A weak order, an approval, an `edges` relation, a vNM agent (small,
+    exponent-sized or constant utilities), an SSB matrix or indifference."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        return random_weak_order(rng, universe)
+    if kind == 1:
+        return random_relation(rng, universe)
+    if kind == 7:
+        approved = rng.sample(universe.names, rng.randint(1, len(universe)))
+        return weak_order(universe, [approved])
+    if kind == 2:
+        return UtilityVector(universe, tuple(random_fraction(rng) for _ in universe))
+    if kind == 3:
+        return UtilityVector(universe, tuple(_exponent_fraction(rng) for _ in universe))
+    if kind == 4:
+        return UtilityVector(universe, (random_fraction(rng),) * len(universe))
+    if kind == 5:
+        scale = rng.choice([1, Fraction(rng.randint(1, 9), rng.randint(1, 4))])
+        return scaled(random_ssb_matrix(rng, universe), scale)
+    return weak_order(universe, [universe.names])
+
+
+class TestAgainstTheReferenceRule:
+    def test_value_and_entry_types(self):
+        rng = random.Random(26)
+        scales = set()
+        for _ in range(1200):
+            u = Universe(tuple("abcde"[: rng.randint(1, 5)]))
+            runs = [(_reference_agent(rng, u), rng.randint(1, 5))
+                    for _ in range(rng.randint(1, 6))]
+            profile = Profile.from_runs(u, runs)
+            got, want = utilitarian(profile), reference_utilitarian(profile)
+            assert got.entries == want.entries
+            assert entry_types(got) == entry_types(want)
+            assert hash(got) == hash(want)
+            scales.add(got.scaled[0] == 1)
+        assert scales == {True, False}
 
 
 class TestAggregationKernel:
@@ -139,7 +226,7 @@ class TestUtilitarian:
 
     def test_normalizes_before_summing(self):
         # a scaled matrix must not act as a hidden weight
-        loud = pc_extension(weak_order(ABC, ["a", "b", "c"])).scaled(100)
+        loud = scaled(pc_extension(weak_order(ABC, ["a", "b", "c"])), 100)
         quiet = pc_extension(weak_order(ABC, ["c", "b", "a"]))
         profile = Profile(ABC, (loud, quiet))
         assert utilitarian(profile) == SSBMatrix.zero(ABC)

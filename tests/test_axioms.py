@@ -60,6 +60,7 @@ from ssbchoice.axioms import (
     unanimity_case,
     weak_orders,
 )
+from test_ssb import scaled
 
 ABC = Universe(("a", "b", "c"))
 ABCD = Universe(("a", "b", "c", "d"))
@@ -590,7 +591,7 @@ class TestRichness:
     def test_missing_inverses_fail_r3(self):
         members = pc_matrices(ABCD)
         chain = pc_extension(weak_order(ABCD, ["a", "b", "c", "d"]))
-        trimmed = [m for m in members if m != -chain]
+        trimmed = [m for m in members if m != scaled(chain, -1)]
         domain = DomainDescription.of(ABCD, trimmed, "pc-minus-inverse")
         report = audit_richness(domain, [RichnessCondition.INVERSION])
         assert not report.passed
@@ -643,7 +644,7 @@ class TestRichness:
     @pytest.mark.parametrize("seed", range(8))
     def test_missing_inverse_found_whatever_the_sample(self, seed):
         chain = pc_extension(weak_order(ABC, ["a", "b", "c"]))
-        members = [m for m in pc_matrices(ABC) if m != -chain]
+        members = [m for m in pc_matrices(ABC) if m != scaled(chain, -1)]
         report = audit_richness(
             DomainDescription.of(ABC, members), [RichnessCondition.INVERSION],
             member_limit=3, seed=seed,
@@ -661,13 +662,13 @@ class TestRichness:
         chain = pc_extension(weak_order(ABC, ["a", "b", "c"]))
         graded = separable(UtilityVector.of(ABC, {"a": 2, "b": 1, "c": 0}))
         domain = DomainDescription.of(
-            ABC, [chain, chain.scaled(3), graded, graded.scaled(Fraction(1, 2))]
+            ABC, [chain, scaled(chain, 3), graded, scaled(graded, Fraction(1, 2))]
         )
         assert len(domain.matrices) == 2
-        assert chain.scaled(Fraction(2, 7)) in domain
-        assert graded.scaled(5) in domain
+        assert scaled(chain, Fraction(2, 7)) in domain
+        assert scaled(graded, 5) in domain
         assert normalize(graded) in domain
-        assert -chain not in domain
+        assert scaled(chain, -1) not in domain
         assert SSBMatrix.zero(ABC) not in domain
 
     def test_condition_parse(self):
@@ -849,7 +850,7 @@ class TestRichnessAgainstOracles:
 
     def test_inverse_removed(self):
         chain = pc_extension(weak_order(ABCD, ["a", "b", "c", "d"]))
-        members = [m for m in pc_matrices(ABCD) if m != -chain]
+        members = [m for m in pc_matrices(ABCD) if m != scaled(chain, -1)]
         r1, *_ = assert_matches_oracles(DomainDescription.of(ABCD, members))
         assert not r1.passed
 
@@ -921,12 +922,11 @@ class TestRelationSignature:
                     Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in ABCD
                 )))
             elif kind == "scaled":
-                matrix = random_ssb_matrix(rng, ABCD).scaled(
-                    Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                )
+                matrix = scaled(random_ssb_matrix(rng, ABCD),
+                                Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             else:
-                matrix = pc_extension(random_pc_profile(
-                    rng, ABCD, 1, transitive=False).agents[0]).scaled(rng.randint(1, 3))
+                matrix = scaled(pc_extension(random_pc_profile(
+                    rng, ABCD, 1, transitive=False).agents[0]), rng.randint(1, 3))
             for x in restriction_sets(ABCD):
                 assert signature(matrix, x) \
                     == normalize(restrict(matrix, x)).entries
@@ -974,12 +974,11 @@ class TestFlatSignature:
                     Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in ABCD
                 )))
             elif kind == "scaled":
-                matrix = random_ssb_matrix(rng, ABCD).scaled(
-                    Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                )
+                matrix = scaled(random_ssb_matrix(rng, ABCD),
+                                Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             else:
-                matrix = pc_extension(random_pc_profile(
-                    rng, ABCD, 1, transitive=False).agents[0]).scaled(rng.randint(1, 3))
+                matrix = scaled(pc_extension(random_pc_profile(
+                    rng, ABCD, 1, transitive=False).agents[0]), rng.randint(1, 3))
             for x in restriction_sets(ABCD):
                 got = flat_signature(matrix, x)
                 want = (flatten(normalize(restrict(matrix, x)).entries),)

@@ -10,6 +10,7 @@ line, and no run may print a traceback.
 """
 
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssbchoice.ballots import MAX_INPUT_BYTES
@@ -303,3 +305,36 @@ def test_a_file_at_the_byte_bound_completes():
     code, out, _ = run_cli(["maximal-lottery", "{0}"], [text])
     assert code == 0
     assert out.startswith("Maximal lottery:\n")
+
+
+def _exponent_utility_ballots(seed: int = 0, n: int = 130) -> str:
+    """n distinct vNM ballots at m=3 with utilities like `417e-953`: their
+    normalized sum has entries of more digits than Python prints."""
+    rng = random.Random(seed)
+    lines = ["universe: a, b, c"]
+    for _ in range(n):
+        a, b, c = (f"{rng.randint(1, 999)}e-{rng.randint(900, 1000)}" for _ in range(3))
+        lines.append(f"1: util a={a}, b={b}, c={c}")
+    return "\n".join(lines) + "\n"
+
+
+# two counts of 4 300 nines: each is a readable literal, their sum is not
+_HUGE_COUNTS = f"universe: a, b\n{'9' * 4300}: a > b\n{'9' * 4300}: b > a\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    *[(argv, _exponent_utility_ballots()) for argv in (
+        ["aggregate"], ["aggregate", "--json"], ["maximal-lottery"],
+        ["maximal-lottery", "--json"])],
+    (["aggregate"], _HUGE_COUNTS), (["aggregate", "--json"], _HUGE_COUNTS),
+])
+def test_a_number_over_the_digit_limit_is_refused_with_empty_stdout(tmp_path, argv, text):
+    path = tmp_path / "input.ballots"
+    path.write_text(text, encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "ssbchoice.cli", *argv, str(path)],
+                          capture_output=True, text=True, env=CHILD_ENV,
+                          preexec_fn=_cap_memory, timeout=WALL_BUDGET)
+    limit = sys.get_int_max_str_digits()
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: a number to print has more than {limit} digits, "
+                           "Python's limit for converting an int to text\n")

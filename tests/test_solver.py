@@ -148,13 +148,76 @@ def integer_matrix(rng, m, zero_rate, values):
     return SSBMatrix(Universe(tuple(f"x{i}" for i in range(m))), rows)
 
 
+def fraction_shift_bland(payoff):
+    """The simplex as it was on rational payoffs: Bland's rule on
+    [(phi + K) | I | 1] with K = 1 + max |phi|, a Fraction for a Fraction
+    matrix, each row scaled to integers by its own least common
+    denominator."""
+    k = len(payoff)
+    shift = 1 + max(abs(x) for row in payoff for x in row)
+    rows = []
+    for i, row in enumerate(payoff):
+        scale, nums = _over_common_denominator([Fraction(x + shift) for x in row])
+        rows.append(nums + [scale * (j == i) for j in range(k)] + [scale])
+    rows.append([-1] * k + [0] * (k + 1))
+    basis = list(range(k, 2 * k))
+    d = 1
+    while True:
+        entering = next((j for j in range(2 * k) if rows[-1][j] < 0), None)
+        if entering is None:
+            break
+        leaving = -1
+        for i, row in enumerate(rows[:k]):
+            coeff = row[entering]
+            if coeff > 0 and (leaving < 0 or (row[-1] * rows[leaving][entering], basis[i])
+                              < (rows[leaving][-1] * coeff, basis[leaving])):
+                leaving = i
+        d = solver._pivot(rows, leaving, entering, d)
+        basis[leaving] = entering
+    shift = Fraction(shift)
+    nums = [0] * k
+    for i, var in enumerate(basis):
+        if var < k:
+            nums[var] = shift.numerator * rows[i][-1]
+    return shift.denominator * d, nums
+
+
+def rational_matrix(rng, m):
+    """A skew matrix with 30% zeros and small entries over a random common
+    denominator (an integer matrix in a third of the cases), so that many
+    games have several optimal strategies."""
+    scale = rng.choice((1, rng.randint(2, 12), 10 ** rng.randint(3, 30) + 7))
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        if rng.random() >= 0.3:
+            x = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 1 if scale == 1 else rng.choice((1, 2, 3)))
+            rows[i][j] = x / scale if rng.random() < 0.8 else x
+            rows[j][i] = -rows[i][j]
+    return SSBMatrix(Universe(tuple(f"x{i}" for i in range(m))), rows)
+
+
 class TestDeterministicPick:
     """Where many lotteries are maximal, the simplex's pick is pinned.
 
     The picks below are those of the Fraction-tableau simplex that the
     fraction-free one replaced; Bland's rule makes the same pivots on
-    rows scaled by positive factors, so they must not move.
+    rows scaled by positive factors, and on the integer rows of phi's
+    integer form with their own shift, so they must not move.
     """
+
+    def test_pick_matches_the_fraction_shift_simplex(self):
+        rng = random.Random(2604)
+        kinds = {"integral": 0, "rational": 0, "non-unique": 0}
+        for _ in range(1200):
+            phi = rational_matrix(rng, rng.randint(2, 7))
+            d, nums = solver._optimal_strategy(phi.scaled[1])
+            ref_d, ref_nums = fraction_shift_bland(phi.entries)
+            assert (phi.universe.lottery(d, enumerate(nums))
+                    == phi.universe.lottery(ref_d, enumerate(ref_nums)))
+            cert = bland_maximal_lottery(phi)
+            kinds["integral" if phi.scaled[0] == 1 else "rational"] += 1
+            kinds["non-unique"] += not unique_optimum(phi, cert)
+        assert min(kinds.values()) >= 200, kinds
 
     @pytest.mark.parametrize("rows, pick", [
         ([["0"] * 3] * 3, ["1", "0", "0"]),
@@ -209,7 +272,7 @@ def bland_maximal_lottery(phi, names=None):
     """`maximal_lottery` with Bland's simplex on every arena."""
     _, idx, sub = solver._arena(phi, names)
     d, nums = BLAND(sub)
-    slack = solver._slacks(sub, d, nums)
+    slack = solver._slacks(sub, d * phi.scaled[0], nums)
     assert min(slack) >= 0
     return MaximalityCertificate(phi.universe.lottery(d, zip(idx, nums)), slack)
 
@@ -220,7 +283,7 @@ def face_system_unique_optimum(phi, certificate, names=None):
     arena, idx, sub = solver._arena(phi, names)
     d, nums = certificate.lottery.scaled
     p = [nums[i] for i in idx]
-    slack = solver._slacks(sub, d, p)
+    slack = solver._slacks(sub, d * phi.scaled[0], p)
     if sum(p) != d or slack != certificate.slack:
         raise ValueError(f"certificate does not belong to phi on arena {arena}")
     if any(x == 0 and s == 0 for x, s in zip(p, slack)):

@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -24,10 +27,17 @@ from ssbchoice import (
     weak_order,
 )
 from ssbchoice.axioms import random_lottery, random_relation, random_ssb_matrix
+from ssbchoice.model import frac
 from ssbchoice.ssb import _pc_rows
 
 ABC = Universe(("a", "b", "c"))
 ABCD = Universe(("a", "b", "c", "d"))
+
+
+def scaled(phi, factor):
+    """phi times an exact factor, built through the constructor."""
+    f = Fraction(factor)
+    return SSBMatrix(phi.universe, [[f * x for x in row] for row in phi.entries])
 
 
 def assert_canonical(phi):
@@ -78,8 +88,8 @@ class TestEntryRepresentation:
         assert zero.entries == ((0,) * 4,) * 4
         assert all(type(x) is int for row in zero.entries for x in row)
         relabeled = chain4_matrix.relabel({"a": "d", "b": "c", "c": "b", "d": "a"})
-        assert relabeled.entries == (-chain4_matrix).entries
-        for phi in (relabeled, -chain4_matrix, restrict(chain4_matrix, ["b", "d"])):
+        assert relabeled.entries == scaled(chain4_matrix, -1).entries
+        for phi in (relabeled, scaled(chain4_matrix, -1), restrict(chain4_matrix, ["b", "d"])):
             assert all(type(x) is int for row in phi.entries for x in row)
 
     def test_normalize_margins_with_maximum_two(self):
@@ -92,15 +102,15 @@ class TestEntryRepresentation:
 
     def test_scaling_collapses_integral_results(self):
         phi = SSBMatrix(ABC, [[0, 2, 1], [-2, 0, -1], [-1, 1, 0]])
-        half = phi.scaled(Fraction(1, 2))
+        half = scaled(phi, Fraction(1, 2))
         assert_canonical(half)
         assert half["a", "b"] == 1 and type(half["a", "b"]) is int
         assert type(half["a", "c"]) is Fraction
-        back = half.scaled(2)
+        back = scaled(half, 2)
         assert back == phi
         assert all(type(x) is int for row in back.entries for x in row)
-        assert_canonical(phi.scaled(Fraction(4, 2)))
-        assert_canonical(-half)
+        assert_canonical(scaled(phi, Fraction(4, 2)))
+        assert_canonical(scaled(half, -1))
         assert_canonical(restrict(half, ["a", "c"]))
         assert_canonical(half.relabel({"a": "b", "b": "c", "c": "a"}))
 
@@ -452,5 +462,157 @@ class TestSymmetrySpotCheck:
 
 def test_normalize_is_scale_free(table1_margins):
     # `normalize(a) == normalize(b)` decides whether a and b are one relation
-    assert normalize(table1_margins) == normalize(table1_margins.scaled(Fraction(7, 3)))
-    assert normalize(table1_margins) != normalize(-table1_margins)
+    assert normalize(table1_margins) == normalize(scaled(table1_margins, Fraction(7, 3)))
+    assert normalize(table1_margins) != normalize(scaled(table1_margins, -1))
+
+
+# -- the matrix as a dataclass over its canonical entries --
+
+
+def _reference_entry(value):
+    if type(value) is int:
+        return value
+    value = frac(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceSSBMatrix:
+    """`SSBMatrix` as a dataclass over its canonical entries, the definition
+    it had before it stored its integer form as its value: the reference
+    for equality, hashing, repr, pickling, frozen assignment, entry types
+    and every constructor error."""
+
+    universe: Universe
+    entries: tuple
+
+    def __post_init__(self):
+        m = len(self.universe)
+        rows = tuple(
+            tuple([x if type(x) is int else _reference_entry(x) for x in row])
+            for row in self.entries
+        )
+        object.__setattr__(self, "entries", rows)
+        if len(rows) != m or any(len(r) != m for r in rows):
+            raise ValueError(f"matrix shape is not {m}x{m}")
+        for i, row in enumerate(rows):
+            for j in range(i, m):
+                a, b = row[j], rows[j][i]
+                if a.numerator != -b.numerator or a.denominator != b.denominator:
+                    raise ValueError(
+                        f"not skew-symmetric at ({i},{j}): {a} vs {b}"
+                    )
+
+
+def _outcome(build):
+    """What a construction gives: its value, or its error's type and text."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_entries(rng: random.Random, m: int) -> list:
+    """Skew-symmetric entries spelled as ints, Fractions and strings, over
+    denominator 1 or a random one (up to exponent size), a share of them
+    invalid: a bool, float or non-number, a wrong shape, or not skew."""
+    scale = rng.choice([1, 1, 2, 6, 35, 10 ** rng.randint(2, 40)])
+    grid = [[Fraction(0)] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            x = Fraction(rng.randint(-9, 9), rng.choice([1, scale]))
+            grid[a][b], grid[b][a] = x, -x
+    spelled = [[rng.choice([x, str(x), x.numerator if x.denominator == 1 else x])
+                for x in row] for row in grid]
+    roll = rng.random()
+    a, b = rng.randrange(m), rng.randrange(m)
+    if roll < 0.04:
+        spelled[a][b] = rng.choice([True, False, 0.5, 1.0, None, "x"])
+    elif roll < 0.08:
+        if rng.random() < 0.5:
+            del spelled[a][b]
+        else:
+            spelled.append([0] * m)
+    elif roll < 0.12:
+        spelled[a][b] = Fraction(spelled[a][b]) + rng.choice([1, Fraction(1, 3)])
+    return spelled
+
+
+def _as_reference(matrix):
+    return repr(matrix).replace("SSBMatrix(", "ReferenceSSBMatrix(", 1)
+
+
+class TestSSBMatrixMatchesTheReference:
+    def test_values_and_errors(self):
+        rng = random.Random(26)
+        built, errors, scales = [], set(), set()
+        for _ in range(1200):
+            universe = Universe("abcde"[: rng.randint(1, 5)])
+            entries = _seeded_entries(rng, len(universe))
+            new = _outcome(lambda: SSBMatrix(universe, entries))
+            ref = _outcome(lambda: ReferenceSSBMatrix(universe, entries))
+            if isinstance(ref, tuple):
+                assert new == ref
+                errors.add((ref[0], ref[1][:12]))
+                continue
+            assert new.universe == ref.universe
+            assert new.entries == ref.entries
+            assert [list(map(type, r)) for r in new.entries] \
+                == [list(map(type, r)) for r in ref.entries]
+            d, rows = new.scaled
+            assert d > 0 and math.gcd(d, *(x for r in rows for x in r)) == 1
+            assert rows == tuple(tuple(x * d for x in r) for r in ref.entries)
+            assert hash(new) == hash(ref)
+            assert _as_reference(new) == repr(ref)
+            for clone in (copy.copy(new), copy.deepcopy(new), pickle.loads(pickle.dumps(new))):
+                assert clone == new and clone.scaled == new.scaled
+                assert hash(clone) == hash(new) and repr(clone) == repr(new)
+            scales.add(d == 1)
+            built.append((new, ref))
+        assert len(built) > 1000 and scales == {True, False}
+        assert {kind for kind, _ in errors} == {TypeError, ValueError}
+        assert len(errors) >= 5, errors
+        for (p, p_ref), (q, q_ref) in zip(built, built[1:] + built[:1]):
+            assert (p == q) is (p_ref == q_ref)
+            assert (p != q) is (p_ref != q_ref)
+            assert (hash(p) == hash(q)) is (hash(p_ref) == hash(q_ref))
+        p, p_ref = built[0]
+        assert p.__eq__(p.entries) is p_ref.__eq__(p_ref.entries) is NotImplemented
+        renamed = Universe(n.upper() for n in p.universe.names)
+        assert SSBMatrix(renamed, p.entries) != p
+        assert ReferenceSSBMatrix(renamed, p_ref.entries) != p_ref
+
+    def test_integer_forms_not_in_lowest_terms(self):
+        rng = random.Random(27)
+        for _ in range(300):
+            phi = random_ssb_matrix(rng, ABCD)
+            d, rows = phi.scaled
+            g = rng.randint(1, 12)
+            new = SSBMatrix.from_scaled(ABCD, g * d, [[g * x for x in r] for r in rows])
+            ref = ReferenceSSBMatrix(ABCD, phi.entries)
+            assert new == phi and new.scaled == (d, rows)
+            assert new.entries == ref.entries and hash(new) == hash(ref)
+            assert _as_reference(new) == repr(ref)
+
+    def test_from_scaled_rejections(self):
+        def text(d, rows):
+            return _outcome(lambda: SSBMatrix.from_scaled(Universe("xy"), d, rows))
+
+        assert text(2, [[0, 1], [-1, 0]]) == SSBMatrix(Universe("xy"), [[0, "1/2"], ["-1/2", 0]])
+        for d, rows in [(2.0, [[0, 1], [-1, 0]]), (0, [[0, 1], [-1, 0]]),
+                        (True, [[0, 1], [-1, 0]]), (2, [[0, Fraction(1)], [-1, 0]]),
+                        (2, [[0, True], [-1, 0]])]:
+            assert text(d, rows)[0] is TypeError
+        assert text(2, [[0, 1]]) == (ValueError, "matrix shape is not 2x2")
+        assert text(2, [[0, 1], [1, 0]]) == _outcome(
+            lambda: ReferenceSSBMatrix(Universe("xy"), [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]))
+
+    def test_frozen(self):
+        phi = SSBMatrix(ABC, [[0, "1/2", 1], ["-1/2", 0, 0], [-1, 0, 0]])
+        ref = ReferenceSSBMatrix(ABC, phi.entries)
+        for name in ("universe", "entries", "scaled", "_entries", "other"):
+            for act in (lambda x: setattr(x, name, 1), lambda x: delattr(x, name)):
+                new_error, ref_error = _outcome(lambda: act(phi)), _outcome(lambda: act(ref))
+                assert new_error == ref_error
+                assert new_error[0] is dataclasses.FrozenInstanceError
+        assert phi == SSBMatrix(ABC, ref.entries)

@@ -1,12 +1,18 @@
 """Every wrap point of the benchmark's tracer names an attribute that exists.
 
 `bench/tracing.py` replaces each `(module, attribute)` of `wrap_points()`
-with a timing wrapper via `getattr`; a program change that drops one of
-those names breaks every traced benchmark run.  The tracer is read and
-executed here from its source text, so no bytecode is written next to it.
+with a timing wrapper via `getattr`, and `SSBMatrix.__post_init__` on the
+class; a program change that drops one of those names breaks every
+traced benchmark run, so the whole `install()` is run here too.  The
+tracer is read and executed here from its source text, so no bytecode is
+written next to it.
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -27,3 +33,44 @@ def test_every_wrap_point_resolves():
     missing = [(module, attr) for module, attr, _ in points
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+# Runs one command plain, then with the whole tracer installed (every wrap
+# point plus the `SSBMatrix.__post_init__` span), and prints both outputs
+# and the traced span counts as JSON.
+INSTALL_CHILD = r"""
+import contextlib, io, json, sys, types
+path, argv = sys.argv[1], sys.argv[2:]
+tracing = types.ModuleType("bench_tracing")
+tracing.__file__ = path
+with open(path, encoding="utf-8") as source:
+    exec(compile(source.read(), path, "exec"), tracing.__dict__)
+import ssbchoice.cli as cli
+runs = []
+for traced in (False, True):
+    if traced:
+        tracer = tracing.Tracer(0)
+        tracer.install()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue()])
+calls = {name: stat[0] for name, stat in tracer.summary()["stats"].items()}
+print(json.dumps({"runs": runs, "calls": calls}))
+"""
+
+
+def test_the_installed_tracer_runs_a_command():
+    root = TRACING.parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    argv = ["budget", "fixtures/table1.ballots", "fixtures/table1.proposals"]
+    proc = subprocess.run([sys.executable, "-B", "-c", INSTALL_CHILD, str(TRACING), *argv],
+                          capture_output=True, text=True, cwd=root, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    (plain_code, plain_out), (traced_code, traced_out) = result["runs"]
+    assert plain_code == traced_code == 0
+    assert traced_out == plain_out and plain_out.startswith("Maximal lottery:\n")
+    assert result["calls"]["ssb.validate"] >= 1
+    assert result["calls"]["solver.maximal_lottery"] >= 1
