@@ -19,7 +19,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -37,6 +36,7 @@ from .model import (
     Universe,
     UniverseMismatchError,
     UtilityVector,
+    _FrozenValue,
     ranked_order,
     same_universe,
     weak_order,
@@ -57,13 +57,21 @@ from .ssb import (
 # social welfare function handles and fixtures
 
 
-@dataclass(frozen=True, eq=False)
-class SWFHandle:
-    """A named, memoized social welfare function (Profile -> SSBMatrix)."""
+class SWFHandle(_FrozenValue):
+    """A named, memoized social welfare function (Profile -> SSBMatrix).
 
-    name: str
-    fn: Callable[[Profile], SSBMatrix]
-    _cache: dict = field(default_factory=dict, repr=False)
+    Two handles are equal only when they are one object; the memo `_cache`
+    (a new dict unless one is given) is no part of the value."""
+
+    _FIELDS = ("name", "fn")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, fn: Callable[[Profile], SSBMatrix],
+                 _cache: dict | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "_cache", {} if _cache is None else _cache)
 
     def __call__(self, profile: Profile) -> SSBMatrix:
         result = self._cache.get(profile)
@@ -135,12 +143,15 @@ def _signature(block: tuple):
 # axiom checks
 
 
-@dataclass(frozen=True)
-class IIAVerdict:
-    passed: bool
-    vacuous: bool
-    restriction: tuple[str, ...]
-    convention: str = "restricted matrices equal up to positive scaling"
+class IIAVerdict(_FrozenValue):
+    _FIELDS = ("passed", "vacuous", "restriction", "convention")
+
+    def __init__(self, passed: bool, vacuous: bool, restriction: tuple[str, ...],
+                 convention: str = "restricted matrices equal up to positive scaling"):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "vacuous", vacuous)
+        object.__setattr__(self, "restriction", restriction)
+        object.__setattr__(self, "convention", convention)
 
 
 def check_iia(
@@ -161,11 +172,13 @@ def check_iia(
     return IIAVerdict(passed=report.passed, vacuous=report.vacuous > 0, restriction=x)
 
 
-@dataclass(frozen=True)
-class AnonymityVerdict:
-    passed: bool
-    witness: tuple[int, ...] | None
-    mode: str
+class AnonymityVerdict(_FrozenValue):
+    _FIELDS = ("passed", "witness", "mode")
+
+    def __init__(self, passed: bool, witness: tuple[int, ...] | None, mode: str):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "mode", mode)
 
 
 def check_anonymity(
@@ -208,13 +221,17 @@ def check_anonymity(
     return AnonymityVerdict(passed=True, witness=None, mode=mode)
 
 
-@dataclass(frozen=True)
-class ParetoVerdict:
-    passed: bool
-    counterexample: tuple[Lottery, Lottery, ParetoDominance, Comparison] | None
-    checked: int
-    strict_cases: int
-    weak_cases: int
+class ParetoVerdict(_FrozenValue):
+    _FIELDS = ("passed", "counterexample", "checked", "strict_cases", "weak_cases")
+
+    def __init__(self, passed: bool,
+                 counterexample: tuple[Lottery, Lottery, ParetoDominance, Comparison] | None,
+                 checked: int, strict_cases: int, weak_cases: int):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "strict_cases", strict_cases)
+        object.__setattr__(self, "weak_cases", weak_cases)
 
 
 def pareto_pairs(
@@ -263,11 +280,14 @@ def check_pareto(
 # exhaustive IIA sweeps
 
 
-@dataclass(frozen=True)
-class IIASuiteReport:
-    checked: int
-    vacuous: int
-    violations: tuple[tuple[int, int, tuple[str, ...]], ...]
+class IIASuiteReport(_FrozenValue):
+    _FIELDS = ("checked", "vacuous", "violations")
+
+    def __init__(self, checked: int, vacuous: int,
+                 violations: tuple[tuple[int, int, tuple[str, ...]], ...]):
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "vacuous", vacuous)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def passed(self) -> bool:
@@ -476,8 +496,7 @@ DICHOTOMOUS_CONDITIONS = (
 )
 
 
-@dataclass(frozen=True)
-class DomainDescription:
+class DomainDescription(_FrozenValue):
     """A finite, closed-world stand-in for a preference domain.
 
     Membership means "this preference relation is available to agents".
@@ -487,9 +506,14 @@ class DomainDescription:
     from matrices; `matrices` builds the members back.
     """
 
-    universe: Universe
-    _entries: tuple  # sorted, distinct, flat and normalized: `of` or `pc_domain` makes it
-    name: str = ""
+    _FIELDS = ("universe", "_entries", "name")
+
+    def __init__(self, universe: Universe, _entries: tuple, name: str = ""):
+        # `_entries` is sorted, distinct, flat and normalized: `of` or
+        # `pc_domain` makes it
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "_entries", _entries)
+        object.__setattr__(self, "name", name)
 
     @classmethod
     def of(
@@ -536,18 +560,23 @@ def dichotomous_domain(universe: Universe) -> DomainDescription:
     )
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    condition: RichnessCondition
-    passed: bool
-    witness: str | None
-    mode: str
+class ConditionResult(_FrozenValue):
+    _FIELDS = ("condition", "passed", "witness", "mode")
+
+    def __init__(self, condition: RichnessCondition, passed: bool, witness: str | None,
+                 mode: str):
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class RichnessReport:
-    domain: str
-    results: tuple[ConditionResult, ...]
+class RichnessReport(_FrozenValue):
+    _FIELDS = ("domain", "results")
+
+    def __init__(self, domain: str, results: tuple[ConditionResult, ...]):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "results", results)
 
     @property
     def passed(self) -> bool:
@@ -705,13 +734,15 @@ def audit_richness(
     return RichnessReport(domain.name, tuple(results))
 
 
-@dataclass(frozen=True)
-class PCInclusionReport:
+class PCInclusionReport(_FrozenValue):
     """Whether every member of a domain is a pairwise-comparison matrix."""
 
-    all_pc: bool
-    witness: SSBMatrix | None
-    message: str
+    _FIELDS = ("all_pc", "witness", "message")
+
+    def __init__(self, all_pc: bool, witness: SSBMatrix | None, message: str):
+        object.__setattr__(self, "all_pc", all_pc)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "message", message)
 
 
 def pc_inclusion_check(domain: DomainDescription) -> PCInclusionReport:

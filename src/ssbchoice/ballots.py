@@ -55,7 +55,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from .model import (
     BaseRelation,
@@ -63,6 +62,7 @@ from .model import (
     Profile,
     Universe,
     UtilityVector,
+    _FrozenValue,
     _over_common_denominator,
     ranked_order,
 )
@@ -262,7 +262,7 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
             except ParseError as exc:
                 column = _column(inner, base + at, (",", k), ("=", 1))
                 raise ParseError(exc.message, lineno, column) from None
-        return UtilityVector(universe, tuple(values))
+        return UtilityVector._of_fractions(universe, tuple(values))
     if keyword == "edges":
         at = body.index("edges") + 5
         inner = body[at:]
@@ -382,8 +382,7 @@ class ShareError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class ProposalMatrix:
+class ProposalMatrix(_FrozenValue):
     """Column-stochastic shares: one column per alternative, one row per item;
     every share is non-negative and every column sums to exactly 1.
 
@@ -391,17 +390,15 @@ class ProposalMatrix:
     with row == nums / D; the checks run on it in ints.
     """
 
-    departments: tuple[str, ...]
-    alternatives: tuple[str, ...]
-    shares: tuple[tuple[Fraction, ...], ...]
-    scaled: tuple[tuple[int, tuple[int, ...]], ...] = field(init=False, repr=False, compare=False)
+    _FIELDS = ("departments", "alternatives", "shares")
 
-    def __post_init__(self):
-        if len(self.shares) != len(self.departments):
+    def __init__(self, departments: tuple[str, ...], alternatives: tuple[str, ...],
+                 shares: tuple[tuple[Fraction, ...], ...]):
+        if len(shares) != len(departments):
             raise ValueError("one share row per department required")
         scaled = []
-        for i, (department, row) in enumerate(zip(self.departments, self.shares)):
-            if len(row) != len(self.alternatives):
+        for i, (department, row) in enumerate(zip(departments, shares)):
+            if len(row) != len(alternatives):
                 raise ValueError("every row needs one share per alternative")
             if not all(isinstance(x, (int, Fraction)) for x in row):
                 raise TypeError(f"shares must be ints or Fractions, got {row!r}")
@@ -409,17 +406,20 @@ class ProposalMatrix:
             for j, x in enumerate(nums):
                 if x < 0:
                     raise ShareError(f"{department!r} has negative share "
-                                     f"{Fraction(x, d)} in column {self.alternatives[j]!r}",
+                                     f"{Fraction(x, d)} in column {alternatives[j]!r}",
                                      i, j)
             scaled.append((d, tuple(nums)))
         # column j sums to sum_i nums_ij / D_i: compare over the rows' common D
         common = math.lcm(*[d for d, _ in scaled])
         factors = [common // d for d, _ in scaled]
-        for j, name in enumerate(self.alternatives):
+        for j, name in enumerate(alternatives):
             total = sum([f * nums[j] for f, (_, nums) in zip(factors, scaled)])
             if total != common:
                 raise ShareError(f"column {name!r} sums to {Fraction(total, common)}, "
                                  "must be exactly 1", None, j)
+        object.__setattr__(self, "departments", departments)
+        object.__setattr__(self, "alternatives", alternatives)
+        object.__setattr__(self, "shares", shares)
         object.__setattr__(self, "scaled", tuple(scaled))
 
 

@@ -9,7 +9,6 @@ other unexpected exception, reported as one `internal error:` line.
 from __future__ import annotations
 
 import gc
-import json
 import math
 import os
 import random
@@ -228,6 +227,12 @@ def _grid_size(m: int, max_denominator: int, limit: int) -> int:
     return size
 
 
+def _print_json(payload) -> None:
+    """Print a `--json` report as one line; `json` is loaded for it alone."""
+    import json
+    print(json.dumps(payload))
+
+
 def _lottery_json(lottery):
     return {
         name: fraction_pair(prob)
@@ -249,15 +254,14 @@ def _cmd_aggregate(args) -> int:
     matrix = utilitarian(profile)
     agents = format_fraction(profile.n)  # a count over the digit limit is refused here
     if args.json:
-        text = json.dumps({
+        _print_json({
             "alternatives": list(matrix.universe.names),
             "matrix": [[fraction_pair(x) for x in row] for row in matrix.entries],
             "agents": profile.n,
-        }) + "\n"
+        })
     else:
-        text = (f"Collective matrix ({agents} agents, sum of normalized "
-                f"agent matrices):\n{render_matrix(matrix)}")
-    print(text, end="")
+        print(f"Collective matrix ({agents} agents, sum of normalized "
+              f"agent matrices):\n{render_matrix(matrix)}", end="")
     return EXIT_OK
 
 
@@ -296,7 +300,7 @@ def _cmd_solve(args) -> int:
         if budget:
             payload["allocation"] = {d: fraction_pair(x) for d, x in allocation}
             payload["allocation_percent"] = {d: format_percent(x) for d, x in allocation}
-        print(json.dumps(payload))
+        _print_json(payload)
         return EXIT_OK
     lines = ["Maximal lottery:", *_lottery_lines(certificate.lottery),
              "Slacks against pure outcomes (all exact, all >= 0):"]
@@ -422,14 +426,14 @@ def _cmd_check_axioms(args) -> int:
 
     failed = [c for c in checks if not c[1]]
     if args.json:
-        print(json.dumps({
+        _print_json({
             "swf": args.swf,
             "seed": args.seed,
             "checks": [
                 {"name": name, "passed": passed, "detail": detail}
                 for name, passed, detail in checks
             ],
-        }))
+        })
     else:
         print(f"Axiom checks for {args.swf} (seed {args.seed}):")
         for name, passed, detail in checks:
@@ -479,7 +483,7 @@ def _cmd_audit_domain(args) -> int:
     )
     inclusion = axioms.pc_inclusion_check(domain)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "domain": domain.name,
             "members": len(domain),
             "seed": args.seed,
@@ -494,7 +498,7 @@ def _cmd_audit_domain(args) -> int:
                 for r in report.results
             ],
             "pc_inclusion": {"all_pc": inclusion.all_pc, "message": inclusion.message},
-        }))
+        })
     else:
         print(f"Richness audit of domain '{domain.name}' "
               f"({len(domain)} members):")
@@ -523,14 +527,11 @@ def _cmd_cycle_witness(args) -> int:
         p, q, r = witness
         values = [evaluate(matrix, x, y) for x, y in ((p, q), (q, r), (r, p))]
     if args.json:
-        if witness is None:
-            print(json.dumps({"found": False}))
-        else:
-            print(json.dumps({
-                "found": True,
-                "cycle": [_lottery_json(x) for x in witness],
-                "values": [fraction_pair(v) for v in values],
-            }))
+        _print_json({"found": False} if witness is None else {
+            "found": True,
+            "cycle": [_lottery_json(x) for x in witness],
+            "values": [fraction_pair(v) for v in values],
+        })
         return EXIT_OK
     if witness is None:
         lines = [f"none found on grid (two-support lotteries, denominators "

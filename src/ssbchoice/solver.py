@@ -49,16 +49,14 @@ denominator before its solve.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import FeasiblePolytope, Lottery, same_universe
+from .model import FeasiblePolytope, Lottery, _FrozenValue, same_universe
 from .ssb import SSBMatrix, _over_common_denominator, evaluate
 
 
-@dataclass(frozen=True)
-class MaximalityCertificate:
+class MaximalityCertificate(_FrozenValue):
     """A lottery together with its exact slacks against every opposing vertex.
 
     slack[j] = evaluate(phi, lottery, vertex_j) and every slack is >= 0
@@ -66,8 +64,11 @@ class MaximalityCertificate:
     vertices are the pure outcomes of the arena in universe order.
     """
 
-    lottery: Lottery
-    slack: tuple[Fraction, ...]
+    _FIELDS = ("lottery", "slack")
+
+    def __init__(self, lottery: Lottery, slack: tuple[Fraction, ...]):
+        object.__setattr__(self, "lottery", lottery)
+        object.__setattr__(self, "slack", slack)
 
 
 class SolverDefect(RuntimeError):

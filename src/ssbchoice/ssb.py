@@ -58,7 +58,7 @@ class SSBMatrix(_IntegerForm):
     """
 
     __slots__ = ("universe", "scaled", "_entries")
-    _DERIVED = "entries"
+    _FIELDS = ("universe", "entries")
 
     def __init__(self, universe: Universe, entries):
         entries = [[x if type(x) is int else frac(x) for x in row] for row in entries]

@@ -206,14 +206,18 @@ def test_module_runs_as_a_script():
 
 
 def test_well_formed_command_imports_no_argparse():
+    # nor what only argparse's fallback, the frozen error or --json use
     proc = run_python("-c", f"""
 import sys
 from ssbchoice.cli import main
 main({["budget", *TABLE1]!r})
-print(sorted({{"argparse", "gettext", "locale"}} & set(sys.modules)))
+main(["check-axioms", "--agents", "2"])
+print(sorted({{"argparse", "gettext", "locale", "dataclasses", "inspect", "json"}}
+             & set(sys.modules)))
 """)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == BUDGET_TABLE1 + "[]\n"
+    assert proc.stdout.startswith(BUDGET_TABLE1 + "Axiom checks for pairwise-utilitarian")
+    assert proc.stdout.endswith("\n[]\n")
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),

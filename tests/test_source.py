@@ -1,10 +1,16 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import ssbchoice.axioms
+import ssbchoice.ballots
+import ssbchoice.solver
+from ssbchoice.model import _FrozenValue
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "ssbchoice").glob("*.py"))
@@ -131,3 +137,29 @@ def test_every_public_name_is_reached():
     assert sorted(unreached - SURFACE_ALLOWED.keys()) == []
     # an entry that is reached, or defined no more, leaves the list
     assert sorted(SURFACE_ALLOWED.keys() - unreached) == []
+
+
+# Constructor parameters that are no field of the value, by class: a
+# handle's memo (None), and a profile's agents, stored as their runs
+NOT_FIELDS = {"SWFHandle": {"_cache": None}, "Profile": {"agents": "runs"}}
+
+
+def test_every_constructor_parameter_is_a_field():
+    # equality, hashing and repr read `_FIELDS` alone, so a value a
+    # hand-written constructor takes but `_FIELDS` leaves out would drop
+    # out of them without an error
+    classes, pending = [], [_FrozenValue]
+    while pending:
+        cls = pending.pop()
+        pending += cls.__subclasses__()
+        if "_FIELDS" in vars(cls):
+            classes.append(cls)
+        else:
+            assert cls.__subclasses__(), f"{cls.__name__} names no fields"
+    for cls in classes:
+        renamed = NOT_FIELDS.get(cls.__name__, {})
+        params = list(inspect.signature(cls.__init__).parameters)[1:]
+        fields = tuple(renamed.get(p, p) for p in params if renamed.get(p, p) is not None)
+        assert cls._FIELDS == fields, cls.__name__
+    assert len(classes) == 18
+    assert {"Lottery", "SSBMatrix", *NOT_FIELDS} <= {cls.__name__ for cls in classes}
