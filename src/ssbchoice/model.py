@@ -442,15 +442,6 @@ class UtilityVector(_FrozenValue):
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def _of_fractions(cls, universe: Universe, values: tuple[Fraction, ...]) -> "UtilityVector":
-        """The vector of `values`, one Fraction per alternative, stored as it
-        stands: the ballot parser's constructor, which checks nothing."""
-        vector = cls.__new__(cls)
-        object.__setattr__(vector, "universe", universe)
-        object.__setattr__(vector, "values", values)
-        return vector
-
-    @classmethod
     def of(cls, universe: Universe, assignment: dict[str, Rational]) -> "UtilityVector":
         return cls(universe, universe.assignment(assignment))
 

@@ -624,8 +624,9 @@ def test_defaults_match_the_dataclass():
 
 
 def test_parsed_utilities_equal_constructed_ones():
-    # the parser stores its tuple of Fractions as it stands; the public
-    # constructor coerces: both give the same vector, exponent literals too
+    # the parser hands the constructor a tuple of Fractions, which it keeps;
+    # from a list of literals it coerces: both give the same vector,
+    # exponent literals too
     rng = random.Random(31)
     literals = ["0", "1", "7/3", "-2", "0.25", "1e3", "417e-9", "-3.5E+2", "2/6", "1_000"]
     for _ in range(200):
