@@ -187,9 +187,15 @@ def check_anonymity(
     permutation_limit: int = 6,
     samples: int = 24,
     seed: int = 0,
+    profiles: dict | None = None,
 ) -> AnonymityVerdict:
-    """Whether renaming agents ever changes the output matrix (entrywise)."""
+    """Whether renaming agents ever changes the output matrix (entrywise).
+
+    Each relabeled profile comes from `profiles` (see `_profile`), so a
+    relabeling of a profile the caller already holds is that object, and
+    the memo lookup for it finds its matrix by identity."""
     base = f(profile)
+    agents = profile.agents
     if profile.n <= permutation_limit:
         # the identity, always first, relabels nothing: it is skipped
         perms: Iterable[tuple[int, ...]] = itertools.islice(
@@ -205,7 +211,7 @@ def check_anonymity(
     seen = None
     if profile.n >= 3:
         first: dict = {}
-        label = [first.setdefault(agent, len(first)) for agent in profile.agents]
+        label = [first.setdefault(agent, len(first)) for agent in agents]
         if len(first) < profile.n:
             seen = {tuple(label)}
     for pi in perms:
@@ -215,7 +221,7 @@ def check_anonymity(
                 continue
             seen.add(sequence)
         # the memo is read, not filled: no relabeling is asked for again
-        relabeled = profile.permuted(pi)
+        relabeled = _profile(profile.universe, tuple([agents[i] for i in pi]), profiles)
         if (f._cache.get(relabeled) or f.fn(relabeled)).entries != base.entries:
             return AnonymityVerdict(passed=False, witness=pi, mode=mode)
     return AnonymityVerdict(passed=True, witness=None, mode=mode)
@@ -392,9 +398,17 @@ def restriction_sets(universe: Universe, min_size: int = 1) -> tuple[tuple[str, 
 # enumeration of small preference domains
 
 
-def weak_orders(universe: Universe) -> list[BaseRelation]:
-    """Every weak order (ordered partition into indifference tiers)."""
-    return [weak_order(universe, tiers) for tiers in _ordered_partitions(universe.names)]
+def weak_orders(universe: Universe, table: dict | None = None) -> list[BaseRelation]:
+    """Every weak order (ordered partition into indifference tiers), in
+    `_ordered_partitions` order, each from `table` by its tier levels (see
+    `_ranked`; by default a fresh table, for this call only), so that the
+    orders the samplers draw from the same table are these objects."""
+    table = {} if table is None else table
+    orders = []
+    for tiers in _ordered_partitions(tuple(range(len(universe)))):
+        level = {a: i for i, tier in enumerate(tiers) for a in tier}
+        orders.append(_ranked(universe, [level[a] for a in sorted(level)], table))
+    return orders
 
 
 def _ordered_partitions(items: tuple[str, ...]):
@@ -452,10 +466,12 @@ def _flat(rows) -> tuple:
     return tuple(itertools.chain.from_iterable(rows))
 
 
-def profiles_over(relations: Sequence, n: int, universe: Universe) -> list[Profile]:
-    """All n-agent profiles with agents drawn from the given list, in order."""
+def profiles_over(relations: Sequence, n: int, universe: Universe,
+                  profiles: dict | None = None) -> list[Profile]:
+    """All n-agent profiles with agents drawn from the given list, in order,
+    each from `profiles` (see `_profile`)."""
     return [
-        Profile(universe, agents)
+        _profile(universe, agents, profiles)
         for agents in itertools.product(relations, repeat=n)
     ]
 
@@ -876,6 +892,19 @@ def _profile(universe: Universe, agents: tuple, profiles: dict | None) -> Profil
     return profile
 
 
+def _lottery(universe: Universe, d: int, nums: list[int], lotteries: dict | None) -> Lottery:
+    """`Lottery.from_scaled(universe, d, nums)` from `lotteries`, the
+    caller's dict keyed by the unreduced form (d, *nums), as `_profile`
+    does; one dict serves one universe.  None builds afresh."""
+    if lotteries is None:
+        return Lottery.from_scaled(universe, d, nums)
+    key = (d, *nums)
+    lottery = lotteries.get(key)
+    if lottery is None:
+        lottery = lotteries[key] = Lottery.from_scaled(universe, d, nums)
+    return lottery
+
+
 def random_pc_profile(
     rng: random.Random,
     universe: Universe,
@@ -902,6 +931,7 @@ def unanimity_case(
     strict: bool,
     table: dict | None = None,
     profiles: dict | None = None,
+    lotteries: dict | None = None,
 ) -> tuple[Profile, Lottery, Lottery]:
     """A profile plus a lottery pair with unanimity built in.
 
@@ -912,7 +942,8 @@ def unanimity_case(
     shift and everyone else indifferent.  The agents' weak orders come
     from `table` as in `random_weak_order`: the caller's, shared across
     calls over one universe, or by default a fresh one for this call; the
-    profile comes from `profiles` (see `_profile`).
+    profile comes from `profiles` (see `_profile`) and every lottery this
+    builds from its integer form from `lotteries` (see `_lottery`).
     """
     m = len(universe)
     x, y = rng.sample(range(m), 2)
@@ -942,8 +973,8 @@ def unanimity_case(
         p_nums, q_nums = [0] * m, [0] * m
         p_nums[x], p_nums[y] = k, 4 - k
         q_nums[x], q_nums[y] = k - 1, 5 - k
-        p = Lottery.from_scaled(universe, 4, p_nums)
-        q = Lottery.from_scaled(universe, 4, q_nums)
+        p = _lottery(universe, 4, p_nums, lotteries)
+        q = _lottery(universe, 4, q_nums, lotteries)
     else:
         # q moves min(p_x, p_y, 1/5) from y to x, over 5d
         p = random_lottery(rng, universe)
@@ -952,7 +983,7 @@ def unanimity_case(
         delta = min(q_nums[x], q_nums[y], d)
         q_nums[x] += delta
         q_nums[y] -= delta
-        q = Lottery.from_scaled(universe, 5 * d, q_nums)
+        q = _lottery(universe, 5 * d, q_nums, lotteries)
     table = {} if table is None else table
     agents = tuple(_ranked(universe, rank, table) for rank in ranks)
     return _profile(universe, agents, profiles), p, q

@@ -31,7 +31,7 @@ from .ballots import (
     parse_proposals,
     render_matrix,
 )
-from .model import Profile, Universe
+from .model import Universe
 from .solver import SolverDefect, maximal_lottery, maximal_set, unique_optimum
 from .ssb import cycle_witness, evaluate
 
@@ -322,15 +322,17 @@ def _cmd_solve(args) -> int:
 
 
 def _profile_pool(relations, universe: Universe, n: int, rng: random.Random,
-                  seed: int, limit: int = 400):
-    """All n-agent profiles over `relations` when few enough, else a seeded sample."""
+                  seed: int, profiles: dict, limit: int = 400):
+    """All n-agent profiles over `relations` when few enough, else a seeded
+    sample; each from `profiles`, the command's dict from agent tuple to
+    profile (see `axioms._profile`)."""
     if len(relations) ** n <= limit:
-        return axioms.profiles_over(relations, n, universe), "exhaustive"
-    profiles = [
-        Profile(universe, tuple(rng.choice(relations) for _ in range(n)))
+        return axioms.profiles_over(relations, n, universe, profiles), "exhaustive"
+    pool = [
+        axioms._profile(universe, tuple(rng.choice(relations) for _ in range(n)), profiles)
         for _ in range(limit)
     ]
-    return profiles, f"sampled({limit}, seed={seed})"
+    return pool, f"sampled({limit}, seed={seed})"
 
 
 def _cmd_check_axioms(args) -> int:
@@ -340,6 +342,9 @@ def _cmd_check_axioms(args) -> int:
     universe = Universe(tuple(chr(ord("a") + i) for i in range(args.alternatives)))
     rng = random.Random(args.seed)
     checks = []  # (label, passed, detail)
+    # one object per weak order and per agent tuple, for the pool and the samples
+    table: dict = {}
+    profiles: dict = {}
 
     if args.swf == "relative-utilitarian":
         handle = axioms.relative_utilitarian_swf()
@@ -354,16 +359,16 @@ def _cmd_check_axioms(args) -> int:
     elif args.swf == "approval":
         handle = axioms.approval_swf()
         relations = axioms.dichotomous_relations(universe)
-        profiles, mode = _profile_pool(relations, universe, args.agents, rng, args.seed)
-        report = axioms.exhaustive_iia(handle, profiles)
+        pool, mode = _profile_pool(relations, universe, args.agents, rng, args.seed, profiles)
+        report = axioms.exhaustive_iia(handle, pool)
         checks.append((
-            f"IIA {mode} over {len(profiles)}^2 dichotomous profile pairs",
+            f"IIA {mode} over {len(pool)}^2 dichotomous profile pairs",
             report.passed,
             f"{report.checked} checks, {report.vacuous} vacuous, "
             f"{len(report.violations)} violations",
         ))
         pairs = axioms.pareto_pairs(universe, samples=20, seed=args.seed)
-        for profile in profiles[: args.samples]:
+        for profile in pool[: args.samples]:
             pareto = axioms.check_pareto(handle, profile, pairs=pairs)
             if not pareto.passed:
                 checks.append(("Pareto optimality", False, "counterexample found"))
@@ -374,21 +379,19 @@ def _cmd_check_axioms(args) -> int:
         handle = {"pairwise-utilitarian": axioms.pairwise_utilitarian_swf,
                   "dictatorial": axioms.dictatorial_swf,
                   "constant": axioms.constant_swf}[args.swf]()
-        orders = axioms.weak_orders(universe)
-        profiles, mode = _profile_pool(orders, universe, args.agents, rng, args.seed)
-        report = axioms.exhaustive_iia(handle, profiles)
+        orders = axioms.weak_orders(universe, table)
+        pool, mode = _profile_pool(orders, universe, args.agents, rng, args.seed, profiles)
+        report = axioms.exhaustive_iia(handle, pool)
         detail = (f"{report.checked} checks, {report.vacuous} vacuous, "
                   f"{len(report.violations)} violations")
         if report.violations:
             i, j, x = report.violations[0]
             detail += f"; first witness: profiles #{i}/#{j} restricted to {x}"
         checks.append((
-            f"IIA over {len(profiles)}^2 weak-order profile pairs ({mode})",
+            f"IIA over {len(pool)}^2 weak-order profile pairs ({mode})",
             report.passed,
             detail,
         ))
-        table: dict = {}  # one object per weak order the samples draw
-        profiles: dict = {}  # and one per agent tuple
         anon_fail = None
         checked: set = set()  # the check is deterministic: a repeat would pass again
         for _ in range(args.samples):
@@ -398,7 +401,8 @@ def _cmd_check_axioms(args) -> int:
             if profile in checked:
                 continue
             checked.add(profile)
-            verdict = axioms.check_anonymity(handle, profile, seed=args.seed)
+            verdict = axioms.check_anonymity(handle, profile, seed=args.seed,
+                                             profiles=profiles)
             if not verdict.passed:
                 anon_fail = verdict
                 break
@@ -409,10 +413,11 @@ def _cmd_check_axioms(args) -> int:
             else f"witness permutation {anon_fail.witness}",
         ))
         pareto_fail = None
+        lotteries: dict = {}  # one object per unanimity lottery
         for _ in range(args.samples):
             strict = rng.random() < 0.5
             profile, p, q = axioms.unanimity_case(
-                rng, universe, max(2, args.agents), strict, table, profiles
+                rng, universe, max(2, args.agents), strict, table, profiles, lotteries
             )
             verdict = axioms.check_pareto(handle, profile, pairs=[(p, q)])
             if not verdict.passed:

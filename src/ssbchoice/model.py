@@ -530,13 +530,6 @@ class Profile(_FrozenValue):
     def n(self) -> int:
         return sum(count for _, count in self.runs)
 
-    def permuted(self, permutation: Sequence[int]) -> "Profile":
-        """The profile with agents renamed by the permutation (R composed with pi)."""
-        if sorted(permutation) != list(range(self.n)):
-            raise ValueError("not a permutation of the agent set")
-        agents = self.agents
-        return Profile(self.universe, tuple(agents[i] for i in permutation))
-
 
 class FeasiblePolytope(_FrozenValue):
     """The convex hull of finitely many vertex lotteries."""

@@ -35,9 +35,9 @@ from .model import (
 
 def _entry(x, d) -> int | Fraction:
     """The exact rational x / d in canonical form: an int when integral, else
-    a lowest-terms Fraction."""
-    value = Fraction(x, d)
-    return value.numerator if value.denominator == 1 else value
+    a lowest-terms Fraction (d > 0), with no Fraction built for an int."""
+    q, r = divmod(x, d)
+    return Fraction(x, d) if r else q
 
 
 class Comparison(enum.Enum):

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from ssbchoice import (
+    Profile,
     Universe,
     majority_margins,
     parse_ballots,
@@ -12,6 +13,15 @@ from ssbchoice import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def permuted(profile: Profile, permutation) -> Profile:
+    """The profile with agents renamed by the permutation (R composed with
+    pi), built afresh: the relabeling the anonymity tests compare against."""
+    if sorted(permutation) != list(range(profile.n)):
+        raise ValueError("not a permutation of the agent set")
+    agents = profile.agents
+    return Profile(profile.universe, tuple(agents[i] for i in permutation))
 
 
 def read_fixture(name: str) -> str:

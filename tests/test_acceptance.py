@@ -52,7 +52,7 @@ from ssbchoice.axioms import (
     weak_orders,
 )
 
-from conftest import read_fixture
+from conftest import permuted, read_fixture
 
 SEED = 20260810
 
@@ -286,7 +286,7 @@ def _suite_anonymity(rng, count):
         profile = random_pc_profile(rng, universe, n, transitive=False)
         pi = list(range(n))
         rng.shuffle(pi)
-        assert utilitarian(profile.permuted(pi)).entries \
+        assert utilitarian(permuted(profile, pi)).entries \
             == utilitarian(profile).entries
 
 

@@ -32,6 +32,7 @@ from ssbchoice.axioms import (
     random_ssb_matrix,
     random_weak_order,
 )
+from conftest import permuted
 from test_ssb import ReferenceSSBMatrix, scaled
 
 ABC = Universe(("a", "b", "c"))
@@ -421,9 +422,9 @@ class TestSymmetryProperties:
             profile = random_pc_profile(rng, u, 5)
             pi = list(range(5))
             rng.shuffle(pi)
-            assert majority_margins(profile.permuted(pi)).entries \
+            assert majority_margins(permuted(profile, pi)).entries \
                 == majority_margins(profile).entries
-            assert utilitarian(profile.permuted(pi)).entries \
+            assert utilitarian(permuted(profile, pi)).entries \
                 == utilitarian(profile).entries
 
     def test_neutrality_under_relabeling(self):

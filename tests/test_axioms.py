@@ -26,6 +26,7 @@ from ssbchoice import axioms
 from ssbchoice.ssb import _ray
 from ssbchoice.axioms import (
     DomainDescription,
+    AnonymityVerdict,
     IIAVerdict,
     _audit_sets,
     _ranked,
@@ -60,6 +61,7 @@ from ssbchoice.axioms import (
     unanimity_case,
     weak_orders,
 )
+from conftest import permuted
 from test_ssb import scaled
 
 ABC = Universe(("a", "b", "c"))
@@ -132,6 +134,28 @@ class TestEnumerations:
         orders = weak_orders(ABC)
         profiles = profiles_over(orders, 2, ABC)
         assert len(profiles) == 169
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_weak_orders_come_from_the_table(self, m):
+        # in the order of the tier-by-tier builder, and each the table's object
+        universe = Universe("abcde"[:m])
+        table = {}
+        orders = weak_orders(universe, table)
+        assert orders == [weak_order(universe, tiers)
+                          for tiers in axioms._ordered_partitions(universe.names)]
+        assert len(table) == len(orders)
+        assert {id(order) for order in orders} == {id(order) for order in table.values()}
+        assert all(a is b for a, b in zip(weak_orders(universe, table), orders))
+        assert weak_orders(universe) == orders
+
+    def test_profiles_over_come_from_the_dict(self):
+        orders = weak_orders(ABC)
+        profiles = {}
+        pool = profiles_over(orders, 2, ABC, profiles)
+        assert pool == profiles_over(orders, 2, ABC)
+        assert len(profiles) == len(pool) == 169
+        assert all(profiles[tuple(p.agents)] is p for p in pool)
+        assert all(a is b for a, b in zip(profiles_over(orders, 2, ABC, profiles), pool))
 
     def test_restriction_sets(self):
         assert len(restriction_sets(ABC)) == 7
@@ -529,6 +553,66 @@ class TestCheckAnonymity:
         ))
         assert check_anonymity(f, profile).passed
         assert list(f._cache) == [profile]
+
+
+def reference_check_anonymity(f, profile, permutation_limit=6, samples=24, seed=0):
+    """`check_anonymity` as it was while each relabeling was built afresh
+    (`conftest.permuted`) instead of looked up in a profiles dict."""
+    base = f(profile)
+    if profile.n <= permutation_limit:
+        perms = itertools.islice(itertools.permutations(range(profile.n)), 1, None)
+        mode = "exhaustive"
+    else:
+        rng = random.Random(seed)
+        pool = list(range(profile.n))
+        perms = [tuple(rng.sample(pool, profile.n)) for _ in range(samples)]
+        mode = f"sampled({samples}, seed={seed})"
+    seen = None
+    if profile.n >= 3:
+        first: dict = {}
+        label = [first.setdefault(agent, len(first)) for agent in profile.agents]
+        if len(first) < profile.n:
+            seen = {tuple(label)}
+    for pi in perms:
+        if seen is not None:
+            sequence = tuple([label[i] for i in pi])
+            if sequence in seen:
+                continue
+            seen.add(sequence)
+        relabeled = permuted(profile, pi)
+        if (f._cache.get(relabeled) or f.fn(relabeled)).entries != base.entries:
+            return AnonymityVerdict(passed=False, witness=pi, mode=mode)
+    return AnonymityVerdict(passed=True, witness=None, mode=mode)
+
+
+class TestCheckAnonymityAgainstTheReference:
+    @pytest.mark.parametrize("make", [pairwise_utilitarian_swf, dictatorial_swf,
+                                      constant_swf])
+    def test_same_verdict_with_and_without_a_profiles_dict(self, make):
+        f, ref = make(), make()
+        table, profiles = {}, {}
+        # a pool in the dict and the memo, as check-axioms has before sampling
+        for profile in profiles_over(weak_orders(ABC, table), 2, ABC, profiles):
+            f(profile)
+        rng = random.Random(61)
+        verdicts = set()
+        for n in range(1, 9):
+            for _ in range(12):
+                # few distinct orders at large n, so that agents repeat
+                orders = rng.sample(list(table.values()), rng.randint(1, 4))
+                agents = tuple(rng.choice(orders) for _ in range(n))
+                profile = Profile(ABC, agents)
+                seed = rng.randrange(100)
+                want = reference_check_anonymity(ref, profile, seed=seed)
+                assert check_anonymity(f, profile, seed=seed) == want
+                assert check_anonymity(f, profile, seed=seed, profiles=profiles) == want
+                shared = axioms._profile(ABC, agents, profiles)
+                assert check_anonymity(f, shared, seed=seed, profiles=profiles) == want
+                verdicts.add((want.passed, want.mode.split("(")[0]))
+        want_passed = make is not dictatorial_swf
+        assert (want_passed, "exhaustive") in verdicts and (want_passed, "sampled") in verdicts
+        # the memo is read, not filled: it holds the pool and the checked profiles
+        assert len(f._cache) <= 169 + 8 * 12
 
 
 class TestCheckPareto:
@@ -1202,7 +1286,9 @@ class TestWeakOrderTable:
         # instances are those of fresh calls
         for seed in range(30):
             rng, ref = random.Random(seed), random.Random(seed)
-            table, profiles = {}, {}
+            # and one `lotteries` dict: every lottery unanimity_case builds
+            # from its integer form is the dict's object
+            table, profiles, lotteries = {}, {}, {}
             drawn = []
             for _ in range(6):
                 n = rng.randint(1, 3)
@@ -1213,11 +1299,13 @@ class TestWeakOrderTable:
                 assert profile == random_pc_profile(ref, ABC, n, transitive)
                 strict = rng.random() < 0.5
                 assert strict == (ref.random() < 0.5)
-                case = unanimity_case(rng, ABC, n, strict, table, profiles)
+                case = unanimity_case(rng, ABC, n, strict, table, profiles, lotteries)
                 assert case == unanimity_case(ref, ABC, n, strict)
                 drawn += [profile, case[0]]
                 for p in (profile, case[0]):
                     assert profiles[tuple(p.agents)] is p
+                shared = {id(lottery) for lottery in lotteries.values()}
+                assert id(case[2]) in shared and (id(case[1]) in shared) == strict
             assert rng.random() == ref.random()
             for a in drawn:
                 for b in drawn:

@@ -276,6 +276,24 @@ class TestCheckAxioms:
             assert f"FAIL anonymity over 20 sampled profiles (seed {seed}): " \
                 f"witness permutation {first}\n" in out
 
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_two_agents_build_only_the_pool(self, capsys, monkeypatch, seed):
+        # the 169 pool profiles are every two-agent profile over the 13 weak
+        # orders, so the samples, the relabelings and the unanimity cases
+        # all come from the command's profiles dict
+        builds = []
+        set_runs = Profile._set_runs
+
+        def counting(self, universe, runs):
+            builds.append(universe)
+            return set_runs(self, universe, runs)
+
+        monkeypatch.setattr(Profile, "_set_runs", counting)
+        code, out, _ = run(capsys, "check-axioms", "--swf", "pairwise-utilitarian",
+                           "--agents", 2, "--seed", seed)
+        assert code == 0 and "169^2" in out
+        assert len(builds) == 169
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "check-axioms", "--alternatives", 3, "--samples", 10, "--json"

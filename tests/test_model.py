@@ -603,14 +603,6 @@ class TestProfile:
         with pytest.raises(UniverseMismatchError):
             Profile(ABC, (weak_order(other, ["a"]),))
 
-    def test_permuted(self):
-        r1 = weak_order(ABC, ["a", "b", "c"])
-        r2 = weak_order(ABC, ["c", "b", "a"])
-        profile = Profile(ABC, (r1, r2))
-        assert profile.permuted([1, 0]).agents == (r2, r1)
-        with pytest.raises(ValueError):
-            profile.permuted([0, 0])
-
     def test_needs_agents(self):
         with pytest.raises(ValueError):
             Profile(ABC, ())
@@ -649,16 +641,10 @@ class TestProfileRuns:
         with pytest.raises(ValueError):
             Profile.from_runs(ABC, [])
 
-    def test_n_and_permuted(self):
+    def test_n(self):
         r1, r2 = self.R1, self.R2
-        profile = Profile.from_runs(ABC, [(r1, 2), (r2, 1)])
-        assert profile.n == 3
-        moved = profile.permuted([2, 0, 1])
-        assert moved.agents == (r2, r1, r1)
-        assert moved.runs == ((r2, 1), (r1, 2))
-        assert profile.permuted([1, 0, 2]) == profile
-        with pytest.raises(ValueError):
-            profile.permuted([0, 1])
+        assert Profile.from_runs(ABC, [(r1, 2), (r2, 1)]).n == 3
+        assert Profile.from_runs(ABC, [(r1, 2), (r2, 1), (r1, 4)]).n == 7
 
     def test_huge_count_is_one_run(self, monkeypatch):
         # expanding 10**10 agents would exhaust memory: fail fast instead

@@ -28,7 +28,7 @@ from ssbchoice import (
 )
 from ssbchoice.axioms import random_lottery, random_relation, random_ssb_matrix
 from ssbchoice.model import frac
-from ssbchoice.ssb import _pc_rows
+from ssbchoice.ssb import _entry, _pc_rows
 
 ABC = Universe(("a", "b", "c"))
 ABCD = Universe(("a", "b", "c", "d"))
@@ -113,6 +113,15 @@ class TestEntryRepresentation:
         assert_canonical(scaled(half, -1))
         assert_canonical(restrict(half, ["a", "c"]))
         assert_canonical(half.relabel({"a": "b", "b": "c", "c": "a"}))
+
+    def test_entry_is_the_canonical_fraction(self):
+        # `_entry` builds a Fraction only for a non-integral quotient
+        for x in range(-60, 61):
+            for d in range(1, 13):
+                want = Fraction(x, d)
+                want = want.numerator if want.denominator == 1 else want
+                got = _entry(x, d)
+                assert got == want and type(got) is type(want), (x, d)
 
 
 def test_skew_symmetry_enforced():
