@@ -411,7 +411,7 @@ def weak_orders(universe: Universe, table: dict | None = None) -> list[BaseRelat
     return orders
 
 
-def _ordered_partitions(items: tuple[str, ...]):
+def _ordered_partitions(items: tuple):
     """All ordered set partitions, deterministic order."""
     if not items:
         yield []

@@ -28,8 +28,9 @@ an SSB matrix's do its `entries`.  Every value class derives from
 from the class's field names.  A stored hash is the hash of the tuple of
 those fields, and pickling rebuilds the object rather than copying it,
 since a string's hash differs between processes.  There is no global cache: a
-caller that wants equal values shared keeps its own dict, as
-`check-axioms` does for one command (see `axioms._profile`).
+caller that wants equal values shared keeps its own dicts: one `check-axioms`
+command takes its IIA pool, samples, relabelings and unanimity lotteries from
+one dict each of weak orders, profiles and lotteries (see `axioms._profile`).
 """
 
 from __future__ import annotations
