@@ -187,13 +187,14 @@ def check_anonymity(
     permutation_limit: int = 6,
     samples: int = 24,
     seed: int = 0,
-    profiles: dict | None = None,
+    table: ValueTable | None = None,
 ) -> AnonymityVerdict:
     """Whether renaming agents ever changes the output matrix (entrywise).
 
-    Each relabeled profile comes from `profiles` (see `_profile`), so a
+    Each relabeled profile comes from `table` (see `_table`), so a
     relabeling of a profile the caller already holds is that object, and
     the memo lookup for it finds its matrix by identity."""
+    table = _table(profile.universe, table)
     base = f(profile)
     agents = profile.agents
     if profile.n <= permutation_limit:
@@ -221,7 +222,7 @@ def check_anonymity(
                 continue
             seen.add(sequence)
         # the memo is read, not filled: no relabeling is asked for again
-        relabeled = _profile(profile.universe, tuple([agents[i] for i in pi]), profiles)
+        relabeled = table.profile(tuple([agents[i] for i in pi]))
         if (f._cache.get(relabeled) or f.fn(relabeled)).entries != base.entries:
             return AnonymityVerdict(passed=False, witness=pi, mode=mode)
     return AnonymityVerdict(passed=True, witness=None, mode=mode)
@@ -398,16 +399,16 @@ def restriction_sets(universe: Universe, min_size: int = 1) -> tuple[tuple[str, 
 # enumeration of small preference domains
 
 
-def weak_orders(universe: Universe, table: dict | None = None) -> list[BaseRelation]:
+def weak_orders(universe: Universe, table: ValueTable | None = None) -> list[BaseRelation]:
     """Every weak order (ordered partition into indifference tiers), in
     `_ordered_partitions` order, each from `table` by its tier levels (see
-    `_ranked`; by default a fresh table, for this call only), so that the
-    orders the samplers draw from the same table are these objects."""
-    table = {} if table is None else table
+    `_table`), so that the orders the samplers draw from the same table
+    are these objects."""
+    table = _table(universe, table)
     orders = []
     for tiers in _ordered_partitions(tuple(range(len(universe)))):
         level = {a: i for i, tier in enumerate(tiers) for a in tier}
-        orders.append(_ranked(universe, [level[a] for a in sorted(level)], table))
+        orders.append(table.order([level[a] for a in sorted(level)]))
     return orders
 
 
@@ -467,13 +468,11 @@ def _flat(rows) -> tuple:
 
 
 def profiles_over(relations: Sequence, n: int, universe: Universe,
-                  profiles: dict | None = None) -> list[Profile]:
+                  table: ValueTable | None = None) -> list[Profile]:
     """All n-agent profiles with agents drawn from the given list, in order,
-    each from `profiles` (see `_profile`)."""
-    return [
-        _profile(universe, agents, profiles)
-        for agents in itertools.product(relations, repeat=n)
-    ]
+    each from `table` (see `_table`)."""
+    profile = _table(universe, table).profile
+    return [profile(agents) for agents in itertools.product(relations, repeat=n)]
 
 
 # ---------------------------------------------------------------------------
@@ -821,37 +820,65 @@ def random_lottery(rng: random.Random, universe: Universe, max_weight: int = 8) 
     return Lottery.from_scaled(universe, sum(weights), weights)
 
 
-def _ranked(universe: Universe, rank: Sequence[int], table: dict) -> BaseRelation:
-    """The weak order in which a beats b iff rank[a] < rank[b], from `table`.
+class ValueTable:
+    """One object per equal value over one universe, for as long as the
+    caller keeps the table: weak orders by rank pattern (`order`), profiles
+    by agent tuple (`profile`) and lotteries by unreduced integer form
+    (`lottery`).  A miss builds through the validating constructor and
+    stores the value, so equal keys yield one object, and a memo lookup
+    finds its entry by identity.  There is no global table: a
+    `check-axioms` command keeps one for all of its phases."""
 
-    `table` maps the rank pattern (each level renumbered by its place
-    among the distinct levels) to its weak order over `universe`; a miss
-    builds the order with `model.ranked_order`, the one weak-order
-    builder, and stores it, so rank vectors that yield the same weak
-    order yield one object.  One table serves one universe.
-    """
-    levels = sorted(set(rank))
-    pattern = tuple(map(levels.index, rank))
-    order = table.get(pattern)
-    if order is None:
-        order = table[pattern] = ranked_order(universe, pattern)
-    elif order.universe is not universe and order.universe != universe:
-        raise UniverseMismatchError("weak-order table was filled over another universe")
-    return order
+    def __init__(self, universe: Universe):
+        self.universe = universe
+        self._orders: dict = {}
+        self._profiles: dict = {}
+        self._lotteries: dict = {}
+
+    def order(self, rank: Sequence[int]) -> BaseRelation:
+        """The weak order in which a beats b iff rank[a] < rank[b], built by
+        `model.ranked_order` and keyed by its rank pattern: each level
+        renumbered by its place among the distinct levels."""
+        levels = sorted(set(rank))
+        pattern = tuple(map(levels.index, rank))
+        order = self._orders.get(pattern)
+        if order is None:
+            order = self._orders[pattern] = ranked_order(self.universe, pattern)
+        return order
+
+    def profile(self, agents: tuple) -> Profile:
+        profile = self._profiles.get(agents)
+        if profile is None:
+            profile = self._profiles[agents] = Profile(self.universe, agents)
+        return profile
+
+    def lottery(self, d: int, nums: Sequence[int]) -> Lottery:
+        """`Lottery.from_scaled(universe, d, nums)`, keyed by (d, *nums) as given."""
+        key = (d, *nums)
+        lottery = self._lotteries.get(key)
+        if lottery is None:
+            lottery = self._lotteries[key] = Lottery.from_scaled(self.universe, d, nums)
+        return lottery
+
+
+def _table(universe: Universe, table: ValueTable | None) -> ValueTable:
+    """`table`, or for None a fresh table over `universe` that lives for one
+    call; a table over another universe raises `UniverseMismatchError`."""
+    if table is None:
+        return ValueTable(universe)
+    if table.universe is not universe and table.universe != universe:
+        raise UniverseMismatchError(f"value table over {table.universe.names}, "
+                                    f"values over {universe.names}")
+    return table
 
 
 def random_weak_order(
-    rng: random.Random, universe: Universe, table: dict | None = None
+    rng: random.Random, universe: Universe, table: ValueTable | None = None
 ) -> BaseRelation:
     """Each alternative draws a level in range(m); lower levels rank higher.
-
-    The order comes from `table` (see `_ranked`), which the caller owns
-    and keeps for as long as it wants equal orders to be one object; by
-    default a fresh table, which lives for this call only.
-    """
+    The order comes from `table` (see `_table`)."""
     m = len(universe)
-    return _ranked(universe, [rng.randrange(m) for _ in range(m)],
-                   {} if table is None else table)
+    return _table(universe, table).order([rng.randrange(m) for _ in range(m)])
 
 
 def random_relation(rng: random.Random, universe: Universe) -> BaseRelation:
@@ -879,49 +906,21 @@ def random_ssb_matrix(rng: random.Random, universe: Universe, max_abs: int = 4) 
     return SSBMatrix(universe, tuple(map(tuple, grid)))
 
 
-def _profile(universe: Universe, agents: tuple, profiles: dict | None) -> Profile:
-    """The profile of `agents` from `profiles`, the caller's dict from agent
-    tuple to profile; a miss builds the profile and stores it, so equal
-    agent tuples yield one object.  Equal agents share a universe, so a
-    hit is over `universe` as a build would be.  None builds afresh."""
-    if profiles is None:
-        return Profile(universe, agents)
-    profile = profiles.get(agents)
-    if profile is None:
-        profile = profiles[agents] = Profile(universe, agents)
-    return profile
-
-
-def _lottery(universe: Universe, d: int, nums: list[int], lotteries: dict | None) -> Lottery:
-    """`Lottery.from_scaled(universe, d, nums)` from `lotteries`, the
-    caller's dict keyed by the unreduced form (d, *nums), as `_profile`
-    does; one dict serves one universe.  None builds afresh."""
-    if lotteries is None:
-        return Lottery.from_scaled(universe, d, nums)
-    key = (d, *nums)
-    lottery = lotteries.get(key)
-    if lottery is None:
-        lottery = lotteries[key] = Lottery.from_scaled(universe, d, nums)
-    return lottery
-
-
 def random_pc_profile(
     rng: random.Random,
     universe: Universe,
     n: int,
     transitive: bool = True,
-    table: dict | None = None,
-    profiles: dict | None = None,
+    table: ValueTable | None = None,
 ) -> Profile:
-    """n agents drawn by `random_weak_order` from `table` (a fresh one,
-    living for this call, by default), or by `random_relation`; the
-    profile comes from `profiles` (see `_profile`)."""
+    """n agents drawn by `random_weak_order` or by `random_relation`; the
+    orders and the profile come from `table` (see `_table`)."""
+    table = _table(universe, table)
     if not transitive:
         agents = tuple(random_relation(rng, universe) for _ in range(n))
     else:
-        table = {} if table is None else table
         agents = tuple(random_weak_order(rng, universe, table) for _ in range(n))
-    return _profile(universe, agents, profiles)
+    return table.profile(agents)
 
 
 def unanimity_case(
@@ -929,9 +928,7 @@ def unanimity_case(
     universe: Universe,
     n: int,
     strict: bool,
-    table: dict | None = None,
-    profiles: dict | None = None,
-    lotteries: dict | None = None,
+    table: ValueTable | None = None,
 ) -> tuple[Profile, Lottery, Lottery]:
     """A profile plus a lottery pair with unanimity built in.
 
@@ -939,12 +936,11 @@ def unanimity_case(
     between them leaves everyone exactly indifferent); in the strict
     variant one agent instead ranks x above y, and the pair is supported
     on {x, y} only, which makes that agent strictly better off under the
-    shift and everyone else indifferent.  The agents' weak orders come
-    from `table` as in `random_weak_order`: the caller's, shared across
-    calls over one universe, or by default a fresh one for this call; the
-    profile comes from `profiles` (see `_profile`) and every lottery this
-    builds from its integer form from `lotteries` (see `_lottery`).
+    shift and everyone else indifferent.  The agents' weak orders, the
+    profile and every lottery built from its integer form come from
+    `table` (see `_table`).
     """
+    table = _table(universe, table)
     m = len(universe)
     x, y = rng.sample(range(m), 2)
     others = [a for a in range(m) if a not in (x, y)]
@@ -973,8 +969,8 @@ def unanimity_case(
         p_nums, q_nums = [0] * m, [0] * m
         p_nums[x], p_nums[y] = k, 4 - k
         q_nums[x], q_nums[y] = k - 1, 5 - k
-        p = _lottery(universe, 4, p_nums, lotteries)
-        q = _lottery(universe, 4, q_nums, lotteries)
+        p = table.lottery(4, p_nums)
+        q = table.lottery(4, q_nums)
     else:
         # q moves min(p_x, p_y, 1/5) from y to x, over 5d
         p = random_lottery(rng, universe)
@@ -983,7 +979,5 @@ def unanimity_case(
         delta = min(q_nums[x], q_nums[y], d)
         q_nums[x] += delta
         q_nums[y] -= delta
-        q = _lottery(universe, 5 * d, q_nums, lotteries)
-    table = {} if table is None else table
-    agents = tuple(_ranked(universe, rank, table) for rank in ranks)
-    return _profile(universe, agents, profiles), p, q
+        q = table.lottery(5 * d, q_nums)
+    return table.profile(tuple(table.order(rank) for rank in ranks)), p, q

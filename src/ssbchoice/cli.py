@@ -56,6 +56,8 @@ MAX_GRID_LOTTERIES = 1500
 # took 60 s when the limit was chosen
 MAX_AXIOM_AGENTS = 50
 MAX_AXIOM_SAMPLES = 500
+# the IIA sweep compares every pair of its pool: larger pools are sampled to this
+MAX_AXIOM_POOL = 400
 
 
 class _Option(NamedTuple):
@@ -321,18 +323,15 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _profile_pool(relations, universe: Universe, n: int, rng: random.Random,
-                  seed: int, profiles: dict, limit: int = 400):
+def _profile_pool(relations, n: int, rng: random.Random, seed: int,
+                  table: axioms.ValueTable):
     """All n-agent profiles over `relations` when few enough, else a seeded
-    sample; each from `profiles`, the command's dict from agent tuple to
-    profile (see `axioms._profile`)."""
-    if len(relations) ** n <= limit:
-        return axioms.profiles_over(relations, n, universe, profiles), "exhaustive"
-    pool = [
-        axioms._profile(universe, tuple(rng.choice(relations) for _ in range(n)), profiles)
-        for _ in range(limit)
-    ]
-    return pool, f"sampled({limit}, seed={seed})"
+    sample; each from the command's `table`."""
+    if len(relations) ** n <= MAX_AXIOM_POOL:
+        return axioms.profiles_over(relations, n, table.universe, table), "exhaustive"
+    pool = [table.profile(tuple(rng.choice(relations) for _ in range(n)))
+            for _ in range(MAX_AXIOM_POOL)]
+    return pool, f"sampled({MAX_AXIOM_POOL}, seed={seed})"
 
 
 def _cmd_check_axioms(args) -> int:
@@ -342,9 +341,8 @@ def _cmd_check_axioms(args) -> int:
     universe = Universe(tuple(chr(ord("a") + i) for i in range(args.alternatives)))
     rng = random.Random(args.seed)
     checks = []  # (label, passed, detail)
-    # one object per weak order and per agent tuple, for the pool and the samples
-    table: dict = {}
-    profiles: dict = {}
+    # one object per weak order, profile and lottery, for every phase
+    table = axioms.ValueTable(universe)
 
     if args.swf == "relative-utilitarian":
         handle = axioms.relative_utilitarian_swf()
@@ -359,7 +357,7 @@ def _cmd_check_axioms(args) -> int:
     elif args.swf == "approval":
         handle = axioms.approval_swf()
         relations = axioms.dichotomous_relations(universe)
-        pool, mode = _profile_pool(relations, universe, args.agents, rng, args.seed, profiles)
+        pool, mode = _profile_pool(relations, args.agents, rng, args.seed, table)
         report = axioms.exhaustive_iia(handle, pool)
         checks.append((
             f"IIA {mode} over {len(pool)}^2 dichotomous profile pairs",
@@ -380,7 +378,7 @@ def _cmd_check_axioms(args) -> int:
                   "dictatorial": axioms.dictatorial_swf,
                   "constant": axioms.constant_swf}[args.swf]()
         orders = axioms.weak_orders(universe, table)
-        pool, mode = _profile_pool(orders, universe, args.agents, rng, args.seed, profiles)
+        pool, mode = _profile_pool(orders, args.agents, rng, args.seed, table)
         report = axioms.exhaustive_iia(handle, pool)
         detail = (f"{report.checked} checks, {report.vacuous} vacuous, "
                   f"{len(report.violations)} violations")
@@ -395,14 +393,12 @@ def _cmd_check_axioms(args) -> int:
         anon_fail = None
         checked: set = set()  # the check is deterministic: a repeat would pass again
         for _ in range(args.samples):
-            profile = axioms.random_pc_profile(
-                rng, universe, max(2, args.agents), table=table, profiles=profiles
-            )
+            profile = axioms.random_pc_profile(rng, universe, max(2, args.agents),
+                                               table=table)
             if profile in checked:
                 continue
             checked.add(profile)
-            verdict = axioms.check_anonymity(handle, profile, seed=args.seed,
-                                             profiles=profiles)
+            verdict = axioms.check_anonymity(handle, profile, seed=args.seed, table=table)
             if not verdict.passed:
                 anon_fail = verdict
                 break
@@ -413,12 +409,10 @@ def _cmd_check_axioms(args) -> int:
             else f"witness permutation {anon_fail.witness}",
         ))
         pareto_fail = None
-        lotteries: dict = {}  # one object per unanimity lottery
         for _ in range(args.samples):
             strict = rng.random() < 0.5
             profile, p, q = axioms.unanimity_case(
-                rng, universe, max(2, args.agents), strict, table, profiles, lotteries
-            )
+                rng, universe, max(2, args.agents), strict, table)
             verdict = axioms.check_pareto(handle, profile, pairs=[(p, q)])
             if not verdict.passed:
                 pareto_fail = verdict

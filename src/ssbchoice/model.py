@@ -28,9 +28,9 @@ an SSB matrix's do its `entries`.  Every value class derives from
 from the class's field names.  A stored hash is the hash of the tuple of
 those fields, and pickling rebuilds the object rather than copying it,
 since a string's hash differs between processes.  There is no global cache: a
-caller that wants equal values shared keeps its own dicts: one `check-axioms`
+caller that wants equal values shared keeps its own table: one `check-axioms`
 command takes its IIA pool, samples, relabelings and unanimity lotteries from
-one dict each of weak orders, profiles and lotteries (see `axioms._profile`).
+one `axioms.ValueTable` of weak orders, profiles and lotteries.
 """
 
 from __future__ import annotations
@@ -398,7 +398,7 @@ def _ranked_pairs(rank: Sequence[int]) -> frozenset[tuple[int, int]]:
 def ranked_order(universe: Universe, rank: Sequence[int]) -> BaseRelation:
     """The weak order in which a beats b iff rank[a] < rank[b]: the one
     builder of a weak order's strict pairs, called by `weak_order`, the
-    ballot parser and `axioms._ranked`; `BaseRelation.tiers` compares
+    ballot parser and `axioms.ValueTable.order`; `BaseRelation.tiers` compares
     against its pair set `_ranked_pairs` without building a relation."""
     return BaseRelation(universe, _ranked_pairs(rank))
 

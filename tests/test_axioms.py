@@ -29,10 +29,10 @@ from ssbchoice.axioms import (
     AnonymityVerdict,
     IIAVerdict,
     _audit_sets,
-    _ranked,
     _signature_tables,
     RichnessCondition,
     SWFHandle,
+    ValueTable,
     approval_swf,
     audit_richness,
     audit_set_count,
@@ -139,23 +139,23 @@ class TestEnumerations:
     def test_weak_orders_come_from_the_table(self, m):
         # in the order of the tier-by-tier builder, and each the table's object
         universe = Universe("abcde"[:m])
-        table = {}
+        table = ValueTable(universe)
         orders = weak_orders(universe, table)
         assert orders == [weak_order(universe, tiers)
                           for tiers in axioms._ordered_partitions(universe.names)]
-        assert len(table) == len(orders)
-        assert {id(order) for order in orders} == {id(order) for order in table.values()}
+        assert len(table._orders) == len(orders)
+        assert {id(order) for order in orders} == {id(order) for order in table._orders.values()}
         assert all(a is b for a, b in zip(weak_orders(universe, table), orders))
         assert weak_orders(universe) == orders
 
-    def test_profiles_over_come_from_the_dict(self):
+    def test_profiles_over_come_from_the_table(self):
         orders = weak_orders(ABC)
-        profiles = {}
-        pool = profiles_over(orders, 2, ABC, profiles)
+        table = ValueTable(ABC)
+        pool = profiles_over(orders, 2, ABC, table)
         assert pool == profiles_over(orders, 2, ABC)
-        assert len(profiles) == len(pool) == 169
-        assert all(profiles[tuple(p.agents)] is p for p in pool)
-        assert all(a is b for a, b in zip(profiles_over(orders, 2, ABC, profiles), pool))
+        assert len(table._profiles) == len(pool) == 169
+        assert all(table._profiles[tuple(p.agents)] is p for p in pool)
+        assert all(a is b for a, b in zip(profiles_over(orders, 2, ABC, table), pool))
 
     def test_restriction_sets(self):
         assert len(restriction_sets(ABC)) == 7
@@ -557,7 +557,7 @@ class TestCheckAnonymity:
 
 def reference_check_anonymity(f, profile, permutation_limit=6, samples=24, seed=0):
     """`check_anonymity` as it was while each relabeling was built afresh
-    (`conftest.permuted`) instead of looked up in a profiles dict."""
+    (`conftest.permuted`) instead of looked up in a value table."""
     base = f(profile)
     if profile.n <= permutation_limit:
         perms = itertools.islice(itertools.permutations(range(profile.n)), 1, None)
@@ -588,26 +588,26 @@ def reference_check_anonymity(f, profile, permutation_limit=6, samples=24, seed=
 class TestCheckAnonymityAgainstTheReference:
     @pytest.mark.parametrize("make", [pairwise_utilitarian_swf, dictatorial_swf,
                                       constant_swf])
-    def test_same_verdict_with_and_without_a_profiles_dict(self, make):
+    def test_same_verdict_with_and_without_a_value_table(self, make):
         f, ref = make(), make()
-        table, profiles = {}, {}
-        # a pool in the dict and the memo, as check-axioms has before sampling
-        for profile in profiles_over(weak_orders(ABC, table), 2, ABC, profiles):
+        table = ValueTable(ABC)
+        # a pool in the table and the memo, as check-axioms has before sampling
+        for profile in profiles_over(weak_orders(ABC, table), 2, ABC, table):
             f(profile)
         rng = random.Random(61)
         verdicts = set()
         for n in range(1, 9):
             for _ in range(12):
                 # few distinct orders at large n, so that agents repeat
-                orders = rng.sample(list(table.values()), rng.randint(1, 4))
+                orders = rng.sample(list(table._orders.values()), rng.randint(1, 4))
                 agents = tuple(rng.choice(orders) for _ in range(n))
                 profile = Profile(ABC, agents)
                 seed = rng.randrange(100)
                 want = reference_check_anonymity(ref, profile, seed=seed)
                 assert check_anonymity(f, profile, seed=seed) == want
-                assert check_anonymity(f, profile, seed=seed, profiles=profiles) == want
-                shared = axioms._profile(ABC, agents, profiles)
-                assert check_anonymity(f, shared, seed=seed, profiles=profiles) == want
+                assert check_anonymity(f, profile, seed=seed, table=table) == want
+                shared = table.profile(agents)
+                assert check_anonymity(f, shared, seed=seed, table=table) == want
                 verdicts.add((want.passed, want.mode.split("(")[0]))
         want_passed = make is not dictatorial_swf
         assert (want_passed, "exhaustive") in verdicts and (want_passed, "sampled") in verdicts
@@ -1230,33 +1230,33 @@ def _fresh_ranked(universe, rank):
         (a, b) for a in range(m) for b in range(m) if rank[a] < rank[b]))
 
 
-class TestWeakOrderTable:
+class TestValueTable:
     def test_equal_rank_patterns_share_one_object(self):
-        table = {}
-        first = _ranked(ABCD, [0, 0, 2, 1], table)
-        assert _ranked(ABCD, [3, 3, 9, 5], table) is first
-        assert _ranked(ABCD, [1, 1, 3, 2], table) is first
-        assert _ranked(ABCD, [0, 1, 2, 1], table) is not first
-        assert len(table) == 2
+        table = ValueTable(ABCD)
+        first = table.order([0, 0, 2, 1])
+        assert table.order([3, 3, 9, 5]) is first
+        assert table.order([1, 1, 3, 2]) is first
+        assert table.order([0, 1, 2, 1]) is not first
+        assert len(table._orders) == 2
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_every_rank_vector_yields_its_weak_order(self, m):
         universe = Universe(tuple(chr(ord("a") + i) for i in range(m)))
-        table = {}
+        table = ValueTable(universe)
         for rank in itertools.product(range(m), repeat=m):
             want = _fresh_ranked(universe, rank)
-            assert _ranked(universe, rank, {}) == want
-            assert _ranked(universe, rank, table) == want
+            assert ValueTable(universe).order(rank) == want
+            assert table.order(rank) == want
         # one entry per weak order: the rank vectors cover them all
-        assert len(table) == len(weak_orders(universe))
+        assert len(table._orders) == len(weak_orders(universe))
 
     def test_one_entry_per_distinct_drawn_order(self):
         for seed in range(20):
             rng, ref = random.Random(seed), random.Random(seed)
-            table = {}
+            table = ValueTable(ABCD)
             drawn = [random_weak_order(rng, ABCD, table) for _ in range(30)]
             ranks = {tuple(ref.randrange(4) for _ in range(4)) for _ in range(30)}
-            assert len(table) == len(set(drawn)) <= len(ranks)
+            assert len(table._orders) == len(set(drawn)) <= len(ranks)
             for a in drawn:
                 for b in drawn:
                     assert (a is b) == (a == b)
@@ -1264,7 +1264,7 @@ class TestWeakOrderTable:
     def test_shared_table_changes_no_draw(self):
         for seed in range(30):
             rng, ref = random.Random(seed), random.Random(seed)
-            table = {}
+            table = ValueTable(ABCD)
             for _ in range(4):
                 n = rng.randint(1, 4)
                 assert n == ref.randint(1, 4)
@@ -1275,45 +1275,63 @@ class TestWeakOrderTable:
                 case = unanimity_case(rng, ABCD, n, strict, table)
                 assert case == unanimity_case(ref, ABCD, n, strict)
                 # every agent drawn is the table's object for its order
-                entries = {id(order) for order in table.values()}
+                entries = {id(order) for order in table._orders.values()}
                 assert all(id(agent) in entries
                            for agent, _ in profile.runs + case[0].runs)
             assert rng.random() == ref.random()
 
-    def test_shared_profiles_dict_changes_no_draw(self):
-        # test_shared_table_changes_no_draw with one `profiles` dict as well:
+    def test_shared_table_interns_profiles_and_lotteries(self):
+        # test_shared_table_changes_no_draw with intransitive draws as well:
         # equal agent tuples give one Profile object, and the draws and the
         # instances are those of fresh calls
         for seed in range(30):
             rng, ref = random.Random(seed), random.Random(seed)
-            # and one `lotteries` dict: every lottery unanimity_case builds
-            # from its integer form is the dict's object
-            table, profiles, lotteries = {}, {}, {}
+            # every lottery unanimity_case builds from its integer form is
+            # the table's object
+            table = ValueTable(ABC)
             drawn = []
             for _ in range(6):
                 n = rng.randint(1, 3)
                 assert n == ref.randint(1, 3)
                 transitive = rng.random() < 0.8
                 assert transitive == (ref.random() < 0.8)
-                profile = random_pc_profile(rng, ABC, n, transitive, table, profiles)
+                profile = random_pc_profile(rng, ABC, n, transitive, table)
                 assert profile == random_pc_profile(ref, ABC, n, transitive)
                 strict = rng.random() < 0.5
                 assert strict == (ref.random() < 0.5)
-                case = unanimity_case(rng, ABC, n, strict, table, profiles, lotteries)
+                case = unanimity_case(rng, ABC, n, strict, table)
                 assert case == unanimity_case(ref, ABC, n, strict)
                 drawn += [profile, case[0]]
                 for p in (profile, case[0]):
-                    assert profiles[tuple(p.agents)] is p
-                shared = {id(lottery) for lottery in lotteries.values()}
+                    assert table._profiles[tuple(p.agents)] is p
+                shared = {id(lottery) for lottery in table._lotteries.values()}
                 assert id(case[2]) in shared and (id(case[1]) in shared) == strict
             assert rng.random() == ref.random()
             for a in drawn:
                 for b in drawn:
                     assert (a is b) == (a == b)
-            assert len(profiles) == len(set(drawn))
+            assert len(table._profiles) == len(set(drawn))
 
     def test_table_serves_one_universe(self):
-        table = {}
-        _ranked(ABC, [0, 1, 2], table)
-        with pytest.raises(UniverseMismatchError):
-            _ranked(Universe(("x", "y", "z")), [0, 1, 2], table)
+        # each of the six functions that take a table refuses one over
+        # another universe before it draws or builds anything
+        table = ValueTable(ABC)
+        table.order([0, 1, 2])
+        xyz = Universe(("x", "y", "z"))
+        profile = Profile(xyz, (weak_order(xyz, ["x", "y", "z"]),) * 2)
+        rng = random.Random(0)
+        calls = [
+            lambda: weak_orders(xyz, table),
+            lambda: random_weak_order(rng, xyz, table),
+            lambda: random_pc_profile(rng, xyz, 2, table=table),
+            lambda: unanimity_case(rng, xyz, 2, False, table),
+            lambda: profiles_over(profile.agents, 2, xyz, table),
+            lambda: check_anonymity(pairwise_utilitarian_swf(), profile, table=table),
+        ]
+        for call in calls:
+            with pytest.raises(UniverseMismatchError):
+                call()
+        assert rng.random() == random.Random(0).random()
+        assert len(table._orders) == 1 and not table._profiles
+        # an equal universe, though another object, is the table's own
+        assert weak_orders(Universe(("a", "b", "c")), table) == weak_orders(ABC)

@@ -280,7 +280,7 @@ class TestCheckAxioms:
     def test_two_agents_build_only_the_pool(self, capsys, monkeypatch, seed):
         # the 169 pool profiles are every two-agent profile over the 13 weak
         # orders, so the samples, the relabelings and the unanimity cases
-        # all come from the command's profiles dict
+        # all come from the command's value table
         builds = []
         set_runs = Profile._set_runs
 

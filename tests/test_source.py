@@ -47,6 +47,20 @@ def test_no_regex_compiled_inside_a_function(path):
     assert calls == []
 
 
+def test_cli_reads_no_private_name_through_a_module():
+    # the commands reach the other modules through their public names: a
+    # read such as `axioms._x` would tie a command to a helper's body
+    tree = ast.parse((ROOT / "src" / "ssbchoice" / "cli.py").read_text(encoding="utf-8"))
+    modules = {path.stem for path in SOURCES}
+    bound = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module in (None, "ssbchoice")
+             for alias in node.names if alias.name in modules}
+    reads = sorted(f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in bound and node.attr.startswith("_"))
+    assert "axioms" in bound and reads == []
+
+
 # Public names that no command, demo or benchmark reaches, each kept for the
 # tests that use it as an oracle or a seeded generator
 SURFACE_ALLOWED = {

@@ -16,6 +16,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -60,17 +62,23 @@ print(json.dumps({"runs": runs, "calls": calls}))
 """
 
 
-def test_the_installed_tracer_runs_a_command():
+@pytest.mark.parametrize("argv, head, spans", [
+    (["budget", "fixtures/table1.ballots", "fixtures/table1.proposals"],
+     "Maximal lottery:\n", ["ssb.validate", "solver.maximal_lottery"]),
+    (["check-axioms", "--swf", "pairwise-utilitarian", "--agents", "2", "--samples", "20"],
+     "Axiom checks for pairwise-utilitarian (seed 0):\n  PASS IIA over 169^2",
+     ["axioms.weak_orders", "axioms.profiles_over", "axioms.check_anonymity",
+      "axioms.unanimity_case", "axioms.exhaustive_iia"]),
+], ids=["budget", "check-axioms"])
+def test_the_installed_tracer_runs_a_command(argv, head, spans):
     root = TRACING.parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    argv = ["budget", "fixtures/table1.ballots", "fixtures/table1.proposals"]
     proc = subprocess.run([sys.executable, "-B", "-c", INSTALL_CHILD, str(TRACING), *argv],
                           capture_output=True, text=True, cwd=root, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     (plain_code, plain_out), (traced_code, traced_out) = result["runs"]
     assert plain_code == traced_code == 0
-    assert traced_out == plain_out and plain_out.startswith("Maximal lottery:\n")
-    assert result["calls"]["ssb.validate"] >= 1
-    assert result["calls"]["solver.maximal_lottery"] >= 1
+    assert traced_out == plain_out and plain_out.startswith(head)
+    assert all(result["calls"].get(span, 0) >= 1 for span in spans), result["calls"]
