@@ -35,19 +35,22 @@ def utilitarian(profile: Profile) -> SSBMatrix:
     Normalizing before summing is part of the rule's definition: skipping
     it would let an agent's chosen scale act as a hidden weight.
 
-    Each run of equal agents is added once, times its multiplicity.  A
+    Each run of equal agents is added once, times its multiplicity, into
+    one skew-symmetric grid of ints over a running denominator.  A
     skew-symmetric matrix is its positive part P minus P's transpose, so
-    only positive parts are summed, into one grid of ints over a running
-    denominator.  A base relation's normalized P is 1 on `strict`; any
-    other agent's is R+ / max R for the integer rows R of its matrix.
+    each positive entry c at (a, b) adds c at (a, b) and -c at (b, a).  A
+    base relation's normalized P is 1 on `strict`; any other agent's is
+    R+ / max R for the integer rows R of its matrix.
     """
     m = len(profile.universe)
     grid = [[0] * m for _ in range(m)]
     denominator = 1
     for agent, count in profile.runs:
         if isinstance(agent, BaseRelation):
+            weight = count * denominator
             for a, b in agent.strict:
-                grid[a][b] += count * denominator
+                grid[a][b] += weight
+                grid[b][a] -= weight
             continue
         rows = to_matrix(agent).scaled[1]
         top = max(map(max, rows))
@@ -57,12 +60,13 @@ def utilitarian(profile: Profile) -> SSBMatrix:
                 grid = [[x * (common // denominator) for x in row] for row in grid]
                 denominator = common
             weight = count * (common // top)
-            for target, row in zip(grid, rows):
+            for a, (target, row) in enumerate(zip(grid, rows)):
                 for b, x in enumerate(row):
                     if x > 0:
-                        target[b] += weight * x
-    return SSBMatrix.from_scaled(profile.universe, denominator, [
-        [grid[a][b] - grid[b][a] for b in range(m)] for a in range(m)])
+                        x *= weight
+                        target[b] += x
+                        grid[b][a] -= x
+    return SSBMatrix.from_scaled(profile.universe, denominator, grid)
 
 
 def majority_margins(profile: Profile) -> SSBMatrix:

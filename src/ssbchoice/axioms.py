@@ -302,23 +302,22 @@ class IIASuiteReport(_FrozenValue):
 
 
 def _signature_tables(f, profiles, subsets):
-    positions = [profiles[0].universe.positions(x) for x in subsets]
+    universe = profiles[0].universe
+    getters = [_block_getter(universe.positions(x), len(universe)) for x in subsets]
     known: dict = {}  # agent or output matrix -> its signature on each subset
-    rays: dict = {}  # restricted block -> its ray
+    rays: dict = {}  # flat restricted block -> its signature
 
     def ray(block):
         sig = rays.get(block)
         if sig is None:
-            sig = rays[block] = _ray(block)
+            sig = rays[block] = _signature(block)
         return sig
 
     def signatures(agent):
         sig = known.get(agent)
         if sig is None:
-            entries = to_matrix(agent).entries
-            sig = known[agent] = tuple(
-                ray(tuple([tuple([entries[a][b] for b in idx]) for a in idx]))
-                for idx in positions)
+            flat = _flat(to_matrix(agent).entries)
+            sig = known[agent] = tuple([ray(get(flat)) for get in getters])
         return sig
 
     hyp = []
@@ -339,7 +338,9 @@ def exhaustive_iia(
     restriction set; profiles over different universes raise
     `UniverseMismatchError` before any signature is built.
 
-    Precomputes per-profile restriction signatures once, then, for each
+    Precomputes per-profile restriction signatures once, each the
+    `_signature` of a flat block cut by `_block_getter` from a matrix's
+    flat entries, one object per distinct block; then, for each
     restriction set x, groups the profiles by their hypothesis signature
     on x.  A pair in different groups is vacuous; a pair in one group
     violates IIA iff its conclusion signatures on x differ, so only groups
@@ -822,28 +823,36 @@ def random_lottery(rng: random.Random, universe: Universe, max_weight: int = 8) 
 
 class ValueTable:
     """One object per equal value over one universe, for as long as the
-    caller keeps the table: weak orders by rank pattern (`order`), profiles
-    by agent tuple (`profile`) and lotteries by unreduced integer form
-    (`lottery`).  A miss builds through the validating constructor and
-    stores the value, so equal keys yield one object, and a memo lookup
-    finds its entry by identity.  There is no global table: a
-    `check-axioms` command keeps one for all of its phases."""
+    caller keeps the table: weak orders by rank pattern, and also by each
+    raw rank already seen (`order`), profiles by agent tuple (`profile`)
+    and lotteries by unreduced integer form (`lottery`).  A miss builds
+    through the validating constructor and stores the value, so equal keys
+    yield one object, a hit costs one lookup, and a memo lookup finds its
+    entry by identity.  There is no global table: a `check-axioms` command
+    keeps one for all of its phases."""
 
     def __init__(self, universe: Universe):
         self.universe = universe
-        self._orders: dict = {}
+        self._orders: dict = {}  # rank pattern -> its weak order
+        self._ranks: dict = {}  # raw rank -> the weak order of its pattern
         self._profiles: dict = {}
         self._lotteries: dict = {}
 
     def order(self, rank: Sequence[int]) -> BaseRelation:
         """The weak order in which a beats b iff rank[a] < rank[b], built by
         `model.ranked_order` and keyed by its rank pattern: each level
-        renumbered by its place among the distinct levels."""
-        levels = sorted(set(rank))
-        pattern = tuple(map(levels.index, rank))
-        order = self._orders.get(pattern)
+        renumbered by its place among the distinct levels.  The raw rank is
+        looked up first; only a rank not seen before computes its pattern,
+        and is then stored with the pattern's order."""
+        key = tuple(rank)
+        order = self._ranks.get(key)
         if order is None:
-            order = self._orders[pattern] = ranked_order(self.universe, pattern)
+            levels = sorted(set(key))
+            pattern = tuple(map(levels.index, key))
+            order = self._orders.get(pattern)
+            if order is None:
+                order = self._orders[pattern] = ranked_order(self.universe, pattern)
+            self._ranks[key] = order
         return order
 
     def profile(self, agents: tuple) -> Profile:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -201,6 +202,25 @@ class TestAggregationKernel:
     def test_utilitarian_matches_brute_force(self):
         for profile in _mixed_profiles(41):
             assert utilitarian(profile).entries == _brute_force_sum(profile).entries
+
+    def test_relation_runs_around_denominator_raises_are_pinned(self):
+        # the vNM agent raises the running denominator to 3 and the scaled
+        # matrix to 15, rescaling a grid whose two triangles are both
+        # written; the 120 run orders put relation runs before, between and
+        # after those raises
+        runs = [
+            (weak_order(ABC, ["a", "b", "c"]), 2),
+            (UtilityVector(ABC, (0, Fraction(1, 3), 1)), 1),
+            (weak_order(ABC, ["c", "a", "b"]), 3),
+            (scaled(SSBMatrix(ABC, [[0, 5, -2], [-5, 0, 1], [2, -1, 0]]),
+                    Fraction(1, 7)), 2),
+            (BaseRelation(ABC, frozenset({(1, 2), (2, 0)})), 1),
+        ]
+        for order in itertools.permutations(runs):
+            profile = Profile.from_runs(ABC, order)
+            got = utilitarian(profile).scaled
+            assert got == _brute_force_sum(profile).scaled
+            assert got == (15, ((0, 100, -57), (-100, 0, -4), (57, 4, 0)))
 
     def test_majority_margins_is_utilitarian_on_relations(self):
         rng = random.Random(43)

@@ -29,6 +29,7 @@ from ssbchoice.axioms import (
     AnonymityVerdict,
     IIAVerdict,
     _audit_sets,
+    _rows,
     _signature_tables,
     RichnessCondition,
     SWFHandle,
@@ -386,8 +387,9 @@ class TestExhaustiveIIA:
     ])
     def test_signature_tables_match_the_reference(self, monkeypatch, pool, make_swf,
                                                   fractions):
-        # one ray per distinct restricted block gives the signatures, entry
-        # types included, and the report of the per-block reference
+        # one ray per distinct flat restricted block gives, reshaped to
+        # rows, the signatures of the per-block reference over nested rows,
+        # entry types included, and its report
         for seed in range(3):
             rng = random.Random(seed)
             universe = ABCD if seed else ABC
@@ -410,7 +412,7 @@ class TestExhaustiveIIA:
                 profiles = [Profile(universe, tuple(
                     random_ssb_matrix(rng, universe) for _ in range(2))) for _ in range(30)]
             subsets = [x for x in restriction_sets(universe) if len(x) > 1]
-            got = _signature_tables(make_swf(), profiles, subsets)
+            got = _as_rows(_signature_tables(make_swf(), profiles, subsets), subsets)
             want = _reference_signature_tables(make_swf(), profiles, subsets)
             assert got == want
             assert [type(x) for x in _leaves(got)] == [type(x) for x in _leaves(want)]
@@ -442,7 +444,8 @@ class TestExhaustiveIIA:
 
 def _reference_signature_tables(f, profiles, subsets):
     """`axioms._signature_tables` as it was before restricted blocks shared
-    their rays: every agent's and output's block is divided afresh."""
+    their rays and were read flat: every agent's and output's block is
+    cut from its nested rows and divided afresh."""
     positions = [profiles[0].universe.positions(x) for x in subsets]
     known: dict = {}
 
@@ -459,6 +462,23 @@ def _reference_signature_tables(f, profiles, subsets):
         hyp.append(tuple(zip(*(signatures(a) for a in profile.agents))))
         con.append(signatures(f(profile)))
     return hyp, con
+
+
+def _row_form(sig, k):
+    """A flat signature on k alternatives, one row of k * k entries, as k rows."""
+    (flat,) = sig
+    assert len(flat) == k * k
+    return _rows(flat, k)
+
+
+def _as_rows(tables, subsets):
+    """`_signature_tables`' flat signatures, each reshaped to the rows of
+    its restriction set, as `_reference_signature_tables` gives them."""
+    sizes = [len(x) for x in subsets]
+    hyp, con = tables
+    return ([tuple(tuple(_row_form(sig, k) for sig in agents)
+                   for agents, k in zip(row, sizes)) for row in hyp],
+            [tuple(_row_form(sig, k) for sig, k in zip(row, sizes)) for row in con])
 
 
 def _leaves(value):
@@ -1249,6 +1269,39 @@ class TestValueTable:
             assert table.order(rank) == want
         # one entry per weak order: the rank vectors cover them all
         assert len(table._orders) == len(weak_orders(universe))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_raw_ranks_yield_the_object_of_their_pattern(self, m):
+        # levels -2 .. 3m - 3 hold the tripled and shifted ones unanimity_case
+        # draws; a first pass misses on every raw rank, a second hits on each
+        universe = Universe(tuple(chr(ord("a") + i) for i in range(m)))
+        table = ValueTable(universe)
+        ranks = list(itertools.product(range(-2, 3 * m - 2), repeat=m))
+        for _ in range(2):
+            for rank in ranks:
+                levels = sorted(set(rank))
+                pattern = tuple(levels.index(level) for level in rank)
+                order = table.order(rank)
+                assert order is table._orders[pattern]
+                assert order == _fresh_ranked(universe, rank)
+            # the pattern dict still holds one entry per weak order
+            assert len(table._orders) == len(weak_orders(universe))
+
+    def test_raw_hits_serve_the_objects_of_a_fresh_table(self):
+        rng = random.Random(11)
+        ranks = [tuple(rng.randrange(-2, 10) for _ in range(4)) for _ in range(300)]
+        served = ValueTable(ABCD)
+        for rank in ranks * 2:
+            served.order(rank)
+        # a fresh table, filled in the reverse order, gives equal orders
+        # and the same sharing
+        fresh = ValueTable(ABCD)
+        want = [fresh.order(rank) for rank in reversed(ranks)][::-1]
+        got = [served.order(rank) for rank in ranks]
+        assert got == want
+        assert served._orders == fresh._orders
+        for a, b in itertools.combinations(range(len(ranks)), 2):
+            assert (got[a] is got[b]) == (want[a] is want[b])
 
     def test_one_entry_per_distinct_drawn_order(self):
         for seed in range(20):

@@ -110,6 +110,34 @@ CHECK_AXIOMS_PAIRWISE_JSON = (
     '"passed": true, "detail": "no violation"}]}\n'
 )
 
+# four and five alternatives: the sampled pools restrict to blocks of three
+# to five alternatives; captured before IIA blocks were read flat
+CHECK_AXIOMS_PAIRWISE_4_ALTERNATIVES = """\
+Axiom checks for pairwise-utilitarian (seed 13):
+  PASS IIA over 400^2 weak-order profile pairs (sampled(400, seed=13)): \
+2400000 checks, 1618540 vacuous, 0 violations
+  PASS anonymity over 200 sampled profiles (seed 13): no violation
+  PASS Pareto optimality over 200 unanimity cases (seed 13): no violation
+"""
+
+CHECK_AXIOMS_PAIRWISE_5_ALTERNATIVES = """\
+Axiom checks for pairwise-utilitarian (seed 13):
+  PASS IIA over 400^2 weak-order profile pairs (sampled(400, seed=13)): \
+4960000 checks, 3893326 vacuous, 0 violations
+  PASS anonymity over 200 sampled profiles (seed 13): no violation
+  PASS Pareto optimality over 200 unanimity cases (seed 13): no violation
+"""
+
+CHECK_AXIOMS_DICTATORIAL_4_ALTERNATIVES_JSON = (
+    '{"swf": "dictatorial", "seed": 13, "checks": ['
+    '{"name": "IIA over 400^2 weak-order profile pairs (sampled(400, seed=13))", '
+    '"passed": true, "detail": "2400000 checks, 1618540 vacuous, 0 violations"}, '
+    '{"name": "anonymity over 200 sampled profiles (seed 13)", '
+    '"passed": false, "detail": "witness permutation (1, 0)"}, '
+    '{"name": "Pareto optimality over 200 unanimity cases (seed 13)", '
+    '"passed": false, "detail": "counterexample found"}]}\n'
+)
+
 AUDIT_PC_TRANSITIVE_3 = """\
 Richness audit of domain 'pc-transitive' (13 members):
   PASS R1 (neutrality) [exhaustive]
@@ -433,6 +461,22 @@ GOLDEN = {
     "check-axioms-pairwise-utilitarian-json": (
         ("check-axioms", "--json", "--swf", "pairwise-utilitarian", "--seed", "11"),
         CHECK_AXIOMS_PAIRWISE_JSON,
+    ),
+    "check-axioms-pairwise-utilitarian-4-alternatives": (
+        ("check-axioms", "--swf", "pairwise-utilitarian", "--alternatives", "4",
+         "--seed", "13"),
+        CHECK_AXIOMS_PAIRWISE_4_ALTERNATIVES,
+    ),
+    "check-axioms-pairwise-utilitarian-5-alternatives": (
+        ("check-axioms", "--swf", "pairwise-utilitarian", "--alternatives", "5",
+         "--seed", "13"),
+        CHECK_AXIOMS_PAIRWISE_5_ALTERNATIVES,
+    ),
+    "check-axioms-dictatorial-4-alternatives-json": (
+        ("check-axioms", "--json", "--swf", "dictatorial", "--alternatives", "4",
+         "--seed", "13"),
+        CHECK_AXIOMS_DICTATORIAL_4_ALTERNATIVES_JSON,
+        1,
     ),
     "audit-domain-pc-transitive-3": (
         ("audit-domain", "--domain", "pc-transitive", "--alternatives", "3"),
