@@ -191,9 +191,9 @@ def check_anonymity(
 ) -> AnonymityVerdict:
     """Whether renaming agents ever changes the output matrix (entrywise).
 
-    Each relabeled profile comes from `table` (see `_table`), so a
-    relabeling of a profile the caller already holds is that object, and
-    the memo lookup for it finds its matrix by identity."""
+    Each relabeled profile is looked up in `table` (see `_table`) and never
+    stored, so a relabeling of a profile the caller already holds is that
+    object, and the memo lookup for it finds its matrix by identity."""
     table = _table(profile.universe, table)
     base = f(profile)
     agents = profile.agents
@@ -207,22 +207,16 @@ def check_anonymity(
         pool = list(range(profile.n))
         perms = [tuple(rng.sample(pool, profile.n)) for _ in range(samples)]
         mode = f"sampled({samples}, seed={seed})"
-    # equal agents make relabelings repeat an agent sequence, and each is
-    # checked once; at n = 2 the only repeat is the profile itself, a memo hit
-    seen = None
-    if profile.n >= 3:
-        first: dict = {}
-        label = [first.setdefault(agent, len(first)) for agent in agents]
-        if len(first) < profile.n:
-            seen = {tuple(label)}
+    # equal agents, or a repeated draw, repeat an agent sequence: each is
+    # checked once, and the profile's own sequence not at all
+    seen = {agents}
     for pi in perms:
-        if seen is not None:
-            sequence = tuple([label[i] for i in pi])
-            if sequence in seen:
-                continue
-            seen.add(sequence)
-        # the memo is read, not filled: no relabeling is asked for again
-        relabeled = table.profile(tuple([agents[i] for i in pi]))
+        sequence = tuple([agents[i] for i in pi])
+        if sequence in seen:
+            continue
+        seen.add(sequence)
+        # table and memo are read, not filled: no relabeling is asked for again
+        relabeled = table.find(sequence) or Profile(profile.universe, sequence)
         if (f._cache.get(relabeled) or f.fn(relabeled)).entries != base.entries:
             return AnonymityVerdict(passed=False, witness=pi, mode=mode)
     return AnonymityVerdict(passed=True, witness=None, mode=mode)
@@ -828,8 +822,9 @@ class ValueTable:
     and lotteries by unreduced integer form (`lottery`).  A miss builds
     through the validating constructor and stores the value, so equal keys
     yield one object, a hit costs one lookup, and a memo lookup finds its
-    entry by identity.  There is no global table: a `check-axioms` command
-    keeps one for all of its phases."""
+    entry by identity.  `find` stores no miss, for anonymity relabelings,
+    which are never asked for again.  There is no global table: a
+    `check-axioms` command keeps one for all of its phases."""
 
     def __init__(self, universe: Universe):
         self.universe = universe
@@ -854,6 +849,10 @@ class ValueTable:
                 order = self._orders[pattern] = ranked_order(self.universe, pattern)
             self._ranks[key] = order
         return order
+
+    def find(self, agents: tuple) -> Profile | None:
+        """The stored profile of `agents`, or None; a miss stores nothing."""
+        return self._profiles.get(agents)
 
     def profile(self, agents: tuple) -> Profile:
         profile = self._profiles.get(agents)

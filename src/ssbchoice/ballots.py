@@ -400,7 +400,7 @@ class ProposalMatrix(_FrozenValue):
         for i, (department, row) in enumerate(zip(departments, shares)):
             if len(row) != len(alternatives):
                 raise ValueError("every row needs one share per alternative")
-            if not all(isinstance(x, (int, Fraction)) for x in row):
+            if any(x.__class__ is bool or not isinstance(x, (int, Fraction)) for x in row):
                 raise TypeError(f"shares must be ints or Fractions, got {row!r}")
             d, nums = _over_common_denominator(row)
             for j, x in enumerate(nums):

@@ -52,7 +52,7 @@ MAX_GRID_LOTTERIES = 1500
 # check-axioms work grows linearly in --samples, and in --agents only above 6:
 # up to 6 agents the anonymity check relabels each profile all n! ways, so 6 is
 # the slowest count within the limit.  At m=6 and 500 samples, 6 agents took
-# 16.5-18.2 s and 41 MiB, 50 agents 4.1-5.0 s and 58 MiB; 2000 agents at m=3
+# 8.9-9.3 s and 37 MiB, 50 agents 2.6-2.8 s and 54 MiB; 2000 agents at m=3
 # took 60 s when the limit was chosen
 MAX_AXIOM_AGENTS = 50
 MAX_AXIOM_SAMPLES = 500

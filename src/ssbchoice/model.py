@@ -29,8 +29,9 @@ from the class's field names.  A stored hash is the hash of the tuple of
 those fields, and pickling rebuilds the object rather than copying it,
 since a string's hash differs between processes.  There is no global cache: a
 caller that wants equal values shared keeps its own table: one `check-axioms`
-command takes its IIA pool, samples, relabelings and unanimity lotteries from
-one `axioms.ValueTable` of weak orders, profiles and lotteries.
+command takes its IIA pool, samples and unanimity lotteries from one
+`axioms.ValueTable` of weak orders, profiles and lotteries (relabelings are
+looked up there, never stored).
 """
 
 from __future__ import annotations

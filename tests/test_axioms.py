@@ -574,6 +574,15 @@ class TestCheckAnonymity:
         assert check_anonymity(f, profile).passed
         assert list(f._cache) == [profile]
 
+    def test_relabeled_profiles_are_not_stored(self):
+        table = ValueTable(ABC)
+        a, b, c = weak_orders(ABC, table)[:3]
+        for agents in ((a, b, c), (a, b, a, c), (c, a, b, b, a, c, a, b)):
+            profile = table.profile(agents)
+            stored = len(table._profiles)
+            assert check_anonymity(pairwise_utilitarian_swf(), profile, table=table).passed
+            assert len(table._profiles) == stored
+
 
 def reference_check_anonymity(f, profile, permutation_limit=6, samples=24, seed=0):
     """`check_anonymity` as it was while each relabeling was built afresh

@@ -294,6 +294,23 @@ class TestCheckAxioms:
         assert code == 0 and "169^2" in out
         assert len(builds) == 169
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_relabelings_are_not_kept_in_the_table(self, capsys, monkeypatch, seed):
+        # the table keeps the pool, the sampled profiles and the unanimity
+        # cases; the anonymity check looks each relabeling up and lets it go
+        tables = []
+        init = cli.axioms.ValueTable.__init__
+
+        def recording(self, universe):
+            tables.append(self)
+            init(self, universe)
+
+        monkeypatch.setattr(cli.axioms.ValueTable, "__init__", recording)
+        code, _, _ = run(capsys, "check-axioms", "--agents", 3, "--samples", 50,
+                         "--seed", seed)
+        assert code == 0
+        assert len(tables[0]._profiles) <= cli.MAX_AXIOM_POOL + 2 * 50
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "check-axioms", "--alternatives", 3, "--samples", 10, "--json"

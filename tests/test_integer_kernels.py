@@ -202,6 +202,14 @@ def test_inexact_shares_are_refused(share):
         ProposalMatrix(("x", "y"), ("A",), ((share,), (Fraction(1, 2),)))
 
 
+def test_bool_shares_are_refused():
+    # as Lottery, SSBMatrix and UtilityVector refuse them: a bool is no share
+    with pytest.raises(TypeError, match="shares must be ints or Fractions"):
+        ProposalMatrix(("d",), ("a", "b"), ((True, True),))
+    with pytest.raises(TypeError, match="shares must be ints or Fractions"):
+        ProposalMatrix(("x", "y"), ("A",), ((False,), (1,)))
+
+
 def test_budget_allocation_matches_fraction_body():
     rng = random.Random(23)
     for _ in range(200):
