@@ -262,7 +262,8 @@ def _cmd_aggregate(args) -> int:
             "agents": profile.n,
         })
     else:
-        print(f"Collective matrix ({agents} agents, sum of normalized "
+        noun = "agent" if profile.n == 1 else "agents"
+        print(f"Collective matrix ({agents} {noun}, sum of normalized "
               f"agent matrices):\n{render_matrix(matrix)}", end="")
     return EXIT_OK
 
@@ -290,11 +291,11 @@ def _cmd_solve(args) -> int:
     if budget:
         allocation = tuple(zip(proposals.departments,
                                budget_allocation(proposals, certificate.lottery)))
-    arena = matrix.universe.names
+    names = matrix.universe.names
     if args.json:
         payload = {
             "lottery": _lottery_json(certificate.lottery),
-            "slacks": {n: fraction_pair(s) for n, s in zip(arena, certificate.slack)},
+            "slacks": {n: fraction_pair(s) for n, s in zip(names, certificate.slack)},
             "unique": unique,
         }
         if face is not None:
@@ -307,7 +308,7 @@ def _cmd_solve(args) -> int:
     lines = ["Maximal lottery:", *_lottery_lines(certificate.lottery),
              "Slacks against pure outcomes (all exact, all >= 0):"]
     lines += [f"  vs {name}: {format_fraction(slack)}"
-              for name, slack in zip(arena, certificate.slack)]
+              for name, slack in zip(names, certificate.slack)]
     if unique:
         lines.append("This is the unique maximal lottery.")
     elif face is None:

@@ -9,10 +9,10 @@ integer form each, `scaled`: integers over one positive denominator
 other value, each utility included.
 
 `Universe` is where names become positions, for every layer: a name
-(`index`), a subset (`positions`, `subset`), a renaming (`permutation`),
-a name -> value mapping (`assignment`) and a sparse lottery in integer
-form (`lottery`) each resolve there, with one set of errors.  Lookups take
-names only: a position, even a valid one, is an unknown alternative.
+(`index`), a subset (`positions`, `subset`), a renaming (`permutation`)
+and a name -> value mapping (`assignment`) each resolve there, with one
+set of errors.  Lookups take names only: a position, even a valid one, is
+an unknown alternative.
 
 Values are immutable after construction and safe to share between
 threads: every field is set by the constructor and none is written
@@ -202,14 +202,6 @@ class Universe(_FrozenValue):
         self._check_known(values)
         return tuple([frac(values.get(n, 0)) for n in self.names])
 
-    def lottery(self, d: int, entries: Iterable[tuple[int, int]]) -> "Lottery":
-        """The lottery with the given (position, numerator) entries over the
-        denominator d, 0 elsewhere."""
-        nums = [0] * len(self.names)
-        for i, x in entries:
-            nums[i] = x
-        return Lottery.from_scaled(self, d, nums)
-
     def pure(self, name: str) -> "Lottery":
         """The one-point lottery on `name`."""
         nums = [0] * len(self.names)
@@ -302,9 +294,6 @@ class Lottery(_IntegerForm):
 
     def __getitem__(self, name: str) -> Fraction:
         return self.probs[self.universe.index(name)]
-
-    def support(self) -> tuple[str, ...]:
-        return tuple(n for n, x in zip(self.universe.names, self.scaled[1]) if x)
 
 
 def mix(p: Lottery, q: Lottery, lam: Rational) -> Lottery:

@@ -1,10 +1,13 @@
 """Maximal lotteries: exact zero-sum-game solving over rational matrices.
 
-A lottery p is maximal on a set of alternatives X when p' phi e_b >= 0
-for every b in X, i.e. p is an optimal strategy of the symmetric zero-sum
-game whose payoff matrix is phi restricted to X.  Existence follows from
-the Minimax Theorem; everything here certifies it constructively and
-exactly.
+A lottery p is maximal when p' phi e_b >= 0 for every alternative b,
+i.e. p is an optimal strategy of the symmetric zero-sum game whose payoff
+matrix is phi.  Existence follows from the Minimax Theorem; everything
+here certifies it constructively and exactly.  Each function solves the
+matrix it is given, over its whole universe: a question about a subset X
+of the alternatives is asked of `ssb.restrict(phi, X)`, the game on X,
+and `choose(phi, FeasiblePolytope.delta(universe, X))` gives a maximal
+lottery on X over the whole universe.
 
 The game LP "maximize v subject to p' phi >= v 1, sum p = 1, p >= 0" is
 solved through its classical standard-form reduction: shift the payoff
@@ -20,10 +23,10 @@ p = K y satisfies (phi p)_a <= 0 for every row a (substitute sum(y) into
 (phi + K) y <= 1), hence p' phi >= 0 componentwise by skew-symmetry:
 one solve yields the maximal lottery and its certificate.
 
-The simplex runs only when no alternative of the arena is a strict
-Condorcet winner.  Maximal lotteries are Condorcet-consistent: if row c
-is > 0 off the diagonal, the pure lottery on c is the only maximal
-lottery, and its certificate (row c as the slacks) is exact as read.
+The simplex runs only when no alternative is a strict Condorcet winner.
+Maximal lotteries are Condorcet-consistent: if row c is > 0 off the
+diagonal, the pure lottery on c is the only maximal lottery, and its
+certificate (row c as the slacks) is exact as read.
 `maximal_lottery` returns it at once and `unique_optimum` answers it
 without a linear system.  Since that optimum is unique, every correct
 solver returns it, so the output is byte-identical to the simplex's.
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import FeasiblePolytope, Lottery, _FrozenValue, same_universe
 from .ssb import SSBMatrix, _over_common_denominator, evaluate
@@ -60,8 +63,8 @@ class MaximalityCertificate(_FrozenValue):
     """A lottery together with its exact slacks against every opposing vertex.
 
     slack[j] = evaluate(phi, lottery, vertex_j) and every slack is >= 0
-    (`maximal_lottery` checks it); for sub-simplex problems the opposing
-    vertices are the pure outcomes of the arena in universe order.
+    (`maximal_lottery` checks it); the opposing vertices are the pure
+    outcomes of phi's alternatives in universe order.
     """
 
     _FIELDS = ("lottery", "slack")
@@ -140,32 +143,20 @@ def _optimal_strategy(payoff: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     return d, nums
 
 
-def _arena(phi: SSBMatrix, names: Iterable[str] | None):
-    """The arena's names, their ascending universe positions, and phi's
-    integer rows (`phi.scaled`) among them."""
-    idx = phi.universe.positions(names)
-    arena = tuple([phi.universe.names[a] for a in idx])
-    rows = phi.scaled[1]
-    return arena, idx, [[rows[a][b] for b in idx] for a in idx]
-
-
-def _slacks(sub, d: int, nums: Sequence[int]) -> tuple[Fraction, ...]:
-    """(p' R)_b / d for each b of the arena, p = nums and integer rows R
-    (`sub`) given on it: the slacks of nums / d0 against R / D when d is
-    d0 * D."""
-    support = [(x, row) for x, row in zip(nums, sub) if x]
+def _slacks(rows, d: int, nums: Sequence[int]) -> tuple[Fraction, ...]:
+    """(p' R)_b / d for each alternative b, p = nums and integer rows R: the
+    slacks of nums / d0 against R / D when d is d0 * D."""
+    support = [(x, row) for x, row in zip(nums, rows) if x]
     return tuple([Fraction(sum([x * row[b] for x, row in support]), d)
-                  for b in range(len(sub))])
+                  for b in range(len(rows))])
 
 
-def maximal_lottery(
-    phi: SSBMatrix, names: Iterable[str] | None = None
-) -> MaximalityCertificate:
-    """One maximal lottery on the given alternatives, with exact certificate.
+def maximal_lottery(phi: SSBMatrix) -> MaximalityCertificate:
+    """One maximal lottery of phi, with exact certificate.
 
-    If one alternative c of the arena is a strict Condorcet winner (every
-    other entry of its row is > 0), the pure lottery on c is returned with
-    row c as its slacks, and no simplex runs: any maximal q has
+    If one alternative c is a strict Condorcet winner (every other entry
+    of its row is > 0), the pure lottery on c is returned with row c as
+    its slacks, and no simplex runs: any maximal q has
     (q' phi)_c = sum_a q_a phi[a][c] >= 0 with phi[a][c] < 0 for a != c,
     so q is pure on c, the only maximal lottery.  Bland's simplex, being
     correct, returns that same lottery, so the shortcut changes no output.
@@ -175,33 +166,32 @@ def maximal_lottery(
     resolve to its first optimal basic solution under a fixed pivot order,
     so the output is deterministic; `unique_optimum` says whether it is
     the only one, and `maximal_set` lists the vertices of the whole
-    optimal face.
+    optimal face.  On a subset X of the alternatives, solve
+    `maximal_lottery(restrict(phi, X))`.
     """
-    _, idx, sub = _arena(phi, names)
-    scale = phi.scaled[0]
-    for c, row in enumerate(sub):
+    universe = phi.universe
+    scale, rows = phi.scaled
+    for c, row in enumerate(rows):
         if min(row[:c] + row[c + 1:], default=1) > 0:
-            return MaximalityCertificate(phi.universe.lottery(1, [(idx[c], 1)]),
+            return MaximalityCertificate(universe.pure(universe.names[c]),
                                          tuple([Fraction(x, scale) for x in row]))
-    d, nums = _optimal_strategy(sub)
-    slack = _slacks(sub, d * scale, nums)
+    d, nums = _optimal_strategy(rows)
+    slack = _slacks(rows, d * scale, nums)
     if min(slack) < 0:
         raise SolverDefect(f"negative slack in certificate: {slack}")
-    return MaximalityCertificate(phi.universe.lottery(d, zip(idx, nums)), slack)
+    return MaximalityCertificate(Lottery.from_scaled(universe, d, nums), slack)
 
 
-def is_maximal(phi: SSBMatrix, p: Lottery, names: Iterable[str] | None = None) -> bool:
-    """Whether p beats-or-ties every pure outcome of the arena.
+def is_maximal(phi: SSBMatrix, p: Lottery) -> bool:
+    """Whether p beats-or-ties every pure outcome.
 
-    By bilinearity this is equivalent to beating-or-tying every lottery
-    on the arena, so it is a complete maximality test.
+    By bilinearity this is equivalent to beating-or-tying every lottery,
+    so it is a complete maximality test.
     """
     same_universe(phi, p)
-    arena, idx, sub = _arena(phi, names)
-    if not set(p.support()) <= set(arena):
-        raise ValueError(f"support {p.support()} outside arena {arena}")
     d, nums = p.scaled
-    return all(s >= 0 for s in _slacks(sub, d * phi.scaled[0], [nums[i] for i in idx]))
+    scale, rows = phi.scaled
+    return all(s >= 0 for s in _slacks(rows, d * scale, nums))
 
 
 def _solve_unique(rows: list, n: int) -> tuple[int, list[int]] | None:
@@ -222,12 +212,8 @@ def _solve_unique(rows: list, n: int) -> tuple[int, list[int]] | None:
     return sign * d, [sign * row[-1] for row in rows[:n]]
 
 
-def unique_optimum(
-    phi: SSBMatrix,
-    certificate: MaximalityCertificate,
-    names: Iterable[str] | None = None,
-) -> bool:
-    """Whether the certificate's lottery is the only maximal lottery on the arena.
+def unique_optimum(phi: SSBMatrix, certificate: MaximalityCertificate) -> bool:
+    """Whether the certificate's lottery is the only maximal lottery of phi.
 
     Exact, polynomial, and in agreement with `maximal_set`'s flag.  By
     Tucker's theorem on skew-symmetric systems, some maximal lottery p* is
@@ -253,37 +239,30 @@ def unique_optimum(
     its slacks, as it is (for an integer matrix, its integer row).
     """
     same_universe(phi, certificate.lottery)
-    d, nums = certificate.lottery.scaled
+    d, p = certificate.lottery.scaled
     if d == 1:
-        c = nums.index(1)
-        idx = phi.universe.positions(names)
-        if c not in idx or tuple([phi.entries[c][b] for b in idx]) != certificate.slack:
-            raise ValueError("certificate does not belong to phi on arena "
-                             f"{tuple([phi.universe.names[a] for a in idx])}")
-        return certificate.slack.count(0) == 1  # c's own slack is the one zero
-    arena, idx, sub = _arena(phi, names)
-    k = len(arena)
-    p = [nums[i] for i in idx]
-    slack = _slacks(sub, d * phi.scaled[0], p)
-    if sum(p) != d or slack != certificate.slack:
-        raise ValueError(f"certificate does not belong to phi on arena {arena}")
+        if tuple(phi.entries[p.index(1)]) != certificate.slack:
+            raise ValueError("certificate does not belong to phi")
+        return certificate.slack.count(0) == 1  # the winner's own slack is the one zero
+    scale, rows = phi.scaled
+    slack = _slacks(rows, d * scale, p)
+    if slack != certificate.slack:
+        raise ValueError("certificate does not belong to phi")
     if any(x == 0 and s == 0 for x, s in zip(p, slack)):
         return False
-    support = [a for a in range(k) if p[a]]
-    rows = [[sub[a][b] for a in support] + [0] for b in support]
-    rows.append([1] * (len(support) + 1))
-    point = _solve_unique(rows, len(support))
+    support = [a for a, x in enumerate(p) if x]
+    system = [[rows[a][b] for a in support] + [0] for b in support]
+    system.append([1] * (len(support) + 1))
+    point = _solve_unique(system, len(support))
     if point is not None and [x * d for x in point[1]] != [p[a] * point[0] for a in support]:
         raise SolverDefect("the face system's only solution is not the certificate")
     return point is not None
 
 
-def maximal_set(
-    phi: SSBMatrix, names: Iterable[str] | None = None, max_enum: int = 8
-) -> tuple[list[Lottery], bool]:
+def maximal_set(phi: SSBMatrix, *, max_enum: int = 8) -> tuple[list[Lottery], bool]:
     """All vertices of the polytope of maximal lotteries, plus a uniqueness flag.
 
-    The maximal lotteries on X form the polytope
+    The maximal lotteries of phi over the alternatives X form the polytope
         P = {p in Delta_X : (p' phi)_b >= 0 for all b in X},
     and every maximal p has (p' phi)_b = 0 on its own support (a positive
     probability on a strictly-positive slack would contradict p' phi p = 0).
@@ -294,34 +273,31 @@ def maximal_set(
 
     Exponential in |X|, hence the enumeration bound (default 8).
     """
-    universe = phi.universe
-    arena, idx, sub = _arena(phi, names)
-    k = len(arena)
+    rows = phi.scaled[1]
+    k = len(rows)
     if k > max_enum:
         raise ValueError(f"|X| = {k} exceeds enumeration bound {max_enum}")
     # integer rows [coefficients..., rhs], built once for all 3^k patterns
     zero_rows = [[int(j == a) for j in range(k)] + [0] for a in range(k)]
-    tight_rows = [[r[b] for r in sub] + [0] for b in range(k)]
+    tight_rows = [[r[b] for r in rows] + [0] for b in range(k)]
     sum_row = [1] * (k + 1)
 
     found: dict[tuple[Fraction, ...], tuple[int, list[int]]] = {}
     for pattern in itertools.product((0, 1, 2), repeat=k):
-        rows = [sum_row]
+        system = [sum_row]
         for a, choice in enumerate(pattern):
             if choice != 1:  # 0 = coordinate zero, 2 = both
-                rows.append(zero_rows[a])
+                system.append(zero_rows[a])
             if choice != 0:  # 1 = tight column, 2 = both
-                rows.append(tight_rows[a])
-        point = _solve_unique(rows, k)
+                system.append(tight_rows[a])
+        point = _solve_unique(system, k)
         if point is None or min(point[1]) < 0:
             continue
-        if min(_slacks(sub, *point)) < 0:  # phi's scale changes no sign
+        if min(_slacks(rows, *point)) < 0:  # phi's scale changes no sign
             continue
         d, nums = point
         found[tuple([Fraction(x, d) for x in nums])] = point
-    # every vertex is 0 off the ascending arena, so sorting arena points
-    # orders the vertices as sorting their full vectors would
-    vertices = [universe.lottery(d, zip(idx, nums))
+    vertices = [Lottery.from_scaled(phi.universe, d, nums)
                 for _, (d, nums) in sorted(found.items())]
     if not vertices:
         raise SolverDefect("empty maximal set; existence guarantee violated")

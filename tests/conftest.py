@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from ssbchoice import (
+    Lottery,
     Profile,
     Universe,
     majority_margins,
@@ -22,6 +23,13 @@ def permuted(profile: Profile, permutation) -> Profile:
         raise ValueError("not a permutation of the agent set")
     agents = profile.agents
     return Profile(profile.universe, tuple(agents[i] for i in permutation))
+
+
+def lottery_on(universe: Universe, p: Lottery) -> Lottery:
+    """p as a lottery of another universe that holds p's support, with 0 on
+    the alternatives p's universe lacks: the lottery of a restricted matrix
+    padded to the whole universe, or the other way round."""
+    return Lottery.of(universe, {n: x for n, x in zip(p.universe.names, p.probs) if x})
 
 
 def read_fixture(name: str) -> str:

@@ -24,6 +24,15 @@ alternatives: A, B, C, D
 -80  10 -80   0
 """
 
+# one voter: the count takes the singular noun
+AGGREGATE_CHAIN3 = """\
+Collective matrix (1 agent, sum of normalized agent matrices):
+alternatives: a, b, c
+ 0  1 1
+-1  0 1
+-1 -1 0
+"""
+
 MAXIMAL_LOTTERY_CONDORCET_JSON = (
     '{"lottery": {"a": ["1", "3"], "b": ["1", "3"], "c": ["1", "3"]}, '
     '"slacks": {"a": ["0", "1"], "b": ["0", "1"], "c": ["0", "1"]}, '
@@ -430,6 +439,7 @@ AXIOMS_CAPTURED = {  # name: (flags, text stdout, --json stdout, exit code)
 
 GOLDEN = {
     "aggregate-table1": (("aggregate", TABLE1), AGGREGATE_TABLE1),
+    "aggregate-chain3": (("aggregate", FIXTURES / "chain3.ballots"), AGGREGATE_CHAIN3),
     "maximal-lottery-json-condorcet": (
         ("maximal-lottery", "--json", FIXTURES / "condorcet.ballots"),
         MAXIMAL_LOTTERY_CONDORCET_JSON,

@@ -27,7 +27,6 @@ from ssbchoice import (
     is_dichotomous,
     is_maximal,
     maximal_lottery,
-    maximal_set,
     mix,
     parse_ballots,
     restrict,
@@ -104,18 +103,14 @@ RESOLUTION_FAILURES = {
     "restrict unknown": (lambda: restrict(CYCLE, ["b", "x", "y"]),
                          (KeyError, "unknown alternatives ['x', 'y']")),
     "restrict empty": (lambda: restrict(CYCLE, []), EMPTY_SUBSET),
-    "maximal_lottery unknown": (lambda: maximal_lottery(CYCLE, ["x"]),
-                                (KeyError, "unknown alternatives ['x']")),
-    "maximal_lottery empty": (lambda: maximal_lottery(CYCLE, ()), EMPTY_SUBSET),
-    "is_maximal unknown": (lambda: is_maximal(CYCLE, PURE_A, ["a", "q"]),
-                           (KeyError, "unknown alternatives ['q']")),
-    "is_maximal empty": (lambda: is_maximal(CYCLE, PURE_A, set()), EMPTY_SUBSET),
-    "is_maximal outside arena": (lambda: is_maximal(CYCLE, PURE_A, ["b", "c"]),
-                                 (ValueError, "support ('a',) outside arena ('b', 'c')")),
-    "unique_optimum other arena": (
-        lambda: unique_optimum(CYCLE, maximal_lottery(CYCLE), ["c", "a"]),
-        (ValueError, "certificate does not belong to phi on arena ('a', 'c')")),
-    "maximal_set empty": (lambda: maximal_set(CYCLE, []), EMPTY_SUBSET),
+    # the solver asks about a subset through `restrict`, whose rows above
+    # name its errors; a lottery of the whole universe is no lottery of it
+    "is_maximal other universe": (
+        lambda: is_maximal(restrict(CYCLE, ["b", "c"]), PURE_A),
+        (UniverseMismatchError, "universe mismatch: ('b', 'c') vs ('a', 'b', 'c')")),
+    "unique_optimum other universe": (
+        lambda: unique_optimum(restrict(CYCLE, ["c", "a"]), maximal_lottery(CYCLE)),
+        (UniverseMismatchError, "universe mismatch: ('a', 'c') vs ('a', 'b', 'c')")),
     "FeasiblePolytope.delta unknown": (lambda: FeasiblePolytope.delta(ABC, ["a", "x"]),
                                        (KeyError, "unknown alternatives ['x']")),
     "FeasiblePolytope.delta empty": (lambda: FeasiblePolytope.delta(ABC, []), EMPTY_SUBSET),
@@ -135,7 +130,6 @@ class TestResolution:
         u = Universe(("alpha", "beta", "c"))
         phi = SSBMatrix(u, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])
         assert restrict(phi, "beta") == SSBMatrix.zero(Universe(("beta",)))
-        assert maximal_lottery(phi, "beta").lottery == u.pure("beta")
         assert FeasiblePolytope.delta(u, "beta").vertices == (u.pure("beta"),)
         with pytest.raises(KeyError, match="unknown alternatives \\['ab'\\]"):
             restrict(SSBMatrix.zero(ABC), "ab")
@@ -170,9 +164,6 @@ class TestResolution:
         assert u.positions(None) == [0, 1, 2]
         assert u.permutation({"x": "y", "y": "z", "z": "x"}) == [1, 2, 0]
         assert u.assignment({"y": "1/2"}) == (0, Fraction(1, 2), 0)
-        assert u.lottery(3, [(2, 1), (0, 2)]).probs == (
-            Fraction(2, 3), 0, Fraction(1, 3))
-        assert u.lottery(6, [(2, 2), (0, 4)]).scaled == (3, (2, 0, 1))
 
 
 class TestLottery:
@@ -216,15 +207,15 @@ class TestLottery:
         assert p == q == r and hash(p) == hash(q) == hash(r)
         assert "scaled" not in repr(p)
 
-    def test_support(self):
+    def test_omitted_names_get_zero(self):
         p = Lottery.of(ABC, {"a": Fraction(1, 3), "c": Fraction(2, 3)})
-        assert p.support() == ("a", "c")
+        assert p.scaled == (3, (1, 0, 2))
         assert p["b"] == 0
 
     def test_pure(self):
         p = ABC.pure("b")
         assert p.probs == (Fraction(0), Fraction(1), Fraction(0))
-        assert p.support() == ("b",)
+        assert p.scaled == (1, (0, 1, 0))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,13 +18,16 @@ from ssbchoice import (
     maximal_lottery,
     maximal_set,
     mix,
+    restrict,
     solver,
     unique_optimum,
     weak_order,
 )
 from ssbchoice.aggregate import approval_aggregate
 from ssbchoice.axioms import random_lottery, random_ssb_matrix
-from ssbchoice.model import _over_common_denominator, ranked_order
+from ssbchoice.model import UniverseMismatchError, _over_common_denominator, ranked_order
+
+from conftest import lottery_on
 
 ABC = Universe(("a", "b", "c"))
 
@@ -111,11 +114,12 @@ class TestMaximalLottery:
         cert = maximal_lottery(phi)
         assert cert.lottery == ABC.pure("a")
 
-    def test_subset_arena(self, table1_margins):
-        cert = maximal_lottery(table1_margins, ["A", "B"])
+    def test_subset(self, table1_margins):
+        sub = restrict(table1_margins, ["A", "B"])
+        cert = maximal_lottery(sub)
         # A beats B 40 head-to-head
-        assert cert.lottery == table1_margins.universe.pure("A")
-        assert set(cert.lottery.support()) <= {"A", "B"}
+        assert cert.lottery == sub.universe.pure("A")
+        assert cert.slack == (0, 40)
 
     def test_zero_matrix(self):
         cert = maximal_lottery(SSBMatrix.zero(ABC))
@@ -137,7 +141,7 @@ class TestMaximalLottery:
         rows = [[0] * 12 for _ in range(12)]
         rows[0][1], rows[1][0] = 1, -1
         lopsided = SSBMatrix(u, rows)
-        assert maximal_lottery(lopsided).lottery.support() == ("x0",)
+        assert maximal_lottery(lopsided).lottery == u.pure("x0")
 
 
 def integer_matrix(rng, m, zero_rate, values):
@@ -212,8 +216,8 @@ class TestDeterministicPick:
             phi = rational_matrix(rng, rng.randint(2, 7))
             d, nums = solver._optimal_strategy(phi.scaled[1])
             ref_d, ref_nums = fraction_shift_bland(phi.entries)
-            assert (phi.universe.lottery(d, enumerate(nums))
-                    == phi.universe.lottery(ref_d, enumerate(ref_nums)))
+            assert (Lottery.from_scaled(phi.universe, d, nums)
+                    == Lottery.from_scaled(phi.universe, ref_d, ref_nums))
             cert = bland_maximal_lottery(phi)
             kinds["integral" if phi.scaled[0] == 1 else "rational"] += 1
             kinds["non-unique"] += not unique_optimum(phi, cert)
@@ -268,31 +272,30 @@ class TestDeterministicPick:
 BLAND = solver._optimal_strategy
 
 
-def bland_maximal_lottery(phi, names=None):
-    """`maximal_lottery` with Bland's simplex on every arena."""
-    _, idx, sub = solver._arena(phi, names)
-    d, nums = BLAND(sub)
-    slack = solver._slacks(sub, d * phi.scaled[0], nums)
+def bland_maximal_lottery(phi):
+    """`maximal_lottery` with Bland's simplex on every matrix."""
+    scale, rows = phi.scaled
+    d, nums = BLAND(rows)
+    slack = solver._slacks(rows, d * scale, nums)
     assert min(slack) >= 0
-    return MaximalityCertificate(phi.universe.lottery(d, zip(idx, nums)), slack)
+    return MaximalityCertificate(Lottery.from_scaled(phi.universe, d, nums), slack)
 
 
-def face_system_unique_optimum(phi, certificate, names=None):
+def face_system_unique_optimum(phi, certificate):
     """`unique_optimum` with the face system for every certificate, pure
     ones included."""
-    arena, idx, sub = solver._arena(phi, names)
-    d, nums = certificate.lottery.scaled
-    p = [nums[i] for i in idx]
-    slack = solver._slacks(sub, d * phi.scaled[0], p)
-    if sum(p) != d or slack != certificate.slack:
-        raise ValueError(f"certificate does not belong to phi on arena {arena}")
+    scale, rows = phi.scaled
+    d, p = certificate.lottery.scaled
+    slack = solver._slacks(rows, d * scale, p)
+    if slack != certificate.slack:
+        raise ValueError("certificate does not belong to phi")
     if any(x == 0 and s == 0 for x, s in zip(p, slack)):
         return False
-    support = [a for a in range(len(arena)) if p[a]]
-    rows = [_over_common_denominator([sub[a][b] for a in support])[1] + [0]
-            for b in support]
-    rows.append([1] * (len(support) + 1))
-    return solver._solve_unique(rows, len(support)) is not None
+    support = [a for a, x in enumerate(p) if x]
+    system = [_over_common_denominator([rows[a][b] for a in support])[1] + [0]
+              for b in support]
+    system.append([1] * (len(support) + 1))
+    return solver._solve_unique(system, len(support)) is not None
 
 
 def weak_order_margins(rng, u):
@@ -332,18 +335,16 @@ class TestCondorcetShortcut:
             kind = list(self.KINDS)[i % len(self.KINDS)]
             u = Universe(tuple(f"x{a}" for a in range(rng.randint(1, 8))))
             phi = self.KINDS[kind](rng, u)
-            names = None
             if rng.random() < 0.3:
-                names = rng.sample(u.names, rng.randint(1, len(u)))
+                phi = restrict(phi, rng.sample(u.names, rng.randint(1, len(u))))
             before = len(calls)
-            cert = maximal_lottery(phi, names)
+            cert = maximal_lottery(phi)
             paths[kind, "bland" if len(calls) > before else "shortcut"] += 1
-            want = bland_maximal_lottery(phi, names)
+            want = bland_maximal_lottery(phi)
             assert cert.lottery == want.lottery
             assert cert.slack == want.slack
             assert [type(x) for x in cert.slack] == [type(x) for x in want.slack]
-            assert (unique_optimum(phi, cert, names)
-                    == face_system_unique_optimum(phi, want, names))
+            assert unique_optimum(phi, cert) == face_system_unique_optimum(phi, want)
         assert min(paths.values()) > 0, paths
 
     def test_altered_slack_of_a_pure_certificate_rejected(self, chain3_matrix):
@@ -355,15 +356,18 @@ class TestCondorcetShortcut:
             with pytest.raises(ValueError, match="does not belong"):
                 unique_optimum(chain3_matrix, MaximalityCertificate(cert.lottery, tuple(slack)))
 
-    def test_pure_certificate_of_another_arena_rejected(self, table1_margins):
+    def test_pure_certificate_of_a_submatrix_rejected(self, table1_margins):
+        u = table1_margins.universe
         for names, outside in ((["A", "B"], ["B", "C"]), (["C", "D"], ["A", "B", "D"])):
-            cert = maximal_lottery(table1_margins, names)
+            sub = restrict(table1_margins, names)
+            cert = maximal_lottery(sub)
             assert cert.lottery.scaled[0] == 1
-            assert unique_optimum(table1_margins, cert, names)
+            assert unique_optimum(sub, cert)
+            padded = MaximalityCertificate(lottery_on(u, cert.lottery), cert.slack)
             with pytest.raises(ValueError, match="does not belong"):
-                unique_optimum(table1_margins, cert)
-            with pytest.raises(ValueError, match="does not belong"):
-                unique_optimum(table1_margins, cert, outside)  # winner outside
+                unique_optimum(table1_margins, padded)
+            with pytest.raises(UniverseMismatchError):
+                unique_optimum(restrict(table1_margins, outside), cert)
 
     def test_pure_certificate_of_another_matrix_rejected(self, chain3_matrix):
         cert = maximal_lottery(chain3_matrix)
@@ -371,6 +375,130 @@ class TestCondorcetShortcut:
                             [[2 * x for x in row] for row in chain3_matrix.entries])
         with pytest.raises(ValueError, match="does not belong"):
             unique_optimum(doubled, cert)
+
+
+# -- the arena solver: the four functions as they were when they took a
+# subset X of the alternatives themselves, kept as the oracle for solving
+# `restrict(phi, X)` --
+
+def arena(phi, names):
+    """The arena's names, their ascending universe positions, and phi's
+    integer rows (`phi.scaled`) among them."""
+    idx = phi.universe.positions(names)
+    names = tuple([phi.universe.names[a] for a in idx])
+    rows = phi.scaled[1]
+    return names, idx, [[rows[a][b] for b in idx] for a in idx]
+
+
+def arena_lottery(universe, d, entries):
+    """The lottery with the given (position, numerator) entries over the
+    denominator d, 0 elsewhere."""
+    nums = [0] * len(universe)
+    for i, x in entries:
+        nums[i] = x
+    return Lottery.from_scaled(universe, d, nums)
+
+
+def arena_maximal_lottery(phi, names):
+    _, idx, sub = arena(phi, names)
+    scale = phi.scaled[0]
+    for c, row in enumerate(sub):
+        if min(row[:c] + row[c + 1:], default=1) > 0:
+            return MaximalityCertificate(arena_lottery(phi.universe, 1, [(idx[c], 1)]),
+                                         tuple([Fraction(x, scale) for x in row]))
+    d, nums = solver._optimal_strategy(sub)
+    slack = solver._slacks(sub, d * scale, nums)
+    assert min(slack) >= 0
+    return MaximalityCertificate(arena_lottery(phi.universe, d, zip(idx, nums)), slack)
+
+
+def arena_is_maximal(phi, p, names):
+    names, idx, sub = arena(phi, names)
+    support = {n for n, x in zip(phi.universe.names, p.probs) if x}
+    if not support <= set(names):
+        raise ValueError(f"support {sorted(support)} outside arena {names}")
+    d, nums = p.scaled
+    return all(s >= 0 for s in solver._slacks(sub, d * phi.scaled[0], [nums[i] for i in idx]))
+
+
+def arena_unique_optimum(phi, certificate, names):
+    d, nums = certificate.lottery.scaled
+    if d == 1:
+        c = nums.index(1)
+        idx = phi.universe.positions(names)
+        if c not in idx or tuple([phi.entries[c][b] for b in idx]) != certificate.slack:
+            raise ValueError("certificate does not belong to phi on the arena")
+        return certificate.slack.count(0) == 1
+    names, idx, sub = arena(phi, names)
+    p = [nums[i] for i in idx]
+    slack = solver._slacks(sub, d * phi.scaled[0], p)
+    if sum(p) != d or slack != certificate.slack:
+        raise ValueError(f"certificate does not belong to phi on arena {names}")
+    if any(x == 0 and s == 0 for x, s in zip(p, slack)):
+        return False
+    support = [a for a in range(len(names)) if p[a]]
+    rows = [[sub[a][b] for a in support] + [0] for b in support]
+    rows.append([1] * (len(support) + 1))
+    return solver._solve_unique(rows, len(support)) is not None
+
+
+def arena_maximal_set(phi, names):
+    _, idx, sub = arena(phi, names)
+    k = len(idx)
+    zero_rows = [[int(j == a) for j in range(k)] + [0] for a in range(k)]
+    tight_rows = [[r[b] for r in sub] + [0] for b in range(k)]
+    found = {}
+    for pattern in itertools.product((0, 1, 2), repeat=k):
+        rows = [[1] * (k + 1)]
+        for a, choice in enumerate(pattern):
+            if choice != 1:
+                rows.append(zero_rows[a])
+            if choice != 0:
+                rows.append(tight_rows[a])
+        point = solver._solve_unique(rows, k)
+        if point is None or min(point[1]) < 0 or min(solver._slacks(sub, *point)) < 0:
+            continue
+        d, nums = point
+        found[tuple([Fraction(x, d) for x in nums])] = point
+    vertices = [arena_lottery(phi.universe, d, zip(idx, nums))
+                for _, (d, nums) in sorted(found.items())]
+    return vertices, len(vertices) == 1
+
+
+class TestRestrictAgainstArena:
+    """Each solver function on `restrict(phi, X)` against the arena solver
+    on X: the pick padded with zeros, its slacks and their types,
+    uniqueness, maximality and, for |X| <= 6, the maximal set."""
+
+    @pytest.mark.parametrize("kind", TestCondorcetShortcut.KINDS)
+    def test_every_function_agrees(self, kind):
+        rng = random.Random(f"restrict {kind}")
+        generate = TestCondorcetShortcut.KINDS[kind]
+        counts = {"unique": 0, "not unique": 0, "maximal sets": 0}
+        for _ in range(250):
+            u = Universe(tuple(f"x{a}" for a in range(rng.randint(1, 8))))
+            phi = generate(rng, u)
+            names = rng.sample(u.names, rng.randint(1, len(u)))
+            sub = restrict(phi, names)
+            cert = maximal_lottery(sub)
+            want = arena_maximal_lottery(phi, names)
+            assert lottery_on(u, cert.lottery) == want.lottery
+            assert cert.slack == want.slack
+            assert [type(x) for x in cert.slack] == [type(x) for x in want.slack]
+            unique = unique_optimum(sub, cert)
+            assert unique == arena_unique_optimum(phi, want, names)
+            counts["unique" if unique else "not unique"] += 1
+            lotteries = [cert.lottery, random_lottery(rng, sub.universe)]
+            if len(names) <= 6:
+                vertices, enumerated = maximal_set(sub)
+                want_vertices, want_enumerated = arena_maximal_set(phi, names)
+                assert [lottery_on(u, v) for v in vertices] == want_vertices
+                assert enumerated == want_enumerated == unique
+                lotteries += vertices
+                counts["maximal sets"] += 1
+            for p in lotteries:
+                assert is_maximal(sub, p) == arena_is_maximal(phi, lottery_on(u, p), names)
+        assert min(counts.values()) > 0, counts
 
 
 class TestAgainstHighs:
@@ -445,10 +573,10 @@ class TestIsMaximal:
         for _ in range(30):
             assert is_maximal(zero, random_lottery(rng, ABC))
 
-    def test_support_outside_arena_rejected(self, table1_margins):
+    def test_lottery_of_another_universe_rejected(self, table1_margins):
         u = table1_margins.universe
-        with pytest.raises(ValueError):
-            is_maximal(table1_margins, u.pure("D"), ["A", "B", "C"])
+        with pytest.raises(UniverseMismatchError):
+            is_maximal(restrict(table1_margins, ["A", "B", "C"]), u.pure("D"))
 
 
 class TestMaximalSet:
@@ -464,11 +592,10 @@ class TestMaximalSet:
         assert unique and vertices[0].probs == (Fraction(1, 3),) * 3
 
     def test_zero_matrix_pair(self):
-        vertices, unique = maximal_set(SSBMatrix.zero(ABC), ["a", "b"])
+        pair = restrict(SSBMatrix.zero(ABC), ["a", "b"])
+        vertices, unique = maximal_set(pair)
         assert not unique
-        assert {v.probs for v in vertices} == {
-            ABC.pure("a").probs, ABC.pure("b").probs,
-        }
+        assert vertices == [pair.universe.pure("b"), pair.universe.pure("a")]  # ascending
 
     def test_degenerate_tied_block(self):
         # a and b tie each other while columns c and d force p_a = p_b (and
@@ -496,6 +623,8 @@ class TestMaximalSet:
             maximal_set(SSBMatrix.zero(u))
         vertices, unique = maximal_set(SSBMatrix.zero(u), max_enum=9)
         assert len(vertices) == 9 and not unique
+        with pytest.raises(TypeError):
+            maximal_set(SSBMatrix.zero(u), 9)  # the bound is keyword-only
 
     def test_contains_simplex_solution(self):
         rng = random.Random(59)
@@ -511,10 +640,10 @@ class TestUniqueOptimum:
     """The polynomial test must agree with the enumerated maximal set."""
 
     @staticmethod
-    def agrees(phi, names=None):
-        cert = maximal_lottery(phi, names)
-        _, enumerated = maximal_set(phi, names)
-        assert unique_optimum(phi, cert, names) == enumerated
+    def agrees(phi):
+        cert = maximal_lottery(phi)
+        _, enumerated = maximal_set(phi)
+        assert unique_optimum(phi, cert) == enumerated
         return enumerated
 
     def test_fixtures(self, table1_margins, condorcet_matrix):
@@ -524,7 +653,7 @@ class TestUniqueOptimum:
             [-1, 1, 0, 0],
             [1, -1, 0, 0],
         ])
-        assert not self.agrees(SSBMatrix.zero(ABC), ["a", "b"])
+        assert not self.agrees(restrict(SSBMatrix.zero(ABC), ["a", "b"]))
         assert not self.agrees(tied_block)
         assert self.agrees(SSBMatrix.zero(Universe(("solo",))))
         assert self.agrees(table1_margins)
@@ -547,15 +676,19 @@ class TestUniqueOptimum:
 
     def test_interior_point_of_a_face(self):
         # no degenerate alternative, so only the rank test can say "not unique"
-        zero = SSBMatrix.zero(ABC)
-        half = Lottery(ABC, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+        zero = restrict(SSBMatrix.zero(ABC), ["a", "b"])
+        half = Lottery(zero.universe, (Fraction(1, 2), Fraction(1, 2)))
         cert = MaximalityCertificate(half, (Fraction(0), Fraction(0)))
-        assert not unique_optimum(zero, cert, ["a", "b"])
+        assert not unique_optimum(zero, cert)
 
-    def test_certificate_of_another_arena_rejected(self, table1_margins):
-        cert = maximal_lottery(table1_margins, ["A", "B"])
-        with pytest.raises(ValueError):
-            unique_optimum(table1_margins, cert)
+    def test_certificate_of_a_submatrix_rejected(self, table1_margins):
+        # A, B and C form a cycle, so the certificate is mixed
+        cert = maximal_lottery(restrict(table1_margins, ["A", "B", "C"]))
+        assert cert.lottery.scaled[0] > 1
+        padded = MaximalityCertificate(
+            lottery_on(table1_margins.universe, cert.lottery), cert.slack)
+        with pytest.raises(ValueError, match="does not belong"):
+            unique_optimum(table1_margins, padded)
 
 
 def assert_exact(values):

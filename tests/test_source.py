@@ -64,7 +64,8 @@ def test_cli_reads_no_private_name_through_a_module():
 # Public names that no command, demo or benchmark reaches, each kept for the
 # tests that use it as an oracle or a seeded generator
 SURFACE_ALLOWED = {
-    "restrict": "the restriction oracle of the axiom, ssb and property suites",
+    "restrict": "the restriction oracle of the axiom, ssb and property suites, "
+                "and how the solver and acceptance suites ask about a subset",
     "is_maximal": "the maximality oracle of the acceptance and solver suites",
     "random_ssb_matrix": "the seeded generator of arbitrary SSB matrices",
     "pc_matrices": "every PC matrix in entry order, for the aggregate and axiom suites",
