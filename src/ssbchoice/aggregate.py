@@ -41,16 +41,39 @@ def utilitarian(profile: Profile) -> SSBMatrix:
     each positive entry c at (a, b) adds c at (a, b) and -c at (b, a).  A
     base relation's normalized P is 1 on `strict`; any other agent's is
     R+ / max R for the integer rows R of its matrix.
+
+    A weak order in tier form whose pairs were never derived is added
+    without them: its listed alternatives (above the bottom tier) beat
+    every unlisted one, so a run of weight w adds w (r_a - r_b) at (a, b),
+    r the indicator of "listed", plus its listed pairs.  R, the sum of the
+    w r, is kept on the diagonal (0 in a skew-symmetric sum), so it is
+    rescaled with the grid; at the end each R_a is added to row a and taken
+    from column a.  Pairs at hand are added as they are: the axiom lab's
+    hashing derives them, and at its small m they beat that last pass.
     """
     m = len(profile.universe)
     grid = [[0] * m for _ in range(m)]
     denominator = 1
+    tiered = False  # whether the diagonal holds R
     for agent, count in profile.runs:
         if isinstance(agent, BaseRelation):
             weight = count * denominator
-            for a, b in agent.strict:
-                grid[a][b] += weight
-                grid[b][a] -= weight
+            pairs = agent.__dict__.get("strict")
+            if pairs is not None:
+                for a, b in pairs:
+                    grid[a][b] += weight
+                    grid[b][a] -= weight
+                continue
+            tiered = True
+            lower: list[int] = []
+            for tier in reversed(agent._tiers):
+                for a in tier:
+                    row = grid[a]
+                    row[a] += weight
+                    for b in lower:
+                        row[b] += weight
+                        grid[b][a] -= weight
+                lower += tier
             continue
         rows = to_matrix(agent).scaled[1]
         top = max(map(max, rows))
@@ -66,6 +89,14 @@ def utilitarian(profile: Profile) -> SSBMatrix:
                         x *= weight
                         target[b] += x
                         grid[b][a] -= x
+    if tiered:
+        for a, row in enumerate(grid):
+            total = row[a]
+            if total:
+                row[a] = 0
+                for b, target in enumerate(grid):
+                    row[b] += total
+                    target[a] -= total
     return SSBMatrix.from_scaled(profile.universe, denominator, grid)
 
 

@@ -820,7 +820,7 @@ class ValueTable:
     caller keeps the table: weak orders by rank pattern, and also by each
     raw rank already seen (`order`), profiles by agent tuple (`profile`)
     and lotteries by unreduced integer form (`lottery`).  A miss builds
-    through the validating constructor and stores the value, so equal keys
+    and stores the value, so equal keys
     yield one object, a hit costs one lookup, and a memo lookup finds its
     entry by identity.  `find` stores no miss, for anonymity relabelings,
     which are never asked for again.  There is no global table: a
@@ -834,11 +834,11 @@ class ValueTable:
         self._lotteries: dict = {}
 
     def order(self, rank: Sequence[int]) -> BaseRelation:
-        """The weak order in which a beats b iff rank[a] < rank[b], built by
-        `model.ranked_order` and keyed by its rank pattern: each level
-        renumbered by its place among the distinct levels.  The raw rank is
-        looked up first; only a rank not seen before computes its pattern,
-        and is then stored with the pattern's order."""
+        """The weak order in which a beats b iff rank[a] < rank[b], keyed by
+        its rank pattern: each level renumbered by its place among the
+        distinct levels.  The raw rank is looked up first; only a rank not
+        seen before computes its pattern, and is then stored with the
+        pattern's order, which `model.ranked_order` builds from its levels."""
         key = tuple(rank)
         order = self._ranks.get(key)
         if order is None:
@@ -846,7 +846,9 @@ class ValueTable:
             pattern = tuple(map(levels.index, key))
             order = self._orders.get(pattern)
             if order is None:
-                order = self._orders[pattern] = ranked_order(self.universe, pattern)
+                tiers = [[a for a, r in enumerate(pattern) if r == level]
+                         for level in range(len(levels) - 1)]
+                order = self._orders[pattern] = ranked_order(self.universe, tiers)
             self._ranks[key] = order
         return order
 

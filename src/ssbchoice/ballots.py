@@ -52,6 +52,7 @@ of a `ParseError` is computed from its line only when it is raised
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -169,7 +170,9 @@ def _unknown(token: str, lineno: int, column: int) -> ParseError:
     return ParseError(f"unknown alternative {token!r}", lineno, column)
 
 
-def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
+def _ratio(token: str, lineno: int, column: int) -> tuple[int, int]:
+    """A rational literal as (numerator, denominator), the denominator
+    positive; a plain `digits/digits` is not reduced."""
     numerator, slash, denominator = token.partition("/")
     # ASCII `digits` or `digits/digits`, the common case, skips the exponent
     # search and Fraction's string parse; int() raises ValueError on a
@@ -185,14 +188,22 @@ def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
                     f"decimal exponent exceeds {MAX_EXPONENT} in magnitude", lineno, column
                 )
     try:
-        if plain:
-            return Fraction(int(numerator), int(denominator) if slash else 1)
-        return Fraction(token)
+        if not plain:
+            value = Fraction(token)
+            return value.numerator, value.denominator
+        d = int(denominator) if slash else 1
+        if d:
+            return int(numerator), d
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"invalid rational {token!r}", lineno, column) from None
+        pass
+    raise ParseError(f"invalid rational {token!r}", lineno, column)
 
 
-def _parse_row(text: str, base: int, lineno: int, parse) -> list[Fraction]:
+def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
+    return Fraction(*_ratio(token, lineno, column))
+
+
+def _parse_row(text: str, base: int, lineno: int, parse) -> list:
     """Each non-empty piece of `text` split on spaces, read by `parse`; `text`
     starts after column `base`."""
     values = []
@@ -230,11 +241,10 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
                     raise _unknown(token, lineno, _token_column(
                         inner, pad + len(stripped) - len(rest), len(approved)))
                 approved.append(i)
-        chosen = set(approved)
-        if len(chosen) != len(approved):
+        if len(set(approved)) != len(approved):
             raise ParseError("duplicate alternative in approval set", lineno, pad)
-        # approved names rank 0, the rest 1: approving none or all ties everything
-        return ranked_order(universe, [int(i not in chosen) for i in range(len(universe))])
+        # one tier above the rest: approving none or all ties everything
+        return ranked_order(universe, [approved])
     if keyword == "util":
         # one value per position, written as each name is checked; unnamed ones
         # stay `_ZERO`, which no parsed value is, so a named position is one
@@ -262,7 +272,7 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
             except ParseError as exc:
                 column = _column(inner, base + at, (",", k), ("=", 1))
                 raise ParseError(exc.message, lineno, column) from None
-        return UtilityVector(universe, tuple(values))
+        return UtilityVector._of_fractions(universe, tuple(values))
     if keyword == "edges":
         at = body.index("edges") + 5
         inner = body[at:]
@@ -289,21 +299,24 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
                 raise ParseError(message, lineno, a_col)
             strict.add(pair)
         return BaseRelation(universe, frozenset(strict))
-    # weak order: tiers separated by ">", ties by "="; each name gets its
-    # tier's rank, and names in no tier keep rank m, the bottom tier
-    m = len(universe)
-    rank = [m] * m
+    # weak order: tiers separated by ">", ties by "="; names in no tier form
+    # the bottom tier
+    tiers = []
+    seen: set[int] = set()
     for level, tier in enumerate(body.split(">")):
+        positions = []
         for k, piece in enumerate(tier.split("=")):
             token = piece.strip()
             i = index.get(token)
-            if i is None or rank[i] < m:
+            if i is None or i in seen:
                 column = _column(body, base, (">", level), ("=", k))
                 if i is None:
                     raise _unknown(token, lineno, column)
                 raise ParseError(f"alternative {token!r} listed twice", lineno, column)
-            rank[i] = level
-    return ranked_order(universe, rank)
+            seen.add(i)
+            positions.append(i)
+        tiers.append(positions)
+    return ranked_order(universe, tiers)
 
 
 def parse_ballots(text: str) -> Profile:
@@ -387,7 +400,8 @@ class ProposalMatrix(_FrozenValue):
     every share is non-negative and every column sums to exactly 1.
 
     `scaled` holds each row over its least common denominator, `(D, nums)`
-    with row == nums / D; the checks run on it in ints.
+    with row == nums / D; the checks run on it in ints.  The parser builds
+    from it (`_from_scaled`), and `shares` are then derived on first read.
     """
 
     _FIELDS = ("departments", "alternatives", "shares")
@@ -397,45 +411,65 @@ class ProposalMatrix(_FrozenValue):
         if len(shares) != len(departments):
             raise ValueError("one share row per department required")
         scaled = []
-        for i, (department, row) in enumerate(zip(departments, shares)):
+        for row in shares:
             if len(row) != len(alternatives):
                 raise ValueError("every row needs one share per alternative")
             if any(x.__class__ is bool or not isinstance(x, (int, Fraction)) for x in row):
                 raise TypeError(f"shares must be ints or Fractions, got {row!r}")
-            d, nums = _over_common_denominator(row)
+            scaled.append(_over_common_denominator(row))
+        self._set_scaled(departments, alternatives, scaled)
+        object.__setattr__(self, "shares", shares)
+
+    @classmethod
+    def _from_scaled(cls, departments, alternatives, scaled) -> "ProposalMatrix":
+        """Row i is nums / D for scaled[i] = (D, nums), D > 0 not always least."""
+        proposals = cls.__new__(cls)
+        proposals._set_scaled(departments, alternatives, scaled)
+        return proposals
+
+    def _set_scaled(self, departments, alternatives, scaled) -> None:
+        """Check the rows in ints, reduce each, and store them."""
+        rows = []
+        for i, (d, nums) in enumerate(scaled):
             for j, x in enumerate(nums):
                 if x < 0:
-                    raise ShareError(f"{department!r} has negative share "
+                    raise ShareError(f"{departments[i]!r} has negative share "
                                      f"{Fraction(x, d)} in column {alternatives[j]!r}",
                                      i, j)
-            scaled.append((d, tuple(nums)))
+            g = math.gcd(d, *nums)
+            rows.append((d // g, tuple([x // g for x in nums])))
         # column j sums to sum_i nums_ij / D_i: compare over the rows' common D
-        common = math.lcm(*[d for d, _ in scaled])
-        factors = [common // d for d, _ in scaled]
+        common = math.lcm(*[d for d, _ in rows])
+        factors = [common // d for d, _ in rows]
         for j, name in enumerate(alternatives):
-            total = sum([f * nums[j] for f, (_, nums) in zip(factors, scaled)])
+            total = sum([f * nums[j] for f, (_, nums) in zip(factors, rows)])
             if total != common:
                 raise ShareError(f"column {name!r} sums to {Fraction(total, common)}, "
                                  "must be exactly 1", None, j)
-        object.__setattr__(self, "departments", departments)
-        object.__setattr__(self, "alternatives", alternatives)
-        object.__setattr__(self, "shares", shares)
-        object.__setattr__(self, "scaled", tuple(scaled))
+        vars(self).update(departments=departments, alternatives=alternatives,
+                          scaled=tuple(rows))
+
+    # a field, derived where the parser gave rows only
+    shares = functools.cached_property(lambda self: tuple(
+        [tuple([Fraction(x, d) for x in nums]) for d, nums in self.scaled]))
 
 
-def _parse_share(token: str, lineno: int, column: int) -> Fraction:
+def _parse_share(token: str, lineno: int, column: int) -> tuple[int, int]:
+    """A share as (numerator, denominator): `40%` is (40, 100)."""
     if token.endswith("%"):
-        return _parse_rational(token[:-1], lineno, column) / 100
-    return _parse_rational(token, lineno, column)
+        n, d = _ratio(token[:-1], lineno, column)
+        return n, d * 100
+    return _ratio(token, lineno, column)
 
 
 def parse_proposals(text: str) -> ProposalMatrix:
     """Parse proposal text; a share check that fails is reported at the share,
-    or, for a column's sum, at its alternative's name in the declaration."""
+    or, for a column's sum, at its alternative's name in the declaration.
+    Each row is read into ints over its shares' common denominator."""
     universe, declaration, lines = _declared(text, "alternatives")
     departments: list[str] = []
     seen: set[str] = set()
-    rows: list[tuple[Fraction, ...]] = []
+    rows: list[tuple[int, list[int]]] = []
     row_at: list[tuple[int, str, int]] = []  # (line, shares text, its base column)
     for lineno, line in lines:
         name, sep, rest = line.partition(":")
@@ -453,10 +487,11 @@ def parse_proposals(text: str) -> ProposalMatrix:
             raise ParseError(message, lineno, len(name) - len(name.lstrip()) + 1)
         seen.add(department)
         departments.append(department)
-        rows.append(tuple(values))
+        d = math.lcm(*[den for _, den in values])
+        rows.append((d, [n * (d // den) for n, den in values]))
         row_at.append((lineno, rest, len(name) + 1))
     try:
-        return ProposalMatrix(tuple(departments), universe.names, tuple(rows))
+        return ProposalMatrix._from_scaled(tuple(departments), universe.names, rows)
     except ShareError as exc:
         lineno, text, base = (row_at[exc.row] if exc.row is not None
                               else (declaration[0], *_declaration_names(declaration[1])))

@@ -8,10 +8,12 @@ other unexpected exception, reported as one `internal error:` line.
 
 from __future__ import annotations
 
+import errno
 import gc
 import math
 import os
 import random
+import stat
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -187,28 +189,39 @@ def _read(path: str) -> str:
     """An input file's UTF-8 text without a leading byte-order mark; a file
     of more than `MAX_INPUT_BYTES` is refused.
 
-    A file whose size is known is refused before a byte is read.  A pipe or
-    device reports size 0, so reading stops one byte past the bound; asking
-    for size + 1 bytes first spares a small file a bound-sized buffer.  The
-    bytes are decoded in one call, with no text layer and no newline
-    translation: `splitlines` ends a line at CR LF and at a lone CR as at
-    LF.  The mark is dropped by hand: decoding as "utf-8-sig" would import
-    that codec on the first read, 0.3-1 ms on a shared 2-core host.  Only a
-    path that fails to open is opened again as a `Path`, which names it as
-    before ("" as ".", "a//b" as "a/b") and reads "file/" as "file": a
-    `Path` for every file cost a budget command about 5% in a fresh process.
+    The file is read with `os.read`, through no file object.  A file whose
+    size is known is refused before a byte is read.  A pipe or device
+    reports size 0, so it is read on to one byte past the bound; asking for
+    size + 1 bytes first spares a small file a bound-sized buffer.  The
+    bytes are decoded in one call, with no newline translation:
+    `splitlines` ends a line at CR LF and at a lone CR as at LF.  The mark
+    is dropped by hand: decoding as "utf-8-sig" would import that codec on
+    the first read, 0.3-1 ms on a shared 2-core host.  Only a path that
+    fails to open is opened again as a `Path`, which names it as `open`
+    does ("" as ".", "a//b" as "a/b") and reads "file/" as "file": a
+    `Path` for every file cost a budget command about 5% in a fresh
+    process.  `os.open` opens a directory, which is refused under the name
+    a `Path` gives it, with the error `open` raises.
     """
     try:
-        file = open(path, "rb")
+        fd = os.open(path, os.O_RDONLY)
     except OSError:
-        file = open(Path(path), "rb")
-    with file:
-        size = os.fstat(file.fileno()).st_size
+        fd = os.open(str(Path(path)), os.O_RDONLY)
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(Path(path)))
+        size = info.st_size
         if size <= MAX_INPUT_BYTES:
-            data = file.read(size + 1)
+            data = os.read(fd, size + 1)
             if len(data) > size:
-                data += file.read(MAX_INPUT_BYTES + 1 - len(data))
+                data = bytearray(data)
+                while len(data) <= MAX_INPUT_BYTES and (
+                        chunk := os.read(fd, MAX_INPUT_BYTES + 1 - len(data))):
+                    data += chunk
             size = len(data)
+    finally:
+        os.close(fd)
     if size > MAX_INPUT_BYTES:
         raise ValueError(f"{path} has more than {MAX_INPUT_BYTES} bytes, the most "
                          "an input file may hold")

@@ -6,7 +6,9 @@ integer form each, `scaled`: integers over one positive denominator
 (`_IntegerForm`).  The pipeline computes on that form, and
 `fractions.Fraction` appears where a value is read out (`Lottery.probs`,
 `SSBMatrix.entries`, whose integral entries are `int`s) and for every
-other value, each utility included.
+other value, each utility included.  A weak order is stored as its tiers
+above the shared bottom tier (`ranked_order`), in space proportional to
+the names it lists, and its strict pairs are derived only when read.
 
 `Universe` is where names become positions, for every layer: a name
 (`index`), a subset (`positions`, `subset`), a renaming (`permutation`)
@@ -16,14 +18,14 @@ an unknown alternative.
 
 Values are immutable after construction and safe to share between
 threads: every field is set by the constructor and none is written
-later.  Two kinds of derived value are stored after construction, on
-first use, and are no part of the value: the Fractions of a lottery or
-an SSB matrix, and the hash of a `Universe`, `BaseRelation` or
-`Profile`.  A lottery's value is its integer form (`Lottery.scaled`,
-probabilities over their least common denominator), which equality
-compares; its `probs` are derived from it on first read and kept (a
-racing read builds an equal tuple), and hashing and repr read them, as
-an SSB matrix's do its `entries`.  Every value class derives from
+later.  Derived values are stored after construction, on first use, and
+are no part of the value: the Fractions of a lottery or an SSB matrix,
+the strict pairs of a weak order, and the hash of a `Universe`,
+`BaseRelation` or `Profile`.  A lottery's value is its integer form
+(`Lottery.scaled`, probabilities over their least common denominator),
+which equality compares; its `probs` are derived from it on first read
+and kept (a racing read builds an equal tuple), and hashing and repr
+read them, as an SSB matrix's do its `entries`.  Every value class derives from
 `_FrozenValue`, which gives equality, hashing, repr and the frozen error
 from the class's field names.  A stored hash is the hash of the tuple of
 those fields, and pickling rebuilds the object rather than copying it,
@@ -36,6 +38,7 @@ looked up there, never stored).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -312,12 +315,19 @@ class BaseRelation(_FrozenValue):
     `strict` holds ordered index pairs (a, b) meaning "a is strictly
     preferred to b".  Indifference is the absence of both orientations.
     Transitivity is not required; arbitrary tournaments with ties are legal.
-    The pairs are the whole value: `ssb.pc_extension` builds the relation's
-    pairwise-comparison matrix from them afresh on each call.
+
+    Built from pairs (`edges` ballots, tournaments) it stores them.  Built
+    by `ranked_order` (every weak order and approval) it stores `_tiers`,
+    the tiers above the bottom tier as ascending position tuples, best
+    first; the bottom tier is the rest and never empty, so the form is
+    canonical, and `strict` is derived on first read and kept.  Equality,
+    hash and pickling agree across the forms: weak orders are equal when
+    their tiers are, and every relation hashes as (universe, strict).
     """
 
     _FIELDS = ("universe", "strict")
     _hash = None  # as Universe's
+    _tiers = None  # the tiers of a relation built by `ranked_order`
 
     def __init__(self, universe: Universe, strict: Iterable[tuple[int, int]]):
         strict = frozenset(strict)
@@ -334,14 +344,24 @@ class BaseRelation(_FrozenValue):
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "strict", strict)
 
+    @functools.cached_property
+    def strict(self) -> frozenset[tuple[int, int]]:
+        # read only where `ranked_order` stored no pairs
+        return _tier_pairs(len(self.universe), self._tiers)
+
     def __eq__(self, other):
         # the base's equality, with the fields read inline: relations are
-        # compared on every run merge and memo lookup of the axiom lab, and
-        # this is about 1.7 times as fast as the base's `attrgetter` calls
-        # (Python 3.11)
+        # compared on every run merge and memo lookup of the axiom lab
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.universe, self.strict) == (other.universe, other.strict)
+        if self.universe is not other.universe and self.universe != other.universe:
+            return False
+        mine, theirs = self._tiers, other._tiers
+        if mine is None or theirs is None:
+            if mine is theirs:  # both None: two relations built from pairs
+                return self.strict == other.strict
+            return self._weak_tiers() == other._weak_tiers()
+        return mine == theirs
 
     def __hash__(self) -> int:
         h = self._hash
@@ -351,6 +371,8 @@ class BaseRelation(_FrozenValue):
         return h
 
     def __reduce__(self):
+        if self._tiers is not None:
+            return ranked_order, (self.universe, self._tiers)
         return BaseRelation, (self.universe, self.strict)
 
     def relabel(self, mapping: dict[str, str]) -> "BaseRelation":
@@ -360,37 +382,56 @@ class BaseRelation(_FrozenValue):
             self.universe, frozenset((image[a], image[b]) for a, b in self.strict)
         )
 
-    def tiers(self) -> tuple[tuple[str, ...], ...] | None:
-        """Indifference tiers if this relation is a weak order, else None.
+    def _weak_tiers(self) -> tuple[tuple[int, ...], ...] | None:
+        """`_tiers` if stored, else the pairs' tiers if they form a weak
+        order, else None: in a weak order a beats b exactly when a beats
+        more alternatives than b, so the winners grouped by their wins must
+        give back the pairs."""
+        if self._tiers is not None:
+            return self._tiers
+        wins: dict[int, int] = {}
+        for a, _ in self.strict:
+            wins[a] = wins.get(a, 0) + 1
+        order = sorted(wins, key=lambda a: (-wins[a], a))
+        tiers = tuple(tuple(tier) for _, tier in itertools.groupby(order, wins.__getitem__))
+        return tiers if _tier_pairs(len(self.universe), tiers) == self.strict else None
 
-        A weak order is recovered by ranking each alternative at minus its
-        dominated count and checking that `_ranked_pairs` (`ranked_order`'s
-        pairs) for those ranks reproduce `strict`; a tier is one rank.
-        """
-        m = len(self.universe)
-        dominated = [0] * m
-        for a, b in self.strict:
-            dominated[a] += 1
-        if _ranked_pairs([-d for d in dominated]) != self.strict:
+    def tiers(self) -> tuple[tuple[str, ...], ...] | None:
+        """Indifference tiers, best first and the bottom tier last, if this
+        relation is a weak order, else None."""
+        tiers = self._weak_tiers()
+        if tiers is None:
             return None
         names = self.universe.names
-        order = sorted(range(m), key=lambda i: (-dominated[i], i))
-        return tuple(tuple(names[i] for i in tier)
-                     for _, tier in itertools.groupby(order, dominated.__getitem__))
+        bottom = sorted(set(range(len(names))).difference(*tiers))
+        return tuple(tuple([names[a] for a in tier]) for tier in (*tiers, bottom))
 
 
-def _ranked_pairs(rank: Sequence[int]) -> frozenset[tuple[int, int]]:
-    """The pairs (a, b) with rank[a] < rank[b]: `ranked_order`'s strict pairs."""
-    return frozenset([(a, b) for a, ra in enumerate(rank)
-                      for b, rb in enumerate(rank) if ra < rb])
+def _tier_pairs(m: int, tiers: Sequence[Sequence[int]]) -> frozenset[tuple[int, int]]:
+    """The strict pairs of the weak order on m alternatives with these tiers
+    above the bottom tier: each tier beats every tier below it."""
+    below = [*set(range(m)).difference(*tiers)]
+    pairs: list[tuple[int, int]] = []
+    for tier in reversed(tiers):
+        pairs += itertools.product(tier, below)
+        below += tier
+    return frozenset(pairs)
 
 
-def ranked_order(universe: Universe, rank: Sequence[int]) -> BaseRelation:
-    """The weak order in which a beats b iff rank[a] < rank[b]: the one
-    builder of a weak order's strict pairs, called by `weak_order`, the
-    ballot parser and `axioms.ValueTable.order`; `BaseRelation.tiers` compares
-    against its pair set `_ranked_pairs` without building a relation."""
-    return BaseRelation(universe, _ranked_pairs(rank))
+def ranked_order(universe: Universe, tiers: Iterable[Sequence[int]]) -> BaseRelation:
+    """The weak order with these tiers of positions, best first; every
+    position left out joins a shared bottom tier, and empty tiers are
+    skipped.  No position may appear twice, which every caller has checked
+    (`weak_order`, the ballot parser, `axioms.ValueTable.order`), so
+    nothing is checked again.  It is the one builder of a relation in tier
+    form: it sorts each tier and drops the last one when the tiers list
+    every alternative, since that one is the bottom tier."""
+    tiers = [*map(tuple, map(sorted, filter(None, tiers)))]
+    if sum(map(len, tiers)) == len(universe):
+        tiers.pop()
+    relation = object.__new__(BaseRelation)
+    vars(relation).update(universe=universe, _tiers=tuple(tiers))
+    return relation
 
 
 def weak_order(
@@ -400,22 +441,22 @@ def weak_order(
 
     A tier may be a single name or a sequence of names.  Alternatives not
     listed in any tier form a shared bottom indifference tier, so partial
-    ballots stay total.  The tiers become ranks for `ranked_order`; a
-    tier's unknown name raises `KeyError` before a repeat in it is checked.
+    ballots stay total.  A tier's unknown name raises `KeyError` before a
+    repeat in it is checked.
     """
-    m = len(universe)
-    rank = [m] * m  # the bottom tier: at most m non-empty tiers take levels 0..m-1
-    level = 0
+    level: dict[int, int] = {}  # position -> the number of its (non-empty) tier
+    positions: list[list[int]] = []
     for tier in tiers:
         idx = [universe.index(n) for n in ([tier] if isinstance(tier, str) else tier)]
         for i in idx:
-            if rank[i] < m:
-                where = ("listed twice in one tier" if rank[i] == level
+            if i in level:
+                where = ("listed twice in one tier" if level[i] == len(positions)
                          else "appears in two tiers")
                 raise ValueError(f"alternative {universe.names[i]!r} {where}")
-            rank[i] = level
-        level += bool(idx)
-    return ranked_order(universe, rank)
+            level[i] = len(positions)
+        if idx:
+            positions.append(idx)
+    return ranked_order(universe, positions)
 
 
 class UtilityVector(_FrozenValue):
@@ -435,6 +476,13 @@ class UtilityVector(_FrozenValue):
     @classmethod
     def of(cls, universe: Universe, assignment: dict[str, Rational]) -> "UtilityVector":
         return cls(universe, universe.assignment(assignment))
+
+    @classmethod
+    def _of_fractions(cls, universe: Universe, values: tuple[Fraction, ...]) -> "UtilityVector":
+        """The parser's vector: one Fraction per alternative, not checked again."""
+        vector = cls.__new__(cls)
+        vars(vector).update(universe=universe, values=values)
+        return vector
 
     @property
     def scaled(self) -> tuple[int, list[int]]:

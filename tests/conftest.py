@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from ssbchoice import (
+    BaseRelation,
     Lottery,
     Profile,
     Universe,
@@ -30,6 +31,19 @@ def lottery_on(universe: Universe, p: Lottery) -> Lottery:
     the alternatives p's universe lacks: the lottery of a restricted matrix
     padded to the whole universe, or the other way round."""
     return Lottery.of(universe, {n: x for n, x in zip(p.universe.names, p.probs) if x})
+
+
+def rank_tiers(rank) -> list[list[int]]:
+    """The tiers of positions of a rank vector, best first: the weak order in
+    which a beats b iff rank[a] < rank[b], as `ranked_order` takes it."""
+    return [[a for a, r in enumerate(rank) if r == level] for level in sorted(set(rank))]
+
+
+def rank_pairs(universe: Universe, rank) -> BaseRelation:
+    """The same weak order built from its strict pairs, found by comparing
+    every pair of ranks (as `ranked_order` did before it took tiers)."""
+    return BaseRelation(universe, {(a, b) for a, ra in enumerate(rank)
+                                   for b, rb in enumerate(rank) if ra < rb})
 
 
 def read_fixture(name: str) -> str:

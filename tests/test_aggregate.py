@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -194,6 +195,95 @@ class TestAgainstTheReferenceRule:
             assert hash(got) == hash(want)
             scales.add(got.scaled[0] == 1)
         assert scales == {True, False}
+
+
+def pair_loop_utilitarian(profile):
+    """`utilitarian` as it was while every weak order held its strict pairs:
+    each base relation's pairs added one by one into the skew grid, any
+    other agent's positive part scaled into it over a rising denominator.
+    Reading `strict` derives a tier-form relation's pairs, so the tier-form
+    sum must run first."""
+    m = len(profile.universe)
+    grid = [[0] * m for _ in range(m)]
+    denominator = 1
+    for agent, count in profile.runs:
+        if isinstance(agent, BaseRelation):
+            weight = count * denominator
+            for a, b in agent.strict:
+                grid[a][b] += weight
+                grid[b][a] -= weight
+            continue
+        rows = to_matrix(agent).scaled[1]
+        top = max(map(max, rows))
+        if top:
+            common = math.lcm(denominator, top)
+            if common != denominator:
+                grid = [[x * (common // denominator) for x in row] for row in grid]
+                denominator = common
+            weight = count * (common // top)
+            for a, (target, row) in enumerate(zip(grid, rows)):
+                for b, x in enumerate(row):
+                    if x > 0:
+                        x *= weight
+                        target[b] += x
+                        grid[b][a] -= x
+    return SSBMatrix.from_scaled(profile.universe, denominator, grid)
+
+
+def _tier_form_agent(rng, universe):
+    """A partial weak order, approve-none or approve-all (tier form), an
+    `edges` relation (pair form), or a vNM agent whose denominators raise
+    the running one; sparse at large m, as ballots are."""
+    m = len(universe)
+    kind = rng.randrange(6)
+    if kind <= 1:
+        listed = rng.sample(universe.names, rng.randint(1, min(m, 6)))
+        tiers = [[]]
+        for name in listed:
+            tiers[-1].append(name)
+            if rng.random() < 0.6:
+                tiers.append([])
+        return weak_order(universe, tiers)
+    if kind == 2:
+        return weak_order(universe, [] if rng.random() < 0.5 else [universe.names])
+    if kind == 3:
+        pairs = set()
+        for _ in range(rng.randint(0, min(m * (m - 1) // 2, 8))):
+            a, b = rng.sample(range(m), 2) if m > 1 else (0, 0)
+            if a != b and (b, a) not in pairs:
+                pairs.add((a, b))
+        return BaseRelation(universe, pairs)
+    values = {name: Fraction(rng.randint(-9, 9), rng.randint(1, 40))
+              for name in rng.sample(universe.names, min(m, 4))}
+    return UtilityVector.of(universe, values)
+
+
+class TestTierFormSum:
+    """The tier-form sum against the pair loop it replaced."""
+
+    @pytest.mark.parametrize("m", [*range(1, 9), 256])
+    def test_matches_the_pair_loop(self, m):
+        rng = random.Random(33 + m)
+        universe = Universe(tuple(f"x{i}" for i in range(m)))
+        tiered = derived = 0
+        for _ in range(8 if m == 256 else 150):
+            runs = [(_tier_form_agent(rng, universe), rng.choice([1, 1, 2, 7, 10**12]))
+                    for _ in range(rng.randint(1, 12))]
+            for agent, _ in runs:
+                if getattr(agent, "_tiers", None) is not None and rng.random() < 0.3:
+                    agent.strict  # derive its pairs, which the sum then adds
+                    derived += 1
+            profile = Profile.from_runs(universe, runs)
+            fresh = [agent for agent, _ in runs if getattr(agent, "_tiers", None) is not None
+                     and "strict" not in vars(agent)]
+            got = utilitarian(profile)
+            # the sum adds those orders by their tiers and derives no pairs
+            assert not any("strict" in vars(agent) for agent in fresh)
+            tiered += len(fresh)
+            want = pair_loop_utilitarian(profile)
+            assert got.scaled == want.scaled
+            assert got == want
+        assert tiered and derived
 
 
 class TestAggregationKernel:

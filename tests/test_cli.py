@@ -453,6 +453,14 @@ class TestErrorHandling:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("path", ["fixtures", "fixtures/", "fixtures//"])
+    def test_a_directory_is_refused_by_its_name(self, capsys, monkeypatch, path):
+        # `os.open` opens a directory without error; the reader refuses it
+        # with the error `open` gives, naming the directory as a `Path` does
+        monkeypatch.chdir(FIXTURES.parent)
+        code, out, err = run(capsys, "aggregate", path)
+        assert (code, out, err) == (2, "", "error: [Errno 21] Is a directory: 'fixtures'\n")
+
     def test_malformed_ballots(self, capsys, tmp_path):
         path = tmp_path / "bad.ballots"
         path.write_text("universe: a, b\n1: a > zz\n", encoding="utf-8")

@@ -45,6 +45,7 @@ from ssbchoice.model import (
     UtilityVector,
     _over_common_denominator,
     frac,
+    weak_order,
 )
 from ssbchoice.solver import MaximalityCertificate, maximal_lottery
 
@@ -640,3 +641,56 @@ def test_parsed_utilities_equal_constructed_ones():
         built = UtilityVector(universe, [items.get(n, 0) for n in names])
         assert agent == built and hash(agent) == hash(built) and repr(agent) == repr(built)
         assert all(type(x) is Fraction for x in agent.values)
+
+
+# -- a weak order in tier form and in pair form --
+
+
+def _pairs_of(tiers, universe):
+    """The strict pairs of named tiers, best first, the bottom tier included."""
+    levels = [[universe.index(name) for name in tier] for tier in tiers]
+    return {(a, b) for i, high in enumerate(levels) for low in levels[i + 1:]
+            for a in high for b in low}
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_tier_and_pair_forms_of_a_weak_order_are_one_value(m):
+    universe = Universe("abcd"[:m])
+    for tiered in axioms.weak_orders(universe):
+        paired = BaseRelation(universe, _pairs_of(tiered.tiers(), universe))
+        # the order from the table holds its tiers and no pairs yet
+        assert "_tiers" in vars(tiered) and "strict" not in vars(tiered)
+        assert tiered == paired and paired == tiered and not tiered != paired
+        assert paired.tiers() == tiered.tiers()
+        assert hash(tiered) == hash(paired) == hash((universe, paired.strict))
+        assert tiered.strict == paired.strict
+        # listing the bottom tier too builds the same canonical tiers
+        listed = weak_order(universe, tiered.tiers())
+        assert vars(listed)["_tiers"] == vars(tiered)["_tiers"] and listed == paired
+        assert paired in {tiered} and tiered in {paired}
+        assert {tiered: 1}[paired] == 1 and {paired: 1}[tiered] == 1
+        for value in (tiered, paired):
+            clone = pickle.loads(pickle.dumps(value))
+            # a clone keeps its form and equals both
+            assert vars(clone).get("_tiers") == vars(value).get("_tiers")
+            assert ("strict" in vars(clone)) is (value is paired)
+            assert clone == tiered and clone == paired and hash(clone) == hash(value)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_a_relation_equals_a_weak_order_only_when_it_is_one(m):
+    universe = Universe("abcd"[:m])
+    orders = axioms.weak_orders(universe)
+    hashed = set(orders)
+    pairs = list(itertools.combinations(range(m), 2))
+    matched = 0
+    for signs in itertools.product((-1, 0, 1), repeat=len(pairs)):
+        relation = BaseRelation(universe, {(a, b) if s > 0 else (b, a)
+                                           for (a, b), s in zip(pairs, signs) if s})
+        equal = [order for order in orders if order == relation or relation == order]
+        # a tournament with a cycle, or any relation that is no weak order,
+        # equals none; a weak order equals its own tier form only
+        assert len(equal) == (relation.tiers() is not None)
+        assert (relation in hashed) is bool(equal)
+        matched += len(equal)
+    assert matched == len(orders)

@@ -225,32 +225,21 @@ def test_flag_values(data):
 # -- the byte bound on every input file ----------------------------------------
 
 COUNT_READS = """
+import os
 import sys
 from ssbchoice import cli
 
 reads = []
+read = os.read
 
 
-class Counted:
-    # the file `cli._read` opens, with each read counted
-    def __init__(self, file):
-        self.file = file
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.file.close()
-
-    def fileno(self):
-        return self.file.fileno()
-
-    def read(self, *args):
-        reads.append(args)
-        return self.file.read(*args)
+def counted(fd, size):
+    # each read `cli._read` makes of the file it opened
+    reads.append(size)
+    return read(fd, size)
 
 
-cli.open = lambda *args, **kwargs: Counted(open(*args, **kwargs))
+os.read = counted
 code = cli.main(sys.argv[1:])
 print(code, len(reads))
 """
@@ -305,6 +294,31 @@ def test_a_file_at_the_byte_bound_completes():
     code, out, _ = run_cli(["maximal-lottery", "{0}"], [text])
     assert code == 0
     assert out.startswith("Maximal lottery:\n")
+
+
+def _two_name_orders(seed: int, size: int, m: int = 256) -> str:
+    """About `size` bytes of distinct two-name weak orders (`x12 > x200`) at m."""
+    rng = random.Random(seed)
+    lines = ["universe: " + ", ".join(f"x{i}" for i in range(m))]
+    seen: set = set()
+    while sum(map(len, lines)) + len(lines) < size:
+        pair = tuple(rng.sample(range(m), 2))
+        if pair not in seen:
+            seen.add(pair)
+            lines.append("1: x%d > x%d" % pair)
+    return "\n".join(lines) + "\n"
+
+
+def test_distinct_short_weak_orders_at_the_largest_universe():
+    # each body is stored as its tiers, O(names listed), and summed without
+    # its 509 pairs: 100 KB of them once took 11 s and 459 MiB
+    text = _two_name_orders(0, 100_000)
+    start = time.perf_counter()
+    code, out, _ = run_cli(["aggregate", "{0}"], [text])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    agents = len(text.splitlines()) - 1
+    assert out.startswith(f"Collective matrix ({agents} agents, ")
 
 
 def _exponent_utility_ballots(seed: int = 0, n: int = 130) -> str:

@@ -30,8 +30,10 @@ from ssbchoice.ballots import (
     parse_matrices,
     parse_proposals,
 )
-from ssbchoice.model import BaseRelation, Profile, Universe, UtilityVector, ranked_order
+from ssbchoice.model import BaseRelation, Profile, Universe, UtilityVector
 from ssbchoice.ssb import SSBMatrix
+
+from conftest import rank_pairs
 
 
 # -- reference: the parser with a column for every piece ----------------------
@@ -102,7 +104,7 @@ def ref_parse_ballot_body(universe, body, base, lineno):
         chosen = set(approved)
         if len(chosen) != len(approved):
             raise ParseError("duplicate alternative in approval set", lineno, pad + 1)
-        return ranked_order(universe, [int(i not in chosen) for i in range(len(universe))])
+        return rank_pairs(universe, [int(i not in chosen) for i in range(len(universe))])
     if keyword == "util":
         values = [None] * len(universe)
         inner = body[body.index("util") + 4:]
@@ -146,7 +148,7 @@ def ref_parse_ballot_body(universe, body, base, lineno):
             if rank[i] < m:
                 raise ParseError(f"alternative {token!r} listed twice", lineno, column)
             rank[i] = level
-    return ranked_order(universe, rank)
+    return rank_pairs(universe, rank)
 
 
 def ref_parse_ballots(text):
@@ -177,7 +179,7 @@ def ref_parse_proposals(text):
             raise ParseError("expected 'department: shares'", lineno)
         base = len(line) - len(rest)
         tokens = [(token, column) for token, column in ref_parts(rest, " ", base) if token]
-        values = [_parse_share(token, lineno, column) for token, column in tokens]
+        values = [Fraction(*_parse_share(token, lineno, column)) for token, column in tokens]
         if len(values) != len(universe):
             raise ParseError(f"{len(values)} shares for {len(universe)} alternatives", lineno)
         department, column = name.strip(), len(name) - len(name.lstrip()) + 1

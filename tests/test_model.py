@@ -39,6 +39,8 @@ from ssbchoice.axioms import _ordered_partitions
 from ssbchoice.model import frac, ranked_order
 from ssbchoice.ssb import _over_common_denominator
 
+from conftest import rank_tiers
+
 ABC = Universe(("a", "b", "c"))
 
 
@@ -542,7 +544,7 @@ def _all_relations(universe):
 
 class TestOneWeakOrderBuilder:
     def test_ranked_order_is_the_rank_comparison(self):
-        r = ranked_order(ABC, [2, 0, 2])
+        r = ranked_order(ABC, rank_tiers([2, 0, 2]))
         assert r.strict == frozenset({(1, 0), (1, 2)})
         assert r.tiers() == (("b",), ("a", "c"))
 

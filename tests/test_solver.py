@@ -27,7 +27,7 @@ from ssbchoice.aggregate import approval_aggregate
 from ssbchoice.axioms import random_lottery, random_ssb_matrix
 from ssbchoice.model import UniverseMismatchError, _over_common_denominator, ranked_order
 
-from conftest import lottery_on
+from conftest import lottery_on, rank_tiers
 
 ABC = Universe(("a", "b", "c"))
 
@@ -301,13 +301,13 @@ def face_system_unique_optimum(phi, certificate):
 def weak_order_margins(rng, u):
     n = rng.randint(1, 7)
     return majority_margins(Profile(u, [
-        ranked_order(u, [rng.randrange(len(u)) for _ in u.names]) for _ in range(n)]))
+        ranked_order(u, rank_tiers([rng.randrange(len(u)) for _ in u.names])) for _ in range(n)]))
 
 
 def approval_margins(rng, u):
     n = rng.randint(1, 7)
     return approval_aggregate(Profile(u, [
-        ranked_order(u, [rng.randrange(2) for _ in u.names]) for _ in range(n)]))[1]
+        ranked_order(u, rank_tiers([rng.randrange(2) for _ in u.names])) for _ in range(n)]))[1]
 
 
 def fraction_matrix(rng, u):

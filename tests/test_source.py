@@ -24,6 +24,13 @@ def test_no_runtime_assert(path):
     assert lines == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_parses_as_the_oldest_supported_python(path):
+    # pyproject.toml requires Python 3.10 or later: the parser refuses the
+    # newer syntax it knows to gate (best effort, as `feature_version` is)
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 _REGEX_CALLS = {"match", "search", "fullmatch", "sub", "split", "findall", "compile"}
 
 
