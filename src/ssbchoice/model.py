@@ -386,9 +386,12 @@ class BaseRelation(_FrozenValue):
         """`_tiers` if stored, else the pairs' tiers if they form a weak
         order, else None: in a weak order a beats b exactly when a beats
         more alternatives than b, so the winners grouped by their wins must
-        give back the pairs."""
+        give back the pairs.  A weak order with any pair has at least m - 1,
+        so fewer are refused at once (a short `edges` ballot)."""
         if self._tiers is not None:
             return self._tiers
+        if 0 < len(self.strict) < len(self.universe) - 1:
+            return None
         wins: dict[int, int] = {}
         for a, _ in self.strict:
             wins[a] = wins.get(a, 0) + 1
