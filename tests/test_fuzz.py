@@ -301,11 +301,13 @@ def _two_name_orders(seed: int, size: int, m: int = 256) -> str:
     rng = random.Random(seed)
     lines = ["universe: " + ", ".join(f"x{i}" for i in range(m))]
     seen: set = set()
-    while sum(map(len, lines)) + len(lines) < size:
+    total = len(lines[0]) + 1
+    while total < size:
         pair = tuple(rng.sample(range(m), 2))
         if pair not in seen:
             seen.add(pair)
             lines.append("1: x%d > x%d" % pair)
+            total += len(lines[-1]) + 1
     return "\n".join(lines) + "\n"
 
 
