@@ -213,13 +213,16 @@ def _read(path: str) -> str:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(Path(path)))
         size = info.st_size
         if size <= MAX_INPUT_BYTES:
-            data = os.read(fd, size + 1)
-            if len(data) > size:
-                data = bytearray(data)
-                while len(data) <= MAX_INPUT_BYTES and (
-                        chunk := os.read(fd, MAX_INPUT_BYTES + 1 - len(data))):
-                    data += chunk
-            size = len(data)
+            # os.read may return fewer bytes than asked, so read on to the
+            # end; past size + 1 bytes, to one byte past the bound
+            chunks = []
+            size, want = 0, size + 1
+            while size <= MAX_INPUT_BYTES and (chunk := os.read(fd, want - size)):
+                chunks.append(chunk)
+                size += len(chunk)
+                if size == want:
+                    want = MAX_INPUT_BYTES + 1
+            data = b"".join(chunks)
     finally:
         os.close(fd)
     if size > MAX_INPUT_BYTES:

@@ -258,9 +258,9 @@ def test_a_file_over_the_byte_bound_is_refused_unread(tmp_path):
         return subprocess.run([sys.executable, "-c", COUNT_READS, *argv], capture_output=True,
                               text=True, env=CHILD_ENV, preexec_fn=_cap_memory, timeout=WALL_BUDGET)
 
-    # the count sees the one read of a file within the bound
+    # the count sees the reads of a file within the bound: its bytes, then its end
     within = counted_run("aggregate", "--json", str(FIXTURES / "condorcet.ballots"))
-    assert within.stdout.splitlines()[-1] == "0 1"
+    assert within.stdout.splitlines()[-1] == "0 2"
     start = time.perf_counter()
     proc = counted_run("maximal-lottery", str(path))
     assert time.perf_counter() - start < 1.0

@@ -8,6 +8,7 @@ with the same message, line and column.  `cli._read` is held to
 `Path.read_text` the same way: the same lines, or the same error.
 """
 
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -521,6 +522,30 @@ def test_read_matches_read_text(tmp_path, data):
     path = tmp_path / "input"
     path.write_bytes(data)
     assert read_outcome(cli._read, str(path)) == read_outcome(reference_read, str(path))
+
+
+def test_short_reads_are_read_on(tmp_path, monkeypatch):
+    # `os.read` may return fewer bytes than asked (after a signal, or from a
+    # network file system): a file is read to its end, a pipe to the bound
+    data = b"universe: a, b\n" + b"1: a > b\n" * 40
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    read = os.read
+    monkeypatch.setattr(os, "read", lambda fd, size: read(fd, min(size, 7)))
+    assert cli._read(str(path)) == data.decode("utf-8")
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", 100)
+    for size in (100, 101):
+        r, w = os.pipe()
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(data[:size])
+        try:
+            if size == 100:
+                assert cli._read(f"/dev/fd/{r}") == data[:100].decode("utf-8")
+            else:
+                with pytest.raises(ValueError, match="more than 100 bytes"):
+                    cli._read(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
 
 
 def test_read_errors_match_read_text(tmp_path, monkeypatch):
