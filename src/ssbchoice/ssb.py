@@ -167,19 +167,10 @@ def pc_extension(relation: BaseRelation) -> SSBMatrix:
     writes nothing on the relation.
     """
     m = len(relation.universe)
-    pairs = relation.__dict__.get("strict")
-    if pairs is not None:
-        grid = [[0] * m for _ in range(m)]
-        for a, b in pairs:
-            grid[a][b] = 1
-            grid[b][a] = -1
-    else:  # a weak order: the sign of each pair's difference in tier number
-        tiers = relation._tiers
-        rank = [len(tiers)] * m
-        for level, tier in enumerate(tiers):
-            for a in tier:
-                rank[a] = level
-        grid = [[(ra < rb) - (ra > rb) for rb in rank] for ra in rank]
+    grid = [[0] * m for _ in range(m)]
+    for a, b in relation.strict:
+        grid[a][b] = 1
+        grid[b][a] = -1
     return SSBMatrix.from_scaled(relation.universe, 1, grid)
 
 

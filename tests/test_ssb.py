@@ -257,7 +257,7 @@ class TestPCExtension:
         assert pc_extension(relation) is not first
         fresh = weak_order(ABCD, [["b"], ["a", "d"]])
         assert pc_extension(fresh) == first
-        assert set(vars(relation)) <= {"universe", "_tiers", "strict"}
+        assert set(vars(relation)) <= {"universe", "_tiers", "_bottom", "strict"}
 
     def test_stored_matrix_is_not_part_of_the_value(self):
         # a relation's value is its universe and strict pairs only, so
