@@ -42,38 +42,19 @@ def utilitarian(profile: Profile) -> SSBMatrix:
     base relation's normalized P is 1 on `strict`; any other agent's is
     R+ / max R for the integer rows R of its matrix.
 
-    A weak order in tier form whose pairs were never derived is added
-    without them: its listed alternatives (above the bottom tier) beat
-    every unlisted one, so a run of weight w adds w (r_a - r_b) at (a, b),
-    r the indicator of "listed", plus its listed pairs.  R, the sum of the
-    w r, is kept on the diagonal (0 in a skew-symmetric sum), so it is
-    rescaled with the grid; at the end each R_a is added to row a and taken
-    from column a.  Pairs at hand are added as they are: the axiom lab's
-    hashing derives them, and at its small m they beat that last pass.
+    A weak order listing few alternatives may leave its listed-above-
+    unlisted part on the diagonal (`BaseRelation._add_to`), 0 in a
+    skew-symmetric sum, so it is rescaled with the grid; the last pass adds
+    each diagonal entry R_a to row a and takes it from column a.
     """
     m = len(profile.universe)
     grid = [[0] * m for _ in range(m)]
     denominator = 1
-    tiered = False  # whether the diagonal holds R
+    spilled = False  # whether the diagonal holds part of the sum
     for agent, count in profile.runs:
         if isinstance(agent, BaseRelation):
-            weight = count * denominator
-            pairs = agent.__dict__.get("strict")
-            if pairs is not None:
-                for a, b in pairs:
-                    grid[a][b] += weight
-                    grid[b][a] -= weight
-                continue
-            tiered = True
-            lower: list[int] = []
-            for tier in reversed(agent._tiers):
-                for a in tier:
-                    row = grid[a]
-                    row[a] += weight
-                    for b in lower:
-                        row[b] += weight
-                        grid[b][a] -= weight
-                lower += tier
+            if agent._add_to(grid, count * denominator):
+                spilled = True
             continue
         rows = to_matrix(agent).scaled[1]
         top = max(map(max, rows))
@@ -89,7 +70,7 @@ def utilitarian(profile: Profile) -> SSBMatrix:
                         x *= weight
                         target[b] += x
                         grid[b][a] -= x
-    if tiered:
+    if spilled:
         for a, row in enumerate(grid):
             total = row[a]
             if total:

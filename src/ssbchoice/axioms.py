@@ -37,7 +37,6 @@ from .model import (
     UniverseMismatchError,
     UtilityVector,
     _FrozenValue,
-    ranked_order,
     same_universe,
     weak_order,
 )
@@ -820,7 +819,7 @@ class ValueTable:
     caller keeps the table: weak orders by rank pattern, and also by each
     raw rank already seen (`order`), profiles by agent tuple (`profile`)
     and lotteries by unreduced integer form (`lottery`).  A miss builds
-    and stores the value, so equal keys
+    through the validating constructor and stores the value, so equal keys
     yield one object, a hit costs one lookup, and a memo lookup finds its
     entry by identity.  `find` stores no miss, for anonymity relabelings,
     which are never asked for again.  There is no global table: a
@@ -838,7 +837,7 @@ class ValueTable:
         its rank pattern: each level renumbered by its place among the
         distinct levels.  The raw rank is looked up first; only a rank not
         seen before computes its pattern, and is then stored with the
-        pattern's order, which `model.ranked_order` builds from its levels."""
+        pattern's order."""
         key = tuple(rank)
         order = self._ranks.get(key)
         if order is None:
@@ -846,9 +845,11 @@ class ValueTable:
             pattern = tuple(map(levels.index, key))
             order = self._orders.get(pattern)
             if order is None:
-                tiers = [[a for a, r in enumerate(pattern) if r == level]
-                         for level in range(len(levels) - 1)]
-                order = self._orders[pattern] = ranked_order(self.universe, tiers)
+                # kept as its pairs: at the table's small m the sum's pair
+                # loop beats a walk of the tiers, and hashing reads them
+                order = self._orders[pattern] = BaseRelation(self.universe, [
+                    (a, b) for a, ra in enumerate(pattern)
+                    for b, rb in enumerate(pattern) if ra < rb])
             self._ranks[key] = order
         return order
 

@@ -272,7 +272,7 @@ def _parse_ballot_body(universe: Universe, body: str, base: int, lineno: int):
             except ParseError as exc:
                 column = _column(inner, base + at, (",", k), ("=", 1))
                 raise ParseError(exc.message, lineno, column) from None
-        return UtilityVector._of_fractions(universe, tuple(values))
+        return UtilityVector(universe, tuple(values))
     if keyword == "edges":
         at = body.index("edges") + 5
         inner = body[at:]

@@ -316,18 +316,21 @@ class BaseRelation(_FrozenValue):
     preferred to b".  Indifference is the absence of both orientations.
     Transitivity is not required; arbitrary tournaments with ties are legal.
 
-    Built from pairs (`edges` ballots, tournaments) it stores them.  Built
-    by `ranked_order` (every weak order and approval) it stores `_tiers`,
-    the tiers above the bottom tier as ascending position tuples, best
-    first; the bottom tier is the rest and never empty, so the form is
-    canonical, and `strict` is derived on first read and kept.  Equality,
-    hash and pickling agree across the forms: weak orders are equal when
-    their tiers are, and every relation hashes as (universe, strict).
+    Built from pairs (`edges` ballots, tournaments, the axiom lab's
+    orders) it stores them.  Built by `ranked_order` (parsed weak orders
+    and approvals, `weak_order`) it stores `_tiers`, the tiers above the
+    bottom tier as ascending position tuples, best first, and `_bottom`
+    where the builder listed the bottom tier; the bottom tier is never
+    empty, so the form is canonical, and `strict` is derived on first read
+    and kept.  Equality, hash and pickling agree across the forms: weak
+    orders are equal when their tiers are, and every relation hashes as
+    (universe, strict).
     """
 
     _FIELDS = ("universe", "strict")
     _hash = None  # as Universe's
     _tiers = None  # the tiers of a relation built by `ranked_order`
+    _bottom = None  # its bottom tier, where the builder listed it
 
     def __init__(self, universe: Universe, strict: Iterable[tuple[int, int]]):
         strict = frozenset(strict)
@@ -382,6 +385,33 @@ class BaseRelation(_FrozenValue):
             self.universe, frozenset((image[a], image[b]) for a, b in self.strict)
         )
 
+    def _add_to(self, grid: list[list[int]], weight: int) -> bool:
+        """Add `weight` times the pairwise-comparison matrix to the skew grid
+        of `aggregate.utilitarian`; return whether part was left on the
+        diagonal.  A weak order walks its tiers down to its bottom tier if
+        that was listed; if not, it adds its listed pairs and `weight` at
+        (a, a) for each listed a, which the sum's last pass spreads over row
+        a and column a: m writes per listed alternative, not per order."""
+        tiers = self._tiers
+        if tiers is None:
+            for a, b in self.strict:
+                grid[a][b] += weight
+                grid[b][a] -= weight
+            return False
+        lower = self._bottom
+        spill = lower is None
+        lower = [] if spill else [*lower]
+        for tier in reversed(tiers):
+            for a in tier:
+                row = grid[a]
+                if spill:
+                    row[a] += weight
+                for b in lower:
+                    row[b] += weight
+                    grid[b][a] -= weight
+            lower += tier
+        return spill
+
     def _weak_tiers(self) -> tuple[tuple[int, ...], ...] | None:
         """`_tiers` if stored, else the pairs' tiers if they form a weak
         order, else None: in a weak order a beats b exactly when a beats
@@ -425,14 +455,13 @@ def ranked_order(universe: Universe, tiers: Iterable[Sequence[int]]) -> BaseRela
     """The weak order with these tiers of positions, best first; every
     position left out joins a shared bottom tier, and empty tiers are
     skipped.  No position may appear twice, which every caller has checked
-    (`weak_order`, the ballot parser, `axioms.ValueTable.order`), so
-    nothing is checked again.  It is the one builder of a relation in tier
-    form: it sorts each tier and drops the last one when the tiers list
-    every alternative, since that one is the bottom tier."""
+    (`weak_order`, the ballot parser), so nothing is checked again.  It is the one builder of a relation in tier
+    form: it sorts each tier, and when the tiers list every alternative it
+    keeps the last one, the bottom tier, apart from `_tiers` as `_bottom`."""
     tiers = [*map(tuple, map(sorted, filter(None, tiers)))]
-    if sum(map(len, tiers)) == len(universe):
-        tiers.pop()
     relation = object.__new__(BaseRelation)
+    if sum(map(len, tiers)) == len(universe):
+        vars(relation)["_bottom"] = tiers.pop()
     vars(relation).update(universe=universe, _tiers=tuple(tiers))
     return relation
 
@@ -479,13 +508,6 @@ class UtilityVector(_FrozenValue):
     @classmethod
     def of(cls, universe: Universe, assignment: dict[str, Rational]) -> "UtilityVector":
         return cls(universe, universe.assignment(assignment))
-
-    @classmethod
-    def _of_fractions(cls, universe: Universe, values: tuple[Fraction, ...]) -> "UtilityVector":
-        """The parser's vector: one Fraction per alternative, not checked again."""
-        vector = cls.__new__(cls)
-        vars(vector).update(universe=universe, values=values)
-        return vector
 
     @property
     def scaled(self) -> tuple[int, list[int]]:

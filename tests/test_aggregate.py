@@ -201,8 +201,8 @@ def pair_loop_utilitarian(profile):
     """`utilitarian` as it was while every weak order held its strict pairs:
     each base relation's pairs added one by one into the skew grid, any
     other agent's positive part scaled into it over a rising denominator.
-    Reading `strict` derives a tier-form relation's pairs, so the tier-form
-    sum must run first."""
+    Reading `strict` derives a tier-form relation's pairs and keeps them,
+    so the tier-form sum must run first."""
     m = len(profile.universe)
     grid = [[0] * m for _ in range(m)]
     denominator = 1
@@ -265,13 +265,14 @@ class TestTierFormSum:
     def test_matches_the_pair_loop(self, m):
         rng = random.Random(33 + m)
         universe = Universe(tuple(f"x{i}" for i in range(m)))
-        tiered = derived = 0
+        derived = 0
+        bottoms = set()  # whether a tier-form order's bottom tier was listed
         for _ in range(8 if m == 256 else 150):
             runs = [(_tier_form_agent(rng, universe), rng.choice([1, 1, 2, 7, 10**12]))
                     for _ in range(rng.randint(1, 12))]
             for agent, _ in runs:
                 if getattr(agent, "_tiers", None) is not None and rng.random() < 0.3:
-                    agent.strict  # derive its pairs, which the sum then adds
+                    agent.strict  # pairs derived and kept change nothing
                     derived += 1
             profile = Profile.from_runs(universe, runs)
             fresh = [agent for agent, _ in runs if getattr(agent, "_tiers", None) is not None
@@ -279,11 +280,12 @@ class TestTierFormSum:
             got = utilitarian(profile)
             # the sum adds those orders by their tiers and derives no pairs
             assert not any("strict" in vars(agent) for agent in fresh)
-            tiered += len(fresh)
+            bottoms.update(agent._bottom is not None for agent in fresh)
             want = pair_loop_utilitarian(profile)
             assert got.scaled == want.scaled
             assert got == want
-        assert tiered and derived
+        # both walks ran: down to a listed bottom tier, and the diagonal one
+        assert derived and bottoms == {True, False}
 
 
 class TestAggregationKernel:
