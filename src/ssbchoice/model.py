@@ -6,9 +6,9 @@ integer form each, `scaled`: integers over one positive denominator
 (`_IntegerForm`).  The pipeline computes on that form, and
 `fractions.Fraction` appears where a value is read out (`Lottery.probs`,
 `SSBMatrix.entries`, whose integral entries are `int`s) and for every
-other value, each utility included.  A weak order is stored as its tiers
-above the shared bottom tier (`ranked_order`), in space proportional to
-the names it lists, and its strict pairs are derived only when read.
+other value, each utility included.  A parsed weak order is stored as its
+tiers above the shared bottom tier (`ranked_order`), in space
+proportional to the names it lists; its pairs are derived when read.
 
 `Universe` is where names become positions, for every layer: a name
 (`index`), a subset (`positions`, `subset`), a renaming (`permutation`)

@@ -250,7 +250,8 @@ class TestPCExtension:
     def test_built_once_per_relation(self):
         # each call builds the matrix afresh; equal relations give equal
         # matrices and the relation keeps nothing of the build: only its
-        # tiers and the strict pairs derived from them on first read
+        # tiers, its bottom tier where listed, and the strict pairs
+        # derived from them on first read
         relation = weak_order(ABCD, [["b"], ["a", "d"]])
         first = pc_extension(relation)
         assert pc_extension(relation) == first
