@@ -42,7 +42,7 @@ def utilitarian(profile: Profile) -> SSBMatrix:
     base relation's normalized P is 1 on `strict`; any other agent's is
     R+ / max R for the integer rows R of its matrix.
 
-    A weak order listing few alternatives may leave its listed-above-
+    A weak order that leaves names unlisted leaves its listed-above-
     unlisted part on the diagonal (`BaseRelation._add_to`), 0 in a
     skew-symmetric sum, so it is rescaled with the grid; the last pass adds
     each diagonal entry R_a to row a and takes it from column a.
