@@ -30,8 +30,12 @@ reported at the share, a column's wrong sum at its name in the
 declaration.
 
 The budget path computes in ints: shares are checked on each row over its
-least common denominator, the allocation is one exact quotient per
-department from the lottery's integer form, and percents round in ints.
+least common denominator, the allocation is one (numerator, denominator)
+pair per department from the lottery's integer form
+(`allocation_ratios`), and a pair is printed in lowest terms with one
+gcd (`format_ratio`, `ratio_pair`) and as a percent rounded in ints
+(`ratio_percent`); the `Fraction` formatters and `budget_allocation`
+wrap these.
 
 Every rational literal, in ballots, proposals and matrix files, may carry
 a decimal exponent (`1e3`) of at most `MAX_EXPONENT` in magnitude: an
@@ -366,23 +370,37 @@ def _digits(n: int) -> str:
                          "digits, Python's limit for converting an int to text") from None
 
 
+def format_ratio(n: int, d: int) -> str:
+    """n / d (d > 0) in lowest terms; an integer renders without '/1'."""
+    g = math.gcd(n, d)
+    return f"{_digits(n // g)}/{_digits(d // g)}" if d != g else _digits(n // g)
+
+
+def ratio_pair(n: int, d: int) -> list[str]:
+    """n / d (d > 0) in lowest terms as [numerator, denominator] text."""
+    g = math.gcd(n, d)
+    return [_digits(n // g), _digits(d // g)]
+
+
+def ratio_percent(n: int, d: int) -> str:
+    """n / d (d > 0) as a percent, one decimal place, round half up, in ints."""
+    # tenths of a percent: floor(1000 |n| / d + 1/2), so halves round up
+    tenths = (2000 * abs(n) + d) // (2 * d)
+    return f"{'-' if n < 0 else ''}{_digits(tenths // 10)}.{tenths % 10}"
+
+
 def format_fraction(value: Fraction) -> str:
     """Lowest terms, positive denominator; integers render without '/1'."""
-    n, d = _lowest_terms(value)
-    return f"{_digits(n)}/{_digits(d)}" if d != 1 else _digits(n)
+    return format_ratio(*_lowest_terms(value))
 
 
 def fraction_pair(value: Fraction) -> list[str]:
-    n, d = _lowest_terms(value)
-    return [_digits(n), _digits(d)]
+    return ratio_pair(*_lowest_terms(value))
 
 
 def format_percent(value: Fraction) -> str:
     """One decimal place, round half up, computed in ints."""
-    n, d = _lowest_terms(value)
-    # tenths of a percent: floor(1000 |n| / d + 1/2), so halves round up
-    tenths = (2000 * abs(n) + d) // (2 * d)
-    return f"{'-' if n < 0 else ''}{_digits(tenths // 10)}.{tenths % 10}"
+    return ratio_percent(*_lowest_terms(value))
 
 
 class ShareError(ValueError):
@@ -498,8 +516,10 @@ def parse_proposals(text: str) -> ProposalMatrix:
         raise ParseError(str(exc), lineno, _token_column(text, base, exc.column)) from None
 
 
-def budget_allocation(proposals: ProposalMatrix, lottery: Lottery) -> tuple[Fraction, ...]:
-    """The share vector P @ p; exact, and sums to exactly 1."""
+def allocation_ratios(proposals: ProposalMatrix, lottery: Lottery) -> list[tuple[int, int]]:
+    """The share vector P @ p as one (numerator, denominator) pair per
+    department, the denominator positive (not always least); exact, and
+    sums to exactly 1."""
     if proposals.alternatives != lottery.universe.names:
         raise ValueError(
             f"proposal alternatives {proposals.alternatives} do not match "
@@ -507,13 +527,18 @@ def budget_allocation(proposals: ProposalMatrix, lottery: Lottery) -> tuple[Frac
         )
     # row i over D_i times p over d: share i is (a_i . nums) / (D_i d)
     d, nums = lottery.scaled
-    dots = [(row_d, sum([a * x for a, x in zip(row, nums)]))
-            for row_d, row in proposals.scaled]
-    allocation = tuple([Fraction(dot, row_d * d) for row_d, dot in dots])
-    common = math.lcm(*[row_d for row_d, _ in dots])
-    if sum([dot * (common // row_d) for row_d, dot in dots]) != common * d:
-        raise SolverDefect(f"allocation sums to {sum(allocation)}, not 1")
-    return allocation
+    ratios = [(sum([a * x for a, x in zip(row, nums)]), row_d * d)
+              for row_d, row in proposals.scaled]
+    common = math.lcm(*[den for _, den in ratios])
+    total = sum([n * (common // den) for n, den in ratios])
+    if total != common:
+        raise SolverDefect(f"allocation sums to {Fraction(total, common)}, not 1")
+    return ratios
+
+
+def budget_allocation(proposals: ProposalMatrix, lottery: Lottery) -> tuple[Fraction, ...]:
+    """The share vector P @ p; exact, and sums to exactly 1."""
+    return tuple([Fraction(n, den) for n, den in allocation_ratios(proposals, lottery)])
 
 
 def render_matrix(matrix: SSBMatrix) -> str:

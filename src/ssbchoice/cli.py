@@ -21,16 +21,20 @@ from typing import Callable, NamedTuple
 
 from . import axioms
 from .aggregate import utilitarian
-from .ballots import (
+from .ballots import (  # budget_allocation and format_percent: names bench/tracing.py wraps
     MAX_INPUT_BYTES,
     ParseError,
+    allocation_ratios,
     budget_allocation,
     format_fraction,
     format_percent,
+    format_ratio,
     fraction_pair,
     parse_ballots,
     parse_matrices,
     parse_proposals,
+    ratio_pair,
+    ratio_percent,
     render_matrix,
 )
 from .model import Universe
@@ -252,15 +256,14 @@ def _print_json(payload) -> None:
 
 
 def _lottery_json(lottery):
-    return {
-        name: fraction_pair(prob)
-        for name, prob in zip(lottery.universe.names, lottery.probs)
-    }
+    d, nums = lottery.scaled
+    return {name: ratio_pair(x, d) for name, x in zip(lottery.universe.names, nums)}
 
 
 def _lottery_lines(lottery, indent="  ") -> list[str]:
-    return [f"{indent}{name}: {format_fraction(prob)} ({format_percent(prob)}%)"
-            for name, prob in zip(lottery.universe.names, lottery.probs)]
+    d, nums = lottery.scaled
+    return [f"{indent}{name}: {format_ratio(x, d)} ({ratio_percent(x, d)}%)"
+            for name, x in zip(lottery.universe.names, nums)]
 
 
 # The report commands below build their whole text, formatting included,
@@ -306,25 +309,27 @@ def _cmd_solve(args) -> int:
                                f"the enumerated maximal set says {enumerated}")
     if budget:
         allocation = tuple(zip(proposals.departments,
-                               budget_allocation(proposals, certificate.lottery)))
+                               allocation_ratios(proposals, certificate.lottery)))
     names = matrix.universe.names
+    scale, slacks = certificate.scaled
     if args.json:
         payload = {
             "lottery": _lottery_json(certificate.lottery),
-            "slacks": {n: fraction_pair(s) for n, s in zip(names, certificate.slack)},
+            "slacks": {n: ratio_pair(s, scale) for n, s in zip(names, slacks)},
             "unique": unique,
         }
         if face is not None:
             payload["maximal_set"] = [_lottery_json(v) for v in face]
         if budget:
-            payload["allocation"] = {d: fraction_pair(x) for d, x in allocation}
-            payload["allocation_percent"] = {d: format_percent(x) for d, x in allocation}
+            payload["allocation"] = {dept: ratio_pair(*x) for dept, x in allocation}
+            payload["allocation_percent"] = {dept: ratio_percent(*x)
+                                             for dept, x in allocation}
         _print_json(payload)
         return EXIT_OK
     lines = ["Maximal lottery:", *_lottery_lines(certificate.lottery),
              "Slacks against pure outcomes (all exact, all >= 0):"]
-    lines += [f"  vs {name}: {format_fraction(slack)}"
-              for name, slack in zip(names, certificate.slack)]
+    lines += [f"  vs {name}: {format_ratio(slack, scale)}"
+              for name, slack in zip(names, slacks)]
     if unique:
         lines.append("This is the unique maximal lottery.")
     elif face is None:
@@ -334,7 +339,7 @@ def _cmd_solve(args) -> int:
                      "reported lottery is the solver's deterministic pick.")
     if budget:
         lines.append("Budget allocation:")
-        lines += [f"  {dept}: {format_fraction(share)} ({format_percent(share)}%)"
+        lines += [f"  {dept}: {format_ratio(*share)} ({ratio_percent(*share)}%)"
                   for dept, share in allocation]
     print("\n".join(lines))
     return EXIT_OK

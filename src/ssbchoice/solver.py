@@ -34,8 +34,10 @@ solver returns it, so the output is byte-identical to the simplex's.
 Every solve reads phi's integer form (`SSBMatrix.scaled`, rows R over
 one denominator D): R = D phi is a positive multiple of phi, so it has
 the same optimal strategies, the same optimal face and the same sign on
-every slack, and a slack's Fraction is divided by D once, when it is
-built.  The simplex plays the game R with K = 1 + max |R|, which is
+every slack.  A certificate's slacks stay in integer form too
+(`MaximalityCertificate.scaled`: p' R over the lottery's denominator
+times D), and each is divided into a `Fraction` only if `slack` is
+read.  The simplex plays the game R with K = 1 + max |R|, which is
 max |phi| + 1/D in phi's units.  Bland's path does not depend on the
 shift K > 0: x -> x / (1 + (K' - K) sum x) maps the shifted feasible
 region for K onto the one for K', divides every variable and slack by
@@ -44,13 +46,14 @@ have the same bases, signs of reduced costs and ratio-test ties.  All
 elimination, in the simplex and in the linear systems of
 `unique_optimum` and `maximal_set`, is one fraction-free integer pivot
 (Bareiss, Math. Comp. 22, 1968), and a solution leaves it in integer
-form (d, nums): lotteries are built from that form, and slacks are
-computed on it.  `choose`, whose payoff is computed, puts it over one
-denominator before its solve.
+form (d, nums): lotteries and certificates are built from that form,
+and slacks are computed and compared on it in ints.  `choose`, whose
+payoff is computed, puts it over one denominator before its solve.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Sequence
@@ -65,13 +68,43 @@ class MaximalityCertificate(_FrozenValue):
     slack[j] = evaluate(phi, lottery, vertex_j) and every slack is >= 0
     (`maximal_lottery` checks it); the opposing vertices are the pure
     outcomes of phi's alternatives in universe order.
+
+    `scaled = (D, nums)` is the slacks' integer form, slack == nums / D
+    with D > 0 (not always least).  The solver builds a certificate from
+    it (`_from_scaled`), and `slack`, the Fractions, is then derived on
+    first read and kept; a certificate built from its slacks derives
+    `scaled` when it is first read.
     """
 
+    __slots__ = ("_scaled", "__dict__")
     _FIELDS = ("lottery", "slack")
 
     def __init__(self, lottery: Lottery, slack: tuple[Fraction, ...]):
-        object.__setattr__(self, "lottery", lottery)
-        object.__setattr__(self, "slack", slack)
+        vars(self).update(lottery=lottery, slack=slack)
+        object.__setattr__(self, "_scaled", None)
+
+    @classmethod
+    def _from_scaled(cls, lottery: Lottery, d: int, nums) -> "MaximalityCertificate":
+        certificate = cls.__new__(cls)
+        vars(certificate)["lottery"] = lottery
+        object.__setattr__(certificate, "_scaled", (d, tuple(nums)))
+        return certificate
+
+    @property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        scaled = self._scaled
+        if scaled is None:
+            d, nums = _over_common_denominator(self.slack)
+            scaled = (d, tuple(nums))
+            object.__setattr__(self, "_scaled", scaled)
+        return scaled
+
+    # a field, derived where the solver gave the integer form only
+    slack = functools.cached_property(lambda self: tuple(
+        [Fraction(x, self._scaled[0]) for x in self._scaled[1]]))
+
+    def __reduce__(self):
+        return MaximalityCertificate, (self.lottery, self.slack)
 
 
 class SolverDefect(RuntimeError):
@@ -143,12 +176,11 @@ def _optimal_strategy(payoff: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     return d, nums
 
 
-def _slacks(rows, d: int, nums: Sequence[int]) -> tuple[Fraction, ...]:
-    """(p' R)_b / d for each alternative b, p = nums and integer rows R: the
-    slacks of nums / d0 against R / D when d is d0 * D."""
+def _slack_nums(rows, nums: Sequence[int]) -> list[int]:
+    """(p' R)_b for each alternative b, p = nums and integer rows R: the
+    slacks of nums / d0 against R / D times d0 * D."""
     support = [(x, row) for x, row in zip(nums, rows) if x]
-    return tuple([Fraction(sum([x * row[b] for x, row in support]), d)
-                  for b in range(len(rows))])
+    return [sum([x * row[b] for x, row in support]) for b in range(len(rows))]
 
 
 def maximal_lottery(phi: SSBMatrix) -> MaximalityCertificate:
@@ -173,13 +205,15 @@ def maximal_lottery(phi: SSBMatrix) -> MaximalityCertificate:
     scale, rows = phi.scaled
     for c, row in enumerate(rows):
         if min(row[:c] + row[c + 1:], default=1) > 0:
-            return MaximalityCertificate(universe.pure(universe.names[c]),
-                                         tuple([Fraction(x, scale) for x in row]))
+            return MaximalityCertificate._from_scaled(universe.pure(universe.names[c]),
+                                                      scale, row)
     d, nums = _optimal_strategy(rows)
-    slack = _slacks(rows, d * scale, nums)
+    slack = _slack_nums(rows, nums)
     if min(slack) < 0:
-        raise SolverDefect(f"negative slack in certificate: {slack}")
-    return MaximalityCertificate(Lottery.from_scaled(universe, d, nums), slack)
+        raise SolverDefect("negative slack in certificate: "
+                           f"{tuple([Fraction(x, d * scale) for x in slack])}")
+    return MaximalityCertificate._from_scaled(Lottery.from_scaled(universe, d, nums),
+                                              d * scale, slack)
 
 
 def is_maximal(phi: SSBMatrix, p: Lottery) -> bool:
@@ -189,9 +223,7 @@ def is_maximal(phi: SSBMatrix, p: Lottery) -> bool:
     so it is a complete maximality test.
     """
     same_universe(phi, p)
-    d, nums = p.scaled
-    scale, rows = phi.scaled
-    return all(s >= 0 for s in _slacks(rows, d * scale, nums))
+    return min(_slack_nums(phi.scaled[1], p.scaled[1])) >= 0
 
 
 def _solve_unique(rows: list, n: int) -> tuple[int, list[int]] | None:
@@ -235,18 +267,22 @@ def unique_optimum(phi: SSBMatrix, certificate: MaximalityCertificate) -> bool:
     A pure certificate, such as `maximal_lottery` gives for a strict
     Condorcet winner, needs no system: on a one-point support S = {c} it
     is q_c = 1, of full rank, so the answer is "no degenerate
-    alternative".  Its check reads row c of phi's `entries`, which holds
-    its slacks, as it is (for an integer matrix, its integer row).
+    alternative".  Its check compares the slacks with row c of phi,
+    which holds them.  Every comparison is in ints: the certificate's
+    `scaled` slacks against phi's integer rows, cross-multiplied.
     """
     same_universe(phi, certificate.lottery)
     d, p = certificate.lottery.scaled
-    if d == 1:
-        if tuple(phi.entries[p.index(1)]) != certificate.slack:
-            raise ValueError("certificate does not belong to phi")
-        return certificate.slack.count(0) == 1  # the winner's own slack is the one zero
     scale, rows = phi.scaled
-    slack = _slacks(rows, d * scale, p)
-    if slack != certificate.slack:
+    # the certificate's slacks, nums / den, against phi's: cross-multiplied
+    den, nums = certificate.scaled
+    if d == 1:
+        row = rows[p.index(1)]
+        if len(nums) != len(row) or any([x * scale != r * den for x, r in zip(nums, row)]):
+            raise ValueError("certificate does not belong to phi")
+        return nums.count(0) == 1  # the winner's own slack is the one zero
+    slack = _slack_nums(rows, p)
+    if len(nums) != len(slack) or any([x * d * scale != s * den for x, s in zip(nums, slack)]):
         raise ValueError("certificate does not belong to phi")
     if any(x == 0 and s == 0 for x, s in zip(p, slack)):
         return False
@@ -293,7 +329,7 @@ def maximal_set(phi: SSBMatrix, *, max_enum: int = 8) -> tuple[list[Lottery], bo
         point = _solve_unique(system, k)
         if point is None or min(point[1]) < 0:
             continue
-        if min(_slacks(rows, *point)) < 0:  # phi's scale changes no sign
+        if min(_slack_nums(rows, point[1])) < 0:  # no scale changes a sign
             continue
         d, nums = point
         found[tuple([Fraction(x, d) for x in nums])] = point

@@ -68,19 +68,24 @@ class SSBMatrix(_IntegerForm):
                                          for row in entries])
 
     def __post_init__(self, universe, d, rows) -> None:
-        """Check rows / d in ints, reduce it and store it."""
+        """Check rows / d in ints, reduce it and store it.
+
+        The checks read one flat list of the entries, each in one pass
+        that runs in C: shape, int types and d > 0, skew-symmetry (the
+        flat list against the negated flat transpose) and the gcd."""
         rows = tuple(map(tuple, rows))
         m = len(universe)
-        if len(rows) != m or any(len(r) != m for r in rows):
+        if len(rows) != m or {*map(len, rows)} != {m}:
             raise ValueError(f"matrix shape is not {m}x{m}")
-        if type(d) is not int or d <= 0 or not {*map(type, itertools.chain(*rows))} <= {int}:
+        flat = list(itertools.chain(*rows))
+        if type(d) is not int or d <= 0 or not {*map(type, flat)} <= {int}:
             raise TypeError(f"matrix integer form must be ints over d > 0, got d={d!r}")
-        if [tuple(map(operator.neg, col)) for col in zip(*rows)] != list(rows):
+        if list(map(operator.neg, itertools.chain(*zip(*rows)))) != flat:
             i, j = next((i, j) for i in range(m) for j in range(i, m)
                         if rows[i][j] != -rows[j][i])
             raise ValueError(f"not skew-symmetric at ({i},{j}): "
                              f"{_entry(rows[i][j], d)} vs {_entry(rows[j][i], d)}")
-        g = math.gcd(d, *itertools.chain(*rows))
+        g = math.gcd(d, *flat)
         if g != 1:
             d, rows = d // g, tuple([tuple([x // g for x in row]) for row in rows])
         object.__setattr__(self, "universe", universe)

@@ -47,7 +47,8 @@ from ssbchoice.model import (
     frac,
     weak_order,
 )
-from ssbchoice.solver import MaximalityCertificate, maximal_lottery
+from ssbchoice.solver import MaximalityCertificate, maximal_lottery, unique_optimum
+from ssbchoice.ssb import SSBMatrix
 
 # -- the dataclass definitions --
 
@@ -702,3 +703,45 @@ def test_a_relation_equals_a_weak_order_only_when_it_is_one(m):
         assert (relation in hashed) is bool(equal)
         matched += len(equal)
     assert matched == len(orders)
+
+
+def _solver_certificates(rng):
+    """(phi, certificate) from `maximal_lottery` on seeded matrices over a
+    denominator d > 1, five from each path: a strict Condorcet winner's
+    row, and Bland's simplex."""
+    by_path = {True: [], False: []}
+    while min(map(len, by_path.values())) < 5:
+        d, rows = random_ssb_matrix(rng, ABCD).scaled
+        phi = SSBMatrix.from_scaled(ABCD, d * rng.randint(2, 9), rows)
+        winner = any(min(row[:c] + row[c + 1:]) > 0 for c, row in enumerate(rows))
+        if phi.scaled[0] > 1 and len(by_path[winner]) < 5:
+            by_path[winner].append((phi, maximal_lottery(phi)))
+    return by_path[True] + by_path[False]
+
+
+def test_solver_certificates_match_the_dataclass():
+    # a certificate the solver builds from its integer form is the value
+    # the constructor and the dataclass build from its Fractions
+    names = [f.name for f in dataclasses.fields(ReferenceMaximalityCertificate)]
+    for phi, solved in _solver_certificates(random.Random(34)):
+        built = MaximalityCertificate(solved.lottery, solved.slack)
+        ref = ReferenceMaximalityCertificate(solved.lottery, solved.slack)
+        assert all(type(s) is Fraction for s in solved.slack)
+        for new in (solved, built):
+            _same_value(new, ref)
+            assert new == solved and hash(new) == hash(ref)
+            for clone in (copy.copy(new), copy.deepcopy(new), pickle.loads(pickle.dumps(new))):
+                _same_value(clone, ref)
+                assert clone == new and hash(clone) == hash(new)
+            for name in names + ["_hash", "other"]:
+                for act in (lambda x: setattr(x, name, 1), lambda x: delattr(x, name)):
+                    assert _outcome(lambda: act(new)) == _outcome(lambda: act(ref))
+        assert unique_optimum(phi, solved) is unique_optimum(phi, built)
+        # the certificate with one slack moved, built either way, is refused alike
+        d, nums = solved.scaled
+        moved = [x + d * (b == 1) for b, x in enumerate(nums)]
+        for wrong in (MaximalityCertificate._from_scaled(solved.lottery, d, moved),
+                      MaximalityCertificate(solved.lottery,
+                                            tuple([Fraction(x, d) for x in moved]))):
+            assert _outcome(lambda: unique_optimum(phi, wrong)) == (
+                ValueError, "certificate does not belong to phi")

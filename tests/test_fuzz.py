@@ -341,13 +341,17 @@ _HUGE_COUNTS = f"universe: a, b\n{'9' * 4300}: a > b\n{'9' * 4300}: b > a\n"
 @pytest.mark.parametrize("argv, text", [
     *[(argv, _exponent_utility_ballots()) for argv in (
         ["aggregate"], ["aggregate", "--json"], ["maximal-lottery"],
-        ["maximal-lottery", "--json"])],
+        ["maximal-lottery", "--json"], ["budget"], ["budget", "--json"])],
     (["aggregate"], _HUGE_COUNTS), (["aggregate", "--json"], _HUGE_COUNTS),
 ])
 def test_a_number_over_the_digit_limit_is_refused_with_empty_stdout(tmp_path, argv, text):
     path = tmp_path / "input.ballots"
     path.write_text(text, encoding="utf-8")
-    proc = subprocess.run([sys.executable, "-m", "ssbchoice.cli", *argv, str(path)],
+    paths = [str(path)]
+    if argv[0] == "budget":  # one department takes every alternative's whole budget
+        paths.append(str(tmp_path / "input.proposals"))
+        Path(paths[1]).write_text("alternatives: a, b, c\nall: 1 1 1\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "ssbchoice.cli", *argv, *paths],
                           capture_output=True, text=True, env=CHILD_ENV,
                           preexec_fn=_cap_memory, timeout=WALL_BUDGET)
     limit = sys.get_int_max_str_digits()

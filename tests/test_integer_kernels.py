@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ssbchoice import Universe, budget_allocation, parse_ballots, utilitarian
+from ssbchoice import Universe, budget_allocation, cli, parse_ballots, utilitarian
 from ssbchoice.axioms import random_lottery, random_ssb_matrix
 from ssbchoice.ballots import (
     _EXPONENT_RE,
@@ -23,7 +23,7 @@ from ssbchoice.ballots import (
     format_percent,
     fraction_pair,
 )
-from ssbchoice.solver import SolverDefect, _slacks
+from ssbchoice.solver import SolverDefect, _slack_nums, maximal_lottery
 
 
 # -- references: the Fraction bodies ------------------------------------------
@@ -238,8 +238,67 @@ def test_slacks_match_fraction_body():
         lottery = random_lottery(rng, universe, rng.choice((1, 8, 1000)))
         d, nums = lottery.scaled
         want = ref_slacks(phi.entries, lottery.probs)
-        assert _slacks(phi.entries, d, nums) == want
+        scale, rows = phi.scaled
+        assert [Fraction(x, d * scale) for x in _slack_nums(rows, nums)] == list(want)
         # an integer form need not be in lowest terms
-        assert _slacks(phi.entries, 3 * d, [3 * x for x in nums]) == want
-        assert all(type(s) is Fraction for s in _slacks(phi.entries, d, nums))
+        assert _slack_nums(rows, [3 * x for x in nums]) == [3 * x for x in _slack_nums(rows, nums)]
+        assert all(type(s) is int for s in _slack_nums(rows, nums))
 
+
+
+# -- no Fraction on the solve-and-report path ----------------------------------
+
+def _committee_ballots(rng, m):
+    """Twelve seeded weak-order and approval ballots over m alternatives."""
+    names = [f"c{j}" for j in range(m)]
+    lines = ["universe: " + ", ".join(names)]
+    for _ in range(12):
+        order = rng.sample(names, m)
+        if rng.random() < 0.25:
+            body = "approve {" + ", ".join(order[:rng.randint(1, m - 1)]) + "}"
+        else:
+            body = order[0] + "".join(rng.choice((" > ", " = ", " > ")) + x for x in order[1:])
+        lines.append(f"{rng.randint(1, 20)}: {body}")
+    return "\n".join(lines) + "\n"
+
+
+def _support_three_input():
+    """The first seeded m=6 committee ballot text whose maximal lottery has
+    support 3, so `maximal_lottery` runs Bland's simplex."""
+    for seed in range(200):
+        text = _committee_ballots(random.Random(seed), 6)
+        lottery = maximal_lottery(utilitarian(parse_ballots(text))).lottery
+        if sum(map(bool, lottery.scaled[1])) == 3:
+            return text
+    raise AssertionError("no seed below 200 gives support 3")
+
+
+@pytest.mark.parametrize("command", ["budget", "maximal-lottery"])
+@pytest.mark.parametrize("fixture", ["table1", "support-3"])
+def test_the_solve_and_report_build_no_fraction(tmp_path, monkeypatch, capsys, command, fixture):
+    if fixture == "table1":
+        ballots, proposals = "fixtures/table1.ballots", "fixtures/table1.proposals"
+    else:
+        ballots, proposals = tmp_path / "m6.ballots", tmp_path / "m6.proposals"
+        ballots.write_text(_support_three_input(), encoding="utf-8")
+        columns = ["25%", "1/3", "1/2", "10%", "0", "1"]
+        proposals.write_text(
+            "alternatives: " + ", ".join(f"c{j}" for j in range(6)) + "\n"
+            + "x: " + " ".join(columns) + "\n"
+            + "y: " + " ".join(["3/4", "2/3", "50%", "9/10", "1", "0"]) + "\n",
+            encoding="utf-8")
+    argv = [command, str(ballots)] + ([str(proposals)] if command == "budget" else [])
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    out = capsys.readouterr().out
+    assert out.startswith("Maximal lottery:\n") and ("Budget allocation:" in out) is (
+        command == "budget")
+    assert built == []

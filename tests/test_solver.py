@@ -272,11 +272,16 @@ class TestDeterministicPick:
 BLAND = solver._optimal_strategy
 
 
+def fraction_slacks(rows, d, nums):
+    """The slacks of nums / d0 against rows / D as Fractions, d = d0 * D."""
+    return tuple([Fraction(x, d) for x in solver._slack_nums(rows, nums)])
+
+
 def bland_maximal_lottery(phi):
     """`maximal_lottery` with Bland's simplex on every matrix."""
     scale, rows = phi.scaled
     d, nums = BLAND(rows)
-    slack = solver._slacks(rows, d * scale, nums)
+    slack = fraction_slacks(rows, d * scale, nums)
     assert min(slack) >= 0
     return MaximalityCertificate(Lottery.from_scaled(phi.universe, d, nums), slack)
 
@@ -286,7 +291,7 @@ def face_system_unique_optimum(phi, certificate):
     ones included."""
     scale, rows = phi.scaled
     d, p = certificate.lottery.scaled
-    slack = solver._slacks(rows, d * scale, p)
+    slack = fraction_slacks(rows, d * scale, p)
     if slack != certificate.slack:
         raise ValueError("certificate does not belong to phi")
     if any(x == 0 and s == 0 for x, s in zip(p, slack)):
@@ -407,7 +412,7 @@ def arena_maximal_lottery(phi, names):
             return MaximalityCertificate(arena_lottery(phi.universe, 1, [(idx[c], 1)]),
                                          tuple([Fraction(x, scale) for x in row]))
     d, nums = solver._optimal_strategy(sub)
-    slack = solver._slacks(sub, d * scale, nums)
+    slack = fraction_slacks(sub, d * scale, nums)
     assert min(slack) >= 0
     return MaximalityCertificate(arena_lottery(phi.universe, d, zip(idx, nums)), slack)
 
@@ -418,7 +423,7 @@ def arena_is_maximal(phi, p, names):
     if not support <= set(names):
         raise ValueError(f"support {sorted(support)} outside arena {names}")
     d, nums = p.scaled
-    return all(s >= 0 for s in solver._slacks(sub, d * phi.scaled[0], [nums[i] for i in idx]))
+    return all(s >= 0 for s in fraction_slacks(sub, d * phi.scaled[0], [nums[i] for i in idx]))
 
 
 def arena_unique_optimum(phi, certificate, names):
@@ -431,7 +436,7 @@ def arena_unique_optimum(phi, certificate, names):
         return certificate.slack.count(0) == 1
     names, idx, sub = arena(phi, names)
     p = [nums[i] for i in idx]
-    slack = solver._slacks(sub, d * phi.scaled[0], p)
+    slack = fraction_slacks(sub, d * phi.scaled[0], p)
     if sum(p) != d or slack != certificate.slack:
         raise ValueError(f"certificate does not belong to phi on arena {names}")
     if any(x == 0 and s == 0 for x, s in zip(p, slack)):
@@ -456,7 +461,7 @@ def arena_maximal_set(phi, names):
             if choice != 0:
                 rows.append(tight_rows[a])
         point = solver._solve_unique(rows, k)
-        if point is None or min(point[1]) < 0 or min(solver._slacks(sub, *point)) < 0:
+        if point is None or min(point[1]) < 0 or min(solver._slack_nums(sub, point[1])) < 0:
             continue
         d, nums = point
         found[tuple([Fraction(x, d) for x in nums])] = point
