@@ -42,10 +42,13 @@ def utilitarian(profile: Profile) -> SSBMatrix:
     base relation's normalized P is 1 on `strict`; any other agent's is
     R+ / max R for the integer rows R of its matrix.
 
-    A weak order that leaves names unlisted leaves its listed-above-
-    unlisted part on the diagonal (`BaseRelation._add_to`), 0 in a
-    skew-symmetric sum, so it is rescaled with the grid; the last pass adds
-    each diagonal entry R_a to row a and takes it from column a.
+    A weak order in tier form (`BaseRelation._add_to`) adds the pairs
+    among its tiers above the bottom tier and its weight at (a, a) for
+    each alternative a in them, whether or not its ballot listed the
+    bottom tier.  The diagonal is 0 in a skew-symmetric sum, so it is
+    rescaled with the grid; the last pass adds each diagonal entry R_a to
+    row a and takes it from column a, and with the pairs that gives each
+    order's pairwise-comparison matrix.
     """
     m = len(profile.universe)
     grid = [[0] * m for _ in range(m)]

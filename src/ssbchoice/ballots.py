@@ -174,9 +174,11 @@ def _unknown(token: str, lineno: int, column: int) -> ParseError:
     return ParseError(f"unknown alternative {token!r}", lineno, column)
 
 
-def _ratio(token: str, lineno: int, column: int) -> tuple[int, int]:
+def _ratio(token: str, lineno: int, column: int, suffix: str = "") -> tuple[int, int]:
     """A rational literal as (numerator, denominator), the denominator
-    positive; a plain `digits/digits` is not reduced."""
+    positive; a plain `digits/digits` is not reduced.  An invalid literal
+    is named as written, `token` followed by the `suffix` that the caller
+    took off it."""
     numerator, slash, denominator = token.partition("/")
     # ASCII `digits` or `digits/digits`, the common case, skips the exponent
     # search and Fraction's string parse; int() raises ValueError on a
@@ -200,7 +202,7 @@ def _ratio(token: str, lineno: int, column: int) -> tuple[int, int]:
             return int(numerator), d
     except (ValueError, ZeroDivisionError):
         pass
-    raise ParseError(f"invalid rational {token!r}", lineno, column)
+    raise ParseError(f"invalid rational {token + suffix!r}", lineno, column)
 
 
 def _parse_rational(token: str, lineno: int, column: int) -> Fraction:
@@ -475,7 +477,7 @@ class ProposalMatrix(_FrozenValue):
 def _parse_share(token: str, lineno: int, column: int) -> tuple[int, int]:
     """A share as (numerator, denominator): `40%` is (40, 100)."""
     if token.endswith("%"):
-        n, d = _ratio(token[:-1], lineno, column)
+        n, d = _ratio(token[:-1], lineno, column, "%")
         return n, d * 100
     return _ratio(token, lineno, column)
 

@@ -319,18 +319,16 @@ class BaseRelation(_FrozenValue):
     Built from pairs (`edges` ballots, tournaments, the axiom lab's
     orders) it stores them.  Built by `ranked_order` (parsed weak orders
     and approvals, `weak_order`) it stores `_tiers`, the tiers above the
-    bottom tier as ascending position tuples, best first, and `_bottom`
-    where the builder listed the bottom tier; the bottom tier is never
-    empty, so the form is canonical, and `strict` is derived on first read
-    and kept.  Equality, hash and pickling agree across the forms: weak
-    orders are equal when their tiers are, and every relation hashes as
-    (universe, strict).
+    bottom tier as ascending position tuples, best first; the bottom tier
+    is never empty, so the form is canonical, and `strict` is derived on
+    first read and kept.  Equality, hash and pickling agree across the
+    forms: weak orders are equal when their tiers are, and every relation
+    hashes as (universe, strict).
     """
 
     _FIELDS = ("universe", "strict")
     _hash = None  # as Universe's
     _tiers = None  # the tiers of a relation built by `ranked_order`
-    _bottom = None  # its bottom tier, where the builder listed it
 
     def __init__(self, universe: Universe, strict: Iterable[tuple[int, int]]):
         strict = frozenset(strict)
@@ -388,29 +386,27 @@ class BaseRelation(_FrozenValue):
     def _add_to(self, grid: list[list[int]], weight: int) -> bool:
         """Add `weight` times the pairwise-comparison matrix to the skew grid
         of `aggregate.utilitarian`; return whether part was left on the
-        diagonal.  A weak order walks its tiers down to its bottom tier if
-        that was listed; if not, it adds its listed pairs and `weight` at
-        (a, a) for each listed a, which the sum's last pass spreads over row
-        a and column a: m writes per listed alternative, not per order."""
+        diagonal.  A weak order adds the pairs among its tiers above the
+        bottom tier and `weight` at (a, a) for each a in them, which the
+        sum's last pass spreads over row a and column a: m writes per
+        alternative above the bottom tier, whether or not the ballot listed
+        the bottom tier."""
         tiers = self._tiers
         if tiers is None:
             for a, b in self.strict:
                 grid[a][b] += weight
                 grid[b][a] -= weight
             return False
-        lower = self._bottom
-        spill = lower is None
-        lower = [] if spill else [*lower]
+        lower: list[int] = []
         for tier in reversed(tiers):
             for a in tier:
                 row = grid[a]
-                if spill:
-                    row[a] += weight
+                row[a] += weight
                 for b in lower:
                     row[b] += weight
                     grid[b][a] -= weight
             lower += tier
-        return spill
+        return bool(tiers)
 
     def _weak_tiers(self) -> tuple[tuple[int, ...], ...] | None:
         """`_tiers` if stored, else the pairs' tiers if they form a weak
@@ -455,13 +451,14 @@ def ranked_order(universe: Universe, tiers: Iterable[Sequence[int]]) -> BaseRela
     """The weak order with these tiers of positions, best first; every
     position left out joins a shared bottom tier, and empty tiers are
     skipped.  No position may appear twice, which every caller has checked
-    (`weak_order`, the ballot parser), so nothing is checked again.  It is the one builder of a relation in tier
-    form: it sorts each tier, and when the tiers list every alternative it
-    keeps the last one, the bottom tier, apart from `_tiers` as `_bottom`."""
+    (`weak_order`, the ballot parser), so nothing is checked again.  It is
+    the one builder of a relation in tier form: it sorts each tier, and
+    when the tiers list every alternative it drops the last one, the
+    bottom tier, so the form stays canonical."""
     tiers = [*map(tuple, map(sorted, filter(None, tiers)))]
-    relation = object.__new__(BaseRelation)
     if sum(map(len, tiers)) == len(universe):
-        vars(relation)["_bottom"] = tiers.pop()
+        tiers.pop()
+    relation = object.__new__(BaseRelation)
     vars(relation).update(universe=universe, _tiers=tuple(tiers))
     return relation
 
@@ -568,12 +565,6 @@ class Profile(_FrozenValue):
             raise ValueError("profile needs at least one agent")
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "runs", tuple(zip(agents, counts)))
-
-    def __eq__(self, other):
-        # as BaseRelation's: profiles are compared on every memo hit
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.universe, self.runs) == (other.universe, other.runs)
 
     def __hash__(self) -> int:
         h = self._hash

@@ -70,38 +70,30 @@ class MaximalityCertificate(_FrozenValue):
     outcomes of phi's alternatives in universe order.
 
     `scaled = (D, nums)` is the slacks' integer form, slack == nums / D
-    with D > 0 (not always least).  The solver builds a certificate from
-    it (`_from_scaled`), and `slack`, the Fractions, is then derived on
-    first read and kept; a certificate built from its slacks derives
-    `scaled` when it is first read.
+    with D > 0 (not always least), built with the certificate, as a
+    lottery's is.  The solver builds a certificate from it
+    (`_from_scaled`), and `slack`, the Fractions, is then derived on first
+    read and kept.
     """
 
-    __slots__ = ("_scaled", "__dict__")
+    __slots__ = ("scaled", "__dict__")
     _FIELDS = ("lottery", "slack")
 
     def __init__(self, lottery: Lottery, slack: tuple[Fraction, ...]):
         vars(self).update(lottery=lottery, slack=slack)
-        object.__setattr__(self, "_scaled", None)
+        d, nums = _over_common_denominator(slack)
+        object.__setattr__(self, "scaled", (d, tuple(nums)))
 
     @classmethod
     def _from_scaled(cls, lottery: Lottery, d: int, nums) -> "MaximalityCertificate":
         certificate = cls.__new__(cls)
         vars(certificate)["lottery"] = lottery
-        object.__setattr__(certificate, "_scaled", (d, tuple(nums)))
+        object.__setattr__(certificate, "scaled", (d, tuple(nums)))
         return certificate
-
-    @property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        scaled = self._scaled
-        if scaled is None:
-            d, nums = _over_common_denominator(self.slack)
-            scaled = (d, tuple(nums))
-            object.__setattr__(self, "_scaled", scaled)
-        return scaled
 
     # a field, derived where the solver gave the integer form only
     slack = functools.cached_property(lambda self: tuple(
-        [Fraction(x, self._scaled[0]) for x in self._scaled[1]]))
+        [Fraction(x, self.scaled[0]) for x in self.scaled[1]]))
 
     def __reduce__(self):
         return MaximalityCertificate, (self.lottery, self.slack)

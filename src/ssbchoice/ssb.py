@@ -289,10 +289,11 @@ def cycle_witness(
 
     The sign of p' phi q is the sign of the integer form of p dotted with
     phi's integer rows times the integer form of q, since every
-    denominator is positive; each product phi q is formed once.  `beats` is kept as one int bitset per lottery (`out[i]`:
-    the lotteries i beats) plus its transpose (`into[i]`: those beating
-    i), and the first l closing a cycle through i beats j is the lowest
-    set bit of `out[j] & into[i]`.
+    denominator is positive; each product phi q is formed once.  `beats`
+    is kept as one int bitset per lottery (`out[i]`: the lotteries i
+    beats) plus its transpose (`into[i]`: those beating i), and the first
+    l closing a cycle through i beats j is the lowest set bit of
+    `out[j] & into[i]`.
     """
     grid = lottery_grid(phi.universe, max_denominator)
     k = len(grid)

@@ -233,7 +233,9 @@ def pair_loop_utilitarian(profile):
 def _tier_form_agent(rng, universe):
     """A partial weak order, approve-none or approve-all (tier form), an
     `edges` relation (pair form), or a vNM agent whose denominators raise
-    the running one; sparse at large m, as ballots are."""
+    the running one; sparse at large m, as ballots are.  Returns the agent
+    and, for a weak order, whether its ballot listed every name (None for
+    any other agent)."""
     m = len(universe)
     kind = rng.randrange(6)
     if kind <= 1:
@@ -243,49 +245,87 @@ def _tier_form_agent(rng, universe):
             tiers[-1].append(name)
             if rng.random() < 0.6:
                 tiers.append([])
-        return weak_order(universe, tiers)
+        return weak_order(universe, tiers), len(listed) == m
     if kind == 2:
-        return weak_order(universe, [] if rng.random() < 0.5 else [universe.names])
+        if rng.random() < 0.5:
+            return weak_order(universe, []), False
+        return weak_order(universe, [universe.names]), True
     if kind == 3:
         pairs = set()
         for _ in range(rng.randint(0, min(m * (m - 1) // 2, 8))):
             a, b = rng.sample(range(m), 2) if m > 1 else (0, 0)
             if a != b and (b, a) not in pairs:
                 pairs.add((a, b))
-        return BaseRelation(universe, pairs)
+        return BaseRelation(universe, pairs), None
     values = {name: Fraction(rng.randint(-9, 9), rng.randint(1, 40))
               for name in rng.sample(universe.names, min(m, 4))}
-    return UtilityVector.of(universe, values)
+    return UtilityVector.of(universe, values), None
+
+
+def _tier_form_runs(rng, universe):
+    """1 to 12 runs of `_tier_form_agent`s, as (agent, listed every name,
+    multiplicity)."""
+    return [(*_tier_form_agent(rng, universe), rng.choice([1, 1, 2, 7, 10**12]))
+            for _ in range(rng.randint(1, 12))]
+
+
+def _committee_runs(rng, universe):
+    """A committee-budget election as the benchmark writes it, in the form
+    of `_tier_form_runs`: 12 factions over 101 voters, one in four an
+    approval of 1 to m - 1 names, the others weak orders that list every
+    name, each name tied with the one before it with probability 0.3."""
+    cuts = sorted(rng.sample(range(1, 101), 11))
+    runs = []
+    for count in [b - a for a, b in zip([0, *cuts], [*cuts, 101])]:
+        names = list(universe.names)
+        if rng.random() < 0.25:
+            approved = rng.sample(names, rng.randint(1, len(names) - 1))
+            runs.append((weak_order(universe, [approved]), False, count))
+            continue
+        rng.shuffle(names)
+        tiers = [[names[0]]]
+        for name in names[1:]:
+            if rng.random() < 0.3:
+                tiers[-1].append(name)
+            else:
+                tiers.append([name])
+        runs.append((weak_order(universe, tiers), True, count))
+    return runs
+
+
+_SUM_INPUTS = ([(_tier_form_runs, m) for m in [*range(1, 9), 256]]
+               + [(_committee_runs, m) for m in (4, 5, 6)])
 
 
 class TestTierFormSum:
     """The tier-form sum against the pair loop it replaced."""
 
-    @pytest.mark.parametrize("m", [*range(1, 9), 256])
-    def test_matches_the_pair_loop(self, m):
+    @pytest.mark.parametrize("draw, m", _SUM_INPUTS, ids=[
+        f"{m}" if draw is _tier_form_runs else f"committee-{m}" for draw, m in _SUM_INPUTS])
+    def test_matches_the_pair_loop(self, draw, m):
         rng = random.Random(33 + m)
         universe = Universe(tuple(f"x{i}" for i in range(m)))
         derived = 0
-        bottoms = set()  # whether a tier-form order's bottom tier was listed
+        listed = set()  # whether a tier-form order's ballot listed every name
         for _ in range(8 if m == 256 else 150):
-            runs = [(_tier_form_agent(rng, universe), rng.choice([1, 1, 2, 7, 10**12]))
-                    for _ in range(rng.randint(1, 12))]
-            for agent, _ in runs:
-                if getattr(agent, "_tiers", None) is not None and rng.random() < 0.3:
+            built = draw(rng, universe)
+            for agent, full, _ in built:
+                if full is not None and rng.random() < 0.3:
                     agent.strict  # pairs derived and kept change nothing
                     derived += 1
-            profile = Profile.from_runs(universe, runs)
-            fresh = [agent for agent, _ in runs if getattr(agent, "_tiers", None) is not None
-                     and "strict" not in vars(agent)]
+            profile = Profile.from_runs(universe, [(agent, count) for agent, _, count in built])
+            fresh = [(agent, full) for agent, full, _ in built
+                     if full is not None and "strict" not in vars(agent)]
             got = utilitarian(profile)
             # the sum adds those orders by their tiers and derives no pairs
-            assert not any("strict" in vars(agent) for agent in fresh)
-            bottoms.update(agent._bottom is not None for agent in fresh)
+            assert not any("strict" in vars(agent) for agent, _ in fresh)
+            listed.update(full for _, full in fresh)
             want = pair_loop_utilitarian(profile)
             assert got.scaled == want.scaled
             assert got == want
-        # both walks ran: down to a listed bottom tier, and the diagonal one
-        assert derived and bottoms == {True, False}
+        # orders that list every name and orders that leave names out were
+        # both summed by their tiers
+        assert derived and listed == {True, False}
 
 
 class TestAggregationKernel:

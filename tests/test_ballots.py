@@ -256,6 +256,9 @@ class TestProposals:
         ("# shares\nalternatives: A,  B\nx: 1 1/2\ny: 0 1/3\n",
          "column 'B' sums to 5/6, must be exactly 1", (2, 19)),
         ("alternatives: A, B\n", "column 'A' sums to 0, must be exactly 1", (1, 15)),
+        # a malformed percent share is named as written, its `%` included
+        ("alternatives: A, B\nx: % 1\n", "invalid rational '%'", (2, 4)),
+        ("alternatives: A, B\nx: 1  5x%\n", "invalid rational '5x%'", (2, 7)),
     ])
     def test_share_errors_point_at_the_share(self, text, message, where):
         with pytest.raises(ParseError) as err:

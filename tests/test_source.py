@@ -31,6 +31,12 @@ def test_parses_as_the_oldest_supported_python(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_line_is_wider_than_99_characters(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [n for n, line in enumerate(lines, start=1) if len(line) > 99] == []
+
+
 _REGEX_CALLS = {"match", "search", "fullmatch", "sub", "split", "findall", "compile"}
 
 

@@ -250,15 +250,14 @@ class TestPCExtension:
     def test_built_once_per_relation(self):
         # each call builds the matrix afresh; equal relations give equal
         # matrices and the relation keeps nothing of the build: only its
-        # tiers, its bottom tier where listed, and the strict pairs
-        # derived from them on first read
+        # tiers and the strict pairs derived from them on first read
         relation = weak_order(ABCD, [["b"], ["a", "d"]])
         first = pc_extension(relation)
         assert pc_extension(relation) == first
         assert pc_extension(relation) is not first
         fresh = weak_order(ABCD, [["b"], ["a", "d"]])
         assert pc_extension(fresh) == first
-        assert set(vars(relation)) <= {"universe", "_tiers", "_bottom", "strict"}
+        assert set(vars(relation)) <= {"universe", "_tiers", "strict"}
 
     def test_stored_matrix_is_not_part_of_the_value(self):
         # a relation's value is its universe and strict pairs only, so
